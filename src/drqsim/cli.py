@@ -12,15 +12,9 @@ import sys
 
 import numpy as np
 
-from . import compiler as comp
-from .compiler import CompiledProgram, LogicalGate, _AncillaPool, compile_gate
+from .compiler import ERROR_INJECTION, PARITY_CHECK, CompiledProgram, lower
 from .document import CircuitDocument, parse_circuit
-from .encoding import (
-    LogicalRegister,
-    define_register,
-    extract_logical_state,
-    prepare_dual_rail_zero,
-)
+from .encoding import LogicalRegister, define_register, extract_logical_state
 from .errors import (
     CompileError,
     DocumentError,
@@ -28,12 +22,11 @@ from .errors import (
     LayoutError,
     PulseError,
     RegisterError,
-    SimulationError,
     StateError,
 )
 from .fock import create_layout, ground_state
 from .pulses import apply_pulse, carrier
-from .suite import run_builtin_suite
+from .suite import CheckResult, run_builtin_suite
 from .verify import (
     LEAKAGE_GUARD_TOL,
     check_sentinel,
@@ -68,31 +61,6 @@ def build_system(doc: CircuitDocument,
     return layout, register
 
 
-def gate_from_record(rec) -> LogicalGate:
-    name = rec.name
-    if name in ("x", "y", "z", "h", "s", "sdg"):
-        matrix = ideal_logical_gate(name, [], 1)
-        return comp.su2(matrix, rec.operands[0])
-    if name in ("rx", "ry", "rz"):
-        return comp.su2(comp.rotation_matrix(name[1], rec.params[0]),
-                        rec.operands[0])
-    if name == "rzz":
-        return comp.rzz(rec.params[0], *rec.operands)
-    if name in ("rxx", "xx"):
-        return comp.rxx(rec.params[0], *rec.operands)
-    if name == "cnot":
-        return comp.cnot(*rec.operands)
-    if name == "cswap":
-        return comp.cswap(rec.operands[0], *rec.operands[1:])
-    if name == "kcnot":
-        return comp.kcnot(rec.operands[:-1], rec.operands[-1])
-    if name == "mcx":
-        return comp.mcx(rec.operands[:-1], rec.operands[-1])
-    if name == "mcswap":
-        return comp.mcswap(rec.operands[:-2], *rec.operands[-2:])
-    raise CompileError(f"gate {name!r} is not a unitary gate record")
-
-
 def _op_entry(op) -> dict:
     entry = {
         "kind": op.kind,
@@ -105,54 +73,26 @@ def _op_entry(op) -> dict:
     return entry
 
 
-def _prepare_all(register: LogicalRegister) -> tuple[list, float]:
-    """Preparation pulses loading every dual-rail register into |0>."""
-    ops: list = []
-    phase = 0.0
-    if not any(e.is_dual_rail for e in register.entries):
-        return ops, phase
-    if not register.ancilla_qubits:
-        raise RegisterError("dual-rail preparation needs an ancilla qubit")
-    anc = register.ancilla_qubits[0]
-    for entry in register.entries:
-        if entry.is_dual_rail:
-            seq, ph = prepare_dual_rail_zero(register, entry.logical_id, anc)
-            ops.extend(seq)
-            phase += ph
-    return ops, phase
-
-
 def cmd_compile(doc: CircuitDocument, args) -> tuple[dict, int]:
     layout, register = build_system(doc, args.cutoff)
-    prep_ops, prep_phase = _prepare_all(register)
-    pool = _AncillaPool(register)
-    steps = []
+    preparation, steps = lower(register, doc.program)
     program = CompiledProgram()
-    program.global_phase += prep_phase
-    for i, rec in enumerate(doc.program):
-        if rec.name in ("loss", "gain"):
-            steps.append({"step": i, "gate": rec.render(),
-                          "kind": "error-injection"})
-            continue
-        if rec.name == "qndcheck":
-            steps.append({"step": i, "gate": rec.render(),
-                          "kind": "parity-check"})
-            continue
-        gate = gate_from_record(rec)
-        try:
-            sub = compile_gate(register, gate, pool)
-        except (CompileError, RegisterError) as exc:
-            raise CompileError(f"gate {i} ({rec.name}): {exc}") from exc
-        steps.append({"step": i, "gate": rec.render(), "kind": "pulses",
-                      "pulses": [_op_entry(op) for op in sub.ops],
-                      "phase": sub.phase_mod_2pi})
-        program.extend(sub)
+    program.extend(preparation)
+    entries = []
+    for step in steps:
+        entry = {"step": step.index, "gate": step.record.render(),
+                 "kind": step.kind}
+        if step.program is not None:
+            entry["pulses"] = [_op_entry(op) for op in step.program.ops]
+            entry["phase"] = step.program.phase_mod_2pi
+            program.extend(step.program)
+        entries.append(entry)
     report = {
         "schema": SCHEMA,
         "command": "compile",
-        "preparation": [_op_entry(op) for op in prep_ops],
-        "steps": steps,
-        "pulse_count": len(program.ops) + len(prep_ops),
+        "preparation": [_op_entry(op) for op in preparation.ops],
+        "steps": entries,
+        "pulse_count": len(program.ops),
         "global_phase": program.phase_mod_2pi,
         "ancilla_manifest": [
             {"gate": use.gate, "qubits": list(use.qubits),
@@ -169,21 +109,19 @@ def cmd_run(doc: CircuitDocument, args) -> tuple[dict, int]:
                else doc.options.get("seed", 0))
     shots = int(args.shots if args.shots is not None
                 else doc.options.get("shots", 0))
+    preparation, steps = lower(register, doc.program)
 
-    state = ground_state(layout)
-    prep_ops, ledger = _prepare_all(register)
-    state = run_program(state, prep_ops)
-    pool = _AncillaPool(register)
+    state = run_program(ground_state(layout), preparation)
+    ledger = preparation.global_phase
     injected = False
     parity_flags = []
-    n_records = len(doc.program)
-    for i, rec in enumerate(doc.program):
-        if rec.name in ("loss", "gain"):
+    for step in steps:
+        i, rec = step.index, step.record
+        if step.kind == ERROR_INJECTION:
             state = inject_heating_error(state, rec.operands[0], rec.name)
             injected = True
-            continue
-        if rec.name == "qndcheck":
-            if i != n_records - 1 and not args.allow_midcircuit:
+        elif step.kind == PARITY_CHECK:
+            if i != len(steps) - 1 and not args.allow_midcircuit:
                 raise CompileError(
                     "qndcheck before the end of the program disturbs the "
                     "modes; pass --allow-midcircuit for idealized studies")
@@ -200,17 +138,12 @@ def cmd_run(doc: CircuitDocument, args) -> tuple[dict, int]:
                 state = apply_pulse(state, carrier(np.pi, 0.0, anc))
             parity_flags.append({"step": i, "target": rec.operands[0],
                                  "parity": flag})
-            continue
-        gate = gate_from_record(rec)
-        try:
-            sub = compile_gate(register, gate, pool)
-        except (CompileError, RegisterError) as exc:
-            raise CompileError(f"gate {i} ({rec.name}): {exc}") from exc
-        state = run_program(state, sub,
-                            register=register if not injected else None)
-        ledger += sub.global_phase
-        if not injected:
-            check_sentinel(state)
+        else:
+            state = run_program(state, step.program,
+                                register=register if not injected else None)
+            ledger += step.program.global_phase
+            if not injected:
+                check_sentinel(state)
 
     report_state = extract_logical_state(state, register)
     if not injected and report_state.leakage > LEAKAGE_GUARD_TOL:
@@ -251,26 +184,19 @@ def cmd_verify(doc: CircuitDocument | None, args) -> tuple[dict, int]:
         if doc.options.get("tolerance") and args.tol is None:
             tol = float(doc.options["tolerance"])
         ids = list(doc.logical_ids())
-        pool = _AncillaPool(register)
-        for i, rec in enumerate(doc.program):
-            if rec.name in ("loss", "gain", "qndcheck"):
+        for step in lower(register, doc.program, prepare=False)[1]:
+            if step.program is None:
                 continue
-            gate = gate_from_record(rec)
-            sub = compile_gate(register, gate, pool)
-            got = program_unitary(sub, layout, restrict=register)
+            rec = step.record
+            got = program_unitary(step.program, layout, restrict=register)
             positions = [ids.index(op) for op in rec.operands]
             small = ideal_logical_gate(rec.name, rec.params,
                                        len(rec.operands))
             ideal = embed_logical_matrix(small, positions, register.n_logical)
             rep = equivalent_up_to_phase(got.matrix, ideal, tol,
                                          got.leakage_max)
-            checks.append({
-                "name": f"gate-{i}:{rec.render()}",
-                "equivalent": rep.equivalent,
-                "max_entry_error": rep.max_entry_error,
-                "inferred_phase": rep.inferred_phase,
-                "leakage_max": rep.leakage_max,
-            })
+            checks.append(CheckResult.from_report(
+                f"gate-{step.index}:{rec.render()}", rep).to_dict())
     passed = all(c["equivalent"] for c in checks)
     report = {
         "schema": SCHEMA,
@@ -280,6 +206,13 @@ def cmd_verify(doc: CircuitDocument | None, args) -> tuple[dict, int]:
         "checks": checks,
     }
     return report, EXIT_OK if passed else EXIT_VERIFY_FAILED
+
+
+def _count(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{text!r} must be non-negative")
+    return value
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -300,8 +233,8 @@ def make_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="simulate a circuit document")
     p_run.add_argument("document")
-    p_run.add_argument("--seed", type=int, default=None)
-    p_run.add_argument("--shots", type=int, default=None)
+    p_run.add_argument("--seed", type=_count, default=None)
+    p_run.add_argument("--shots", type=_count, default=None)
     p_run.add_argument("--allow-midcircuit", action="store_true",
                        help="allow qndcheck before the end of the program")
     common(p_run)

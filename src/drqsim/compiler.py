@@ -24,6 +24,10 @@ Gate catalogue conventions (pinned by the oracle tests):
   reversed-direction CNOT              = Hadamard conjugation on both
                                          operands, H built from R_X/R_Y
 
+`GATES` is the one table of document gate names (arity, LogicalGate
+builder, ideal matrix); `lower` walks a whole program through it for the
+compile, run and verify commands.
+
 Global phases stated by the constructions (e^{i pi/4} per hybrid CNOT,
 e^{i pi/2} per odd-N CSWAP and per exchange composite, the su2 phase
 alpha) accumulate in the program ledger and are never corrected with
@@ -32,12 +36,13 @@ physical pulses.
 from __future__ import annotations
 
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .encoding import LogicalRegister, RegisterEntry
+from .encoding import LogicalRegister, RegisterEntry, prepare_dual_rail_zero
 from .errors import CompileError, RegisterError
 from .pulses import (
     PhysicalOp,
@@ -391,16 +396,20 @@ def compile_cnot_internal(register: LogicalRegister, control: str,
     ce, te = register.entry(control), register.entry(target)
     if ce.is_dual_rail or te.is_dual_rail:
         raise CompileError("internal cnot needs two internal operands")
-    c, t = ce.qubit, te.qubit
     prog = CompiledProgram()
-    prog.add([
+    prog.add(*_native_cnot(ce.qubit, te.qubit))
+    return prog
+
+
+def _native_cnot(c: str, t: str) -> tuple[list[PhysicalOp], float]:
+    """CNOT between two internal qubits; physical = e^{i pi/4} CNOT."""
+    return [
         _internal_rotation("y", _PI / 2, c),
         native_xx(_PI / 2, c, t),
         _internal_rotation("x", -_PI / 2, t),
         _internal_rotation("x", -_PI / 2, c),
         _internal_rotation("y", -_PI / 2, c),
-    ], _PI / 4)
-    return prog
+    ], _PI / 4
 
 
 def compile_rxx_hybrid(register: LogicalRegister, theta: float, q_id: str,
@@ -443,6 +452,14 @@ def compile_cswap(register: LogicalRegister, control: str,
     ce = register.entry(control)
     if ce.is_dual_rail:
         raise CompileError("cswap control must be a logical internal qubit")
+    prog = _cswap(register, ce.qubit, targets, ancilla_qubit)
+    prog.borrow(f"cswap:{control}", qubits=(ancilla_qubit,))
+    return prog
+
+
+def _cswap(register: LogicalRegister, q: str, targets: Sequence[str],
+           anc: str) -> CompiledProgram:
+    """CSWAP pulses controlled by the physical qubit `q`."""
     tentries = [register.entry(t) for t in targets]
     if len(tentries) < 2 or len(tentries) % 2:
         raise CompileError("cswap needs an even number (>= 2) of targets")
@@ -451,15 +468,13 @@ def compile_cswap(register: LogicalRegister, control: str,
     if len({e.logical_id for e in tentries}) != len(tentries):
         raise CompileError("cswap targets overlap")
     n = len(tentries) // 2
-    q = ce.qubit
     prog = CompiledProgram()
     for i in range(n):
         a, b = tentries[i], tentries[n + i]
-        prog.add(cbs(_PI / 2, 0.0, q, a.rails[1], b.rails[1], ancilla_qubit))
-        prog.add(cbs(_PI / 2, 0.0, q, a.rails[0], b.rails[0], ancilla_qubit))
+        prog.add(cbs(_PI / 2, 0.0, q, a.rails[1], b.rails[1], anc))
+        prog.add(cbs(_PI / 2, 0.0, q, a.rails[0], b.rails[0], anc))
     if n % 2:
         prog.add([qphase(_PI, q)], _PI / 2)
-    prog.borrow(f"cswap:{control}", qubits=(ancilla_qubit,))
     return prog
 
 
@@ -617,6 +632,15 @@ class _AncillaPool:
             if sid is not None:
                 self._free.append(sid)
 
+    @contextmanager
+    def borrowed(self, label: str):
+        """One ancilla for the body, returned to the pool afterwards."""
+        anc = self.take(label)
+        try:
+            yield anc
+        finally:
+            self.release(anc)
+
 
 def compile_kcnot(register: LogicalRegister, controls: Sequence[str],
                   target: str, pool: _AncillaPool | None = None
@@ -725,40 +749,19 @@ def compile_multi_controlled(register: LogicalRegister,
 def _compile_inner(register: LogicalRegister, inner: LogicalGate,
                    q_c: str, bs_anc: str) -> CompiledProgram:
     """Inner single-qubit-controlled gate with the condition qubit q_c."""
-    if inner.kind == "cnot":
-        (target,) = inner.operands
-        te = register.entry(target)
-        if te.is_dual_rail:
-            prog = CompiledProgram()
-            ops, phase = _cnot_q_to_rails(q_c, *te.rails, anc=bs_anc)
-            prog.add(ops, phase)
-            return prog
-        # q_c is a bare ancilla, so emit the native decomposition directly.
-        prog = CompiledProgram()
-        prog.add([
-            _internal_rotation("y", _PI / 2, q_c),
-            native_xx(_PI / 2, q_c, te.qubit),
-            _internal_rotation("x", -_PI / 2, te.qubit),
-            _internal_rotation("x", -_PI / 2, q_c),
-            _internal_rotation("y", -_PI / 2, q_c),
-        ], _PI / 4)
-        return prog
     if inner.kind == "cswap":
-        tentries = [register.entry(t) for t in inner.operands]
-        if len(tentries) < 2 or len(tentries) % 2:
-            raise CompileError("inner cswap needs an even number of targets")
-        if any(not e.is_dual_rail for e in tentries):
-            raise CompileError("inner cswap targets must be dual-rail")
-        n = len(tentries) // 2
-        prog = CompiledProgram()
-        for i in range(n):
-            a, b = tentries[i], tentries[n + i]
-            prog.add(cbs(_PI / 2, 0.0, q_c, a.rails[1], b.rails[1], bs_anc))
-            prog.add(cbs(_PI / 2, 0.0, q_c, a.rails[0], b.rails[0], bs_anc))
-        if n % 2:
-            prog.add([qphase(_PI, q_c)], _PI / 2)
-        return prog
-    raise CompileError(f"unsupported inner gate kind {inner.kind!r}")
+        return _cswap(register, q_c, inner.operands, bs_anc)
+    if inner.kind != "cnot":
+        raise CompileError(f"unsupported inner gate kind {inner.kind!r}")
+    (target,) = inner.operands
+    te = register.entry(target)
+    prog = CompiledProgram()
+    if te.is_dual_rail:
+        prog.add(*_cnot_q_to_rails(q_c, *te.rails, anc=bs_anc))
+    else:
+        # q_c is a bare ancilla, so emit the native decomposition directly.
+        prog.add(*_native_cnot(q_c, te.qubit))
+    return prog
 
 
 # ---------------------------------------------------------------------------
@@ -771,19 +774,13 @@ def compile_gate(register: LogicalRegister, gate: LogicalGate,
     if kind == "su2":
         (target,) = gate.operands
         if register.entry(target).is_dual_rail:
-            anc = pool.take("su2")
-            try:
+            with pool.borrowed("su2") as anc:
                 return compile_su2_dual(register, gate.matrix, target, anc)
-            finally:
-                pool.release(anc)
         return compile_su2_internal(register, gate.matrix, target)
     if kind == "rzz":
-        anc = pool.take("rzz")
-        try:
+        with pool.borrowed("rzz") as anc:
             return compile_rzz(register, gate.theta, *gate.operands,
                                ancilla_qubit=anc)
-        finally:
-            pool.release(anc)
     if kind == "rxx":
         a, b = gate.operands
         ea, eb = register.entry(a), register.entry(b)
@@ -802,18 +799,12 @@ def compile_gate(register: LogicalRegister, gate: LogicalGate,
             raise CompileError(
                 "cnot between two dual-rail qubits is not lowered; "
                 "use rzz with single-qubit gates")
-        anc = pool.take("cnot")
-        try:
+        with pool.borrowed("cnot") as anc:
             return compile_cnot_hybrid(register, control, target, anc)
-        finally:
-            pool.release(anc)
     if kind == "cswap":
         control, *targets = gate.operands
-        anc = pool.take("cswap")
-        try:
+        with pool.borrowed("cswap") as anc:
             return compile_cswap(register, control, targets, anc)
-        finally:
-            pool.release(anc)
     if kind == "kcnot":
         *controls, target = gate.operands
         return compile_kcnot(register, controls, target, pool)
@@ -825,15 +816,146 @@ def compile_gate(register: LogicalRegister, gate: LogicalGate,
     raise CompileError(f"unknown gate kind {kind!r}")
 
 
+# The step kinds a program record lowers to; they are also the `kind`
+# field of the compile report's steps.
+PULSES = "pulses"
+ERROR_INJECTION = "error-injection"
+PARITY_CHECK = "parity-check"
+
+
+@dataclass(frozen=True)
+class GateSpec:
+    """One row of the gate table.
+
+    `build` maps (params, operands) to the LogicalGate to lower, and
+    `ideal` maps (params, operand count) to the textbook matrix over the
+    operands, first operand most significant.  Directives, whose `step`
+    is not PULSES, have neither.
+    """
+
+    n_params: int
+    min_operands: int
+    max_operands: int | None
+    build: Callable[[Sequence[float], Sequence[str]], LogicalGate] | None = None
+    ideal: Callable[[Sequence[float], int], np.ndarray] | None = None
+    step: str = PULSES
+
+
+def _one_qubit(n_params: int, builder: Callable[..., LogicalGate]) -> GateSpec:
+    """Row of a single-qubit gate; its ideal matrix is the builder's."""
+    return GateSpec(n_params, 1, 1,
+                    build=lambda p, ops: builder(*p, ops[0]),
+                    ideal=lambda p, n: builder(*p, "").matrix.copy())
+
+
+def _rxx_ideal(params: Sequence[float], n: int) -> np.ndarray:
+    t = params[0]
+    xx = np.kron(PAULI_X, PAULI_X)
+    return np.cos(t / 2) * np.eye(4) - 1j * np.sin(t / 2) * xx
+
+
+def _controlled_ideal(n: int, n_targets: int,
+                      image: Callable[[int], int]) -> np.ndarray:
+    """Permutation mapping the last `n_targets` operand bits t to image(t)
+    when every operand before them is 1."""
+    controls = (1 << (n - n_targets)) - 1
+    rows = [(col >> n_targets << n_targets) | image(col % (1 << n_targets))
+            if col >> n_targets == controls else col
+            for col in range(2 ** n)]
+    return np.eye(2 ** n, dtype=complex)[:, rows]
+
+
+def _controlled_x_ideal(params: Sequence[float], n: int) -> np.ndarray:
+    return _controlled_ideal(n, 1, lambda t: t ^ 1)
+
+
+def _controlled_swap_ideal(n: int, n_targets: int) -> np.ndarray:
+    """Exchange the first and second half of the target operands."""
+    half = n_targets // 2
+    return _controlled_ideal(
+        n, n_targets, lambda t: (t % (1 << half)) << half | t >> half)
+
+
+GATES: dict[str, GateSpec] = {
+    "x": _one_qubit(0, x), "y": _one_qubit(0, y), "z": _one_qubit(0, z),
+    "h": _one_qubit(0, h), "s": _one_qubit(0, s), "sdg": _one_qubit(0, sdg),
+    "rx": _one_qubit(1, rx), "ry": _one_qubit(1, ry), "rz": _one_qubit(1, rz),
+    "rzz": GateSpec(1, 2, 2, lambda p, ops: rzz(p[0], *ops), lambda p, n: (
+        np.diag(np.exp(-1j * p[0] / 2 * np.array([1, -1, -1, 1]))))),
+    "rxx": GateSpec(1, 2, 2, lambda p, ops: rxx(p[0], *ops), _rxx_ideal),
+    "xx": GateSpec(1, 2, 2, lambda p, ops: rxx(p[0], *ops), _rxx_ideal),
+    "cnot": GateSpec(0, 2, 2, lambda p, ops: cnot(*ops), _controlled_x_ideal),
+    "cswap": GateSpec(0, 3, None, lambda p, ops: cswap(*ops),
+                      lambda p, n: _controlled_swap_ideal(n, n - 1)),
+    "kcnot": GateSpec(0, 3, None, lambda p, ops: kcnot(ops[:-1], ops[-1]),
+                      _controlled_x_ideal),
+    "mcx": GateSpec(0, 2, None, lambda p, ops: mcx(ops[:-1], ops[-1]),
+                    _controlled_x_ideal),
+    "mcswap": GateSpec(0, 4, None,
+                       lambda p, ops: mcswap(ops[:-2], *ops[-2:]),
+                       lambda p, n: _controlled_swap_ideal(n, 2)),
+    "loss": GateSpec(0, 1, 1, step=ERROR_INJECTION),
+    "gain": GateSpec(0, 1, 1, step=ERROR_INJECTION),
+    "qndcheck": GateSpec(0, 1, 1, step=PARITY_CHECK),
+}
+
+
+@dataclass
+class Step:
+    """One lowered program record; `program` is None for directives."""
+
+    index: int
+    record: object
+    kind: str
+    program: CompiledProgram | None = None
+
+
+def _preparation(register: LogicalRegister) -> CompiledProgram:
+    """Pulses loading every dual-rail register into |0> from the ground state."""
+    prog = CompiledProgram()
+    dual = [e for e in register.entries if e.is_dual_rail]
+    if dual and not register.ancilla_qubits:
+        raise RegisterError("dual-rail preparation needs an ancilla qubit")
+    for entry in dual:
+        prog.add(*prepare_dual_rail_zero(register, entry.logical_id,
+                                         register.ancilla_qubits[0]))
+    return prog
+
+
+def lower(register: LogicalRegister, records: Sequence,
+          prepare: bool = True) -> tuple[CompiledProgram, list[Step]]:
+    """Lower a program: (preparation pulses, one step per record).
+
+    A record is a document gate record (`name`, `params`, `operands`),
+    dispatched through GATES, or a LogicalGate, lowered as it is.  One
+    ancilla pool serves the whole program.  The preparation is empty
+    unless `prepare` is set.  Compile and register errors are raised as
+    CompileError naming the record: `gate {index} ({name}): ...`.
+    """
+    preparation = _preparation(register) if prepare else CompiledProgram()
+    pool = _AncillaPool(register)
+    steps = []
+    for i, rec in enumerate(records):
+        if isinstance(rec, LogicalGate):
+            name, kind, gate = rec.kind, PULSES, rec
+        else:
+            spec = GATES[rec.name]
+            name, kind = rec.name, spec.step
+            gate = spec.build(rec.params, rec.operands) if spec.build else None
+        step = Step(i, rec, kind)
+        if gate is not None:
+            try:
+                step.program = compile_gate(register, gate, pool)
+            except (CompileError, RegisterError) as exc:
+                raise CompileError(f"gate {i} ({name}): {exc}") from exc
+        steps.append(step)
+    return preparation, steps
+
+
 def compile_program(circuit: Sequence[LogicalGate],
                     register: LogicalRegister) -> CompiledProgram:
     """Lower a logical circuit, with per-gate ancilla checkout and return."""
-    pool = _AncillaPool(register)
     program = CompiledProgram()
-    for i, gate in enumerate(circuit):
-        try:
-            sub = compile_gate(register, gate, pool)
-        except (CompileError, RegisterError) as exc:
-            raise CompileError(f"gate {i} ({gate.kind}): {exc}") from exc
-        program.extend(sub)
+    for step in lower(register, circuit, prepare=False)[1]:
+        program.extend(step.program)
     return program

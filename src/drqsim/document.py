@@ -30,27 +30,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
+from .compiler import ERROR_INJECTION, GATES
+from .encoding import KIND_ARITY
 from .errors import DocumentError
 
 SECTIONS = ("system", "registers", "ancillas", "program", "options")
-REGISTER_KINDS = {"dual_rail": 2, "internal": 1, "dual_rail_aux": 3,
-                  "internal_aux": 2}
-
-# gate name -> (number of numeric params, min operands, max operands or None)
-GATE_SIGNATURES: dict[str, tuple[int, int, int | None]] = {
-    "x": (0, 1, 1), "y": (0, 1, 1), "z": (0, 1, 1), "h": (0, 1, 1),
-    "s": (0, 1, 1), "sdg": (0, 1, 1),
-    "rx": (1, 1, 1), "ry": (1, 1, 1), "rz": (1, 1, 1),
-    "rzz": (1, 2, 2), "rxx": (1, 2, 2), "xx": (1, 2, 2),
-    "cnot": (0, 2, 2),
-    "cswap": (0, 3, None),
-    "kcnot": (0, 3, None),
-    "mcx": (0, 2, None),
-    "mcswap": (0, 4, None),
-    "loss": (0, 1, 1), "gain": (0, 1, 1),
-    "qndcheck": (0, 1, 1),
-}
-
 _NUMBER_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 _PI_RE = re.compile(r"^([+-]?)pi(\*([+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?))?$")
 
@@ -164,13 +148,13 @@ def parse_circuit(text: str) -> CircuitDocument:
                 raise DocumentError("syntax", lineno,
                                     "register entry: <id> <kind> <subsystems...>")
             lid, kind, *phys = tokens
-            if kind not in REGISTER_KINDS:
+            if kind not in KIND_ARITY:
                 raise DocumentError("validation", lineno,
                                     f"unknown register kind {kind!r}")
-            if len(phys) != REGISTER_KINDS[kind]:
+            if len(phys) != KIND_ARITY[kind]:
                 raise DocumentError(
                     "arity", lineno,
-                    f"{kind} takes {REGISTER_KINDS[kind]} subsystems, "
+                    f"{kind} takes {KIND_ARITY[kind]} subsystems, "
                     f"got {len(phys)}")
             if any(r[0] == lid for r in registers):
                 raise DocumentError("duplicate", lineno,
@@ -193,10 +177,11 @@ def parse_circuit(text: str) -> CircuitDocument:
         elif section == "program":
             tokens = stripped.split()
             name, args = tokens[0], tokens[1:]
-            if name not in GATE_SIGNATURES:
+            if name not in GATES:
                 raise DocumentError("unknown-gate", lineno,
                                     f"unknown gate {name!r}")
-            n_params, lo, hi = GATE_SIGNATURES[name]
+            spec = GATES[name]
+            n_params, lo, hi = spec.n_params, spec.min_operands, spec.max_operands
             params = tuple(parse_number(t, lineno) for t in args[:n_params])
             if len(params) != n_params:
                 raise DocumentError("arity", lineno,
@@ -210,6 +195,9 @@ def parse_circuit(text: str) -> CircuitDocument:
                 raise DocumentError("arity", lineno,
                                     f"{name} takes {want} operand(s), "
                                     f"got {len(operands)}")
+            if len(set(operands)) != len(operands):
+                raise DocumentError("duplicate", lineno,
+                                    f"{name}: repeated operand")
             program.append(GateRecord(name, params, operands, lineno))
         elif section == "options":
             key, _, rest = stripped.partition(":")
@@ -217,7 +205,11 @@ def parse_circuit(text: str) -> CircuitDocument:
             if key not in ("seed", "shots", "tolerance"):
                 raise DocumentError("syntax", lineno,
                                     f"unknown option {key!r}")
-            options[key] = parse_number(rest.strip(), lineno)
+            value = parse_number(rest.strip(), lineno)
+            if key != "tolerance" and (value < 0 or not value.is_integer()):
+                raise DocumentError("number", lineno,
+                                    f"{key} must be a non-negative integer")
+            options[key] = value
 
     doc.registers = tuple(registers)
     doc.program = tuple(program)
@@ -249,7 +241,7 @@ def _validate_references(doc: CircuitDocument) -> None:
         raise DocumentError("reference", 0,
                             f"com_mode {doc.com_mode!r} is not a declared mode")
     for rec in doc.program:
-        if rec.name in ("loss", "gain"):
+        if GATES[rec.name].step == ERROR_INJECTION:
             for sid in rec.operands:
                 if sid not in doc.modes:
                     raise DocumentError("reference", rec.line,

@@ -32,7 +32,7 @@ INTERNAL = "internal"
 DUAL_RAIL_AUX = "dual_rail_aux"
 INTERNAL_AUX = "internal_aux"
 
-_KIND_ARITY = {DUAL_RAIL: 2, INTERNAL: 1, DUAL_RAIL_AUX: 3, INTERNAL_AUX: 2}
+KIND_ARITY = {DUAL_RAIL: 2, INTERNAL: 1, DUAL_RAIL_AUX: 3, INTERNAL_AUX: 2}
 
 
 @dataclass(frozen=True)
@@ -107,12 +107,12 @@ def define_register(layout: HilbertLayout,
     built: list[RegisterEntry] = []
     seen_logical: set[str] = set()
     for logical_id, kind, physical in entries:
-        if kind not in _KIND_ARITY:
+        if kind not in KIND_ARITY:
             raise RegisterError(f"unknown register kind {kind!r}")
         physical = tuple(physical)
-        if len(physical) != _KIND_ARITY[kind]:
+        if len(physical) != KIND_ARITY[kind]:
             raise RegisterError(
-                f"{kind} entry {logical_id!r} takes {_KIND_ARITY[kind]} "
+                f"{kind} entry {logical_id!r} takes {KIND_ARITY[kind]} "
                 f"subsystems, got {len(physical)}")
         if logical_id in seen_logical:
             raise RegisterError(f"duplicate logical id {logical_id!r}")

@@ -234,41 +234,34 @@ def apply_matrix(state: StateVector, matrix: np.ndarray,
     Fast path shared by the pulse engine; `apply_embedded_unitary` wraps
     it with the contract checks.
     """
-    layout = state.layout
-    _check_targets(layout, sids)
-    axes = [layout.axis(s) for s in sids]
-    dims = layout.dims
-    block_dim = int(np.prod([dims[a] for a in axes]))
-    if matrix.shape != (block_dim, block_dim):
-        raise StateError(
-            f"matrix shape {matrix.shape} does not match targets {tuple(sids)}")
-    tensor = state.amplitudes.reshape(dims, order="F")
-    tensor = np.moveaxis(tensor, axes, range(len(axes)))
-    shape = tensor.shape
-    block = tensor.reshape(block_dim, -1, order="F")
-    block = matrix @ block
-    tensor = block.reshape(shape, order="F")
-    tensor = np.moveaxis(tensor, range(len(axes)), axes)
-    return StateVector(layout, np.ascontiguousarray(tensor.reshape(-1, order="F")))
+    out = _apply(state.amplitudes, state.layout, matrix, sids)
+    return StateVector(state.layout, np.ascontiguousarray(out))
 
 
 def apply_matrix_columns(columns: np.ndarray, layout: HilbertLayout,
                          matrix: np.ndarray,
                          sids: Sequence[str]) -> np.ndarray:
     """Apply a subsystem matrix to every column of a (total_dim, k) array."""
+    return _apply(columns, layout, matrix, sids)
+
+
+def _apply(amplitudes: np.ndarray, layout: HilbertLayout, matrix: np.ndarray,
+           sids: Sequence[str]) -> np.ndarray:
+    """Contract `matrix` with the target axes of a (total_dim[, k]) array."""
     _check_targets(layout, sids)
     axes = [layout.axis(s) for s in sids]
-    k = columns.shape[1]
-    dims = layout.dims + (k,)
     block_dim = int(np.prod([layout.dims[a] for a in axes]))
-    tensor = columns.reshape(dims, order="F")
+    if matrix.shape != (block_dim, block_dim):
+        raise StateError(
+            f"matrix shape {matrix.shape} does not match targets {tuple(sids)}")
+    tensor = amplitudes.reshape(layout.dims + amplitudes.shape[1:], order="F")
     tensor = np.moveaxis(tensor, axes, range(len(axes)))
     shape = tensor.shape
     block = tensor.reshape(block_dim, -1, order="F")
     block = matrix @ block
     tensor = block.reshape(shape, order="F")
     tensor = np.moveaxis(tensor, range(len(axes)), axes)
-    return tensor.reshape((layout.total_dim, k), order="F")
+    return tensor.reshape(amplitudes.shape, order="F")
 
 
 def apply_embedded_unitary(state: StateVector, op: OperatorMatrix) -> StateVector:

@@ -41,6 +41,11 @@ class CheckResult:
     inferred_phase: float
     leakage_max: float = 0.0
 
+    @classmethod
+    def from_report(cls, name: str, report: EquivalenceReport) -> "CheckResult":
+        return cls(name, report.equivalent, report.max_entry_error,
+                   report.inferred_phase, report.leakage_max)
+
     def to_dict(self) -> dict:
         return {
             "name": self.name,
@@ -74,11 +79,6 @@ def _dual_pair(cutoff: int = 4):
         [("D1", "dual_rail", ("a0", "a1")), ("D2", "dual_rail", ("b0", "b1"))],
         ancilla_qubits=("anc",))
     return layout, register
-
-
-def _from_report(name: str, report: EquivalenceReport) -> CheckResult:
-    return CheckResult(name, report.equivalent, report.max_entry_error,
-                       report.inferred_phase, report.leakage_max)
 
 
 def cbs_generator(phi: float, cutoff: int) -> np.ndarray:
@@ -195,7 +195,7 @@ def check_cswap() -> CheckResult:
     got = program_unitary(prog, layout, restrict=register)
     report = equivalent_up_to_phase(
         got.matrix, ideal_logical_gate("cswap", [], 3), 1e-9, got.leakage_max)
-    return _from_report("cswap", report)
+    return CheckResult.from_report("cswap", report)
 
 
 def check_su2(rng: np.random.Generator, draws: int = 10) -> CheckResult:
@@ -254,7 +254,7 @@ def check_kcnot() -> CheckResult:
     got = program_unitary(prog, layout, restrict=register)
     report = equivalent_up_to_phase(
         got.matrix, ideal_logical_gate("kcnot", [], 3), 1e-9, got.leakage_max)
-    return _from_report("kcnot-toffoli", report)
+    return CheckResult.from_report("kcnot-toffoli", report)
 
 
 def run_builtin_suite(seed: int = 2024) -> list[CheckResult]:

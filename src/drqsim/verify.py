@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .compiler import CompiledProgram
+from .compiler import GATES, CompiledProgram
 from .encoding import (
     LogicalRegister,
     codeword_index,
@@ -104,13 +104,14 @@ def program_unitary(program, layout: HilbertLayout,
     indices = [codeword_index(restrict,
                               [(b >> (n - 1 - i)) & 1 for i in range(n)])
                for b in range(dim)]
+    mats = [pulse_matrix(op, restrict.layout) for op in ops]
     matrix = np.zeros((dim, dim), dtype=complex)
     leakage_max = 0.0
     for col in range(dim):
         bits = [(col >> (n - 1 - i)) & 1 for i in range(n)]
         state = logical_basis_state(restrict, bits)
-        for op in ops:
-            state = apply_pulse(state, op)
+        for mat in mats:
+            state = apply_matrix(state, mat.entries, mat.subsystem_ids)
         column = state.amplitudes[indices]
         matrix[:, col] = column
         leakage_max = max(leakage_max,
@@ -280,55 +281,10 @@ def inject_heating_error(state: StateVector, mode: str,
 def ideal_logical_gate(name: str, params: Sequence[float],
                        n_operands: int) -> np.ndarray:
     """Textbook matrix of a named gate over its operands (first = MSB)."""
-    from . import compiler as _c
-
-    if name in ("x", "y", "z", "h", "s", "sdg"):
-        return {"x": _c.PAULI_X, "y": _c.PAULI_Y, "z": _c.PAULI_Z,
-                "h": _c.HADAMARD, "s": _c.S_GATE,
-                "sdg": _c.S_GATE.conj().T}[name].copy()
-    if name in ("rx", "ry", "rz"):
-        return _c.rotation_matrix(name[1], params[0])
-    if name == "rzz":
-        t = params[0]
-        return np.diag(np.exp(-1j * t / 2 * np.array([1, -1, -1, 1])))
-    if name in ("rxx", "xx"):
-        t = params[0]
-        xx = np.kron(_c.PAULI_X, _c.PAULI_X)
-        return np.cos(t / 2) * np.eye(4) - 1j * np.sin(t / 2) * xx
-    if name == "cnot":
-        return np.array([[1, 0, 0, 0], [0, 1, 0, 0],
-                         [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
-    if name in ("kcnot", "mcx"):
-        dim = 2 ** n_operands
-        u = np.eye(dim, dtype=complex)
-        u[dim - 2:, dim - 2:] = np.array([[0, 1], [1, 0]])
-        return u
-    if name in ("cswap", "mcswap"):
-        # Last 2N operands are swap targets, everything before controls.
-        n_targets = _swap_target_count(name, n_operands)
-        n_controls = n_operands - n_targets
-        half = n_targets // 2
-        dim = 2 ** n_operands
-        u = np.zeros((dim, dim), dtype=complex)
-        for col in range(dim):
-            bits = [(col >> (n_operands - 1 - i)) & 1
-                    for i in range(n_operands)]
-            if all(bits[:n_controls]):
-                tb = bits[n_controls:]
-                tb = tb[half:] + tb[:half]
-                bits = bits[:n_controls] + tb
-            row = 0
-            for b in bits:
-                row = (row << 1) | b
-            u[row, col] = 1.0
-        return u
-    raise ValueError(f"no ideal matrix for gate {name!r}")
-
-
-def _swap_target_count(name: str, n_operands: int) -> int:
-    if name == "cswap":
-        return n_operands - 1
-    return 2  # mcswap swaps one pair
+    spec = GATES.get(name)
+    if spec is None or spec.ideal is None:
+        raise ValueError(f"no ideal matrix for gate {name!r}")
+    return spec.ideal(params, n_operands)
 
 
 def embed_logical_matrix(u_small: np.ndarray, positions: Sequence[int],

@@ -1,0 +1,32 @@
+"""The benchmark under perfbench/ reaches into drqsim by module attribute.
+
+The traced run wraps every (module, attribute) listed in
+`perfbench/spans.py` TRACED, and `perfbench/setup_probe.py` imports
+`drqsim.cli.build_system`.  A rename inside drqsim would crash the
+benchmark rather than fail a test, so these checks pin the names.
+"""
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+
+
+def _traced():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.TRACED
+
+
+@pytest.mark.parametrize("module,attribute,span", _traced())
+def test_traced_attribute_resolves(module, attribute, span):
+    mod = importlib.import_module(f"drqsim.{module}")
+    assert callable(getattr(mod, attribute, None)), span
+
+
+def test_setup_probe_entry_point():
+    from drqsim import cli
+    assert callable(cli.build_system)

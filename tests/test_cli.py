@@ -3,6 +3,7 @@ import json
 import pytest
 
 from drqsim.cli import main
+from drqsim.compiler import GATES
 
 BELL = """\
 system:
@@ -217,3 +218,120 @@ options:
     assert report["histogram"] == {"1101": 50}
     code, out, _ = run_cli(capsys, "verify", str(path))
     assert code == 0
+
+
+# --- one small document per unitary gate of the gate table ------------------
+
+HYBRID_SYSTEM = """\
+system:
+  qubits: q0 a0
+  modes: m0 m1 m2 m3
+  cutoff: 3
+registers:
+  Q internal q0
+  D1 dual_rail m0 m1
+  D2 dual_rail m2 m3
+ancillas:
+  qubits: a0
+"""
+
+BUS_SYSTEM = """\
+system:
+  qubits: c1 c2 t a0 a1
+  modes: c2aux taux com
+  cutoff: 3
+registers:
+  C1 internal c1
+  C2 internal_aux c2 c2aux
+  T internal_aux t taux
+ancillas:
+  qubits: a0 a1
+  com_mode: com
+"""
+
+MCSWAP_SYSTEM = """\
+system:
+  qubits: c1 c2 a1 a2
+  modes: b2 com m0 m1 m2 m3
+  cutoff: 3
+registers:
+  C1 internal c1
+  C2 internal_aux c2 b2
+  T1 dual_rail m0 m1
+  T2 dual_rail m2 m3
+ancillas:
+  qubits: a1 a2
+  com_mode: com
+"""
+
+
+def _single(name):
+    angle = "pi*0.3 " if name.startswith("r") else ""
+    return HYBRID_SYSTEM, [f"{name} {angle}Q", f"{name} {angle}D1"]
+
+
+GATE_CASES = {
+    **{name: _single(name)
+       for name in ("x", "y", "z", "h", "s", "sdg", "rx", "ry", "rz")},
+    "rzz": (HYBRID_SYSTEM, ["rzz pi*0.3 D1 D2"]),
+    "rxx": (HYBRID_SYSTEM, ["rxx pi*0.3 Q D1"]),
+    "xx": (HYBRID_SYSTEM, ["xx pi*0.3 D1 Q"]),
+    "cnot": (HYBRID_SYSTEM, ["cnot Q D1", "cnot D2 Q"]),
+    "cswap": (HYBRID_SYSTEM, ["cswap Q D1 D2"]),
+    "kcnot": (BUS_SYSTEM, ["kcnot C1 C2 T"]),
+    "mcx": (BUS_SYSTEM, ["mcx C1 C2 T"]),
+    "mcswap": (MCSWAP_SYSTEM, ["mcswap C1 C2 T1 T2"]),
+}
+
+UNITARY_GATES = [name for name, spec in GATES.items() if spec.build]
+
+
+@pytest.mark.parametrize("name", UNITARY_GATES)
+def test_every_unitary_gate_verifies_and_runs(name, tmp_path, capsys):
+    system, lines = GATE_CASES[name]
+    # A Hadamard on every operand first, so the gate acts on all branches.
+    operands = dict.fromkeys(tok for line in lines
+                             for tok in line.split()[1:]
+                             if not tok.startswith("pi"))
+    program = [f"h {op}" for op in operands] + lines
+    path = tmp_path / f"{name}.drq"
+    path.write_text(system + "program:\n"
+                    + "".join(f"  {line}\n" for line in program))
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["passed"] is True
+    assert len(report["checks"]) == len(program)
+    code, out, err = run_cli(capsys, "run", str(path), "--shots", "0")
+    assert code == 0, err
+    assert json.loads(out)["leakage"] <= 1e-9
+
+
+@pytest.mark.parametrize("flag,value", [("--seed", "-1"), ("--shots", "-5")])
+def test_negative_seed_or_shots_flag_exit_code(bell_doc, capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", bell_doc, flag, value])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option", ["seed: -3", "shots: -1", "shots: 2.5"])
+def test_bad_seed_or_shots_option_exit_code(tmp_path, capsys, option):
+    path = tmp_path / "bad.drq"
+    path.write_text(BELL.replace("  seed: 7\n  shots: 10000\n",
+                                 f"  {option}\n"))
+    code, out, err = run_cli(capsys, "run", str(path))
+    assert code == 2
+    assert out == ""
+    assert option.split(":")[0] in err
+
+
+def test_repeated_operand_exit_code(tmp_path, capsys):
+    with open("circuits/toffoli.drq", encoding="utf-8") as fh:
+        text = fh.read().replace("kcnot C1 C2 T", "mcx C1 C2 C1")
+    path = tmp_path / "repeat.drq"
+    path.write_text(text)
+    for command in ("compile", "run", "verify"):
+        code, out, err = run_cli(capsys, command, str(path))
+        assert code == 2
+        assert "duplicate" in err

@@ -141,3 +141,12 @@ def test_example_circuits_parse():
         with open(path) as fh:
             doc = parse_circuit(fh.read())
         assert doc.program
+
+
+@pytest.mark.parametrize("line", ["cnot D D", "mcx D Q D"])
+def test_repeated_operand_diagnostic(line):
+    text = BELL.replace("cnot D Q", line)
+    with pytest.raises(DocumentError) as err:
+        parse_circuit(text)
+    assert err.value.code == "duplicate"
+    assert err.value.line == 13
