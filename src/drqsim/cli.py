@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -29,12 +30,10 @@ from .pulses import apply_pulse, carrier
 from .suite import CheckResult, run_builtin_suite
 from .verify import (
     LEAKAGE_GUARD_TOL,
+    check_gate,
     check_sentinel,
-    embed_logical_matrix,
-    equivalent_up_to_phase,
     ideal_logical_gate,
     inject_heating_error,
-    program_unitary,
     qnd_parity_check,
     run_program,
     sample_counts,
@@ -126,10 +125,6 @@ def cmd_run(doc: CircuitDocument, args) -> tuple[dict, int]:
                     "qndcheck before the end of the program disturbs the "
                     "modes; pass --allow-midcircuit for idealized studies")
             entry = register.entry(rec.operands[0])
-            if not entry.is_dual_rail:
-                raise CompileError("qndcheck target must be dual-rail")
-            if not register.ancilla_qubits:
-                raise RegisterError("qndcheck needs an ancilla qubit")
             anc = register.ancilla_qubits[0]
             flag, state = qnd_parity_check(
                 state, anc, *entry.rails, rng_seed=seed + 17 * i)
@@ -180,21 +175,16 @@ def cmd_verify(doc: CircuitDocument | None, args) -> tuple[dict, int]:
         for result in run_builtin_suite():
             checks.append(result.to_dict())
     if doc is not None:
-        layout, register = build_system(doc, args.cutoff)
-        if doc.options.get("tolerance") and args.tol is None:
-            tol = float(doc.options["tolerance"])
-        ids = list(doc.logical_ids())
+        _, register = build_system(doc, args.cutoff)
+        if "tolerance" in doc.options and args.tol is None:
+            tol = doc.options["tolerance"]
         for step in lower(register, doc.program, prepare=False)[1]:
             if step.program is None:
                 continue
             rec = step.record
-            got = program_unitary(step.program, layout, restrict=register)
-            positions = [ids.index(op) for op in rec.operands]
-            small = ideal_logical_gate(rec.name, rec.params,
+            ideal = ideal_logical_gate(rec.name, rec.params,
                                        len(rec.operands))
-            ideal = embed_logical_matrix(small, positions, register.n_logical)
-            rep = equivalent_up_to_phase(got.matrix, ideal, tol,
-                                         got.leakage_max)
+            rep = check_gate(register, step.program, ideal, rec.operands, tol)
             checks.append(CheckResult.from_report(
                 f"gate-{step.index}:{rec.render()}", rep).to_dict())
     passed = all(c["equivalent"] for c in checks)
@@ -212,6 +202,14 @@ def _count(text: str) -> int:
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"{text!r} must be non-negative")
+    return value
+
+
+def _tolerance(text: str) -> float:
+    value = float(text)
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} must be non-negative and finite")
     return value
 
 
@@ -243,7 +241,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("document", nargs="?", default=None)
     p_verify.add_argument("--builtin", action="store_true",
                           help="run the built-in identity suite")
-    p_verify.add_argument("--tol", type=float, default=None)
+    p_verify.add_argument("--tol", type=_tolerance, default=None)
     common(p_verify)
     return parser
 

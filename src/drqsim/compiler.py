@@ -153,10 +153,6 @@ def mcswap(controls: Sequence[str], *targets: str) -> LogicalGate:
                        inner=LogicalGate("cswap", tuple(targets)))
 
 
-def native_xx_gate(theta: float, q1: str, q2: str) -> LogicalGate:
-    return LogicalGate("native_xx", (q1, q2), theta=theta)
-
-
 @dataclass
 class AncillaUse:
     gate: str
@@ -543,79 +539,6 @@ def _aux_rsb_pi(q: str, aux_mode: str, com: str,
     ]
 
 
-class _Rungs:
-    """Shared ladder emission for the K-CNOT and multi-controlled gates."""
-
-    def __init__(self, register: LogicalRegister, prog: CompiledProgram,
-                 com: str, bs_anc: str | None, ex_anc: str | None):
-        self.register = register
-        self.prog = prog
-        self.com = com
-        self.bs_anc = bs_anc
-        self.ex_anc = ex_anc
-
-    def _wrap(self, entry: RegisterEntry, body) -> None:
-        """Run `body(coupled_qubit)` with a dual-rail state exchanged out."""
-        if not entry.is_dual_rail:
-            body(entry.qubit)
-            return
-        if self.ex_anc is None:
-            raise CompileError(
-                f"{entry.logical_id!r} needs an exchange ancilla qubit")
-        d0, d1 = entry.rails
-        ops, phase = _exchange_out_ops(self.ex_anc, d0, d1, self.bs_anc)
-        self.prog.add(ops, phase)
-        body(self.ex_anc)
-        ops, phase = _exchange_back_ops(self.ex_anc, d0, d1, self.bs_anc)
-        self.prog.add(ops, phase)
-
-    def plain(self, entry: RegisterEntry) -> None:
-        """Sideband pi-pulse coupling the qubit's excitation to the bus."""
-        self._wrap(entry, lambda q: self.prog.add([rsb(_PI, q, self.com)]))
-
-    def aux(self, entry: RegisterEntry) -> None:
-        """Auxiliary pi-pulse parking the bus phonon in the aux mode."""
-        b = entry.aux_mode
-        if b is None:
-            raise CompileError(
-                f"{entry.logical_id!r} needs an auxiliary mode for this gate")
-        if self.bs_anc is None:
-            raise CompileError(
-                f"{entry.logical_id!r}: no beamsplitter ancilla available")
-        self._wrap(entry, lambda q: self.prog.add(
-            _aux_rsb_pi(q, b, self.com, self.bs_anc)))
-
-    def conditional_flip(self, entry: RegisterEntry) -> None:
-        """Flip the target iff the bus holds a phonon.
-
-        A 2*pi auxiliary rotation puts -1 on (ground target, occupied bus);
-        the surrounding y-rotations turn that into -X on the occupied-bus
-        branch, which cancels the ladder's own -1 on the all-ones sector.
-        """
-        b = entry.aux_mode
-        if b is None:
-            raise CompileError(
-                f"target {entry.logical_id!r} needs an auxiliary mode")
-
-        def body(q: str) -> None:
-            self.prog.add([_internal_rotation("y", -_PI / 2, q)])
-            self.prog.add(_aux_rsb_pi(q, b, self.com, self.bs_anc))
-            self.prog.add(_aux_rsb_pi(q, b, self.com, self.bs_anc))
-            self.prog.add([_internal_rotation("y", _PI / 2, q)])
-
-        self._wrap(entry, body)
-
-
-def _ladder_resources(register: LogicalRegister,
-                      entries: Sequence[RegisterEntry],
-                      pool: "_AncillaPool", label: str,
-                      need_bs: bool) -> tuple[str | None, str | None]:
-    needs_exchange = any(e.is_dual_rail for e in entries)
-    bs_anc = pool.take(label) if (need_bs or needs_exchange) else None
-    ex_anc = pool.take(label) if needs_exchange else None
-    return bs_anc, ex_anc
-
-
 class _AncillaPool:
     """Least-recently-used checkout over the register's ancilla qubits."""
 
@@ -647,47 +570,11 @@ def compile_kcnot(register: LogicalRegister, controls: Sequence[str],
                   ) -> CompiledProgram:
     """Multi-controlled X through the COM phonon bus.
 
-    The first control loads its excitation into the bus with a sideband
-    pi-pulse; every further control removes the phonon through its
-    auxiliary mode unless it is in |1>.  The target flip fires only while
-    the bus phonon survives, and the mirrored unwind restores all
-    controls.  Controls beyond the first and the target must be
-    registered with auxiliary modes; the bus never holds more than one
-    phonon.
+    The target flip fires only while the bus phonon survives the ladder,
+    and the mirrored unwind restores all controls.  Controls beyond the
+    first and the target must be registered with auxiliary modes.
     """
-    if len(controls) < 2:
-        raise CompileError("kcnot needs at least two controls")
-    centries = [register.entry(c) for c in controls]
-    tentry = register.entry(target)
-    all_ids = [*controls, target]
-    if len(set(all_ids)) != len(all_ids):
-        raise CompileError("kcnot operands overlap")
-    if register.com_mode is None:
-        raise CompileError("kcnot needs a register with a reserved COM mode")
-    for e in [*centries[1:], tentry]:
-        if e.aux_mode is None:
-            raise CompileError(
-                f"{e.logical_id!r} must carry an auxiliary mode for kcnot")
-
-    pool = pool or _AncillaPool(register)
-    prog = CompiledProgram()
-    bs_anc, ex_anc = _ladder_resources(
-        register, [*centries, tentry], pool, "kcnot", need_bs=True)
-    rungs = _Rungs(register, prog, register.com_mode, bs_anc, ex_anc)
-
-    rungs.plain(centries[0])
-    for e in centries[1:]:
-        rungs.aux(e)
-    rungs.conditional_flip(tentry)
-    for e in reversed(centries[1:]):
-        rungs.aux(e)
-    rungs.plain(centries[0])
-
-    borrowed = tuple(q for q in (bs_anc, ex_anc) if q is not None)
-    prog.borrow(f"kcnot:{','.join(controls)}->{target}",
-                qubits=borrowed, modes=(register.com_mode,))
-    pool.release(bs_anc, ex_anc)
-    return prog
+    return _bus_ladder(register, "kcnot", controls, pool, target=target)
 
 
 def compile_multi_controlled(register: LogicalRegister,
@@ -700,48 +587,89 @@ def compile_multi_controlled(register: LogicalRegister,
     internal qubit q_c, the inner gate runs with q_c as its control, and
     K+1 mirrored unitaries restore the controls and return q_c to |0>.
     """
-    if not controls:
-        raise CompileError("multi-controlled gate needs at least one control")
-    centries = [register.entry(c) for c in controls]
-    if len(set(controls)) != len(controls):
-        raise CompileError("controls overlap")
-    if register.com_mode is None:
-        raise CompileError("multi-controlled gate needs a reserved COM mode")
-    for e in centries[1:]:
+    return _bus_ladder(register, "multi_controlled", controls, pool,
+                       inner=inner)
+
+
+def _bus_ladder(register: LogicalRegister, gate: str,
+                controls: Sequence[str], pool: _AncillaPool | None,
+                target: str | None = None,
+                inner: LogicalGate | None = None) -> CompiledProgram:
+    """Controls loaded onto the COM bus, a middle, and the mirrored unwind.
+
+    The first control loads its excitation into the bus with a sideband
+    pi-pulse; every further control removes the phonon through its
+    auxiliary mode unless it is in |1>, so the bus never holds more than
+    one phonon.  The middle flips `target` (K-CNOT) or, with `inner`,
+    stores the bus on a pool qubit q_c that controls the inner gate.  A
+    dual-rail rung is exchanged onto a pool qubit around its pulses.
+    Pool qubits are checked out as q_c, the beamsplitter ancilla, then
+    the exchange ancilla; that order decides the pulse targets.
+    """
+    need = 2 if inner is None else 1
+    if len(controls) < need:
+        raise CompileError(f"{gate} needs at least {need} control(s)")
+    rung_ids = [*controls] if inner is not None else [*controls, target]
+    entries = [register.entry(i) for i in rung_ids]
+    if len(set(rung_ids)) != len(rung_ids):
+        raise CompileError(f"{gate} operands overlap")
+    com = register.com_mode
+    if com is None:
+        raise CompileError(f"{gate} needs a register with a reserved COM mode")
+    for e in entries[1:]:
         if e.aux_mode is None:
             raise CompileError(
-                f"{e.logical_id!r} must carry an auxiliary mode")
+                f"{e.logical_id!r} must carry an auxiliary mode for {gate}")
 
     pool = pool or _AncillaPool(register)
+    q_c = pool.take(gate) if inner is not None else None
+    exchange = any(e.is_dual_rail for e in entries)
+    need_bs = len(controls) > 1 or (inner is not None and (
+        inner.kind == "cswap" or (
+            inner.kind == "cnot"
+            and register.entry(inner.operands[0]).is_dual_rail)))
+    bs_anc = pool.take(gate) if need_bs or exchange else None
+    ex_anc = pool.take(gate) if exchange else None
+
     prog = CompiledProgram()
-    q_c = pool.take("multi_controlled")
-    inner_needs_bs = inner.kind == "cswap" or (
-        inner.kind == "cnot"
-        and register.entry(inner.operands[0]).is_dual_rail)
-    need_bs = len(centries) > 1 or inner_needs_bs
-    bs_anc, ex_anc = _ladder_resources(
-        register, centries, pool, "multi_controlled", need_bs=need_bs)
-    rungs = _Rungs(register, prog, register.com_mode, bs_anc, ex_anc)
 
-    def load() -> None:
-        rungs.plain(centries[0])
-        for e in centries[1:]:
-            rungs.aux(e)
-        prog.add([rsb(_PI, q_c, register.com_mode)])
+    def rung(entry: RegisterEntry,
+             pulses: Callable[[str], list[PhysicalOp]]) -> None:
+        if not entry.is_dual_rail:
+            prog.add(pulses(entry.qubit))
+            return
+        d0, d1 = entry.rails
+        prog.add(*_exchange_out_ops(ex_anc, d0, d1, bs_anc))
+        prog.add(pulses(ex_anc))
+        prog.add(*_exchange_back_ops(ex_anc, d0, d1, bs_anc))
 
-    def unload() -> None:
-        prog.add([rsb(_PI, q_c, register.com_mode)])
-        for e in reversed(centries[1:]):
-            rungs.aux(e)
-        rungs.plain(centries[0])
+    ladder = [(entries[0], lambda q: [rsb(_PI, q, com)])]
+    ladder += [(e, lambda q, b=e.aux_mode: _aux_rsb_pi(q, b, com, bs_anc))
+               for e in entries[1:len(controls)]]
+    for entry, pulses in ladder:
+        rung(entry, pulses)
+    if inner is None:
+        # A 2*pi auxiliary rotation puts -1 on (ground target, occupied
+        # bus); the surrounding y-rotations turn that into -X on the
+        # occupied-bus branch, which cancels the ladder's own -1 on the
+        # all-ones sector.
+        b = entries[-1].aux_mode
+        rung(entries[-1], lambda q: [
+            _internal_rotation("y", -_PI / 2, q),
+            *_aux_rsb_pi(q, b, com, bs_anc), *_aux_rsb_pi(q, b, com, bs_anc),
+            _internal_rotation("y", _PI / 2, q)])
+    else:
+        prog.add([rsb(_PI, q_c, com)])
+        prog.extend(_compile_inner(register, inner, q_c, bs_anc))
+        prog.add([rsb(_PI, q_c, com)])
+    for entry, pulses in reversed(ladder):
+        rung(entry, pulses)
 
-    load()
-    prog.extend(_compile_inner(register, inner, q_c, bs_anc))
-    unload()
-
-    borrowed = tuple(q for q in (q_c, bs_anc, ex_anc) if q is not None)
-    prog.borrow(f"multi_controlled:{','.join(controls)}",
-                qubits=borrowed, modes=(register.com_mode,))
+    label = f"{gate}:{','.join(controls)}"
+    if inner is None:
+        label += f"->{target}"
+    prog.borrow(label, qubits=tuple(q for q in (q_c, bs_anc, ex_anc)
+                                    if q is not None), modes=(com,))
     pool.release(q_c, bs_anc, ex_anc)
     return prog
 
@@ -811,8 +739,6 @@ def compile_gate(register: LogicalRegister, gate: LogicalGate,
     if kind == "multi_controlled":
         return compile_multi_controlled(register, gate.operands, gate.inner,
                                         pool)
-    if kind == "native_xx":
-        return compile_native_xx(register, gate.theta, *gate.operands)
     raise CompileError(f"unknown gate kind {kind!r}")
 
 
@@ -929,8 +855,9 @@ def lower(register: LogicalRegister, records: Sequence,
     A record is a document gate record (`name`, `params`, `operands`),
     dispatched through GATES, or a LogicalGate, lowered as it is.  One
     ancilla pool serves the whole program.  The preparation is empty
-    unless `prepare` is set.  Compile and register errors are raised as
-    CompileError naming the record: `gate {index} ({name}): ...`.
+    unless `prepare` is set.  A parity check needs a dual-rail target and
+    a register with an ancilla.  Compile and register errors are raised
+    as CompileError naming the record: `gate {index} ({name}): ...`.
     """
     preparation = _preparation(register) if prepare else CompiledProgram()
     pool = _AncillaPool(register)
@@ -943,11 +870,16 @@ def lower(register: LogicalRegister, records: Sequence,
             name, kind = rec.name, spec.step
             gate = spec.build(rec.params, rec.operands) if spec.build else None
         step = Step(i, rec, kind)
-        if gate is not None:
-            try:
+        try:
+            if gate is not None:
                 step.program = compile_gate(register, gate, pool)
-            except (CompileError, RegisterError) as exc:
-                raise CompileError(f"gate {i} ({name}): {exc}") from exc
+            elif kind == PARITY_CHECK:
+                if not register.entry(rec.operands[0]).is_dual_rail:
+                    raise CompileError("qndcheck target must be dual-rail")
+                if not register.ancilla_qubits:
+                    raise RegisterError("qndcheck needs an ancilla qubit")
+        except (CompileError, RegisterError) as exc:
+            raise CompileError(f"gate {i} ({name}): {exc}") from exc
         steps.append(step)
     return preparation, steps
 

@@ -27,6 +27,7 @@ diagnostic code and the offending line number.
 """
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -69,19 +70,21 @@ class CircuitDocument:
 
 
 def parse_number(token: str, line: int) -> float:
-    import math
     m = _PI_RE.match(token)
     if m:
         sign = -1.0 if m.group(1) == "-" else 1.0
         factor = float(m.group(3)) if m.group(3) else 1.0
-        return sign * math.pi * factor
-    if _NUMBER_RE.match(token):
-        return float(token)
-    raise DocumentError("number", line, f"cannot parse number {token!r}")
+        value = sign * math.pi * factor
+    elif _NUMBER_RE.match(token):
+        value = float(token)
+    else:
+        raise DocumentError("number", line, f"cannot parse number {token!r}")
+    if not math.isfinite(value):
+        raise DocumentError("number", line, f"number {token!r} is not finite")
+    return value
 
 
 def format_number(value: float) -> str:
-    import math
     if value == 0:
         return "0"
     ratio = value / math.pi
@@ -206,9 +209,11 @@ def parse_circuit(text: str) -> CircuitDocument:
                 raise DocumentError("syntax", lineno,
                                     f"unknown option {key!r}")
             value = parse_number(rest.strip(), lineno)
-            if key != "tolerance" and (value < 0 or not value.is_integer()):
+            integer = key != "tolerance"
+            if value < 0 or (integer and not value.is_integer()):
+                what = "integer" if integer else "number"
                 raise DocumentError("number", lineno,
-                                    f"{key} must be a non-negative integer")
+                                    f"{key} must be a non-negative {what}")
             options[key] = value
 
     doc.registers = tuple(registers)

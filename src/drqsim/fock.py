@@ -209,9 +209,6 @@ class OperatorMatrix:
     def dim(self) -> int:
         return self.entries.shape[0]
 
-    def dagger(self) -> "OperatorMatrix":
-        return OperatorMatrix(self.subsystem_ids, self.entries.conj().T)
-
     def unitarity_defect(self) -> float:
         eye = np.eye(self.dim())
         return float(np.max(np.abs(self.entries.conj().T @ self.entries - eye)))

@@ -26,7 +26,7 @@ from .fock import (
 from .pulses import apply_pulses, cbs_factors
 from .verify import (
     EquivalenceReport,
-    equivalent_up_to_phase,
+    check_gate,
     ideal_logical_gate,
     program_unitary,
     qnd_parity_check,
@@ -61,11 +61,10 @@ def _hybrid_pair(cutoff: int = 4):
         ("q", "qubit", 2), ("anc", "qubit", 2),
         ("m0", "mode", cutoff), ("m1", "mode", cutoff),
     ])
-    register = define_register(
+    return define_register(
         layout,
         [("Q", "internal", ("q",)), ("D", "dual_rail", ("m0", "m1"))],
         ancilla_qubits=("anc",))
-    return layout, register
 
 
 def _dual_pair(cutoff: int = 4):
@@ -74,11 +73,10 @@ def _dual_pair(cutoff: int = 4):
         ("a0", "mode", cutoff), ("a1", "mode", cutoff),
         ("b0", "mode", cutoff), ("b1", "mode", cutoff),
     ])
-    register = define_register(
+    return define_register(
         layout,
         [("D1", "dual_rail", ("a0", "a1")), ("D2", "dual_rail", ("b0", "b1"))],
         ancilla_qubits=("anc",))
-    return layout, register
 
 
 def cbs_generator(phi: float, cutoff: int) -> np.ndarray:
@@ -126,38 +124,28 @@ def check_tnp_phase(rng: np.random.Generator, draws: int = 3) -> CheckResult:
 
 
 def check_rzz(rng: np.random.Generator, draws: int = 3) -> CheckResult:
-    layout, register = _dual_pair()
+    register = _dual_pair()
     worst = 0.0
     phase = 0.0
     for _ in range(draws):
         theta = rng.uniform(-np.pi, np.pi)
         prog = comp.compile_rzz(register, theta, "D1", "D2", "anc")
-        got = program_unitary(prog, layout, restrict=register)
-        report = equivalent_up_to_phase(
-            got.matrix, ideal_logical_gate("rzz", [theta], 2), 1e-9,
-            got.leakage_max)
+        report = check_gate(register, prog,
+                            ideal_logical_gate("rzz", [theta], 2),
+                            ["D1", "D2"], 1e-9)
         worst = max(worst, report.max_entry_error)
         phase = report.inferred_phase
     return CheckResult("rzz-truth-table", worst <= 1e-9, worst, phase)
 
 
 def check_cnot_directions() -> CheckResult:
-    layout, register = _hybrid_pair()
+    register = _hybrid_pair()
     cnot = ideal_logical_gate("cnot", [], 2)
     worst = 0.0
     phases = []
     for control, target in (("Q", "D"), ("D", "Q")):
         prog = comp.compile_cnot_hybrid(register, control, target, "anc")
-        got = program_unitary(prog, layout, restrict=register)
-        if control == "D":
-            # Register order is (Q, D); a D-controlled gate is the
-            # reversed CNOT in that basis.
-            swapped = cnot[np.ix_([0, 2, 1, 3], [0, 2, 1, 3])]
-            report = equivalent_up_to_phase(got.matrix, swapped, 1e-9,
-                                            got.leakage_max)
-        else:
-            report = equivalent_up_to_phase(got.matrix, cnot, 1e-9,
-                                            got.leakage_max)
+        report = check_gate(register, prog, cnot, [control, target], 1e-9)
         worst = max(worst, report.max_entry_error)
         phases.append(report.inferred_phase)
     ok = worst <= 1e-9 and all(
@@ -166,17 +154,16 @@ def check_cnot_directions() -> CheckResult:
 
 
 def check_rxx(rng: np.random.Generator, draws: int = 5) -> CheckResult:
-    layout, register = _hybrid_pair()
+    register = _hybrid_pair()
     worst = 0.0
     for _ in range(draws):
         theta = rng.uniform(-2 * np.pi, 2 * np.pi)
         prog = comp.compile_rxx_hybrid(register, theta, "Q", "D")
         if prog.ancilla_manifest:
             return CheckResult("hybrid-rxx", False, 1.0, 0.0)
-        got = program_unitary(prog, layout, restrict=register)
-        report = equivalent_up_to_phase(
-            got.matrix, ideal_logical_gate("rxx", [theta], 2), 1e-9,
-            got.leakage_max)
+        report = check_gate(register, prog,
+                            ideal_logical_gate("rxx", [theta], 2),
+                            ["Q", "D"], 1e-9)
         worst = max(worst, report.max_entry_error)
     return CheckResult("hybrid-rxx", worst <= 1e-9, worst, 0.0)
 
@@ -192,23 +179,19 @@ def check_cswap() -> CheckResult:
          ("D2", "dual_rail", ("m2", "m3"))],
         ancilla_qubits=("anc",))
     prog = comp.compile_cswap(register, "Q", ["D1", "D2"], "anc")
-    got = program_unitary(prog, layout, restrict=register)
-    report = equivalent_up_to_phase(
-        got.matrix, ideal_logical_gate("cswap", [], 3), 1e-9, got.leakage_max)
+    report = check_gate(register, prog, ideal_logical_gate("cswap", [], 3),
+                        ["Q", "D1", "D2"], 1e-9)
     return CheckResult.from_report("cswap", report)
 
 
 def check_su2(rng: np.random.Generator, draws: int = 10) -> CheckResult:
     from scipy.stats import unitary_group
-    layout, register = _hybrid_pair()
+    register = _hybrid_pair()
     worst = 0.0
     for _ in range(draws):
         u = unitary_group.rvs(2, random_state=rng)
         prog = comp.compile_su2_dual(register, u, "D", "anc")
-        got = program_unitary(prog, layout, restrict=register)
-        ideal = np.kron(np.eye(2), u)
-        report = equivalent_up_to_phase(got.matrix, ideal, 1e-9,
-                                        got.leakage_max)
+        report = check_gate(register, prog, u, ["D"], 1e-9)
         worst = max(worst, report.max_entry_error)
     return CheckResult("su2-universality", worst <= 1e-9, worst, 0.0)
 
@@ -251,9 +234,8 @@ def check_kcnot() -> CheckResult:
          ("T", "internal_aux", ("t", "bt"))],
         ancilla_qubits=("anc",), com_mode="com")
     prog = comp.compile_kcnot(register, ["C1", "C2"], "T")
-    got = program_unitary(prog, layout, restrict=register)
-    report = equivalent_up_to_phase(
-        got.matrix, ideal_logical_gate("kcnot", [], 3), 1e-9, got.leakage_max)
+    report = check_gate(register, prog, ideal_logical_gate("kcnot", [], 3),
+                        ["C1", "C2", "T"], 1e-9)
     return CheckResult.from_report("kcnot-toffoli", report)
 
 

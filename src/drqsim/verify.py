@@ -25,7 +25,6 @@ from .encoding import (
 from .errors import HealthError, RegisterError, StateError
 from .fock import (
     HilbertLayout,
-    OperatorMatrix,
     StateVector,
     annihilation_matrix,
     apply_matrix,
@@ -291,25 +290,28 @@ def embed_logical_matrix(u_small: np.ndarray, positions: Sequence[int],
                          n: int) -> np.ndarray:
     """Embed a k-qubit matrix at the given logical positions (MSB-first)."""
     k = len(positions)
-    dim = 2 ** n
-    out = np.zeros((dim, dim), dtype=complex)
-    for col in range(dim):
-        bits = [(col >> (n - 1 - i)) & 1 for i in range(n)]
-        sub_in = 0
-        for p in positions:
-            sub_in = (sub_in << 1) | bits[p]
-        for sub_out in range(2 ** k):
-            amp = u_small[sub_out, sub_in]
-            if amp == 0:
-                continue
-            new_bits = list(bits)
-            for idx, p in enumerate(positions):
-                new_bits[p] = (sub_out >> (k - 1 - idx)) & 1
-            row = 0
-            for b in new_bits:
-                row = (row << 1) | b
-            out[row, col] += amp
-    return out
+    rest = [p for p in range(n) if p not in positions]
+    full = np.kron(np.asarray(u_small, dtype=complex), np.eye(2 ** (n - k)))
+    # Row and column axes of `full` run over (positions..., rest...);
+    # reorder both into register order.
+    axes = np.argsort([*positions, *rest])
+    return (full.reshape([2] * (2 * n))
+            .transpose([*axes, *(axes + n)]).reshape(2 ** n, 2 ** n))
+
+
+def check_gate(register: LogicalRegister, program, ideal: np.ndarray,
+               operands: Sequence[str], tol: float) -> EquivalenceReport:
+    """Compare a gate's pulses with its ideal matrix on the codeword span.
+
+    `ideal` acts on the logical qubits `operands`, first most significant,
+    and is embedded at their register positions; the comparison is up to
+    a global phase, with the restricted unitary's leakage reported.
+    """
+    got = program_unitary(program, register.layout, restrict=register)
+    ids = [e.logical_id for e in register.entries]
+    ideal = embed_logical_matrix(ideal, [ids.index(op) for op in operands],
+                                 register.n_logical)
+    return equivalent_up_to_phase(got.matrix, ideal, tol, got.leakage_max)
 
 
 # ---------------------------------------------------------------------------

@@ -87,9 +87,11 @@ def test_verify_builtin_suite(capsys):
     assert code == 0
     report = json.loads(out)
     assert report["passed"] is True
-    names = {c["name"] for c in report["checks"]}
-    assert "cbs-decomposition" in names
-    assert "tnp-phase" in names
+    assert [c["name"] for c in report["checks"]] == [
+        "cbs-decomposition", "tnp-phase", "rzz-truth-table", "hybrid-cnot",
+        "hybrid-rxx", "cswap", "su2-universality", "qnd-parity",
+        "kcnot-toffoli"]
+    assert all(c["equivalent"] for c in report["checks"])
 
 
 def test_verify_failure_exit_code(bell_doc, capsys):
@@ -335,3 +337,62 @@ def test_repeated_operand_exit_code(tmp_path, capsys):
         code, out, err = run_cli(capsys, command, str(path))
         assert code == 2
         assert "duplicate" in err
+
+
+NO_ANCILLA = """\
+system:
+  qubits: q0
+  modes: m0 m1
+  cutoff: 4
+registers:
+  D dual_rail m0 m1
+  Q internal q0
+program:
+  qndcheck D
+"""
+
+
+QNDCHECK_CASES = {
+    "internal-target": (BELL.replace("cnot D Q", "qndcheck Q"),
+                        "must be dual-rail"),
+    "no-ancilla": (NO_ANCILLA, "needs an ancilla"),
+}
+
+
+@pytest.mark.parametrize("case", QNDCHECK_CASES)
+def test_qndcheck_operands_checked_by_every_command(tmp_path, capsys, case):
+    text, message = QNDCHECK_CASES[case]
+    path = tmp_path / "qnd.drq"
+    path.write_text(text)
+    for command in ("compile", "run", "verify"):
+        code, out, err = run_cli(capsys, command, str(path))
+        assert code == 2, command
+        assert out == ""
+        assert message in err
+
+
+def test_verify_honours_zero_tolerance(tmp_path, capsys):
+    path = tmp_path / "tol0.drq"
+    path.write_text(BELL + "  tolerance: 0\n")
+    code, out, _ = run_cli(capsys, "verify", str(path))
+    report = json.loads(out)
+    assert report["tolerance"] == 0
+    assert code == (0 if report["passed"] else 1)
+
+
+@pytest.mark.parametrize("value", ["-1e-9", "1e999"])
+def test_bad_tolerance_option_exit_code(tmp_path, capsys, value):
+    path = tmp_path / "tol.drq"
+    path.write_text(BELL + f"  tolerance: {value}\n")
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert code == 2
+    assert out == ""
+    assert "number" in err
+
+
+@pytest.mark.parametrize("value", ["-1e-9", "nan", "inf"])
+def test_bad_tol_flag_exit_code(bell_doc, capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", bell_doc, f"--tol={value}"])
+    assert exc.value.code == 2
+    assert "--tol" in capsys.readouterr().err

@@ -102,6 +102,16 @@ def test_pi_numbers():
     assert parse_number("1.5e-3", 1) == pytest.approx(0.0015)
 
 
+@pytest.mark.parametrize("token", ["1e999", "-1e999", "pi*1e999"])
+def test_non_finite_number_diagnostic(token):
+    with pytest.raises(DocumentError) as err:
+        parse_number(token, 3)
+    assert err.value.code == "number"
+    with pytest.raises(DocumentError) as err:
+        parse_circuit(BELL.replace("h D", f"rx {token} D"))
+    assert err.value.code == "number"
+
+
 def test_round_trip_is_lossless():
     doc = parse_circuit(BELL)
     text = serialize_circuit(doc)

@@ -19,6 +19,7 @@ from drqsim.errors import HealthError
 from drqsim.pulses import beamsplitter, carrier, qphase, rsb, zbs
 from drqsim.verify import (
     check_sentinel,
+    embed_logical_matrix,
     ideal_logical_gate,
     run_program,
     sentinel_population,
@@ -31,6 +32,47 @@ from conftest import random_state
 def qmm():
     return create_layout([("q", "qubit", 2), ("m0", "mode", 4),
                           ("m1", "mode", 4)])
+
+
+def _embed_by_bit_loop(u_small, positions, n):
+    """Reference embedding: one column at a time over the register bits."""
+    k = len(positions)
+    dim = 2 ** n
+    out = np.zeros((dim, dim), dtype=complex)
+    for col in range(dim):
+        bits = [(col >> (n - 1 - i)) & 1 for i in range(n)]
+        sub_in = 0
+        for p in positions:
+            sub_in = (sub_in << 1) | bits[p]
+        for sub_out in range(2 ** k):
+            amp = u_small[sub_out, sub_in]
+            if amp == 0:
+                continue
+            new_bits = list(bits)
+            for idx, p in enumerate(positions):
+                new_bits[p] = (sub_out >> (k - 1 - idx)) & 1
+            row = 0
+            for b in new_bits:
+                row = (row << 1) | b
+            out[row, col] += amp
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_embed_logical_matrix_matches_bit_loop(n, rng):
+    for k in range(1, min(n, 3) + 1):
+        for _ in range(3):
+            positions = [int(p) for p in rng.permutation(n)[:k]]
+            u = (rng.normal(size=(2 ** k, 2 ** k))
+                 + 1j * rng.normal(size=(2 ** k, 2 ** k)))
+            assert np.array_equal(embed_logical_matrix(u, positions, n),
+                                  _embed_by_bit_loop(u, positions, n))
+
+
+def test_embed_cnot_reversed_positions():
+    reversed_cnot = np.eye(4)[:, [0, 3, 2, 1]]
+    got = embed_logical_matrix(ideal_logical_gate("cnot", [], 2), [1, 0], 2)
+    assert np.array_equal(got, reversed_cnot)
 
 
 # --- program_unitary ----------------------------------------------------------
