@@ -2,7 +2,8 @@
 
 Reports are JSON documents (schema `drqsim-report/1`), printed to stdout
 and optionally written to a file.  Exit codes: 0 success, 1 verification
-failure, 2 parse/validation error, 3 numeric-health failure.
+failure, 2 parse/validation error, 3 numeric-health failure (including a
+state too large to allocate).
 """
 from __future__ import annotations
 
@@ -30,6 +31,7 @@ from .pulses import apply_pulse, carrier
 from .suite import CheckResult, run_builtin_suite
 from .verify import (
     LEAKAGE_GUARD_TOL,
+    MAX_RESTRICTED_DIM,
     check_gate,
     check_sentinel,
     ideal_logical_gate,
@@ -116,29 +118,33 @@ def cmd_run(doc: CircuitDocument, args) -> tuple[dict, int]:
     parity_flags = []
     for step in steps:
         i, rec = step.index, step.record
-        if step.kind == ERROR_INJECTION:
-            state = inject_heating_error(state, rec.operands[0], rec.name)
-            injected = True
-        elif step.kind == PARITY_CHECK:
-            if i != len(steps) - 1 and not args.allow_midcircuit:
-                raise CompileError(
-                    "qndcheck before the end of the program disturbs the "
-                    "modes; pass --allow-midcircuit for idealized studies")
-            entry = register.entry(rec.operands[0])
-            anc = register.ancilla_qubits[0]
-            flag, state = qnd_parity_check(
-                state, anc, *entry.rails, rng_seed=seed + 17 * i)
-            if flag == "odd":
-                # Pump the readout qubit back to ground for reuse.
-                state = apply_pulse(state, carrier(np.pi, 0.0, anc))
-            parity_flags.append({"step": i, "target": rec.operands[0],
-                                 "parity": flag})
-        else:
-            state = run_program(state, step.program,
-                                register=register if not injected else None)
-            ledger += step.program.global_phase
-            if not injected:
-                check_sentinel(state)
+        try:
+            if step.kind == ERROR_INJECTION:
+                state = inject_heating_error(state, rec.operands[0], rec.name)
+                injected = True
+            elif step.kind == PARITY_CHECK:
+                if i != len(steps) - 1 and not args.allow_midcircuit:
+                    raise CompileError(
+                        "qndcheck before the end of the program disturbs the "
+                        "modes; pass --allow-midcircuit for idealized studies")
+                entry = register.entry(rec.operands[0])
+                anc = register.ancilla_qubits[0]
+                flag, state = qnd_parity_check(
+                    state, anc, *entry.rails, rng_seed=seed + 17 * i)
+                if flag == "odd":
+                    # Pump the readout qubit back to ground for reuse.
+                    state = apply_pulse(state, carrier(np.pi, 0.0, anc))
+                parity_flags.append({"step": i, "target": rec.operands[0],
+                                     "parity": flag})
+            else:
+                state = run_program(
+                    state, step.program,
+                    register=register if not injected else None)
+                ledger += step.program.global_phase
+                if not injected:
+                    check_sentinel(state)
+        except (HealthError, StateError) as exc:
+            raise type(exc)(f"gate {i} ({rec.render()}): {exc}") from exc
 
     report_state = extract_logical_state(state, register)
     if not injected and report_state.leakage > LEAKAGE_GUARD_TOL:
@@ -176,6 +182,11 @@ def cmd_verify(doc: CircuitDocument | None, args) -> tuple[dict, int]:
             checks.append(result.to_dict())
     if doc is not None:
         _, register = build_system(doc, args.cutoff)
+        if register.logical_dim > MAX_RESTRICTED_DIM:
+            raise RegisterError(
+                f"verify supports at most {MAX_RESTRICTED_DIM.bit_length() - 1}"
+                f" logical qubits (logical dimension {MAX_RESTRICTED_DIM}); "
+                f"the register has {register.n_logical}")
         if "tolerance" in doc.options and args.tol is None:
             tol = doc.options["tolerance"]
         for step in lower(register, doc.program, prepare=False)[1]:

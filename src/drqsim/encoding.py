@@ -23,6 +23,7 @@ from .fock import (
     QUBIT,
     HilbertLayout,
     StateVector,
+    basis_state,
     measure_qubit_z,
 )
 from .pulses import PhysicalOp, apply_pulse, carrier, rsb
@@ -178,9 +179,7 @@ def codeword_index(register: LogicalRegister, bits: Sequence[int]) -> int:
 
 def logical_basis_state(register: LogicalRegister,
                         bits: Sequence[int]) -> StateVector:
-    amps = np.zeros(register.layout.total_dim, dtype=complex)
-    amps[codeword_index(register, bits)] = 1.0
-    return StateVector(register.layout, amps)
+    return basis_state(register.layout, codeword_levels(register, bits))
 
 
 def _bit_patterns(n: int):
@@ -244,15 +243,14 @@ def prepare_dual_rail_zero(register: LogicalRegister, logical_id: str,
     return ops, PREPARE_PHASE
 
 
-def measure_dual_rail(state: StateVector, register: LogicalRegister,
-                      logical_id: str, ancilla_qubit: str,
-                      rng_seed) -> tuple[int, StateVector]:
-    """Map the dual-rail state onto the ancilla and read it out.
+def map_dual_rail_readout(state: StateVector, register: LogicalRegister,
+                          logical_id: str, ancilla_qubit: str) -> StateVector:
+    """Map a dual-rail qubit onto a ground-state ancilla for readout.
 
-    A red-sideband pi-pulse between rail d1 and the ground-state ancilla
-    maps |0>_D -> ancilla ground, |1>_D -> ancilla excited (the -i phase
-    on the excited branch does not affect outcomes).  The ancilla is
-    flipped back to ground after readout so it can be reused.
+    A red-sideband pi-pulse between rail d1 and the ancilla maps
+    |0>_D -> ancilla ground, |1>_D -> ancilla excited (the -i phase on the
+    excited branch does not affect outcomes).  Leaked rail states map
+    partially, so the ancilla's z readout is the dual-rail readout.
     """
     entry = register.entry(logical_id)
     if not entry.is_dual_rail:
@@ -262,7 +260,18 @@ def measure_dual_rail(state: StateVector, register: LogicalRegister,
     if state.population(ancilla_qubit, 0) < 1.0 - 1e-9:
         raise RegisterError(f"ancilla {ancilla_qubit!r} is not in the ground state")
     _, d1 = entry.rails
-    mapped = apply_pulse(state, rsb(np.pi, ancilla_qubit, d1))
+    return apply_pulse(state, rsb(np.pi, ancilla_qubit, d1))
+
+
+def measure_dual_rail(state: StateVector, register: LogicalRegister,
+                      logical_id: str, ancilla_qubit: str,
+                      rng_seed) -> tuple[int, StateVector]:
+    """Map the dual-rail state onto the ancilla and read it out.
+
+    The ancilla is flipped back to ground after an excited readout so it
+    can be reused.
+    """
+    mapped = map_dual_rail_readout(state, register, logical_id, ancilla_qubit)
     outcome, collapsed, _ = measure_qubit_z(mapped, ancilla_qubit, rng_seed)
     if outcome == 1:
         collapsed = apply_pulse(collapsed, carrier(np.pi, 0.0, ancilla_qubit))

@@ -8,6 +8,7 @@ level; downstream checks assert that the sentinel level stays empty.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
@@ -22,6 +23,8 @@ MODE = "mode"
 UNITARITY_TOL = 1e-10
 HERMITICITY_TOL = 1e-12
 NORM_TOL = 1e-10
+# Largest dense state: 2**25 complex amplitudes take 512 MiB.
+MAX_STATE_DIM = 2 ** 25
 
 # Internal-qubit matrices in the (ground, excited) = (level 0, level 1)
 # ordering.  sigma_z has eigenvalue -1 on the ground state, +1 on the
@@ -72,7 +75,7 @@ class HilbertLayout:
         for d in self.dims[:-1]:
             strides.append(strides[-1] * d)
         self.strides = tuple(strides)
-        self.total_dim = int(np.prod(self.dims)) if self.dims else 1
+        self.total_dim = math.prod(self.dims)
 
     def axis(self, sid: str) -> int:
         try:
@@ -181,7 +184,17 @@ class StateVector:
 
 
 def basis_state(layout: HilbertLayout, levels: dict[str, int]) -> StateVector:
-    """Product basis state with given levels; unspecified subsystems at 0."""
+    """Product basis state with given levels; unspecified subsystems at 0.
+
+    This is where every dense state is first allocated, so a layout over
+    MAX_STATE_DIM amplitudes is rejected here, before any memory is taken.
+    """
+    if layout.total_dim > MAX_STATE_DIM:
+        item = np.dtype(complex).itemsize
+        raise StateError(
+            f"dense state of {layout.total_dim} amplitudes needs "
+            f"{layout.total_dim * item} bytes; the limit is {MAX_STATE_DIM} "
+            f"amplitudes ({MAX_STATE_DIM * item} bytes)")
     full = [0] * len(layout.dims)
     for sid, lvl in levels.items():
         full[layout.axis(sid)] = lvl
@@ -322,6 +335,28 @@ class MeasurementResult(NamedTuple):
     probabilities: tuple[float, float]
 
 
+def excited_probability(state: StateVector, qubit_id: str) -> float:
+    """Born probability that a z readout of `qubit_id` finds it excited."""
+    if not state.layout.is_qubit(qubit_id):
+        raise StateError(f"{qubit_id!r} is not a qubit")
+    w0 = state.population(qubit_id, 0)
+    w1 = state.population(qubit_id, 1)
+    if w0 < 1e-14 and w1 < 1e-14:
+        raise StateError("both projection norms vanish; state is corrupt")
+    return w1 / (w0 + w1)
+
+
+def project_qubit(state: StateVector, qubit_id: str,
+                  outcome: int) -> StateVector:
+    """Renormalized projection of the state onto one level of a qubit."""
+    layout = state.layout
+    sl = [slice(None)] * len(layout.dims)
+    sl[layout.axis(qubit_id)] = 1 - outcome
+    amps = state.amplitudes.copy()
+    amps.reshape(layout.dims, order="F")[tuple(sl)] = 0.0  # a view of amps
+    return StateVector(layout, amps / np.linalg.norm(amps))
+
+
 def measure_qubit_z(state: StateVector, qubit_id: str,
                     rng_seed) -> MeasurementResult:
     """Projective z-basis measurement of one qubit (fluorescence readout).
@@ -330,28 +365,10 @@ def measure_qubit_z(state: StateVector, qubit_id: str,
     state is the renormalized projection.  `rng_seed` may be an int seed
     or a numpy Generator.
     """
-    layout = state.layout
-    if not layout.is_qubit(qubit_id):
-        raise StateError(f"{qubit_id!r} is not a qubit")
-    rng = np.random.default_rng(rng_seed)
-    axis = layout.axis(qubit_id)
-    tensor = state.amplitudes.reshape(layout.dims, order="F")
-    sl0 = [slice(None)] * len(layout.dims)
-    sl1 = list(sl0)
-    sl0[axis] = 0
-    sl1[axis] = 1
-    w0 = float(np.sum(np.abs(tensor[tuple(sl0)]) ** 2))
-    w1 = float(np.sum(np.abs(tensor[tuple(sl1)]) ** 2))
-    if w0 < 1e-14 and w1 < 1e-14:
-        raise StateError("both projection norms vanish; state is corrupt")
-    p1 = w1 / (w0 + w1)
-    outcome = int(rng.random() < p1)
-    keep = tensor.copy()
-    drop = tuple(sl0) if outcome == 1 else tuple(sl1)
-    keep[drop] = 0.0
-    amps = keep.reshape(-1, order="F")
-    amps = amps / np.linalg.norm(amps)
-    return MeasurementResult(outcome, StateVector(layout, amps), (1 - p1, p1))
+    p1 = excited_probability(state, qubit_id)
+    outcome = int(np.random.default_rng(rng_seed).random() < p1)
+    return MeasurementResult(outcome, project_qubit(state, qubit_id, outcome),
+                             (1 - p1, p1))
 
 
 def overlap(a: StateVector, b: StateVector) -> complex:

@@ -207,10 +207,9 @@ def check_qnd(rng: np.random.Generator, draws: int = 20) -> CheckResult:
                  if (n + m) % 2 == parity and n + m <= 3]
         amps = rng.normal(size=len(pairs)) + 1j * rng.normal(size=len(pairs))
         amps /= np.linalg.norm(amps)
-        vec = np.zeros(layout.total_dim, dtype=complex)
-        for (n, m), a in zip(pairs, amps):
-            vec[layout.basis_index([0, n, m])] = a
-        state = StateVector(layout, vec)
+        state = StateVector(layout, sum(
+            a * basis_state(layout, {"m0": n, "m1": m}).amplitudes
+            for (n, m), a in zip(pairs, amps)))
         flag, post = qnd_parity_check(state, "q", "m0", "m1", rng_seed=rng)
         ok &= flag == ("odd" if parity else "even")
         fid = 0.0

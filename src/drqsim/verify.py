@@ -20,7 +20,7 @@ from .encoding import (
     LogicalRegister,
     codeword_index,
     logical_basis_state,
-    measure_dual_rail,
+    map_dual_rail_readout,
 )
 from .errors import HealthError, RegisterError, StateError
 from .fock import (
@@ -31,8 +31,10 @@ from .fock import (
     apply_matrix_columns,
     creation_matrix,
     embedded_matrix,
+    excited_probability,
     exp_hermitian,
     measure_qubit_z,
+    project_qubit,
 )
 from .pulses import (
     PhysicalOp,
@@ -154,6 +156,7 @@ def run_program(state: StateVector, program, norm_tol: float = 1e-10,
     sit in their reference states at the program boundaries: compiled
     gates borrow them mid-sequence but assume them ground on entry, so a
     violation means an earlier gate failed to restore its resources.
+    A norm breach names the index and kind of the pulse that caused it.
     """
     if register is not None:
         defect = ancilla_reset_defect(state, register)
@@ -161,10 +164,11 @@ def run_program(state: StateVector, program, norm_tol: float = 1e-10,
             raise HealthError(
                 f"ancilla not in its reference state at gate entry "
                 f"(defect {defect:.3e})")
-    for op in _op_list(program):
+    for k, op in enumerate(_op_list(program)):
         state = apply_pulse(state, op)
         if abs(state.norm() - 1.0) > norm_tol:
-            raise HealthError(f"norm drifted to {state.norm()}")
+            raise HealthError(
+                f"norm drifted to {state.norm()} at pulse {k} ({op.kind})")
         if probe is not None:
             probe(state)
     if register is not None:
@@ -324,25 +328,43 @@ def sample_counts(state: StateVector, register: LogicalRegister,
     """Born-rule sampling of logical qubits, deterministic for a seed.
 
     Dual-rail reads borrow the first pool ancilla (reset between reads);
-    internal reads are direct fluorescence measurements.
+    internal reads are direct fluorescence measurements.  The shots are
+    split down the readout tree: each register is mapped once per
+    branch, a binomial draw divides the branch's shots between the two
+    outcomes, and each collapsed branch that got a shot is read on.  That
+    is the joint distribution of reading every shot out on its own, at a
+    cost of at most 2**k - 1 readouts for k registers, whatever `shots`
+    is, holding one state per register at a time.
     """
     entries = [register.entry(mid) for mid in measured_ids]
     if any(e.is_dual_rail for e in entries) and not register.ancilla_qubits:
         raise RegisterError("dual-rail readout needs an ancilla qubit")
     rng = np.random.default_rng(seed)
     counts: dict[str, int] = {}
-    for _ in range(shots):
-        shot_state = state.copy()
-        bits = []
-        for entry in entries:
-            if entry.is_dual_rail:
-                bit, shot_state = measure_dual_rail(
-                    shot_state, register, entry.logical_id,
-                    register.ancilla_qubits[0], rng)
-            else:
-                bit, shot_state, _ = measure_qubit_z(
-                    shot_state, entry.qubit, rng)
-            bits.append(str(bit))
-        key = "".join(bits)
-        counts[key] = counts.get(key, 0) + 1
+
+    def descend(state: StateVector | None, depth: int, n: int,
+                key: str) -> None:
+        if depth == len(entries):
+            counts[key] = n
+            return
+        entry = entries[depth]
+        if entry.is_dual_rail:
+            qubit = register.ancilla_qubits[0]
+            state = map_dual_rail_readout(state, register, entry.logical_id,
+                                          qubit)
+        else:
+            qubit = entry.qubit
+        n1 = int(rng.binomial(n, excited_probability(state, qubit)))
+        for outcome, n_out in ((0, n - n1), (1, n1)):
+            if n_out == 0:
+                continue
+            branch = None  # the last read needs no collapsed state
+            if depth + 1 < len(entries):
+                branch = project_qubit(state, qubit, outcome)
+                if outcome == 1 and entry.is_dual_rail:
+                    branch = apply_pulse(branch, carrier(np.pi, 0.0, qubit))
+            descend(branch, depth + 1, n_out, key + str(outcome))
+
+    if shots > 0:
+        descend(state, 0, shots, "")
     return counts

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from drqsim import cli
 from drqsim.cli import main
 from drqsim.compiler import GATES
 
@@ -396,3 +397,62 @@ def test_bad_tol_flag_exit_code(bell_doc, capsys, value):
         main(["verify", bell_doc, f"--tol={value}"])
     assert exc.value.code == 2
     assert "--tol" in capsys.readouterr().err
+
+
+def test_oversized_state_exit_code(tmp_path, capsys):
+    # 16 modes at cutoff 10 hold 2e16 amplitudes: run refuses before
+    # allocating, compile never needs the state.
+    modes = " ".join(f"m{i}" for i in range(16))
+    registers = "".join(f"  D{i} dual_rail m{2 * i} m{2 * i + 1}\n"
+                        for i in range(8))
+    path = tmp_path / "huge.drq"
+    path.write_text(f"""\
+system:
+  qubits: a
+  modes: {modes}
+  cutoff: 10
+registers:
+{registers}ancillas:
+  qubits: a
+program:
+  h D0
+""")
+    code, _, err = run_cli(capsys, "run", str(path), "--shots", "0")
+    assert code == 3
+    assert err.startswith("numeric health failure: dense state of "
+                          "20000000000000000 amplitudes needs "
+                          "320000000000000000 bytes")
+    code, out, _ = run_cli(capsys, "compile", str(path))
+    assert code == 0
+    assert json.loads(out)["steps"][0]["gate"] == "h D0"
+
+
+def test_verify_register_limit_exit_code(tmp_path, capsys):
+    qubits = " ".join(f"q{i}" for i in range(9))
+    registers = "".join(f"  Q{i} internal q{i}\n" for i in range(9))
+    path = tmp_path / "nine.drq"
+    path.write_text(f"""\
+system:
+  qubits: {qubits}
+registers:
+{registers}program:
+  x Q0
+  h Q8
+""")
+    code, _, err = run_cli(capsys, "verify", str(path))
+    assert code == 2
+    assert "at most 8 logical qubits" in err
+    code, out, _ = run_cli(capsys, "run", str(path), "--shots", "100")
+    assert code == 0
+    assert set(json.loads(out)["histogram"]) == {"100000000", "100000001"}
+
+
+def test_health_failure_names_gate(bell_doc, capsys, monkeypatch):
+    # A breach inside a gate is reported with the gate's index and text.
+    check = cli.check_sentinel
+    monkeypatch.setattr(cli, "check_sentinel",
+                        lambda state: check(state, tol=-1.0))
+    code, _, err = run_cli(capsys, "run", bell_doc, "--shots", "0")
+    assert code == 3
+    assert err.startswith("numeric health failure: gate 0 (h D): "
+                          "sentinel Fock level populated")

@@ -3,6 +3,7 @@ import pytest
 
 from drqsim import (
     RegisterError,
+    StateError,
     StateVector,
     apply_pulses,
     basis_state,
@@ -17,6 +18,15 @@ from drqsim import (
 from drqsim.compiler import _AncillaPool, compile_gate, h
 from drqsim.encoding import codeword_index, logical_basis_state
 from drqsim.verify import inject_heating_error, run_program
+
+
+def test_logical_basis_state_rejects_oversized_register():
+    layout = create_layout([(f"m{i}", "mode", 10) for i in range(16)])
+    register = define_register(
+        layout, [(f"D{i}", "dual_rail", (f"m{2 * i}", f"m{2 * i + 1}"))
+                 for i in range(8)])
+    with pytest.raises(StateError, match="bytes"):
+        logical_basis_state(register, [0] * 8)
 
 
 def test_register_counts_logical_qubits(hybrid_system):

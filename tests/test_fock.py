@@ -13,7 +13,7 @@ from drqsim import (
     measure_qubit_z,
     overlap,
 )
-from drqsim.fock import SIGMA_X, kron_le
+from drqsim.fock import MAX_STATE_DIM, SIGMA_X, kron_le
 
 from conftest import random_state
 
@@ -145,6 +145,21 @@ def test_exp_rejects_non_hermitian():
     gen = OperatorMatrix(("q",), np.array([[0, 1], [0, 0]], dtype=complex))
     with pytest.raises(StateError):
         exp_hermitian(gen, 1.0)
+
+
+@pytest.mark.parametrize("spec", [
+    [(f"q{i}", "qubit", 2) for i in range(26)],       # 2 * MAX_STATE_DIM
+    [(f"m{i}", "mode", 10) for i in range(16)],       # 1e16
+    [(f"m{i}", "mode", 10) for i in range(20)],       # past int64
+])
+def test_basis_state_rejects_oversized_layout(spec):
+    layout = create_layout(spec)
+    assert layout.total_dim == int(np.prod([d for *_, d in spec],
+                                           dtype=object))
+    assert layout.total_dim > MAX_STATE_DIM
+    with pytest.raises(StateError, match=f"needs {layout.total_dim * 16} "
+                       "bytes"):
+        ground_state(layout)
 
 
 def test_measure_ground_deterministic():

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -13,10 +15,20 @@ from drqsim import (
     qnd_parity_check,
     sample_counts,
 )
-from drqsim.compiler import _AncillaPool, compile_cnot_hybrid, compile_gate, h
-from drqsim.encoding import logical_basis_state
-from drqsim.errors import HealthError
-from drqsim.pulses import beamsplitter, carrier, qphase, rsb, zbs
+from drqsim import encoding, verify
+from drqsim.cli import build_system
+from drqsim.compiler import (
+    _AncillaPool,
+    compile_cnot_hybrid,
+    compile_gate,
+    h,
+    lower,
+)
+from drqsim.document import parse_circuit
+from drqsim.encoding import logical_basis_state, measure_dual_rail
+from drqsim.errors import HealthError, RegisterError
+from drqsim.fock import measure_qubit_z
+from drqsim.pulses import apply_pulse, beamsplitter, carrier, qphase, rsb, zbs
 from drqsim.verify import (
     check_sentinel,
     embed_logical_matrix,
@@ -306,8 +318,15 @@ def test_run_program_asserts_ancilla_ground(hybrid_system):
     layout, register = hybrid_system
     prog = compile_cnot_hybrid(register, "Q", "D", "anc")
     state = basis_state(layout, {"anc": 1, "m0": 1})
-    with pytest.raises(HealthError, match="ancilla"):
+    with pytest.raises(HealthError, match="ancilla not in its reference "
+                       "state at gate entry"):
         run_program(state, prog, register=register)
+    # A norm breach names the pulse that caused it.
+    first = prog.ops[0]
+    with pytest.raises(HealthError,
+                       match=rf"at pulse 0 \({first.kind}\)"):
+        run_program(logical_basis_state(register, [0, 0]), prog,
+                    norm_tol=-1.0)
 
 
 # --- sampling ----------------------------------------------------------------------
@@ -342,3 +361,103 @@ def test_sample_counts_seed_determinism(hybrid_system):
     one = sample_counts(state, register, ["Q", "D"], 500, seed=123)
     two = sample_counts(state, register, ["Q", "D"], 500, seed=123)
     assert one == two
+
+
+def _sample_by_shot(state, register, measured_ids, shots, seed):
+    """Reference sampler: every shot is read out on its own state copy."""
+    entries = [register.entry(mid) for mid in measured_ids]
+    if any(e.is_dual_rail for e in entries) and not register.ancilla_qubits:
+        raise RegisterError("dual-rail readout needs an ancilla qubit")
+    rng = np.random.default_rng(seed)
+    counts = {}
+    for _ in range(shots):
+        shot_state = state.copy()
+        bits = []
+        for entry in entries:
+            if entry.is_dual_rail:
+                bit, shot_state = measure_dual_rail(
+                    shot_state, register, entry.logical_id,
+                    register.ancilla_qubits[0], rng)
+            else:
+                bit, shot_state, _ = measure_qubit_z(
+                    shot_state, entry.qubit, rng)
+            bits.append(str(bit))
+        key = "".join(bits)
+        counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+def _heated_bell(hybrid_system, mode, kind):
+    layout, register = hybrid_system
+    pool = _AncillaPool(register)
+    state = logical_basis_state(register, [0, 0])
+    state = run_program(state, compile_gate(register, h("Q"), pool))
+    state = run_program(state, compile_cnot_hybrid(register, "Q", "D", "anc"))
+    return inject_heating_error(state, mode, kind), register
+
+
+def _toffoli_superposition():
+    # The toffoli example with its first control in superposition, so the
+    # readout has two outcomes, 010 and 111.
+    root = Path(__file__).resolve().parent.parent
+    text = (root / "circuits" / "toffoli.drq").read_text()
+    doc = parse_circuit(text.replace("  x C1\n", "  h C1\n"))
+    layout, register = build_system(doc)
+    preparation, steps = lower(register, doc.program)
+    state = run_program(ground_state(layout), preparation)
+    for step in steps:
+        state = run_program(state, step.program)
+    return state, register, list(doc.logical_ids())
+
+
+def _total_variation(a, b):
+    na, nb = sum(a.values()), sum(b.values())
+    return 0.5 * sum(abs(a.get(k, 0) / na - b.get(k, 0) / nb)
+                     for k in set(a) | set(b))
+
+
+@pytest.mark.parametrize("mode", ["m0", "m1"])
+@pytest.mark.parametrize("kind", ["gain", "loss"])
+def test_sample_counts_matches_per_shot_reference_after_heating(
+        hybrid_system, mode, kind):
+    # A gain leaves rails with 0 or 2 phonons, whose readout mapping is
+    # partial; a loss leaves vacuum.  Both samplers must agree.
+    state, register = _heated_bell(hybrid_system, mode, kind)
+    got = sample_counts(state, register, ["Q", "D"], 20000, seed=21)
+    want = _sample_by_shot(state, register, ["Q", "D"], 20000, seed=22)
+    assert sum(got.values()) == 20000
+    assert _total_variation(got, want) <= 0.02
+
+
+def test_sample_counts_matches_per_shot_reference_toffoli():
+    state, register, ids = _toffoli_superposition()
+    got = sample_counts(state, register, ids, 20000, seed=23)
+    want = _sample_by_shot(state, register, ids, 20000, seed=24)
+    assert set(got) == {"010", "111"}
+    assert _total_variation(got, want) <= 0.02
+
+
+@pytest.mark.parametrize("shots", [10, 10 ** 6])
+def test_sample_counts_cost_independent_of_shots(hybrid_system, monkeypatch,
+                                                 shots):
+    calls = []
+
+    def counting(state, op):
+        calls.append(op.kind)
+        return apply_pulse(state, op)
+
+    for module in (verify, encoding):
+        monkeypatch.setattr(module, "apply_pulse", counting)
+    cases = [(*_heated_bell(hybrid_system, "m1", "gain"), ["Q", "D"]),
+             _toffoli_superposition()]
+    for state, register, ids in cases:
+        calls.clear()
+        counts = sample_counts(state, register, ids, shots, seed=5)
+        assert sum(counts.values()) == shots
+        assert 0 < len(calls) <= 2 ** (len(ids) + 1)
+
+
+def test_sample_counts_zero_shots(hybrid_system):
+    _, register = hybrid_system
+    state = logical_basis_state(register, [0, 1])
+    assert sample_counts(state, register, ["Q", "D"], 0, seed=1) == {}
