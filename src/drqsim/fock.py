@@ -25,6 +25,8 @@ HERMITICITY_TOL = 1e-12
 NORM_TOL = 1e-10
 # Largest dense state: 2**25 complex amplitudes take 512 MiB.
 MAX_STATE_DIM = 2 ** 25
+# Largest layout whose basis indices fit in int64 (the support kernel's).
+MAX_INDEX_DIM = 2 ** 63
 
 # Internal-qubit matrices in the (ground, excited) = (level 0, level 1)
 # ordering.  sigma_z has eigenvalue -1 on the ground state, +1 on the
@@ -230,11 +232,17 @@ class OperatorMatrix:
         return float(np.max(np.abs(self.entries - self.entries.conj().T)))
 
 
-def _check_targets(layout: HilbertLayout, sids: Sequence[str]) -> None:
-    for sid in sids:
-        layout.axis(sid)
+def _target_axes(layout: HilbertLayout, matrix: np.ndarray,
+                 sids: Sequence[str]) -> list[int]:
+    """Axes of the targets, checked to be distinct and to fit `matrix`."""
+    axes = [layout.axis(s) for s in sids]
     if len(set(sids)) != len(sids):
         raise LayoutError(f"repeated subsystem in targets {tuple(sids)}")
+    block_dim = math.prod(layout.dims[a] for a in axes)
+    if matrix.shape != (block_dim, block_dim):
+        raise StateError(
+            f"matrix shape {matrix.shape} does not match targets {tuple(sids)}")
+    return axes
 
 
 def apply_matrix(state: StateVector, matrix: np.ndarray,
@@ -258,12 +266,8 @@ def apply_matrix_columns(columns: np.ndarray, layout: HilbertLayout,
 def _apply(amplitudes: np.ndarray, layout: HilbertLayout, matrix: np.ndarray,
            sids: Sequence[str]) -> np.ndarray:
     """Contract `matrix` with the target axes of a (total_dim[, k]) array."""
-    _check_targets(layout, sids)
-    axes = [layout.axis(s) for s in sids]
-    block_dim = int(np.prod([layout.dims[a] for a in axes]))
-    if matrix.shape != (block_dim, block_dim):
-        raise StateError(
-            f"matrix shape {matrix.shape} does not match targets {tuple(sids)}")
+    axes = _target_axes(layout, matrix, sids)
+    block_dim = matrix.shape[0]
     tensor = amplitudes.reshape(layout.dims + amplitudes.shape[1:], order="F")
     tensor = np.moveaxis(tensor, axes, range(len(axes)))
     shape = tensor.shape
@@ -272,6 +276,58 @@ def _apply(amplitudes: np.ndarray, layout: HilbertLayout, matrix: np.ndarray,
     tensor = block.reshape(shape, order="F")
     tensor = np.moveaxis(tensor, range(len(axes)), axes)
     return tensor.reshape(amplitudes.shape, order="F")
+
+
+def support_index(layout: HilbertLayout, indices: Sequence[int]) -> np.ndarray:
+    """Basis indices as the int64 array that `apply_matrix_support` takes.
+
+    Refuses a layout whose basis indices do not all fit in int64.
+    """
+    if layout.total_dim > MAX_INDEX_DIM:
+        raise StateError(
+            f"basis indices of {layout.total_dim} states do not fit in int64 "
+            f"(the limit is {MAX_INDEX_DIM} states)")
+    return np.asarray(indices, dtype=np.int64)
+
+
+def apply_matrix_support(index: np.ndarray, amplitudes: np.ndarray,
+                         layout: HilbertLayout, matrix: np.ndarray,
+                         sids: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Apply a subsystem matrix to k columns held on a sparse support.
+
+    `index` is a sorted, unique int64 array of basis indices and
+    `amplitudes` the matching (len(index), k) array.  Rows sharing the
+    levels outside the targets form one block of the matrix's dimension,
+    so the product is exact; rows that come out exactly zero in every
+    column are dropped.  Returns the new sorted index and amplitudes.
+    """
+    axes = _target_axes(layout, matrix, sids)
+    block_dim = matrix.shape[0]
+    index = support_index(layout, index)
+    # target: little-endian sub-index over `sids`; offsets: its full-space
+    # displacement, so that index = rest + offsets[target].
+    target = np.zeros(len(index), dtype=np.int64)
+    offsets = np.zeros(block_dim, dtype=np.int64)
+    sub = np.arange(block_dim)
+    sub_stride = 1
+    for a in axes:
+        d, stride = layout.dims[a], layout.strides[a]
+        target += (index // stride % d) * sub_stride
+        offsets += (sub // sub_stride % d) * stride
+        sub_stride *= d
+    rests, group = np.unique(index - offsets[target], return_inverse=True)
+    k = amplitudes.shape[1]
+    if len(rests) * block_dim * k > MAX_STATE_DIM:
+        raise StateError(
+            f"support block of {len(rests)} x {block_dim} x {k} amplitudes "
+            f"exceeds the limit of {MAX_STATE_DIM}")
+    block = np.zeros((block_dim, len(rests), k), dtype=complex)
+    block[target, group] = amplitudes
+    block = (matrix @ block.reshape(block_dim, -1)).reshape(-1, k)
+    new_index = (offsets[:, None] + rests[None, :]).ravel()
+    keep = np.flatnonzero(np.any(block != 0, axis=1))
+    keep = keep[np.argsort(new_index[keep])]
+    return new_index[keep], block[keep]
 
 
 def apply_embedded_unitary(state: StateVector, op: OperatorMatrix) -> StateVector:

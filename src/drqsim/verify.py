@@ -19,7 +19,6 @@ from .compiler import GATES, CompiledProgram
 from .encoding import (
     LogicalRegister,
     codeword_index,
-    logical_basis_state,
     map_dual_rail_readout,
 )
 from .errors import HealthError, RegisterError, StateError
@@ -29,12 +28,14 @@ from .fock import (
     annihilation_matrix,
     apply_matrix,
     apply_matrix_columns,
+    apply_matrix_support,
     creation_matrix,
     embedded_matrix,
     excited_probability,
     exp_hermitian,
     measure_qubit_z,
     project_qubit,
+    support_index,
 )
 from .pulses import (
     PhysicalOp,
@@ -101,20 +102,22 @@ def program_unitary(program, layout: HilbertLayout,
     dim = restrict.logical_dim
     if dim > MAX_RESTRICTED_DIM:
         raise StateError(f"logical dimension {dim} exceeds {MAX_RESTRICTED_DIM}")
+    # All codeword columns evolve together on the basis states they occupy.
     n = restrict.n_logical
-    indices = [codeword_index(restrict,
-                              [(b >> (n - 1 - i)) & 1 for i in range(n)])
-               for b in range(dim)]
-    mats = [pulse_matrix(op, restrict.layout) for op in ops]
+    codewords = support_index(restrict.layout, [
+        codeword_index(restrict, [(b >> (n - 1 - i)) & 1 for i in range(n)])
+        for b in range(dim)])
+    order = np.argsort(codewords)
+    index, amps = codewords[order], np.eye(dim, dtype=complex)[order]
+    for op in ops:
+        mat = pulse_matrix(op, restrict.layout)
+        index, amps = apply_matrix_support(index, amps, restrict.layout,
+                                           mat.entries, mat.subsystem_ids)
+    found = np.isin(codewords, index)
     matrix = np.zeros((dim, dim), dtype=complex)
+    matrix[found] = amps[np.searchsorted(index, codewords[found])]
     leakage_max = 0.0
-    for col in range(dim):
-        bits = [(col >> (n - 1 - i)) & 1 for i in range(n)]
-        state = logical_basis_state(restrict, bits)
-        for mat in mats:
-            state = apply_matrix(state, mat.entries, mat.subsystem_ids)
-        column = state.amplitudes[indices]
-        matrix[:, col] = column
+    for column in matrix.T:
         leakage_max = max(leakage_max,
                           1.0 - float(np.sum(np.abs(column) ** 2)))
     return ProgramUnitary(matrix, leakage_max)

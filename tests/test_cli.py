@@ -401,7 +401,8 @@ def test_bad_tol_flag_exit_code(bell_doc, capsys, value):
 
 def test_oversized_state_exit_code(tmp_path, capsys):
     # 16 modes at cutoff 10 hold 2e16 amplitudes: run refuses before
-    # allocating, compile never needs the state.
+    # allocating, compile never needs the state, and verify evolves only
+    # the basis states the codewords occupy.
     modes = " ".join(f"m{i}" for i in range(16))
     registers = "".join(f"  D{i} dual_rail m{2 * i} m{2 * i + 1}\n"
                         for i in range(8))
@@ -425,6 +426,35 @@ program:
     code, out, _ = run_cli(capsys, "compile", str(path))
     assert code == 0
     assert json.loads(out)["steps"][0]["gate"] == "h D0"
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert code == 0, err
+    checks = json.loads(out)["checks"]
+    assert [c["name"] for c in checks] == ["gate-0:h D0"]
+    assert all(c["equivalent"] for c in checks)
+
+
+def test_verify_past_int64_exit_code(tmp_path, capsys):
+    # 20 modes at cutoff 10 hold 2e20 amplitudes, whose basis indices do
+    # not fit in int64.
+    modes = " ".join(f"m{i}" for i in range(20))
+    path = tmp_path / "past64.drq"
+    path.write_text(f"""\
+system:
+  qubits: a
+  modes: {modes}
+  cutoff: 10
+registers:
+  D0 dual_rail m0 m1
+  D9 dual_rail m18 m19
+ancillas:
+  qubits: a
+program:
+  h D9
+""")
+    code, _, err = run_cli(capsys, "verify", str(path))
+    assert code == 3
+    assert err.startswith("numeric health failure: basis indices of "
+                          "200000000000000000000 states do not fit in int64")
 
 
 def test_verify_register_limit_exit_code(tmp_path, capsys):

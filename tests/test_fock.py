@@ -1,6 +1,10 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from drqsim import fock
 from drqsim import (
     LayoutError,
     OperatorMatrix,
@@ -13,7 +17,15 @@ from drqsim import (
     measure_qubit_z,
     overlap,
 )
-from drqsim.fock import MAX_STATE_DIM, SIGMA_X, kron_le
+from drqsim.fock import (
+    MAX_STATE_DIM,
+    SIGMA_X,
+    apply_matrix_columns,
+    apply_matrix_support,
+    creation_matrix,
+    kron_le,
+    support_index,
+)
 
 from conftest import random_state
 
@@ -233,3 +245,93 @@ def test_norm_guard():
     state = StateVector(layout, np.array([0.5, 0.5], dtype=complex))
     with pytest.raises(StateError):
         state.check_norm()
+
+
+# --- sparse support kernel ----------------------------------------------------
+
+@st.composite
+def support_cases(draw):
+    """A layout of at most 4096 dims, 1-3 targets, a support and k columns."""
+    dims = draw(st.lists(st.sampled_from([2, 3, 4, 5]), min_size=1,
+                         max_size=6).filter(lambda d: math.prod(d) <= 4096))
+    layout = create_layout([(f"q{i}", "qubit", 2) if d == 2
+                            else (f"m{i}", "mode", d)
+                            for i, d in enumerate(dims)])
+    sids = draw(st.lists(st.sampled_from(layout.ids), min_size=1,
+                         max_size=min(3, len(dims)), unique=True))
+    index = draw(st.lists(st.integers(0, layout.total_dim - 1), min_size=1,
+                          max_size=64, unique=True))
+    k = draw(st.integers(1, 4))
+    return layout, sids, sorted(index), k, draw(st.integers(0, 2 ** 32 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(support_cases())
+def test_apply_matrix_support_matches_dense(case):
+    layout, sids, index, k, seed = case
+    rng = np.random.default_rng(seed)
+    block_dim = math.prod(layout.dim_of(s) for s in sids)
+    unitary, _ = np.linalg.qr(rng.normal(size=(block_dim, block_dim))
+                              + 1j * rng.normal(size=(block_dim, block_dim)))
+    amps = rng.normal(size=(len(index), k)) + 1j * rng.normal(size=(len(index), k))
+    dense = np.zeros((layout.total_dim, k), dtype=complex)
+    dense[index] = amps
+    want = apply_matrix_columns(dense, layout, unitary, sids)
+
+    got_index, got_amps = apply_matrix_support(
+        np.array(index, dtype=np.int64), amps, layout, unitary, sids)
+    assert got_index.dtype == np.int64
+    assert np.all(np.diff(got_index) > 0)
+    assert got_index[0] >= 0 and got_index[-1] < layout.total_dim
+    assert np.max(np.abs(want[got_index] - got_amps)) <= 1e-12
+    want[got_index] = 0
+    assert np.max(np.abs(want)) <= 1e-12
+
+
+def test_apply_matrix_support_prunes_exact_zeros_only():
+    # a^dag on |2> of a cutoff-3 mode gives exactly zero, so that row
+    # goes; a row holding only 1e-300 stays.
+    layout = create_layout([("q", "qubit", 2), ("m", "mode", 3)])
+    index = np.array([layout.basis_index(levels)
+                      for levels in ([1, 0], [0, 1], [1, 2])])
+    amps = np.array([[0, 1e-300], [1, 0], [0, 1]], dtype=complex)
+    got_index, got_amps = apply_matrix_support(
+        index, amps, layout, creation_matrix(3), ("m",))
+    assert got_index.tolist() == [layout.basis_index([1, 1]),
+                                  layout.basis_index([0, 2])]
+    assert got_amps.tolist() == [[0, 1e-300], [np.sqrt(2), 0]]
+
+
+def test_apply_matrix_support_checks_targets_and_shape():
+    layout = create_layout([("q", "qubit", 2), ("m", "mode", 3)])
+    index, amps = np.array([0]), np.ones((1, 1), dtype=complex)
+    with pytest.raises(LayoutError):
+        apply_matrix_support(index, amps, layout, np.eye(4), ("q", "q"))
+    with pytest.raises(StateError, match="does not match targets"):
+        apply_matrix_support(index, amps, layout, np.eye(2), ("m",))
+
+
+@pytest.mark.parametrize("limit", [100, 299])
+def test_apply_matrix_support_refuses_large_block(monkeypatch, limit):
+    # 10 rest groups x a 10-dim block x 3 columns = 300 amplitudes.
+    layout = create_layout([("m0", "mode", 10), ("m1", "mode", 10)])
+    index = np.arange(0, 100, 10)
+    monkeypatch.setattr(fock, "MAX_STATE_DIM", limit)
+    with pytest.raises(StateError, match="10 x 10 x 3 amplitudes exceeds "
+                       f"the limit of {limit}"):
+        apply_matrix_support(index, np.ones((10, 3), dtype=complex), layout,
+                             np.eye(10), ("m0",))
+
+
+def test_support_index_refuses_past_int64():
+    layout = create_layout([(f"m{i}", "mode", 10) for i in range(20)])
+    with pytest.raises(StateError, match=f"{layout.total_dim} states do not "
+                       "fit in int64"):
+        support_index(layout, [0])
+    with pytest.raises(StateError, match="do not fit in int64"):
+        apply_matrix_support(np.array([0]), np.ones((1, 1), dtype=complex),
+                             layout, np.eye(100), ("m18", "m19"))
+    fits = create_layout([("q", "qubit", 2)]
+                         + [(f"m{i}", "mode", 4) for i in range(31)])
+    assert fits.total_dim == 2 ** 63
+    assert support_index(fits, [2 ** 63 - 1]).tolist() == [2 ** 63 - 1]

@@ -27,8 +27,16 @@ from drqsim.compiler import (
 from drqsim.document import parse_circuit
 from drqsim.encoding import logical_basis_state, measure_dual_rail
 from drqsim.errors import HealthError, RegisterError
-from drqsim.fock import measure_qubit_z
-from drqsim.pulses import apply_pulse, beamsplitter, carrier, qphase, rsb, zbs
+from drqsim.fock import apply_matrix, measure_qubit_z
+from drqsim.pulses import (
+    apply_pulse,
+    beamsplitter,
+    carrier,
+    pulse_matrix,
+    qphase,
+    rsb,
+    zbs,
+)
 from drqsim.verify import (
     check_sentinel,
     embed_logical_matrix,
@@ -38,6 +46,7 @@ from drqsim.verify import (
 )
 
 from conftest import random_state
+from test_cli import GATE_CASES, UNITARY_GATES
 
 
 @pytest.fixture
@@ -142,6 +151,59 @@ def test_restricted_unitary_of_compiled_cnot(hybrid_system):
     rep = equivalent_up_to_phase(got.matrix, ideal_logical_gate("cnot", [], 2),
                                  1e-9, got.leakage_max)
     assert rep.equivalent
+
+
+def _restricted_by_column(program, register):
+    """Reference: each codeword column evolved alone as a dense state."""
+    n, dim = register.n_logical, register.logical_dim
+    indices = [encoding.codeword_index(
+        register, [(b >> (n - 1 - i)) & 1 for i in range(n)])
+        for b in range(dim)]
+    mats = [pulse_matrix(op, register.layout) for op in program.ops]
+    matrix = np.zeros((dim, dim), dtype=complex)
+    leakage_max = 0.0
+    for col in range(dim):
+        bits = [(col >> (n - 1 - i)) & 1 for i in range(n)]
+        state = logical_basis_state(register, bits)
+        for mat in mats:
+            state = apply_matrix(state, mat.entries, mat.subsystem_ids)
+        column = state.amplitudes[indices]
+        matrix[:, col] = column
+        leakage_max = max(leakage_max,
+                          1.0 - float(np.sum(np.abs(column) ** 2)))
+    return matrix, leakage_max
+
+
+def _gate_documents():
+    root = Path(__file__).resolve().parent.parent
+    docs = {f"gate-{name}": GATE_CASES[name][0] + "program:\n"
+            + "".join(f"  {line}\n" for line in GATE_CASES[name][1])
+            for name in UNITARY_GATES}
+    for path in [*sorted((root / "circuits").glob("*.drq")),
+                 root / "perfbench" / "inputs" / "kcnot3.drq"]:
+        docs[path.stem] = path.read_text()
+    return docs
+
+
+GATE_DOCUMENTS = _gate_documents()
+
+
+@pytest.mark.parametrize("name", GATE_DOCUMENTS)
+def test_restricted_unitary_matches_column_reference(name):
+    # The support kernel evolves all codeword columns at once; every gate
+    # must agree with the dense one-column-at-a-time evolution.
+    doc = parse_circuit(GATE_DOCUMENTS[name])
+    layout, register = build_system(doc)
+    checked = 0
+    for step in lower(register, doc.program, prepare=False)[1]:
+        if step.program is None:
+            continue
+        got = program_unitary(step.program, layout, restrict=register)
+        want, leakage = _restricted_by_column(step.program, register)
+        assert np.max(np.abs(got.matrix - want)) <= 1e-10
+        assert abs(got.leakage_max - leakage) <= 1e-10
+        checked += 1
+    assert checked == len(doc.program)
 
 
 def test_program_unitary_dimension_budget():
