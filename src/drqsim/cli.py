@@ -2,8 +2,9 @@
 
 Reports are JSON documents (schema `drqsim-report/1`), printed to stdout
 and optionally written to a file.  Exit codes: 0 success, 1 verification
-failure, 2 parse/validation error, 3 numeric-health failure (including a
-state too large to allocate).
+failure, 2 parse/validation error (an unreadable document or report file
+included), 3 numeric-health failure (including an array too large to
+allocate).
 """
 from __future__ import annotations
 
@@ -273,6 +274,11 @@ def main(argv=None) -> int:
             report, code = cmd_run(doc, args)
         else:
             report, code = cmd_verify(doc, args)
+        text = json.dumps(report, indent=2, sort_keys=True)
+        print(text)
+        if args.report:
+            with open(args.report, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
     except (DocumentError, LayoutError, RegisterError, CompileError,
             PulseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -280,15 +286,9 @@ def main(argv=None) -> int:
     except (HealthError, StateError) as exc:
         print(f"numeric health failure: {exc}", file=sys.stderr)
         return EXIT_HEALTH
-    except FileNotFoundError as exc:
+    except (OSError, UnicodeDecodeError) as exc:  # document or report file
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-
-    text = json.dumps(report, indent=2, sort_keys=True)
-    print(text)
-    if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
     return code
 
 

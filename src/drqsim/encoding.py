@@ -202,10 +202,8 @@ class LogicalStateReport:
 
 def extract_logical_state(state: StateVector,
                           register: LogicalRegister) -> LogicalStateReport:
-    n = register.n_logical
-    amps = np.zeros(2 ** n, dtype=complex)
-    for k, bits in enumerate(_bit_patterns(n)):
-        amps[k] = state.amplitudes[codeword_index(register, bits)]
+    amps = state.amplitude_at([codeword_index(register, bits)
+                               for bits in _bit_patterns(register.n_logical)])
     weight = float(np.sum(np.abs(amps) ** 2))
     leakage = max(0.0, 1.0 - weight)
     phase = 0.0

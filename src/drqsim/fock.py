@@ -5,15 +5,18 @@ modes of dimension >= 3).  Basis indices use little-endian mixed-radix
 encoding: the first registered subsystem varies fastest.  Mode operators
 are hard-truncated, so the creation operator annihilates the top Fock
 level; downstream checks assert that the sentinel level stays empty.
+A state is held on its support (the basis states with amplitude) and
+evolves through one sparse kernel, tested against the dense contraction
+`apply_matrix_columns`.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import LayoutError, StateError
 
@@ -23,7 +26,8 @@ MODE = "mode"
 UNITARITY_TOL = 1e-10
 HERMITICITY_TOL = 1e-12
 NORM_TOL = 1e-10
-# Largest dense state: 2**25 complex amplitudes take 512 MiB.
+# Largest dense array: 2**25 complex amplitudes take 512 MiB.  It bounds
+# the dense `amplitudes` of a state, a support block and a pulse matrix.
 MAX_STATE_DIM = 2 ** 25
 # Largest layout whose basis indices fit in int64 (the support kernel's).
 MAX_INDEX_DIM = 2 ** 63
@@ -155,54 +159,74 @@ def create_layout(spec: Iterable[tuple[str, str, int]]) -> HilbertLayout:
     return HilbertLayout(subsystems)
 
 
-@dataclass
 class StateVector:
-    """Normalized complex amplitude vector over a layout."""
+    """Normalized state on its support: a sorted, unique int64 `index` of
+    basis states and their `values`; every other amplitude is zero.
+    `StateVector(layout, dense)` takes a dense total_dim vector instead,
+    and `amplitudes` builds one on request.
+    """
 
-    layout: HilbertLayout
-    amplitudes: np.ndarray = field(repr=False)
+    def __init__(self, layout: HilbertLayout,
+                 amplitudes: np.ndarray | None = None, *,
+                 index: np.ndarray | None = None,
+                 values: np.ndarray | None = None):
+        if amplitudes is not None:
+            index = np.flatnonzero(amplitudes)
+            values = np.asarray(amplitudes)[index]
+        self.layout, self.index, self.values = layout, index, values
+
+    @property
+    def amplitudes(self) -> np.ndarray:
+        """The dense total_dim vector; refused past MAX_STATE_DIM amplitudes."""
+        dim = self.layout.total_dim
+        if dim > MAX_STATE_DIM:
+            item = np.dtype(complex).itemsize
+            raise StateError(
+                f"dense state of {dim} amplitudes needs {dim * item} bytes; "
+                f"the limit is {MAX_STATE_DIM} amplitudes "
+                f"({MAX_STATE_DIM * item} bytes)")
+        dense = np.zeros(dim, dtype=complex)
+        dense[self.index] = self.values
+        return dense
 
     def copy(self) -> "StateVector":
-        return StateVector(self.layout, self.amplitudes.copy())
+        return StateVector(self.layout, index=self.index.copy(),
+                           values=self.values.copy())
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+        return float(np.linalg.norm(self.values))
 
     def check_norm(self, tol: float = NORM_TOL) -> None:
         if abs(self.norm() - 1.0) > tol:
             raise StateError(f"state norm {self.norm()} drifted beyond {tol}")
 
+    def levels(self, sid: str) -> np.ndarray:
+        """Level of subsystem `sid` in each support basis state."""
+        axis = self.layout.axis(sid)
+        return self.index // self.layout.strides[axis] % self.layout.dims[axis]
+
     def population(self, sid: str, level: int) -> float:
         """Total probability of finding subsystem `sid` at `level`."""
-        axis = self.layout.axis(sid)
-        tensor = self.amplitudes.reshape(self.layout.dims, order="F")
-        sl = [slice(None)] * len(self.layout.dims)
-        sl[axis] = level
-        return float(np.sum(np.abs(tensor[tuple(sl)]) ** 2))
+        return float(np.sum(np.abs(self.values[self.levels(sid) == level]) ** 2))
 
     def level_distribution(self, sid: str) -> np.ndarray:
         return np.array([self.population(sid, l)
                          for l in range(self.layout.dim_of(sid))])
 
+    def amplitude_at(self, indices: Sequence[int]) -> np.ndarray:
+        """Amplitudes at the given basis indices, zero off the support."""
+        return support_rows(self.index, self.values,
+                            support_index(self.layout, indices))
+
 
 def basis_state(layout: HilbertLayout, levels: dict[str, int]) -> StateVector:
-    """Product basis state with given levels; unspecified subsystems at 0.
-
-    This is where every dense state is first allocated, so a layout over
-    MAX_STATE_DIM amplitudes is rejected here, before any memory is taken.
-    """
-    if layout.total_dim > MAX_STATE_DIM:
-        item = np.dtype(complex).itemsize
-        raise StateError(
-            f"dense state of {layout.total_dim} amplitudes needs "
-            f"{layout.total_dim * item} bytes; the limit is {MAX_STATE_DIM} "
-            f"amplitudes ({MAX_STATE_DIM * item} bytes)")
+    """Product basis state with given levels; unspecified subsystems at 0."""
     full = [0] * len(layout.dims)
     for sid, lvl in levels.items():
         full[layout.axis(sid)] = lvl
-    amps = np.zeros(layout.total_dim, dtype=complex)
-    amps[layout.basis_index(full)] = 1.0
-    return StateVector(layout, amps)
+    return StateVector(
+        layout, index=support_index(layout, [layout.basis_index(full)]),
+        values=np.ones(1, dtype=complex))
 
 
 def ground_state(layout: HilbertLayout) -> StateVector:
@@ -232,50 +256,56 @@ class OperatorMatrix:
         return float(np.max(np.abs(self.entries - self.entries.conj().T)))
 
 
-def _target_axes(layout: HilbertLayout, matrix: np.ndarray,
-                 sids: Sequence[str]) -> list[int]:
-    """Axes of the targets, checked to be distinct and to fit `matrix`."""
-    axes = [layout.axis(s) for s in sids]
+@functools.lru_cache(maxsize=256)
+def _targets(layout: HilbertLayout, sids: tuple[str, ...],
+             shape: tuple[int, ...]) -> tuple:
+    """(axes, dims, strides, weights, offsets) of the targets, checked to be
+    distinct and to fit a matrix of `shape`.  Per target in `sids` order:
+    axis, dimension, layout stride and place value in the little-endian
+    sub-index; `offsets` is the full-space displacement of each sub-index.
+    """
+    axes = tuple(layout.axis(s) for s in sids)
     if len(set(sids)) != len(sids):
-        raise LayoutError(f"repeated subsystem in targets {tuple(sids)}")
+        raise LayoutError(f"repeated subsystem in targets {sids}")
     block_dim = math.prod(layout.dims[a] for a in axes)
-    if matrix.shape != (block_dim, block_dim):
-        raise StateError(
-            f"matrix shape {matrix.shape} does not match targets {tuple(sids)}")
-    return axes
+    if shape != (block_dim, block_dim):
+        raise StateError(f"matrix shape {shape} does not match targets {sids}")
+    dims = np.array([layout.dims[a] for a in axes], dtype=np.int64)
+    strides = np.array([layout.strides[a] for a in axes], dtype=np.int64)
+    weights = np.cumprod(np.concatenate(([1], dims[:-1])))
+    offsets = (np.arange(block_dim)[:, None] // weights % dims) @ strides
+    for arr in (dims, strides, weights, offsets):
+        arr.flags.writeable = False  # shared by every caller of the cache
+    return axes, dims, strides, weights, offsets
 
 
 def apply_matrix(state: StateVector, matrix: np.ndarray,
                  sids: Sequence[str]) -> StateVector:
     """Apply a matrix over the listed subsystems (no unitarity check).
 
-    Fast path shared by the pulse engine; `apply_embedded_unitary` wraps
-    it with the contract checks.
+    The pulse engine's one evolution step: the support kernel with one
+    column.  `apply_embedded_unitary` wraps it with the contract checks.
     """
-    out = _apply(state.amplitudes, state.layout, matrix, sids)
-    return StateVector(state.layout, np.ascontiguousarray(out))
+    index, values = apply_matrix_support(state.index, state.values[:, None],
+                                         state.layout, matrix, sids)
+    return StateVector(state.layout, index=index, values=values[:, 0])
 
 
 def apply_matrix_columns(columns: np.ndarray, layout: HilbertLayout,
                          matrix: np.ndarray,
                          sids: Sequence[str]) -> np.ndarray:
-    """Apply a subsystem matrix to every column of a (total_dim, k) array."""
-    return _apply(columns, layout, matrix, sids)
-
-
-def _apply(amplitudes: np.ndarray, layout: HilbertLayout, matrix: np.ndarray,
-           sids: Sequence[str]) -> np.ndarray:
-    """Contract `matrix` with the target axes of a (total_dim[, k]) array."""
-    axes = _target_axes(layout, matrix, sids)
+    """Apply a subsystem matrix to every column of a dense (total_dim[, k])
+    array: the dense contraction the support kernel is tested against."""
+    axes = _targets(layout, tuple(sids), matrix.shape)[0]
     block_dim = matrix.shape[0]
-    tensor = amplitudes.reshape(layout.dims + amplitudes.shape[1:], order="F")
+    tensor = columns.reshape(layout.dims + columns.shape[1:], order="F")
     tensor = np.moveaxis(tensor, axes, range(len(axes)))
     shape = tensor.shape
     block = tensor.reshape(block_dim, -1, order="F")
     block = matrix @ block
     tensor = block.reshape(shape, order="F")
     tensor = np.moveaxis(tensor, range(len(axes)), axes)
-    return tensor.reshape(amplitudes.shape, order="F")
+    return tensor.reshape(columns.shape, order="F")
 
 
 def support_index(layout: HilbertLayout, indices: Sequence[int]) -> np.ndarray:
@@ -301,22 +331,16 @@ def apply_matrix_support(index: np.ndarray, amplitudes: np.ndarray,
     so the product is exact; rows that come out exactly zero in every
     column are dropped.  Returns the new sorted index and amplitudes.
     """
-    axes = _target_axes(layout, matrix, sids)
-    block_dim = matrix.shape[0]
     index = support_index(layout, index)
-    # target: little-endian sub-index over `sids`; offsets: its full-space
-    # displacement, so that index = rest + offsets[target].
-    target = np.zeros(len(index), dtype=np.int64)
-    offsets = np.zeros(block_dim, dtype=np.int64)
-    sub = np.arange(block_dim)
-    sub_stride = 1
-    for a in axes:
-        d, stride = layout.dims[a], layout.strides[a]
-        target += (index // stride % d) * sub_stride
-        offsets += (sub // sub_stride % d) * stride
-        sub_stride *= d
-    rests, group = np.unique(index - offsets[target], return_inverse=True)
-    k = amplitudes.shape[1]
+    _, dims, strides, weights, offsets = _targets(layout, tuple(sids),
+                                                  matrix.shape)
+    # target: the little-endian sub-index over `sids`; index = rest +
+    # offsets[target].
+    target = (index[:, None] // strides % dims) @ weights
+    rest = index - offsets[target]
+    rests = np.unique(rest)
+    group = np.searchsorted(rests, rest)
+    block_dim, k = matrix.shape[0], amplitudes.shape[1]
     if len(rests) * block_dim * k > MAX_STATE_DIM:
         raise StateError(
             f"support block of {len(rests)} x {block_dim} x {k} amplitudes "
@@ -324,10 +348,20 @@ def apply_matrix_support(index: np.ndarray, amplitudes: np.ndarray,
     block = np.zeros((block_dim, len(rests), k), dtype=complex)
     block[target, group] = amplitudes
     block = (matrix @ block.reshape(block_dim, -1)).reshape(-1, k)
-    new_index = (offsets[:, None] + rests[None, :]).ravel()
-    keep = np.flatnonzero(np.any(block != 0, axis=1))
+    new_index = (offsets[:, None] + rests).ravel()
+    keep = np.flatnonzero(block.any(axis=1))
     keep = keep[np.argsort(new_index[keep])]
     return new_index[keep], block[keep]
+
+
+def support_rows(index: np.ndarray, rows: np.ndarray,
+                 wanted: np.ndarray) -> np.ndarray:
+    """The rows of `rows` (one per entry of the sorted `index`) at the
+    basis indices `wanted`, zero where `wanted` is off the support."""
+    found = np.isin(wanted, index)
+    out = np.zeros((len(wanted),) + rows.shape[1:], dtype=complex)
+    out[found] = rows[np.searchsorted(index, wanted[found])]
+    return out
 
 
 def apply_embedded_unitary(state: StateVector, op: OperatorMatrix) -> StateVector:
@@ -373,8 +407,10 @@ def exp_hermitian(gen: OperatorMatrix, scale: float) -> OperatorMatrix:
     """exp(i * scale * gen) for Hermitian gen.
 
     This is the oracle every exponential-form pulse is checked against.
-    The core is scipy's scaling-and-squaring Pade expm.
+    The core is scipy's scaling-and-squaring Pade expm, imported here
+    because scipy.linalg is slow to import and only this oracle needs it.
     """
+    from scipy.linalg import expm
     defect = gen.hermiticity_defect()
     if defect > HERMITICITY_TOL:
         raise StateError(f"generator is not Hermitian (defect {defect:.3e})")
@@ -405,12 +441,10 @@ def excited_probability(state: StateVector, qubit_id: str) -> float:
 def project_qubit(state: StateVector, qubit_id: str,
                   outcome: int) -> StateVector:
     """Renormalized projection of the state onto one level of a qubit."""
-    layout = state.layout
-    sl = [slice(None)] * len(layout.dims)
-    sl[layout.axis(qubit_id)] = 1 - outcome
-    amps = state.amplitudes.copy()
-    amps.reshape(layout.dims, order="F")[tuple(sl)] = 0.0  # a view of amps
-    return StateVector(layout, amps / np.linalg.norm(amps))
+    keep = state.levels(qubit_id) == outcome
+    values = state.values[keep]
+    return StateVector(state.layout, index=state.index[keep],
+                       values=values / np.linalg.norm(values))
 
 
 def measure_qubit_z(state: StateVector, qubit_id: str,
@@ -432,4 +466,6 @@ def overlap(a: StateVector, b: StateVector) -> complex:
     if a.layout is not b.layout and (a.layout.ids != b.layout.ids
                                      or a.layout.dims != b.layout.dims):
         raise StateError("states live on different layouts")
-    return complex(np.vdot(a.amplitudes, b.amplitudes))
+    _, ia, ib = np.intersect1d(a.index, b.index, assume_unique=True,
+                               return_indices=True)
+    return complex(np.vdot(a.values[ia], b.values[ib]))

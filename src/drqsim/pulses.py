@@ -23,12 +23,14 @@ realizes the internal-qubit y-rotation used by the parity circuits.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .errors import PulseError
+from . import fock
+from .errors import PulseError, StateError
 from .fock import (
     MODE,
     QUBIT,
@@ -140,11 +142,17 @@ def cbs_factors(theta: float, phi: float, qubit_id: str, mode1: str,
 
 
 def _check_kinds(op: PhysicalOp, layout: HilbertLayout) -> None:
+    """Check the target kinds, and refuse a pulse matrix too large to build."""
     for sid, want in zip(op.targets, _ARITY[op.kind]):
         got = layout.kind_of(sid)
         if got != want:
             raise PulseError(
                 f"{op.kind} target {sid!r} must be a {want}, got {got}")
+    block = math.prod(layout.dim_of(sid) for sid in op.targets)
+    if block ** 2 > fock.MAX_STATE_DIM:
+        raise StateError(
+            f"{op.kind} pulse on {op.targets} needs a {block} x {block} "
+            f"matrix; the limit is {fock.MAX_STATE_DIM} entries")
 
 
 def _bs_generator(phi: float, d1: int, d2: int) -> np.ndarray:

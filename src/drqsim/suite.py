@@ -119,7 +119,7 @@ def check_tnp_phase(rng: np.random.Generator, draws: int = 3) -> CheckResult:
                 out = apply_pulses(state, seq)
                 want = np.exp(1j * ((-1) ** (n + m + 1)) * theta / 2)
                 idx = layout.basis_index([0, n, m])
-                worst = max(worst, abs(out.amplitudes[idx] - want))
+                worst = max(worst, abs(out.amplitude_at([idx])[0] - want))
     return CheckResult("tnp-phase", worst <= 1e-10, worst, 0.0)
 
 
@@ -207,16 +207,14 @@ def check_qnd(rng: np.random.Generator, draws: int = 20) -> CheckResult:
                  if (n + m) % 2 == parity and n + m <= 3]
         amps = rng.normal(size=len(pairs)) + 1j * rng.normal(size=len(pairs))
         amps /= np.linalg.norm(amps)
-        state = StateVector(layout, sum(
-            a * basis_state(layout, {"m0": n, "m1": m}).amplitudes
-            for (n, m), a in zip(pairs, amps)))
+        index = np.array([layout.basis_index([0, n, m]) for n, m in pairs])
+        order = np.argsort(index)
+        state = StateVector(layout, index=index[order], values=amps[order])
         flag, post = qnd_parity_check(state, "q", "m0", "m1", rng_seed=rng)
         ok &= flag == ("odd" if parity else "even")
-        fid = 0.0
-        for (n, m), a in zip(pairs, amps):
-            lvl = 1 if parity else 0
-            fid += (np.conj(a)
-                    * post.amplitudes[layout.basis_index([lvl, n, m])])
+        lvl = 1 if parity else 0
+        fid = sum(np.conj(amps) * post.amplitude_at(
+            [layout.basis_index([lvl, n, m]) for n, m in pairs]))
         worst = max(worst, abs(abs(fid) - 1.0))
     return CheckResult("qnd-parity", ok and worst <= 1e-10, worst, 0.0)
 

@@ -27,7 +27,6 @@ from .fock import (
     StateVector,
     annihilation_matrix,
     apply_matrix,
-    apply_matrix_columns,
     apply_matrix_support,
     creation_matrix,
     embedded_matrix,
@@ -36,6 +35,7 @@ from .fock import (
     measure_qubit_z,
     project_qubit,
     support_index,
+    support_rows,
 )
 from .pulses import (
     PhysicalOp,
@@ -78,11 +78,11 @@ def program_unitary(program, layout: HilbertLayout,
     """
     ops = _op_list(program)
     if restrict is None:
-        if layout.total_dim > MAX_FULL_DIM:
-            raise StateError(
-                f"full dimension {layout.total_dim} exceeds {MAX_FULL_DIM}")
+        dim = layout.total_dim
+        if dim > MAX_FULL_DIM:
+            raise StateError(f"full dimension {dim} exceeds {MAX_FULL_DIM}")
         if method == "expm":
-            full = np.eye(layout.total_dim, dtype=complex)
+            full = np.eye(dim, dtype=complex)
             for op in ops:
                 gen, scale = pulse_generator(op, layout)
                 small = exp_hermitian(gen, scale)
@@ -90,37 +90,30 @@ def program_unitary(program, layout: HilbertLayout,
             return ProgramUnitary(full)
         if method != "pulse":
             raise ValueError(f"unknown method {method!r}")
-        out = np.eye(layout.total_dim, dtype=complex)
-        for op in ops:
-            mat = pulse_matrix(op, layout)
-            out = apply_matrix_columns(out, layout, mat.entries,
-                                       mat.subsystem_ids)
-        return ProgramUnitary(out)
-
-    if method != "pulse":
-        raise ValueError("restricted unitaries use the pulse path")
-    dim = restrict.logical_dim
-    if dim > MAX_RESTRICTED_DIM:
-        raise StateError(f"logical dimension {dim} exceeds {MAX_RESTRICTED_DIM}")
-    # All codeword columns evolve together on the basis states they occupy.
-    n = restrict.n_logical
-    codewords = support_index(restrict.layout, [
-        codeword_index(restrict, [(b >> (n - 1 - i)) & 1 for i in range(n)])
-        for b in range(dim)])
-    order = np.argsort(codewords)
-    index, amps = codewords[order], np.eye(dim, dtype=complex)[order]
+        columns = support_index(layout, range(dim))
+    else:
+        if method != "pulse":
+            raise ValueError("restricted unitaries use the pulse path")
+        layout, dim = restrict.layout, restrict.logical_dim
+        if dim > MAX_RESTRICTED_DIM:
+            raise StateError(
+                f"logical dimension {dim} exceeds {MAX_RESTRICTED_DIM}")
+        n = restrict.n_logical
+        columns = support_index(layout, [
+            codeword_index(restrict, [(b >> (n - 1 - i)) & 1 for i in range(n)])
+            for b in range(dim)])
+    # All columns evolve together on the basis states they occupy.
+    order = np.argsort(columns)
+    index, amps = columns[order], np.eye(dim, dtype=complex)[order]
     for op in ops:
-        mat = pulse_matrix(op, restrict.layout)
-        index, amps = apply_matrix_support(index, amps, restrict.layout,
-                                           mat.entries, mat.subsystem_ids)
-    found = np.isin(codewords, index)
-    matrix = np.zeros((dim, dim), dtype=complex)
-    matrix[found] = amps[np.searchsorted(index, codewords[found])]
-    leakage_max = 0.0
-    for column in matrix.T:
-        leakage_max = max(leakage_max,
-                          1.0 - float(np.sum(np.abs(column) ** 2)))
-    return ProgramUnitary(matrix, leakage_max)
+        mat = pulse_matrix(op, layout)
+        index, amps = apply_matrix_support(index, amps, layout, mat.entries,
+                                           mat.subsystem_ids)
+    matrix = support_rows(index, amps, columns)
+    if restrict is None:
+        return ProgramUnitary(matrix)
+    return ProgramUnitary(matrix, max([0.0] + [
+        1.0 - float(np.sum(np.abs(column) ** 2)) for column in matrix.T]))
 
 
 @dataclass
@@ -274,10 +267,10 @@ def inject_heating_error(state: StateVector, mode: str,
     else:
         raise ValueError(f"unknown heating kind {kind!r}")
     out = apply_matrix(state, jump, (mode,))
-    norm = float(np.linalg.norm(out.amplitudes))
+    norm = out.norm()
     if norm < 1e-12:
         raise StateError(f"{kind} on {mode!r} annihilates the state")
-    return StateVector(layout, out.amplitudes / norm)
+    return StateVector(layout, index=out.index, values=out.values / norm)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from drqsim import cli
+from drqsim import cli, fock
 from drqsim.cli import main
 from drqsim.compiler import GATES
 
@@ -400,9 +400,8 @@ def test_bad_tol_flag_exit_code(bell_doc, capsys, value):
 
 
 def test_oversized_state_exit_code(tmp_path, capsys):
-    # 16 modes at cutoff 10 hold 2e16 amplitudes: run refuses before
-    # allocating, compile never needs the state, and verify evolves only
-    # the basis states the codewords occupy.
+    # 16 modes at cutoff 10 hold 2e16 amplitudes: compile never needs the
+    # state, and run and verify evolve only the basis states it occupies.
     modes = " ".join(f"m{i}" for i in range(16))
     registers = "".join(f"  D{i} dual_rail m{2 * i} m{2 * i + 1}\n"
                         for i in range(8))
@@ -418,11 +417,9 @@ registers:
 program:
   h D0
 """)
-    code, _, err = run_cli(capsys, "run", str(path), "--shots", "0")
-    assert code == 3
-    assert err.startswith("numeric health failure: dense state of "
-                          "20000000000000000 amplitudes needs "
-                          "320000000000000000 bytes")
+    code, out, err = run_cli(capsys, "run", str(path), "--shots", "0")
+    assert code == 0, err
+    assert json.loads(out)["leakage"] <= 1e-9
     code, out, _ = run_cli(capsys, "compile", str(path))
     assert code == 0
     assert json.loads(out)["steps"][0]["gate"] == "h D0"
@@ -486,3 +483,41 @@ def test_health_failure_names_gate(bell_doc, capsys, monkeypatch):
     assert code == 3
     assert err.startswith("numeric health failure: gate 0 (h D): "
                           "sentinel Fock level populated")
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_oversized_pulse_matrix_exit_code(bell_doc, capsys, monkeypatch,
+                                          command):
+    # `h D` lowers to zbs pulses on (q, m0, m1): a 32 x 32 matrix at
+    # cutoff 4, one entry past the limit set here.
+    monkeypatch.setattr(fock, "MAX_STATE_DIM", 32 ** 2 - 1)
+    code, out, err = run_cli(capsys, command, bell_doc)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("numeric health failure: ")
+    assert "zbs pulse on ('q1', 'm0', 'm1') needs a 32 x 32 matrix" in err
+
+
+def test_document_directory_exit_code(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "run", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "Is a directory" in err
+
+
+def test_document_not_utf8_exit_code(tmp_path, capsys):
+    path = tmp_path / "latin1.drq"
+    path.write_bytes(BELL.replace("h D", "h D  # é").encode("latin-1"))
+    code, out, err = run_cli(capsys, "run", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "utf-8" in err
+
+
+def test_report_write_failure_exit_code(bell_doc, tmp_path, capsys):
+    target = tmp_path / "missing" / "r.json"
+    code, out, err = run_cli(capsys, "compile", bell_doc, "--report",
+                             str(target))
+    assert code == 2
+    assert json.loads(out)["command"] == "compile"
+    assert err.startswith("error: ") and "No such file" in err

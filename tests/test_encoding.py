@@ -25,8 +25,9 @@ def test_logical_basis_state_rejects_oversized_register():
     register = define_register(
         layout, [(f"D{i}", "dual_rail", (f"m{2 * i}", f"m{2 * i + 1}"))
                  for i in range(8)])
-    with pytest.raises(StateError, match="bytes"):
-        logical_basis_state(register, [0] * 8)
+    state = logical_basis_state(register, [0] * 8)
+    with pytest.raises(StateError, match="needs 160000000000000000 bytes"):
+        state.amplitudes
 
 
 def test_register_counts_logical_qubits(hybrid_system):

@@ -165,13 +165,20 @@ def test_exp_rejects_non_hermitian():
     [(f"m{i}", "mode", 10) for i in range(20)],       # past int64
 ])
 def test_basis_state_rejects_oversized_layout(spec):
+    # A state holds only its support, so only the dense view is refused;
+    # past int64 even the support's basis indices are.
     layout = create_layout(spec)
     assert layout.total_dim == int(np.prod([d for *_, d in spec],
                                            dtype=object))
     assert layout.total_dim > MAX_STATE_DIM
+    if layout.total_dim > fock.MAX_INDEX_DIM:
+        with pytest.raises(StateError, match="do not fit in int64"):
+            ground_state(layout)
+        return
+    state = ground_state(layout)
     with pytest.raises(StateError, match=f"needs {layout.total_dim * 16} "
                        "bytes"):
-        ground_state(layout)
+        state.amplitudes
 
 
 def test_measure_ground_deterministic():

@@ -20,6 +20,8 @@ from drqsim import (
     zbs,
     zbs_angle_from_pulse,
 )
+from drqsim import fock
+from drqsim.errors import StateError
 from drqsim.fock import OperatorMatrix, apply_matrix
 from drqsim.pulses import (
     cbs_factors,
@@ -466,3 +468,23 @@ def test_zbs_generator_matches_pulse_hamiltonian(qm_layout):
                                 np.exp(1j * phi) * kron_le([ad, a])
                                 + np.exp(-1j * phi) * kron_le([a, ad])])
     assert np.max(np.abs((-scale) * gen.entries - h_zbs * p.t)) <= 1e-9
+
+
+# --- pulse matrix size bound -------------------------------------------------
+
+@pytest.mark.parametrize("op,block", [
+    (carrier(0.3, 0.0, "q"), 2),
+    (qphase(0.3, "q"), 2),
+    (rsb(0.3, "q", "m0"), 8),
+    (beamsplitter(0.3, 0.1, "m0", "m1"), 16),
+    (zbs(0.3, 0.1, "q", "m0", "m1"), 32),
+])
+@pytest.mark.parametrize("build", [pulse_matrix, pulse_generator])
+def test_pulse_matrix_refused_past_limit(qm_layout, monkeypatch, op, block,
+                                         build):
+    # The limit is one entry short of the pulse's block squared.
+    monkeypatch.setattr(fock, "MAX_STATE_DIM", block ** 2 - 1)
+    with pytest.raises(StateError, match=f"{op.kind} pulse on .* needs a "
+                       f"{block} x {block} matrix; the limit is "
+                       f"{block ** 2 - 1} entries"):
+        build(op, qm_layout)
