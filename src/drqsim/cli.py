@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from .compiler import ERROR_INJECTION, PARITY_CHECK, CompiledProgram, lower
-from .document import CircuitDocument, parse_circuit
+from .document import MAX_SHOTS, CircuitDocument, parse_circuit
 from .encoding import LogicalRegister, define_register, extract_logical_state
 from .errors import (
     CompileError,
@@ -217,6 +217,13 @@ def _count(text: str) -> int:
     return value
 
 
+def _shots(text: str) -> int:
+    value = _count(text)
+    if value > MAX_SHOTS:
+        raise argparse.ArgumentTypeError(f"{text!r} exceeds {MAX_SHOTS}")
+    return value
+
+
 def _tolerance(text: str) -> float:
     value = float(text)
     if not 0 <= value < math.inf:
@@ -244,7 +251,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="simulate a circuit document")
     p_run.add_argument("document")
     p_run.add_argument("--seed", type=_count, default=None)
-    p_run.add_argument("--shots", type=_count, default=None)
+    p_run.add_argument("--shots", type=_shots, default=None)
     p_run.add_argument("--allow-midcircuit", action="store_true",
                        help="allow qndcheck before the end of the program")
     common(p_run)
@@ -258,14 +265,24 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _file_error(path: str, exc: Exception) -> int:
+    reason = getattr(exc, "strerror", None) or exc
+    print(f"error: {path}: {reason}", file=sys.stderr)
+    return EXIT_VALIDATION
+
+
 def main(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
         doc = None
         if getattr(args, "document", None):
-            with open(args.document, encoding="utf-8") as fh:
-                doc = parse_circuit(fh.read())
+            try:
+                with open(args.document, encoding="utf-8") as fh:
+                    text = fh.read()
+            except (OSError, UnicodeDecodeError) as exc:
+                return _file_error(args.document, exc)
+            doc = parse_circuit(text)
         if args.command == "verify" and doc is None and not args.builtin:
             parser.error("verify needs a document or --builtin")
         if args.command == "compile":
@@ -277,8 +294,11 @@ def main(argv=None) -> int:
         text = json.dumps(report, indent=2, sort_keys=True)
         print(text)
         if args.report:
-            with open(args.report, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
+            try:
+                with open(args.report, "w", encoding="utf-8") as fh:
+                    fh.write(text + "\n")
+            except OSError as exc:
+                return _file_error(args.report, exc)
     except (DocumentError, LayoutError, RegisterError, CompileError,
             PulseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -286,9 +306,6 @@ def main(argv=None) -> int:
     except (HealthError, StateError) as exc:
         print(f"numeric health failure: {exc}", file=sys.stderr)
         return EXIT_HEALTH
-    except (OSError, UnicodeDecodeError) as exc:  # document or report file
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     return code
 
 

@@ -36,6 +36,7 @@ from .encoding import KIND_ARITY
 from .errors import DocumentError
 
 SECTIONS = ("system", "registers", "ancillas", "program", "options")
+MAX_SHOTS = 2 ** 63 - 1  # the sampler draws int64 binomial counts
 _NUMBER_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 _PI_RE = re.compile(r"^([+-]?)pi(\*([+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?))?$")
 
@@ -214,6 +215,9 @@ def parse_circuit(text: str) -> CircuitDocument:
                 what = "integer" if integer else "number"
                 raise DocumentError("number", lineno,
                                     f"{key} must be a non-negative {what}")
+            if key == "shots" and value > MAX_SHOTS:
+                raise DocumentError("number", lineno,
+                                    f"shots must be at most {MAX_SHOTS}")
             options[key] = value
 
     doc.registers = tuple(registers)

@@ -11,10 +11,10 @@ Five pulses act on the physical system:
 plus a non-pulse `native_xx` entangling unitary between two internal
 qubits (an existing native two-qubit gate, applied as an ideal R_XX).
 
-Each pulse has two construction paths: an analytic one (closed-form
-blocks, eigendecomposition for beamsplitters) used by the simulator, and
-the generator + `exp_hermitian` path used as an oracle.  Tests pin the
-two against each other.
+Every pulse is exp(i f theta G) of a small Hermitian generator G that
+conserves an excitation or phonon number, so G is block-diagonal.
+`pulse_matrix` takes it block by block in G's eigenbasis, cached per
+(kind, phi, target dims); tests pin it to the Pade oracle `exp_hermitian`.
 
 Sign conventions worth noting: with the (ground, excited) basis ordering,
 sigma_z is diag(-1, +1), so the red sideband couples |g, m+1> <-> |e, m>
@@ -23,8 +23,9 @@ realizes the internal-qubit y-rotation used by the parity circuits.
 """
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -44,7 +45,6 @@ from .fock import (
     annihilation_matrix,
     apply_matrix,
     creation_matrix,
-    exp_hermitian,
     kron_le,
 )
 
@@ -141,18 +141,20 @@ def cbs_factors(theta: float, phi: float, qubit_id: str, mode1: str,
     ]
 
 
-def _check_kinds(op: PhysicalOp, layout: HilbertLayout) -> None:
-    """Check the target kinds, and refuse a pulse matrix too large to build."""
+def _check_kinds(op: PhysicalOp, layout: HilbertLayout) -> tuple[int, ...]:
+    """Check the target kinds and the matrix size; return the target dims."""
     for sid, want in zip(op.targets, _ARITY[op.kind]):
         got = layout.kind_of(sid)
         if got != want:
             raise PulseError(
                 f"{op.kind} target {sid!r} must be a {want}, got {got}")
-    block = math.prod(layout.dim_of(sid) for sid in op.targets)
+    dims = tuple(layout.dim_of(sid) for sid in op.targets)
+    block = math.prod(dims)
     if block ** 2 > fock.MAX_STATE_DIM:
         raise StateError(
             f"{op.kind} pulse on {op.targets} needs a {block} x {block} "
             f"matrix; the limit is {fock.MAX_STATE_DIM} entries")
+    return dims
 
 
 def _bs_generator(phi: float, d1: int, d2: int) -> np.ndarray:
@@ -162,6 +164,21 @@ def _bs_generator(phi: float, d1: int, d2: int) -> np.ndarray:
             + np.exp(-1j * phi) * kron_le([a1, ad2]))
 
 
+# kind -> (Hermitian generator G(phi, *target dims), angle factor f): the
+# pulse of angle theta is exp(i f theta G).
+_GENERATORS = {
+    "carrier": (lambda phi, _: np.exp(1j * phi) * SIGMA_PLUS
+                + np.exp(-1j * phi) * SIGMA_MINUS, -0.5),
+    "qphase": (lambda phi, _: SIGMA_Z.copy(), -0.5),
+    "rsb": (lambda phi, _, d: kron_le([SIGMA_PLUS, annihilation_matrix(d)])
+            + kron_le([SIGMA_MINUS, creation_matrix(d)]), -0.5),
+    "bs": (_bs_generator, 1.0),
+    "zbs": (lambda phi, _, d1, d2:
+            kron_le([SIGMA_Z, _bs_generator(phi, d1, d2)]), -1.0),
+    "native_xx": (lambda phi, *_: kron_le([SIGMA_X, SIGMA_X]), -0.5),
+}
+
+
 def pulse_generator(op: PhysicalOp,
                     layout: HilbertLayout) -> tuple[OperatorMatrix, float]:
     """Hermitian generator G and scale s with effect exp(i*s*G).
@@ -169,116 +186,53 @@ def pulse_generator(op: PhysicalOp,
     Feeding the pair to `exp_hermitian` reproduces the pulse unitary; this
     is the oracle side of the dual-path checks.
     """
-    _check_kinds(op, layout)
-    th, phi = op.theta, op.phi
-    if op.kind == "carrier":
-        gen = np.exp(1j * phi) * SIGMA_PLUS + np.exp(-1j * phi) * SIGMA_MINUS
-        return OperatorMatrix(op.targets, gen), -th / 2
-    if op.kind == "qphase":
-        return OperatorMatrix(op.targets, SIGMA_Z.copy()), -th / 2
-    if op.kind == "rsb":
-        d = layout.dim_of(op.targets[1])
-        gen = (kron_le([SIGMA_PLUS, annihilation_matrix(d)])
-               + kron_le([SIGMA_MINUS, creation_matrix(d)]))
-        return OperatorMatrix(op.targets, gen), -th / 2
-    if op.kind == "bs":
-        d1, d2 = (layout.dim_of(s) for s in op.targets)
-        return OperatorMatrix(op.targets, _bs_generator(phi, d1, d2)), th
-    if op.kind == "zbs":
-        d1, d2 = (layout.dim_of(s) for s in op.targets[1:])
-        gen = kron_le([SIGMA_Z, _bs_generator(phi, d1, d2)])
-        return OperatorMatrix(op.targets, gen), -th
-    if op.kind == "native_xx":
-        return OperatorMatrix(op.targets, kron_le([SIGMA_X, SIGMA_X])), -th / 2
-    raise PulseError(f"unknown pulse kind {op.kind!r}")
+    dims = _check_kinds(op, layout)
+    build, factor = _GENERATORS[op.kind]
+    return OperatorMatrix(op.targets, build(op.phi, *dims)), factor * op.theta
 
 
-def _carrier_matrix(theta: float, phi: float) -> np.ndarray:
-    c, s = np.cos(theta / 2), np.sin(theta / 2)
-    return np.array([[c, -1j * s * np.exp(-1j * phi)],
-                     [-1j * s * np.exp(1j * phi), c]])
-
-
-def _qphase_matrix(theta: float) -> np.ndarray:
-    return np.diag([np.exp(1j * theta / 2), np.exp(-1j * theta / 2)])
-
-
-def _rsb_matrix(theta: float, dim: int) -> np.ndarray:
-    # Block rotations on {|g, m+1>, |e, m>} with angle theta*sqrt(m+1);
-    # |g, 0> and |e, top> are stationary under hard truncation.
-    u = np.eye(2 * dim, dtype=complex)
-    for m in range(dim - 1):
-        lo = 0 + 2 * (m + 1)
-        hi = 1 + 2 * m
-        half = (theta / 2) * np.sqrt(m + 1)
-        c, s = np.cos(half), np.sin(half)
-        u[lo, lo] = c
-        u[hi, hi] = c
-        u[lo, hi] = -1j * s
-        u[hi, lo] = -1j * s
-    return u
-
-
-def _bs_matrix(theta: float, phi: float, d1: int, d2: int) -> np.ndarray:
-    # The generator is block-diagonal over total phonon number; each
-    # (possibly truncated) block is exponentiated by eigendecomposition,
-    # which keeps this path independent of the Pade-expm oracle.
-    gen = _bs_generator(phi, d1, d2)
-    dim = d1 * d2
-    groups: dict[int, list[int]] = {}
-    for n2 in range(d2):
-        for n1 in range(d1):
-            groups.setdefault(n1 + n2, []).append(n1 + d1 * n2)
-    u = np.zeros((dim, dim), dtype=complex)
-    for idxs in groups.values():
-        sub = gen[np.ix_(idxs, idxs)]
-        w, vecs = np.linalg.eigh(sub)
-        u[np.ix_(idxs, idxs)] = (vecs * np.exp(1j * theta * w)) @ vecs.conj().T
-    return u
-
-
-def _zbs_matrix(theta: float, phi: float, d1: int, d2: int) -> np.ndarray:
-    # Block-diagonal in the qubit basis: B(theta) on the ground branch,
-    # B(-theta) on the excited branch (sigma_z eigenvalues -1 and +1).
-    down = _bs_matrix(theta, phi, d1, d2)
-    up = _bs_matrix(-theta, phi, d1, d2)
-    dim = 2 * d1 * d2
-    u = np.zeros((dim, dim), dtype=complex)
-    u[0::2, 0::2] = down
-    u[1::2, 1::2] = up
-    return u
-
-
-def _xx_matrix(theta: float) -> np.ndarray:
-    c, s = np.cos(theta / 2), np.sin(theta / 2)
-    xx = kron_le([SIGMA_X, SIGMA_X])
-    return c * np.eye(4) - 1j * s * xx
+@functools.lru_cache(maxsize=256)
+def _eigenbasis(kind: str, phi: float, dims: tuple[int, ...]) -> tuple:
+    """G's eigendecomposition, one connected block of its nonzeros at a
+    time.  Blocks of one size are stacked into a group: (flat positions of
+    their entries in the matrix, eigenvalues, V, V^dagger)."""
+    gen = _GENERATORS[kind][0](phi, *dims)
+    rows, cols = np.nonzero(gen)
+    # Label propagation: each state takes its neighbours' least label, then
+    # that label's label, until none moves (each block's least index).
+    labels, moved = np.arange(len(gen)), True
+    while moved:
+        new = labels.copy()
+        np.minimum.at(new, rows, labels[cols])
+        moved = not np.array_equal(new[new], labels)
+        labels = new[new]
+    blocks = [np.flatnonzero(labels == b) for b in np.unique(labels)]
+    groups = []
+    for size in sorted({len(b) for b in blocks}):
+        idx = np.array([b for b in blocks if len(b) == size])
+        w, v = np.linalg.eigh(gen[idx[:, :, None], idx[:, None, :]])
+        group = ((idx[:, :, None] * len(gen) + idx[:, None, :]).ravel(),
+                 w, v, v.conj().transpose(0, 2, 1))
+        for arr in group:
+            arr.flags.writeable = False  # shared by every caller of the cache
+        groups.append(group)
+    return tuple(groups)
 
 
 def pulse_matrix(op: PhysicalOp, layout: HilbertLayout) -> OperatorMatrix:
-    """Analytic unitary of the pulse over its targets."""
-    _check_kinds(op, layout)
-    th, phi = op.theta, op.phi
-    if op.kind == "carrier":
-        return OperatorMatrix(op.targets, _carrier_matrix(th, phi))
-    if op.kind == "qphase":
-        return OperatorMatrix(op.targets, _qphase_matrix(th))
-    if op.kind == "rsb":
-        return OperatorMatrix(op.targets,
-                              _rsb_matrix(th, layout.dim_of(op.targets[1])))
-    if op.kind == "bs":
-        d1, d2 = (layout.dim_of(s) for s in op.targets)
-        return OperatorMatrix(op.targets, _bs_matrix(th, phi, d1, d2))
-    if op.kind == "zbs":
-        d1, d2 = (layout.dim_of(s) for s in op.targets[1:])
-        return OperatorMatrix(op.targets, _zbs_matrix(th, phi, d1, d2))
-    if op.kind == "native_xx":
-        return OperatorMatrix(op.targets, _xx_matrix(th))
-    raise PulseError(f"unknown pulse kind {op.kind!r}")
+    """Unitary exp(i f theta G) of the pulse over its targets, taken block
+    by block in G's cached eigenbasis: theta enters only as the phases
+    exp(i f theta w), and every entry between two blocks is exactly 0."""
+    dims = _check_kinds(op, layout)
+    angle = _GENERATORS[op.kind][1] * op.theta
+    u = np.zeros((math.prod(dims),) * 2, dtype=complex)
+    for flat, w, v, vh in _eigenbasis(op.kind, op.phi, dims):
+        np.put(u, flat, (v * np.exp(1j * angle * w)[:, None, :]) @ vh)
+    return OperatorMatrix(op.targets, u)
 
 
 def apply_pulse(state: StateVector, op: PhysicalOp) -> StateVector:
-    """Apply one pulse through its analytic path."""
+    """Apply one pulse through `pulse_matrix`."""
     mat = pulse_matrix(op, state.layout)
     return apply_matrix(state, mat.entries, mat.subsystem_ids)
 

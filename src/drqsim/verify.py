@@ -1,8 +1,8 @@
 """Independent oracles and health checks.
 
 `program_unitary` reconstructs a pulse program as a dense matrix by two
-routes: evolving basis columns through the analytic pulse paths, or
-multiplying embedded matrix exponentials built with `exp_hermitian`.
+routes: evolving basis columns through each generator's eigenbasis block
+by block, or multiplying embedded exponentials from the Pade `expm` oracle.
 Agreement between the routes is what keeps the compiler honest; the
 equivalence checker then compares against ideal gates up to an overall
 phase.  Heating errors are injected as discrete phonon jumps, and the
@@ -73,8 +73,8 @@ def program_unitary(program, layout: HilbertLayout,
     program and projected back onto the codeword span; `leakage_max` is
     the largest weight lost outside that span.  Without it the full
     total_dim matrix is returned.  `method` selects the evolution route:
-    "pulse" for the analytic paths, "expm" for the exp_hermitian matmul
-    oracle (full-space only).
+    "pulse" for the generators' eigenbases, block by block, "expm" for
+    the Pade `exp_hermitian` matmul oracle (full-space only).
     """
     ops = _op_list(program)
     if restrict is None:

@@ -329,6 +329,22 @@ def test_bad_seed_or_shots_option_exit_code(tmp_path, capsys, option):
     assert option.split(":")[0] in err
 
 
+def test_huge_shots_flag_exit_code(bell_doc, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", bell_doc, "--shots", "100000000000000000000"])
+    assert exc.value.code == 2
+    assert str(2 ** 63 - 1) in capsys.readouterr().err
+
+
+def test_huge_shots_option_exit_code(tmp_path, capsys):
+    path = tmp_path / "huge.drq"
+    path.write_text(BELL.replace("shots: 10000", "shots: 1e300"))
+    code, out, err = run_cli(capsys, "run", str(path))
+    assert code == 2
+    assert out == ""
+    assert str(2 ** 63 - 1) in err
+
+
 def test_repeated_operand_exit_code(tmp_path, capsys):
     with open("circuits/toffoli.drq", encoding="utf-8") as fh:
         text = fh.read().replace("kcnot C1 C2 T", "mcx C1 C2 C1")
@@ -502,7 +518,7 @@ def test_document_directory_exit_code(tmp_path, capsys):
     code, out, err = run_cli(capsys, "run", str(tmp_path))
     assert code == 2
     assert out == ""
-    assert err.startswith("error: ") and "Is a directory" in err
+    assert err.startswith(f"error: {tmp_path}: ") and "Is a directory" in err
 
 
 def test_document_not_utf8_exit_code(tmp_path, capsys):
@@ -511,7 +527,7 @@ def test_document_not_utf8_exit_code(tmp_path, capsys):
     code, out, err = run_cli(capsys, "run", str(path))
     assert code == 2
     assert out == ""
-    assert err.startswith("error: ") and "utf-8" in err
+    assert err.startswith(f"error: {path}: ") and "utf-8" in err
 
 
 def test_report_write_failure_exit_code(bell_doc, tmp_path, capsys):
@@ -520,4 +536,5 @@ def test_report_write_failure_exit_code(bell_doc, tmp_path, capsys):
                              str(target))
     assert code == 2
     assert json.loads(out)["command"] == "compile"
-    assert err.startswith("error: ") and "No such file" in err
+    assert err.startswith(f"error: {target}: ") and "No such file" in err
+

@@ -286,15 +286,15 @@ def test_qphase_composition(qm_layout, rng):
     assert np.max(np.abs(one.amplitudes - two.amplitudes)) <= 1e-12
 
 
-# --- analytic path vs exponential oracle -------------------------------------
+# --- eigenbasis path vs exponential oracle -----------------------------------
 
 @pytest.mark.parametrize("make_op", [
-    lambda: carrier(0.97, -1.2, "q"),
-    lambda: rsb(1.41, "q", "m0"),
-    lambda: beamsplitter(0.66, 2.1, "m0", "m1"),
-    lambda: zbs(-0.58, 0.9, "q", "m0", "m1"),
-    lambda: qphase(2.3, "q"),
-    lambda: native_xx(0.77, "q", "q2"),
+    lambda th=0.97, phi=-1.2: carrier(th, phi, "q"),
+    lambda th=1.41, phi=0.0: rsb(th, "q", "m0"),
+    lambda th=0.66, phi=2.1: beamsplitter(th, phi, "m0", "m1"),
+    lambda th=-0.58, phi=0.9: zbs(th, phi, "q", "m0", "m1"),
+    lambda th=2.3, phi=0.0: qphase(th, "q"),
+    lambda th=0.77, phi=0.0: native_xx(th, "q", "q2"),
 ])
 def test_analytic_path_matches_exponential(make_op, rng):
     layout = create_layout([("q", "qubit", 2), ("q2", "qubit", 2),
@@ -308,6 +308,52 @@ def test_analytic_path_matches_exponential(make_op, rng):
     via_pulse = apply_pulse(state, op)
     via_oracle = apply_matrix(state, oracle, op.targets)
     assert np.max(np.abs(via_pulse.amplitudes - via_oracle.amplitudes)) <= 1e-10
+    # Random angles on modes of unequal cutoffs 3..6.
+    for _ in range(12):
+        d1, d2 = rng.integers(3, 7, size=2)
+        layout = create_layout([("q", "qubit", 2), ("q2", "qubit", 2),
+                                ("m0", "mode", d1), ("m1", "mode", d2)])
+        op = make_op(rng.uniform(-7, 7), rng.uniform(-np.pi, np.pi))
+        oracle = exp_hermitian(*pulse_generator(op, layout)).entries
+        assert np.max(np.abs(pulse_matrix(op, layout).entries
+                             - oracle)) <= 1e-10
+
+
+@pytest.mark.parametrize("make_op,conserved", [
+    # conserved(levels of the targets, in target order) -> label
+    (lambda th, phi: qphase(th, "q"), lambda q: q),
+    (lambda th, phi: native_xx(th, "q", "q2"), lambda q1, q2: q1 ^ q2),
+    (lambda th, phi: rsb(th, "q", "m0"), lambda q, n: q + n),
+    (lambda th, phi: beamsplitter(th, phi, "m0", "m1"),
+     lambda n1, n2: n1 + n2),
+    (lambda th, phi: zbs(th, phi, "q", "m0", "m1"),
+     lambda q, n1, n2: (q, n1 + n2)),
+], ids=["qphase", "native_xx", "rsb", "bs", "zbs"])
+def test_pulse_matrix_exactly_zero_between_conserved_numbers(make_op,
+                                                             conserved, rng):
+    # The support kernel prunes exact zeros only, so no entry may couple
+    # states of different conserved number, even at rounding level.
+    for _ in range(10):
+        d1, d2 = rng.integers(3, 7, size=2)
+        layout = create_layout([("q", "qubit", 2), ("q2", "qubit", 2),
+                                ("m0", "mode", d1), ("m1", "mode", d2)])
+        op = make_op(rng.uniform(-7, 7), rng.uniform(-np.pi, np.pi))
+        sub = create_layout([(s, layout.kind_of(s), layout.dim_of(s))
+                             for s in op.targets])
+        labels = [conserved(*sub.levels_of(i)) for i in range(sub.total_dim)]
+        apart = np.array([[a != b for b in labels] for a in labels])
+        assert np.all(pulse_matrix(op, layout).entries[apart] == 0.0)
+
+
+def test_pulse_matrix_cache_is_safe(qm_layout):
+    # One (kind, phi, dims) eigenbasis serves every angle, and a caller
+    # writing into a returned matrix does not reach the cache.
+    pulse_matrix(zbs(0.4, 0.3, "q", "m0", "m1"), qm_layout).entries[:] = 7.0
+    for theta in (0.4, -1.9):
+        op = zbs(theta, 0.3, "q", "m0", "m1")
+        oracle = exp_hermitian(*pulse_generator(op, qm_layout)).entries
+        assert np.max(np.abs(pulse_matrix(op, qm_layout).entries
+                             - oracle)) <= 1e-10
 
 
 # --- excitation conservation -------------------------------------------------
