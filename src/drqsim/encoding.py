@@ -13,6 +13,7 @@ auxiliary mode sits in vacuum; any population there counts as leakage.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -25,6 +26,7 @@ from .fock import (
     StateVector,
     basis_state,
     measure_qubit_z,
+    support_index,
 )
 from .pulses import PhysicalOp, apply_pulse, carrier, rsb
 
@@ -89,6 +91,15 @@ class LogicalRegister:
     @property
     def logical_dim(self) -> int:
         return 2 ** self.n_logical
+
+    @cached_property
+    def codeword_indices(self) -> np.ndarray:
+        """Basis indices of the 2**n codewords, in logical order (first
+        registered qubit most significant); read-only, built once."""
+        indices = support_index(self.layout, [
+            codeword_index(self, bits) for bits in _bit_patterns(self.n_logical)])
+        indices.flags.writeable = False
+        return indices
 
     def claimed_subsystems(self) -> tuple[str, ...]:
         out: list[str] = []
@@ -202,8 +213,7 @@ class LogicalStateReport:
 
 def extract_logical_state(state: StateVector,
                           register: LogicalRegister) -> LogicalStateReport:
-    amps = state.amplitude_at([codeword_index(register, bits)
-                               for bits in _bit_patterns(register.n_logical)])
+    amps = state.amplitude_at(register.codeword_indices)
     weight = float(np.sum(np.abs(amps) ** 2))
     leakage = max(0.0, 1.0 - weight)
     phase = 0.0

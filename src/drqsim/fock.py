@@ -358,9 +358,11 @@ def support_rows(index: np.ndarray, rows: np.ndarray,
                  wanted: np.ndarray) -> np.ndarray:
     """The rows of `rows` (one per entry of the sorted `index`) at the
     basis indices `wanted`, zero where `wanted` is off the support."""
-    found = np.isin(wanted, index)
     out = np.zeros((len(wanted),) + rows.shape[1:], dtype=complex)
-    out[found] = rows[np.searchsorted(index, wanted[found])]
+    if len(index):
+        pos = np.minimum(np.searchsorted(index, wanted), len(index) - 1)
+        found = index[pos] == wanted
+        out[found] = rows[pos[found]]
     return out
 
 

@@ -3,7 +3,8 @@
 Each check compiles a construction and compares it against an
 independently built target (a direct matrix exponential or a textbook
 gate), up to a global phase.  The CLI `verify --builtin` command runs the
-whole list and reports one entry per check.
+whole list and reports one entry per check, holding each entry's error
+to the report's tolerance as well.
 """
 from __future__ import annotations
 

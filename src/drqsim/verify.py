@@ -16,11 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .compiler import GATES, CompiledProgram
-from .encoding import (
-    LogicalRegister,
-    codeword_index,
-    map_dual_rail_readout,
-)
+from .encoding import LogicalRegister, map_dual_rail_readout
 from .errors import HealthError, RegisterError, StateError
 from .fock import (
     HilbertLayout,
@@ -98,10 +94,7 @@ def program_unitary(program, layout: HilbertLayout,
         if dim > MAX_RESTRICTED_DIM:
             raise StateError(
                 f"logical dimension {dim} exceeds {MAX_RESTRICTED_DIM}")
-        n = restrict.n_logical
-        columns = support_index(layout, [
-            codeword_index(restrict, [(b >> (n - 1 - i)) & 1 for i in range(n)])
-            for b in range(dim)])
+        columns = restrict.codeword_indices
     # All columns evolve together on the basis states they occupy.
     order = np.argsort(columns)
     index, amps = columns[order], np.eye(dim, dtype=complex)[order]
@@ -112,8 +105,10 @@ def program_unitary(program, layout: HilbertLayout,
     matrix = support_rows(index, amps, columns)
     if restrict is None:
         return ProgramUnitary(matrix)
-    return ProgramUnitary(matrix, max([0.0] + [
-        1.0 - float(np.sum(np.abs(column) ** 2)) for column in matrix.T]))
+    # Summed along contiguous rows of the transpose, each column's weight
+    # rounds exactly as a one-column sum would.
+    lost = 1.0 - np.sum(np.abs(np.ascontiguousarray(matrix.T)) ** 2, axis=1)
+    return ProgramUnitary(matrix, max(0.0, float(np.max(lost))))
 
 
 @dataclass

@@ -95,6 +95,19 @@ def test_verify_builtin_suite(capsys):
     assert all(c["equivalent"] for c in report["checks"])
 
 
+def test_verify_builtin_honours_tol(capsys):
+    # Every built-in check has an entry error above 1e-20.
+    code, out, _ = run_cli(capsys, "verify", "--builtin", "--tol", "1e-20")
+    report = json.loads(out)
+    assert code == 1
+    assert report["tolerance"] == 1e-20
+    assert report["passed"] is False
+    assert not any(c["equivalent"] for c in report["checks"])
+    code, out, _ = run_cli(capsys, "verify", "--builtin")
+    assert code == 0
+    assert json.loads(out)["passed"] is True
+
+
 def test_verify_failure_exit_code(bell_doc, capsys):
     # An absurd tolerance turns machine noise into a verification failure.
     code, out, _ = run_cli(capsys, "verify", bell_doc, "--tol", "1e-18")

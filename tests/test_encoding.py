@@ -36,6 +36,16 @@ def test_register_counts_logical_qubits(hybrid_system):
     assert register.logical_dim == 4
 
 
+def test_codeword_indices_built_once(hybrid_system):
+    _, register = hybrid_system
+    indices = register.codeword_indices
+    assert indices.tolist() == [codeword_index(register, bits)
+                                for bits in ((0, 0), (0, 1), (1, 0), (1, 1))]
+    assert register.codeword_indices is indices
+    with pytest.raises(ValueError):
+        indices[0] = 0
+
+
 def test_register_rejects_reuse():
     layout = create_layout([("m0", "mode", 4), ("m1", "mode", 4),
                             ("m2", "mode", 4)])

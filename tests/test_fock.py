@@ -25,6 +25,7 @@ from drqsim.fock import (
     creation_matrix,
     kron_le,
     support_index,
+    support_rows,
 )
 
 from conftest import random_state
@@ -342,3 +343,40 @@ def test_support_index_refuses_past_int64():
                          + [(f"m{i}", "mode", 4) for i in range(31)])
     assert fits.total_dim == 2 ** 63
     assert support_index(fits, [2 ** 63 - 1]).tolist() == [2 ** 63 - 1]
+
+
+def _isin_support_rows(index, rows, wanted):
+    """The `np.isin` form `support_rows` had; the reference for its lookup."""
+    found = np.isin(wanted, index)
+    out = np.zeros((len(wanted),) + rows.shape[1:], dtype=complex)
+    out[found] = rows[np.searchsorted(index, wanted[found])]
+    return out
+
+
+# (support index, wanted) over a 10-state layout.
+SUPPORT_CASES = {
+    "empty-index": ([], [0, 3, 9]),
+    "empty-wanted": ([2, 5], []),
+    "all-off-support": ([2, 5, 7], [0, 3, 4, 6, 8, 9]),
+    "below-and-above": ([3, 4, 6], [0, 2, 3, 6, 7, 9]),
+    "all-on-support": ([1, 4, 8], [8, 1, 4, 4]),
+    "single-entry": ([5], [4, 5, 6, 5]),
+}
+
+
+@pytest.mark.parametrize("case", SUPPORT_CASES)
+@pytest.mark.parametrize("k", [None, 1, 3])
+def test_support_rows_matches_isin_lookup(case, k):
+    index, wanted = (np.array(v, dtype=np.int64) for v in SUPPORT_CASES[case])
+    rng = np.random.default_rng(len(index) + len(wanted))
+    shape = (len(index),) if k is None else (len(index), k)
+    rows = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    got = support_rows(index, rows, wanted)
+    assert got.shape == (len(wanted),) + shape[1:]
+    assert np.array_equal(got, _isin_support_rows(index, rows, wanted))
+    if k is None:
+        layout = create_layout([("q", "qubit", 2), ("m", "mode", 5)])
+        state = fock.StateVector(layout, index=index, values=rows)
+        assert np.array_equal(state.amplitude_at(wanted),
+                              state.amplitudes[wanted])
+        assert np.array_equal(state.amplitude_at(list(wanted)), got)
