@@ -5,7 +5,7 @@ dual-rail and logical internal qubits to five pulse primitives, and
 machine-verifies the gate-construction identities.
 """
 from . import compiler, document, encoding, fock, pulses, suite, verify
-from .compiler import CompiledProgram, LogicalGate, compile_program
+from .compiler import CompiledProgram, compile_program
 from .document import CircuitDocument, parse_circuit, serialize_circuit
 from .encoding import (
     LogicalRegister,

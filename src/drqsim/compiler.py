@@ -24,9 +24,11 @@ Gate catalogue conventions (pinned by the oracle tests):
   reversed-direction CNOT              = Hadamard conjugation on both
                                          operands, H built from R_X/R_Y
 
-`GATES` is the one table of document gate names (arity, LogicalGate
-builder, ideal matrix); `lower` walks a whole program through it for the
-compile, run and verify commands.
+`GATES` is the one table of document gate names: each row holds the
+arity, the lowering of a document record to pulses, and the ideal
+matrix.  `lower` walks a whole program of records through it for the
+compile, run and verify commands; every lowering takes the register, the
+record's parameters and operands, and the program's ancilla pool.
 
 Global phases stated by the constructions (e^{i pi/4} per hybrid CNOT,
 e^{i pi/2} per odd-N CSWAP and per exchange composite, the su2 phase
@@ -70,87 +72,6 @@ def rotation_matrix(axis: str, theta: float) -> np.ndarray:
     pauli = {"x": PAULI_X, "y": PAULI_Y, "z": PAULI_Z}[axis]
     return (np.cos(theta / 2) * np.eye(2)
             - 1j * np.sin(theta / 2) * pauli)
-
-
-@dataclass
-class LogicalGate:
-    """One gate of the logical circuit."""
-
-    kind: str
-    operands: tuple[str, ...]
-    theta: float | None = None
-    matrix: np.ndarray | None = field(default=None, repr=False)
-    inner: "LogicalGate | None" = None
-
-
-def su2(matrix: np.ndarray, target: str) -> LogicalGate:
-    return LogicalGate("su2", (target,), matrix=np.asarray(matrix, dtype=complex))
-
-
-def rx(theta: float, target: str) -> LogicalGate:
-    return su2(rotation_matrix("x", theta), target)
-
-
-def ry(theta: float, target: str) -> LogicalGate:
-    return su2(rotation_matrix("y", theta), target)
-
-
-def rz(theta: float, target: str) -> LogicalGate:
-    return su2(rotation_matrix("z", theta), target)
-
-
-def x(target: str) -> LogicalGate:
-    return su2(PAULI_X, target)
-
-
-def y(target: str) -> LogicalGate:
-    return su2(PAULI_Y, target)
-
-
-def z(target: str) -> LogicalGate:
-    return su2(PAULI_Z, target)
-
-
-def h(target: str) -> LogicalGate:
-    return su2(HADAMARD, target)
-
-
-def s(target: str) -> LogicalGate:
-    return su2(S_GATE, target)
-
-
-def sdg(target: str) -> LogicalGate:
-    return su2(S_GATE.conj().T, target)
-
-
-def rzz(theta: float, d1: str, d2: str) -> LogicalGate:
-    return LogicalGate("rzz", (d1, d2), theta=theta)
-
-
-def rxx(theta: float, a: str, b: str) -> LogicalGate:
-    return LogicalGate("rxx", (a, b), theta=theta)
-
-
-def cnot(control: str, target: str) -> LogicalGate:
-    return LogicalGate("cnot", (control, target))
-
-
-def cswap(control: str, *targets: str) -> LogicalGate:
-    return LogicalGate("cswap", (control, *targets))
-
-
-def kcnot(controls: Sequence[str], target: str) -> LogicalGate:
-    return LogicalGate("kcnot", (*controls, target))
-
-
-def mcx(controls: Sequence[str], target: str) -> LogicalGate:
-    return LogicalGate("multi_controlled", tuple(controls),
-                       inner=LogicalGate("cnot", (target,)))
-
-
-def mcswap(controls: Sequence[str], *targets: str) -> LogicalGate:
-    return LogicalGate("multi_controlled", tuple(controls),
-                       inner=LogicalGate("cswap", tuple(targets)))
 
 
 @dataclass
@@ -201,6 +122,32 @@ class CompiledProgram:
         if flagged % 2:
             raise CompileError("dangling aux-flagged pulse")
         return plain + flagged // 2
+
+
+class AncillaPool:
+    """Least-recently-used checkout over the register's ancilla qubits."""
+
+    def __init__(self, register: LogicalRegister):
+        self._free = deque(register.ancilla_qubits)
+
+    def take(self, label: str) -> str:
+        if not self._free:
+            raise CompileError(f"{label}: ancilla pool exhausted")
+        return self._free.popleft()
+
+    def release(self, *ids: str) -> None:
+        for sid in ids:
+            if sid is not None:
+                self._free.append(sid)
+
+    @contextmanager
+    def borrowed(self, label: str):
+        """One ancilla for the body, returned to the pool afterwards."""
+        anc = self.take(label)
+        try:
+            yield anc
+        finally:
+            self.release(anc)
 
 
 # ---------------------------------------------------------------------------
@@ -260,14 +207,26 @@ def _rail_rotation(axis: str, theta: float, d0: str, d1: str,
     return zbs(theta / 2, phi, anc, d0, d1)
 
 
-def compile_su2_internal(register: LogicalRegister, matrix: np.ndarray,
-                         logical_id: str) -> CompiledProgram:
-    """Arbitrary single-qubit gate on a logical internal qubit."""
-    entry = register.entry(logical_id)
-    if entry.is_dual_rail:
-        raise CompileError(f"{logical_id!r} is not an internal qubit")
-    prog = CompiledProgram()
+def compile_su2(register: LogicalRegister, matrix: np.ndarray, target: str,
+                pool: AncillaPool) -> CompiledProgram:
+    """Arbitrary single-qubit gate.
+
+    A dual-rail target gets beamsplitters on its rails through a pooled
+    ancilla; an internal target gets carrier pulses, or free evolution
+    when the gate is diagonal.
+    """
+    entry = register.entry(target)
     u = np.asarray(matrix, dtype=complex)
+    prog = CompiledProgram()
+    if entry.is_dual_rail:
+        d0, d1 = entry.rails
+        with pool.borrowed("su2") as anc:
+            alpha, rots = _xy_angles(u)
+            prog.add([_rail_rotation(ax, th, d0, d1, anc)
+                      for ax, th in rots], -alpha)
+            if rots:
+                prog.borrow(f"su2:{target}", qubits=(anc,))
+        return prog
     if max(abs(u[0, 1]), abs(u[1, 0])) < 1e-14:
         # Diagonal gates map to free evolution instead of three pulses.
         theta = float(np.angle(u[1, 1] / u[0, 0]))
@@ -281,22 +240,6 @@ def compile_su2_internal(register: LogicalRegister, matrix: np.ndarray,
     # e^{-i alpha} times the requested matrix.
     prog.add([_internal_rotation(ax, th, entry.qubit) for ax, th in rots],
              -alpha)
-    return prog
-
-
-def compile_su2_dual(register: LogicalRegister, matrix: np.ndarray,
-                     logical_id: str, ancilla_qubit: str) -> CompiledProgram:
-    """Arbitrary single-qubit gate on a dual-rail qubit via beamsplitters."""
-    entry = register.entry(logical_id)
-    if not entry.is_dual_rail:
-        raise CompileError(f"{logical_id!r} is not a dual-rail qubit")
-    d0, d1 = entry.rails
-    alpha, rots = _xy_angles(matrix)
-    prog = CompiledProgram()
-    prog.add([_rail_rotation(ax, th, d0, d1, ancilla_qubit)
-              for ax, th in rots], -alpha)
-    if rots:
-        prog.borrow(f"su2:{logical_id}", qubits=(ancilla_qubit,))
     return prog
 
 
@@ -336,16 +279,17 @@ def tnp_sequence(theta: float, qubit: str, mode1: str,
 
 
 def compile_rzz(register: LogicalRegister, theta: float, d1_id: str,
-                d2_id: str, ancilla_qubit: str) -> CompiledProgram:
+                d2_id: str, pool: AncillaPool) -> CompiledProgram:
     """ZZ-rotation between two dual-rail qubits via the parity phase."""
-    e1, e2 = register.entry(d1_id), register.entry(d2_id)
-    if not (e1.is_dual_rail and e2.is_dual_rail):
-        raise CompileError("rzz operands must both be dual-rail")
     prog = CompiledProgram()
-    # The occupied second rail decides the computational basis state, so
-    # the parity circuit runs on the two second rails.
-    prog.add(tnp_sequence(theta, ancilla_qubit, e1.rails[1], e2.rails[1]))
-    prog.borrow(f"rzz:{d1_id},{d2_id}", qubits=(ancilla_qubit,))
+    with pool.borrowed("rzz") as anc:
+        e1, e2 = register.entry(d1_id), register.entry(d2_id)
+        if not (e1.is_dual_rail and e2.is_dual_rail):
+            raise CompileError("rzz operands must both be dual-rail")
+        # The occupied second rail decides the computational basis state,
+        # so the parity circuit runs on the two second rails.
+        prog.add(tnp_sequence(theta, anc, e1.rails[1], e2.rails[1]))
+    prog.borrow(f"rzz:{d1_id},{d2_id}", qubits=(anc,))
     return prog
 
 
@@ -370,33 +314,6 @@ def _cnot_rails_to_q(q: str, d0: str, d1: str,
     return ops, fwd_phase + 4 * H_PHASE
 
 
-def compile_cnot_hybrid(register: LogicalRegister, control: str, target: str,
-                        ancilla_qubit: str) -> CompiledProgram:
-    """CNOT between a logical internal qubit and a dual-rail qubit."""
-    ce, te = register.entry(control), register.entry(target)
-    if ce.is_dual_rail == te.is_dual_rail:
-        raise CompileError("hybrid cnot needs one internal and one dual-rail operand")
-    prog = CompiledProgram()
-    if not ce.is_dual_rail:
-        ops, phase = _cnot_q_to_rails(ce.qubit, *te.rails, anc=ancilla_qubit)
-    else:
-        ops, phase = _cnot_rails_to_q(te.qubit, *ce.rails, anc=ancilla_qubit)
-    prog.add(ops, phase)
-    prog.borrow(f"cnot:{control}->{target}", qubits=(ancilla_qubit,))
-    return prog
-
-
-def compile_cnot_internal(register: LogicalRegister, control: str,
-                          target: str) -> CompiledProgram:
-    """CNOT between two logical internal qubits via the native XX gate."""
-    ce, te = register.entry(control), register.entry(target)
-    if ce.is_dual_rail or te.is_dual_rail:
-        raise CompileError("internal cnot needs two internal operands")
-    prog = CompiledProgram()
-    prog.add(*_native_cnot(ce.qubit, te.qubit))
-    return prog
-
-
 def _native_cnot(c: str, t: str) -> tuple[list[PhysicalOp], float]:
     """CNOT between two internal qubits; physical = e^{i pi/4} CNOT."""
     return [
@@ -408,36 +325,54 @@ def _native_cnot(c: str, t: str) -> tuple[list[PhysicalOp], float]:
     ], _PI / 4
 
 
-def compile_rxx_hybrid(register: LogicalRegister, theta: float, q_id: str,
-                       d_id: str) -> CompiledProgram:
-    """XX-rotation between an internal and a dual-rail qubit; no ancilla."""
-    qe, de = register.entry(q_id), register.entry(d_id)
-    if qe.is_dual_rail or not de.is_dual_rail:
-        raise CompileError("hybrid rxx needs (internal, dual-rail) operands")
-    d0, d1 = de.rails
-    q = qe.qubit
+def compile_cnot(register: LogicalRegister, control: str, target: str,
+                 pool: AncillaPool) -> CompiledProgram:
+    """CNOT: the native XX gate between two internal qubits, or the
+    hybrid conditional-beamsplitter CNOT (either direction) between an
+    internal and a dual-rail qubit through a pooled ancilla."""
+    ce, te = register.entry(control), register.entry(target)
     prog = CompiledProgram()
-    prog.add([
-        zbs(-_PI / 4, 0.0, q, d0, d1),
-        carrier(-theta, -_PI / 2, q),   # script y-rotation by -theta
-        zbs(_PI / 4, 0.0, q, d0, d1),
-    ])
+    if not ce.is_dual_rail and not te.is_dual_rail:
+        prog.add(*_native_cnot(ce.qubit, te.qubit))
+        return prog
+    if ce.is_dual_rail and te.is_dual_rail:
+        raise CompileError(
+            "cnot between two dual-rail qubits is not lowered; "
+            "use rzz with single-qubit gates")
+    with pool.borrowed("cnot") as anc:
+        if te.is_dual_rail:
+            prog.add(*_cnot_q_to_rails(ce.qubit, *te.rails, anc=anc))
+        else:
+            prog.add(*_cnot_rails_to_q(te.qubit, *ce.rails, anc=anc))
+    prog.borrow(f"cnot:{control}->{target}", qubits=(anc,))
     return prog
 
 
-def compile_native_xx(register: LogicalRegister, theta: float, q1: str,
-                      q2: str) -> CompiledProgram:
-    e1, e2 = register.entry(q1), register.entry(q2)
-    if e1.is_dual_rail or e2.is_dual_rail:
-        raise CompileError("native xx needs two internal operands")
+def compile_rxx(register: LogicalRegister, theta: float, a: str, b: str,
+                pool: AncillaPool) -> CompiledProgram:
+    """XX-rotation: the native XX gate between two internal qubits, or a
+    ZBS conjugation of a carrier y-rotation between an internal and a
+    dual-rail qubit.  Neither takes an ancilla from the pool."""
+    ea, eb = register.entry(a), register.entry(b)
     prog = CompiledProgram()
-    prog.add([native_xx(theta, e1.qubit, e2.qubit)])
+    if not ea.is_dual_rail and not eb.is_dual_rail:
+        prog.add([native_xx(theta, ea.qubit, eb.qubit)])
+        return prog
+    if ea.is_dual_rail and eb.is_dual_rail:
+        raise CompileError("rxx between two dual-rail qubits is not lowered")
+    qe, de = (ea, eb) if eb.is_dual_rail else (eb, ea)
+    d0, d1 = de.rails
+    prog.add([
+        zbs(-_PI / 4, 0.0, qe.qubit, d0, d1),
+        carrier(-theta, -_PI / 2, qe.qubit),   # script y-rotation by -theta
+        zbs(_PI / 4, 0.0, qe.qubit, d0, d1),
+    ])
     return prog
 
 
 def compile_cswap(register: LogicalRegister, control: str,
                   targets: Sequence[str],
-                  ancilla_qubit: str) -> CompiledProgram:
+                  pool: AncillaPool) -> CompiledProgram:
     """Controlled SWAP of two N-qubit dual-rail registers.
 
     Pairs target i with target N+i; each pair costs two conditional
@@ -445,11 +380,12 @@ def compile_cswap(register: LogicalRegister, control: str,
     cancelled by a sigma_z rotation for odd N, which leaves the stated
     e^{i pi/2} overall phase.
     """
-    ce = register.entry(control)
-    if ce.is_dual_rail:
-        raise CompileError("cswap control must be a logical internal qubit")
-    prog = _cswap(register, ce.qubit, targets, ancilla_qubit)
-    prog.borrow(f"cswap:{control}", qubits=(ancilla_qubit,))
+    with pool.borrowed("cswap") as anc:
+        ce = register.entry(control)
+        if ce.is_dual_rail:
+            raise CompileError("cswap control must be a logical internal qubit")
+        prog = _cswap(register, ce.qubit, targets, anc)
+    prog.borrow(f"cswap:{control}", qubits=(anc,))
     return prog
 
 
@@ -477,14 +413,14 @@ def _cswap(register: LogicalRegister, q: str, targets: Sequence[str],
 # ---------------------------------------------------------------------------
 # Exchange and the multi-controlled constructions
 
-EXCHANGE_PHASE = _PI / 2  # two chained CNOTs at e^{i pi/4} each
-
 
 def _exchange_out_ops(q: str, d0: str, d1: str,
                       anc: str) -> tuple[list[PhysicalOp], float]:
     """C1 C2: move a dual-rail state onto a ground internal qubit.
 
-    Leaves the rails parked in the |0> codeword; carries e^{i pi/2}.
+    C1 is the CNOT with the internal qubit as control, C2 the one with
+    the dual-rail qubit as control.  Leaves the rails parked in the |0>
+    codeword; carries e^{i pi/2}.
     """
     ops2, ph2 = _cnot_rails_to_q(q, d0, d1, anc)
     ops1, ph1 = _cnot_q_to_rails(q, d0, d1, anc)
@@ -497,32 +433,6 @@ def _exchange_back_ops(q: str, d0: str, d1: str,
     ops1, ph1 = _cnot_q_to_rails(q, d0, d1, anc)
     ops2, ph2 = _cnot_rails_to_q(q, d0, d1, anc)
     return ops1 + ops2, ph1 + ph2
-
-
-def compile_exchange(register: LogicalRegister, d_id: str, qubit_id: str,
-                     ancilla_qubit: str
-                     ) -> tuple[CompiledProgram, CompiledProgram]:
-    """The two hybrid CNOTs whose products exchange rails and qubit.
-
-    Returns (C1, C2): C1 has the internal qubit as control, C2 the
-    dual-rail qubit.  C1*C2 maps (a|10> + b|01>)|g> to |10>(a|g> + b|e>)
-    up to e^{i pi/2}; C2*C1 inverts it on the coupled subspace.
-    """
-    de = register.entry(d_id)
-    if not de.is_dual_rail:
-        raise CompileError(f"{d_id!r} is not a dual-rail qubit")
-    if not register.layout.is_qubit(qubit_id):
-        raise CompileError(f"{qubit_id!r} is not a qubit")
-    d0, d1 = de.rails
-    c1 = CompiledProgram()
-    ops, phase = _cnot_q_to_rails(qubit_id, d0, d1, ancilla_qubit)
-    c1.add(ops, phase)
-    c1.borrow(f"exchange-c1:{d_id}", qubits=(ancilla_qubit,))
-    c2 = CompiledProgram()
-    ops, phase = _cnot_rails_to_q(qubit_id, d0, d1, ancilla_qubit)
-    c2.add(ops, phase)
-    c2.borrow(f"exchange-c2:{d_id}", qubits=(ancilla_qubit,))
-    return c1, c2
 
 
 def _aux_rsb_pi(q: str, aux_mode: str, com: str,
@@ -539,35 +449,8 @@ def _aux_rsb_pi(q: str, aux_mode: str, com: str,
     ]
 
 
-class _AncillaPool:
-    """Least-recently-used checkout over the register's ancilla qubits."""
-
-    def __init__(self, register: LogicalRegister):
-        self._free = deque(register.ancilla_qubits)
-
-    def take(self, label: str) -> str:
-        if not self._free:
-            raise CompileError(f"{label}: ancilla pool exhausted")
-        return self._free.popleft()
-
-    def release(self, *ids: str) -> None:
-        for sid in ids:
-            if sid is not None:
-                self._free.append(sid)
-
-    @contextmanager
-    def borrowed(self, label: str):
-        """One ancilla for the body, returned to the pool afterwards."""
-        anc = self.take(label)
-        try:
-            yield anc
-        finally:
-            self.release(anc)
-
-
 def compile_kcnot(register: LogicalRegister, controls: Sequence[str],
-                  target: str, pool: _AncillaPool | None = None
-                  ) -> CompiledProgram:
+                  target: str, pool: AncillaPool) -> CompiledProgram:
     """Multi-controlled X through the COM phonon bus.
 
     The target flip fires only while the bus phonon survives the ladder,
@@ -578,38 +461,39 @@ def compile_kcnot(register: LogicalRegister, controls: Sequence[str],
 
 
 def compile_multi_controlled(register: LogicalRegister,
-                             controls: Sequence[str], inner: LogicalGate,
-                             pool: _AncillaPool | None = None
-                             ) -> CompiledProgram:
+                             controls: Sequence[str], targets: Sequence[str],
+                             pool: AncillaPool) -> CompiledProgram:
     """General multi-controlled gate via a condition qubit.
 
     K+1 sideband-type unitaries store "all controls are |1>" on a spare
     internal qubit q_c, the inner gate runs with q_c as its control, and
     K+1 mirrored unitaries restore the controls and return q_c to |0>.
+    One target makes the inner gate an X, several a swap of their halves.
     """
     return _bus_ladder(register, "multi_controlled", controls, pool,
-                       inner=inner)
+                       inner=tuple(targets))
 
 
 def _bus_ladder(register: LogicalRegister, gate: str,
-                controls: Sequence[str], pool: _AncillaPool | None,
+                controls: Sequence[str], pool: AncillaPool,
                 target: str | None = None,
-                inner: LogicalGate | None = None) -> CompiledProgram:
+                inner: tuple[str, ...] = ()) -> CompiledProgram:
     """Controls loaded onto the COM bus, a middle, and the mirrored unwind.
 
     The first control loads its excitation into the bus with a sideband
     pi-pulse; every further control removes the phonon through its
     auxiliary mode unless it is in |1>, so the bus never holds more than
-    one phonon.  The middle flips `target` (K-CNOT) or, with `inner`,
-    stores the bus on a pool qubit q_c that controls the inner gate.  A
-    dual-rail rung is exchanged onto a pool qubit around its pulses.
-    Pool qubits are checked out as q_c, the beamsplitter ancilla, then
-    the exchange ancilla; that order decides the pulse targets.
+    one phonon.  The middle flips `target` (K-CNOT) or, with `inner`
+    targets, stores the bus on a pool qubit q_c that controls an X on the
+    one inner target or a swap of the inner targets' halves.  A dual-rail
+    rung is exchanged onto a pool qubit around its pulses.  Pool qubits
+    are checked out as q_c, the beamsplitter ancilla, then the exchange
+    ancilla; that order decides the pulse targets.
     """
-    need = 2 if inner is None else 1
+    need = 1 if inner else 2
     if len(controls) < need:
         raise CompileError(f"{gate} needs at least {need} control(s)")
-    rung_ids = [*controls] if inner is not None else [*controls, target]
+    rung_ids = [*controls] if inner else [*controls, target]
     entries = [register.entry(i) for i in rung_ids]
     if len(set(rung_ids)) != len(rung_ids):
         raise CompileError(f"{gate} operands overlap")
@@ -621,13 +505,10 @@ def _bus_ladder(register: LogicalRegister, gate: str,
             raise CompileError(
                 f"{e.logical_id!r} must carry an auxiliary mode for {gate}")
 
-    pool = pool or _AncillaPool(register)
-    q_c = pool.take(gate) if inner is not None else None
+    q_c = pool.take(gate) if inner else None
     exchange = any(e.is_dual_rail for e in entries)
-    need_bs = len(controls) > 1 or (inner is not None and (
-        inner.kind == "cswap" or (
-            inner.kind == "cnot"
-            and register.entry(inner.operands[0]).is_dual_rail)))
+    need_bs = len(controls) > 1 or bool(inner) and (
+        len(inner) > 1 or register.entry(inner[0]).is_dual_rail)
     bs_anc = pool.take(gate) if need_bs or exchange else None
     ex_anc = pool.take(gate) if exchange else None
 
@@ -648,7 +529,7 @@ def _bus_ladder(register: LogicalRegister, gate: str,
                for e in entries[1:len(controls)]]
     for entry, pulses in ladder:
         rung(entry, pulses)
-    if inner is None:
+    if not inner:
         # A 2*pi auxiliary rotation puts -1 on (ground target, occupied
         # bus); the surrounding y-rotations turn that into -X on the
         # occupied-bus branch, which cancels the ladder's own -1 on the
@@ -660,13 +541,20 @@ def _bus_ladder(register: LogicalRegister, gate: str,
             _internal_rotation("y", _PI / 2, q)])
     else:
         prog.add([rsb(_PI, q_c, com)])
-        prog.extend(_compile_inner(register, inner, q_c, bs_anc))
+        if len(inner) > 1:
+            prog.extend(_cswap(register, q_c, inner, bs_anc))
+        elif register.entry(inner[0]).is_dual_rail:
+            prog.add(*_cnot_q_to_rails(q_c, *register.entry(inner[0]).rails,
+                                       anc=bs_anc))
+        else:
+            # q_c is a bare ancilla, so emit the native decomposition.
+            prog.add(*_native_cnot(q_c, register.entry(inner[0]).qubit))
         prog.add([rsb(_PI, q_c, com)])
     for entry, pulses in reversed(ladder):
         rung(entry, pulses)
 
     label = f"{gate}:{','.join(controls)}"
-    if inner is None:
+    if not inner:
         label += f"->{target}"
     prog.borrow(label, qubits=tuple(q for q in (q_c, bs_anc, ex_anc)
                                     if q is not None), modes=(com,))
@@ -674,73 +562,8 @@ def _bus_ladder(register: LogicalRegister, gate: str,
     return prog
 
 
-def _compile_inner(register: LogicalRegister, inner: LogicalGate,
-                   q_c: str, bs_anc: str) -> CompiledProgram:
-    """Inner single-qubit-controlled gate with the condition qubit q_c."""
-    if inner.kind == "cswap":
-        return _cswap(register, q_c, inner.operands, bs_anc)
-    if inner.kind != "cnot":
-        raise CompileError(f"unsupported inner gate kind {inner.kind!r}")
-    (target,) = inner.operands
-    te = register.entry(target)
-    prog = CompiledProgram()
-    if te.is_dual_rail:
-        prog.add(*_cnot_q_to_rails(q_c, *te.rails, anc=bs_anc))
-    else:
-        # q_c is a bare ancilla, so emit the native decomposition directly.
-        prog.add(*_native_cnot(q_c, te.qubit))
-    return prog
-
-
 # ---------------------------------------------------------------------------
-# Whole-circuit lowering
-
-
-def compile_gate(register: LogicalRegister, gate: LogicalGate,
-                 pool: _AncillaPool) -> CompiledProgram:
-    kind = gate.kind
-    if kind == "su2":
-        (target,) = gate.operands
-        if register.entry(target).is_dual_rail:
-            with pool.borrowed("su2") as anc:
-                return compile_su2_dual(register, gate.matrix, target, anc)
-        return compile_su2_internal(register, gate.matrix, target)
-    if kind == "rzz":
-        with pool.borrowed("rzz") as anc:
-            return compile_rzz(register, gate.theta, *gate.operands,
-                               ancilla_qubit=anc)
-    if kind == "rxx":
-        a, b = gate.operands
-        ea, eb = register.entry(a), register.entry(b)
-        if not ea.is_dual_rail and not eb.is_dual_rail:
-            return compile_native_xx(register, gate.theta, a, b)
-        if ea.is_dual_rail and eb.is_dual_rail:
-            raise CompileError("rxx between two dual-rail qubits is not lowered")
-        q, d = (a, b) if not ea.is_dual_rail else (b, a)
-        return compile_rxx_hybrid(register, gate.theta, q, d)
-    if kind == "cnot":
-        control, target = gate.operands
-        ce, te = register.entry(control), register.entry(target)
-        if not ce.is_dual_rail and not te.is_dual_rail:
-            return compile_cnot_internal(register, control, target)
-        if ce.is_dual_rail and te.is_dual_rail:
-            raise CompileError(
-                "cnot between two dual-rail qubits is not lowered; "
-                "use rzz with single-qubit gates")
-        with pool.borrowed("cnot") as anc:
-            return compile_cnot_hybrid(register, control, target, anc)
-    if kind == "cswap":
-        control, *targets = gate.operands
-        with pool.borrowed("cswap") as anc:
-            return compile_cswap(register, control, targets, anc)
-    if kind == "kcnot":
-        *controls, target = gate.operands
-        return compile_kcnot(register, controls, target, pool)
-    if kind == "multi_controlled":
-        return compile_multi_controlled(register, gate.operands, gate.inner,
-                                        pool)
-    raise CompileError(f"unknown gate kind {kind!r}")
-
+# The gate table and whole-circuit lowering
 
 # The step kinds a program record lowers to; they are also the `kind`
 # field of the compile report's steps.
@@ -748,30 +571,34 @@ PULSES = "pulses"
 ERROR_INJECTION = "error-injection"
 PARITY_CHECK = "parity-check"
 
+Lowering = Callable[[LogicalRegister, Sequence[float], Sequence[str],
+                     AncillaPool], CompiledProgram]
+
 
 @dataclass(frozen=True)
 class GateSpec:
     """One row of the gate table.
 
-    `build` maps (params, operands) to the LogicalGate to lower, and
-    `ideal` maps (params, operand count) to the textbook matrix over the
-    operands, first operand most significant.  Directives, whose `step`
-    is not PULSES, have neither.
+    `lower` maps (register, params, operands, pool) to the record's
+    pulses, and `ideal` maps (params, operand count) to the textbook
+    matrix over the operands, first operand most significant.
+    Directives, whose `step` is not PULSES, have neither.
     """
 
     n_params: int
     min_operands: int
     max_operands: int | None
-    build: Callable[[Sequence[float], Sequence[str]], LogicalGate] | None = None
+    lower: Lowering | None = None
     ideal: Callable[[Sequence[float], int], np.ndarray] | None = None
     step: str = PULSES
 
 
-def _one_qubit(n_params: int, builder: Callable[..., LogicalGate]) -> GateSpec:
-    """Row of a single-qubit gate; its ideal matrix is the builder's."""
-    return GateSpec(n_params, 1, 1,
-                    build=lambda p, ops: builder(*p, ops[0]),
-                    ideal=lambda p, n: builder(*p, "").matrix.copy())
+def _one_qubit(n_params: int, matrix: Callable[..., np.ndarray]) -> GateSpec:
+    """Row of the single-qubit gate `matrix(*params)`."""
+    return GateSpec(
+        n_params, 1, 1,
+        lower=lambda r, p, ops, pool: compile_su2(r, matrix(*p), ops[0], pool),
+        ideal=lambda p, n: np.array(matrix(*p), dtype=complex))
 
 
 def _rxx_ideal(params: Sequence[float], n: int) -> np.ndarray:
@@ -802,28 +629,50 @@ def _controlled_swap_ideal(n: int, n_targets: int) -> np.ndarray:
         n, n_targets, lambda t: (t % (1 << half)) << half | t >> half)
 
 
+_RXX = GateSpec(1, 2, 2, lambda r, p, ops, pool: compile_rxx(
+    r, p[0], *ops, pool), _rxx_ideal)
+
 GATES: dict[str, GateSpec] = {
-    "x": _one_qubit(0, x), "y": _one_qubit(0, y), "z": _one_qubit(0, z),
-    "h": _one_qubit(0, h), "s": _one_qubit(0, s), "sdg": _one_qubit(0, sdg),
-    "rx": _one_qubit(1, rx), "ry": _one_qubit(1, ry), "rz": _one_qubit(1, rz),
-    "rzz": GateSpec(1, 2, 2, lambda p, ops: rzz(p[0], *ops), lambda p, n: (
-        np.diag(np.exp(-1j * p[0] / 2 * np.array([1, -1, -1, 1]))))),
-    "rxx": GateSpec(1, 2, 2, lambda p, ops: rxx(p[0], *ops), _rxx_ideal),
-    "xx": GateSpec(1, 2, 2, lambda p, ops: rxx(p[0], *ops), _rxx_ideal),
-    "cnot": GateSpec(0, 2, 2, lambda p, ops: cnot(*ops), _controlled_x_ideal),
-    "cswap": GateSpec(0, 3, None, lambda p, ops: cswap(*ops),
-                      lambda p, n: _controlled_swap_ideal(n, n - 1)),
-    "kcnot": GateSpec(0, 3, None, lambda p, ops: kcnot(ops[:-1], ops[-1]),
-                      _controlled_x_ideal),
-    "mcx": GateSpec(0, 2, None, lambda p, ops: mcx(ops[:-1], ops[-1]),
-                    _controlled_x_ideal),
-    "mcswap": GateSpec(0, 4, None,
-                       lambda p, ops: mcswap(ops[:-2], *ops[-2:]),
-                       lambda p, n: _controlled_swap_ideal(n, 2)),
+    **{name: _one_qubit(0, lambda u=u: u) for name, u in (
+        ("x", PAULI_X), ("y", PAULI_Y), ("z", PAULI_Z), ("h", HADAMARD),
+        ("s", S_GATE), ("sdg", S_GATE.conj().T))},
+    **{f"r{axis}": _one_qubit(1, lambda t, axis=axis: rotation_matrix(axis, t))
+       for axis in "xyz"},
+    "rzz": GateSpec(
+        1, 2, 2, lambda r, p, ops, pool: compile_rzz(r, p[0], *ops, pool),
+        lambda p, n: np.diag(np.exp(-1j * p[0] / 2 * np.array([1, -1, -1, 1])))),
+    "rxx": _RXX,
+    "xx": _RXX,
+    "cnot": GateSpec(
+        0, 2, 2, lambda r, p, ops, pool: compile_cnot(r, *ops, pool),
+        _controlled_x_ideal),
+    "cswap": GateSpec(
+        0, 3, None,
+        lambda r, p, ops, pool: compile_cswap(r, ops[0], ops[1:], pool),
+        lambda p, n: _controlled_swap_ideal(n, n - 1)),
+    "kcnot": GateSpec(
+        0, 3, None,
+        lambda r, p, ops, pool: compile_kcnot(r, ops[:-1], ops[-1], pool),
+        _controlled_x_ideal),
+    "mcx": GateSpec(
+        0, 2, None, lambda r, p, ops, pool: compile_multi_controlled(
+            r, ops[:-1], ops[-1:], pool),
+        _controlled_x_ideal),
+    "mcswap": GateSpec(
+        0, 4, None, lambda r, p, ops, pool: compile_multi_controlled(
+            r, ops[:-2], ops[-2:], pool),
+        lambda p, n: _controlled_swap_ideal(n, 2)),
     "loss": GateSpec(0, 1, 1, step=ERROR_INJECTION),
     "gain": GateSpec(0, 1, 1, step=ERROR_INJECTION),
     "qndcheck": GateSpec(0, 1, 1, step=PARITY_CHECK),
 }
+
+
+def compile_gate(register: LogicalRegister, record,
+                 pool: AncillaPool) -> CompiledProgram:
+    """Pulses of one unitary document record, from its GATES row."""
+    return GATES[record.name].lower(register, record.params, record.operands,
+                                    pool)
 
 
 @dataclass
@@ -852,42 +701,37 @@ def lower(register: LogicalRegister, records: Sequence,
           prepare: bool = True) -> tuple[CompiledProgram, list[Step]]:
     """Lower a program: (preparation pulses, one step per record).
 
-    A record is a document gate record (`name`, `params`, `operands`),
-    dispatched through GATES, or a LogicalGate, lowered as it is.  One
-    ancilla pool serves the whole program.  The preparation is empty
+    A record is a document gate record (`name`, `params`, `operands`);
+    its GATES row either lowers it to pulses or marks it a directive.
+    One ancilla pool serves the whole program.  The preparation is empty
     unless `prepare` is set.  A parity check needs a dual-rail target and
     a register with an ancilla.  Compile and register errors are raised
     as CompileError naming the record: `gate {index} ({name}): ...`.
     """
     preparation = _preparation(register) if prepare else CompiledProgram()
-    pool = _AncillaPool(register)
+    pool = AncillaPool(register)
     steps = []
     for i, rec in enumerate(records):
-        if isinstance(rec, LogicalGate):
-            name, kind, gate = rec.kind, PULSES, rec
-        else:
-            spec = GATES[rec.name]
-            name, kind = rec.name, spec.step
-            gate = spec.build(rec.params, rec.operands) if spec.build else None
-        step = Step(i, rec, kind)
+        spec = GATES[rec.name]
+        step = Step(i, rec, spec.step)
         try:
-            if gate is not None:
-                step.program = compile_gate(register, gate, pool)
-            elif kind == PARITY_CHECK:
+            if spec.lower is not None:
+                step.program = compile_gate(register, rec, pool)
+            elif spec.step == PARITY_CHECK:
                 if not register.entry(rec.operands[0]).is_dual_rail:
                     raise CompileError("qndcheck target must be dual-rail")
                 if not register.ancilla_qubits:
                     raise RegisterError("qndcheck needs an ancilla qubit")
         except (CompileError, RegisterError) as exc:
-            raise CompileError(f"gate {i} ({name}): {exc}") from exc
+            raise CompileError(f"gate {i} ({rec.name}): {exc}") from exc
         steps.append(step)
     return preparation, steps
 
 
-def compile_program(circuit: Sequence[LogicalGate],
+def compile_program(records: Sequence,
                     register: LogicalRegister) -> CompiledProgram:
-    """Lower a logical circuit, with per-gate ancilla checkout and return."""
+    """Lower unitary document records, with per-gate ancilla checkout."""
     program = CompiledProgram()
-    for step in lower(register, circuit, prepare=False)[1]:
+    for step in lower(register, records, prepare=False)[1]:
         program.extend(step.program)
     return program

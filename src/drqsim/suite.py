@@ -130,7 +130,8 @@ def check_rzz(rng: np.random.Generator, draws: int = 3) -> CheckResult:
     phase = 0.0
     for _ in range(draws):
         theta = rng.uniform(-np.pi, np.pi)
-        prog = comp.compile_rzz(register, theta, "D1", "D2", "anc")
+        prog = comp.compile_rzz(register, theta, "D1", "D2",
+                                comp.AncillaPool(register))
         report = check_gate(register, prog,
                             ideal_logical_gate("rzz", [theta], 2),
                             ["D1", "D2"], 1e-9)
@@ -145,7 +146,8 @@ def check_cnot_directions() -> CheckResult:
     worst = 0.0
     phases = []
     for control, target in (("Q", "D"), ("D", "Q")):
-        prog = comp.compile_cnot_hybrid(register, control, target, "anc")
+        prog = comp.compile_cnot(register, control, target,
+                                 comp.AncillaPool(register))
         report = check_gate(register, prog, cnot, [control, target], 1e-9)
         worst = max(worst, report.max_entry_error)
         phases.append(report.inferred_phase)
@@ -159,7 +161,8 @@ def check_rxx(rng: np.random.Generator, draws: int = 5) -> CheckResult:
     worst = 0.0
     for _ in range(draws):
         theta = rng.uniform(-2 * np.pi, 2 * np.pi)
-        prog = comp.compile_rxx_hybrid(register, theta, "Q", "D")
+        prog = comp.compile_rxx(register, theta, "Q", "D",
+                                comp.AncillaPool(register))
         if prog.ancilla_manifest:
             return CheckResult("hybrid-rxx", False, 1.0, 0.0)
         report = check_gate(register, prog,
@@ -179,7 +182,8 @@ def check_cswap() -> CheckResult:
          ("D1", "dual_rail", ("m0", "m1")),
          ("D2", "dual_rail", ("m2", "m3"))],
         ancilla_qubits=("anc",))
-    prog = comp.compile_cswap(register, "Q", ["D1", "D2"], "anc")
+    prog = comp.compile_cswap(register, "Q", ["D1", "D2"],
+                              comp.AncillaPool(register))
     report = check_gate(register, prog, ideal_logical_gate("cswap", [], 3),
                         ["Q", "D1", "D2"], 1e-9)
     return CheckResult.from_report("cswap", report)
@@ -191,7 +195,7 @@ def check_su2(rng: np.random.Generator, draws: int = 10) -> CheckResult:
     worst = 0.0
     for _ in range(draws):
         u = unitary_group.rvs(2, random_state=rng)
-        prog = comp.compile_su2_dual(register, u, "D", "anc")
+        prog = comp.compile_su2(register, u, "D", comp.AncillaPool(register))
         report = check_gate(register, prog, u, ["D"], 1e-9)
         worst = max(worst, report.max_entry_error)
     return CheckResult("su2-universality", worst <= 1e-9, worst, 0.0)
@@ -231,7 +235,8 @@ def check_kcnot() -> CheckResult:
          ("C2", "internal_aux", ("c2", "b2")),
          ("T", "internal_aux", ("t", "bt"))],
         ancilla_qubits=("anc",), com_mode="com")
-    prog = comp.compile_kcnot(register, ["C1", "C2"], "T")
+    prog = comp.compile_kcnot(register, ["C1", "C2"], "T",
+                              comp.AncillaPool(register))
     report = check_gate(register, prog, ideal_logical_gate("kcnot", [], 3),
                         ["C1", "C2", "T"], 1e-9)
     return CheckResult.from_report("kcnot-toffoli", report)

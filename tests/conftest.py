@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from drqsim import create_layout, define_register
+from drqsim.document import GateRecord
 
 
 @pytest.fixture
@@ -42,3 +43,10 @@ def random_state(layout, rng):
     amps /= np.linalg.norm(amps)
     from drqsim import StateVector
     return StateVector(layout, amps)
+
+
+def gate(name, *args):
+    """Document record `name params... operands...`: numbers are params."""
+    return GateRecord(name,
+                      tuple(float(a) for a in args if not isinstance(a, str)),
+                      tuple(a for a in args if isinstance(a, str)))

@@ -26,16 +26,16 @@ from drqsim import (
 )
 from drqsim import compiler as comp
 from drqsim.compiler import (
-    _AncillaPool,
-    compile_cnot_hybrid,
+    AncillaPool,
+    compile_cnot,
     compile_cswap,
     compile_gate,
     compile_kcnot,
     compile_multi_controlled,
     compile_program,
-    compile_rxx_hybrid,
+    compile_rxx,
     compile_rzz,
-    compile_su2_dual,
+    compile_su2,
 )
 from drqsim.encoding import logical_basis_state
 from drqsim.fock import OperatorMatrix
@@ -47,6 +47,8 @@ from drqsim.verify import (
     run_program,
     sentinel_population,
 )
+
+from conftest import gate
 
 
 def report(number, text):
@@ -120,7 +122,8 @@ def test_criterion_03_rzz_truth_table(rzz_system):
     rng = np.random.default_rng(103)
     for _ in range(10):
         theta = rng.uniform(-2 * np.pi, 2 * np.pi)
-        prog = compile_rzz(register, theta, "D1", "D2", "anc")
+        prog = compile_rzz(register, theta, "D1", "D2",
+                           AncillaPool(register))
         got = program_unitary(prog, layout, restrict=register).matrix
         ideal = np.diag(np.exp(-1j * theta / 2 * np.array([1, -1, -1, 1])))
         assert np.max(np.abs(got - ideal)) <= 1e-9
@@ -138,7 +141,8 @@ def test_criterion_04_hybrid_cnot():
         ancilla_qubits=("anc",))
     cnot = ideal_logical_gate("cnot", [], 2)
     for control, target in (("Q", "D"), ("D", "Q")):
-        prog = compile_cnot_hybrid(register, control, target, "anc")
+        prog = compile_cnot(register, control, target,
+                            AncillaPool(register))
         got = program_unitary(prog, layout, restrict=register)
         ideal = cnot
         if control == "D":
@@ -165,7 +169,7 @@ def test_criterion_05_rxx_identity():
     rng = np.random.default_rng(105)
     for _ in range(20):
         theta = rng.uniform(-2 * np.pi, 2 * np.pi)
-        prog = compile_rxx_hybrid(register, theta, "Q", "D")
+        prog = compile_rxx(register, theta, "Q", "D", AncillaPool(register))
         assert prog.ancilla_manifest == []      # zero ancillas consumed
         assert all("anc" not in op.targets for op in prog.ops)
         got = program_unitary(prog, layout, restrict=register)
@@ -192,7 +196,7 @@ def _cswap_register(n_pairs, cutoff=3):
 
 def test_criterion_06_cswap():
     layout, register = _cswap_register(1)
-    prog = compile_cswap(register, "Q", ["D1", "D2"], "anc")
+    prog = compile_cswap(register, "Q", ["D1", "D2"], AncillaPool(register))
     assert any(op.kind == "qphase" for op in prog.ops)  # odd-N correction
     got = program_unitary(prog, layout, restrict=register)
     rep = equivalent_up_to_phase(got.matrix, ideal_logical_gate("cswap", [], 3),
@@ -200,7 +204,8 @@ def test_criterion_06_cswap():
     assert rep.equivalent
 
     layout2, register2 = _cswap_register(2)
-    prog2 = compile_cswap(register2, "Q", ["D1", "D2", "D3", "D4"], "anc")
+    prog2 = compile_cswap(register2, "Q", ["D1", "D2", "D3", "D4"],
+                          AncillaPool(register2))
     assert all(op.kind != "qphase" for op in prog2.ops)  # even N: none
     got2 = program_unitary(prog2, layout2, restrict=register2)
     rep2 = equivalent_up_to_phase(got2.matrix,
@@ -271,19 +276,20 @@ def _check_mcx_truth_table(layout, register, prog, n_qubits):
 def test_criterion_07_kcnot():
     # K=2 all-internal
     layout, register = _kcnot_register(["internal", "internal_aux"])
-    prog = compile_kcnot(register, ["C1", "C2"], "T")
+    prog = compile_kcnot(register, ["C1", "C2"], "T", AncillaPool(register))
     _check_mcx_truth_table(layout, register, prog, 3)
 
     # K=2 mixed internal / dual-rail
     layout, register = _kcnot_register(["internal", "dual_rail_aux"])
-    prog = compile_kcnot(register, ["C1", "C2"], "T")
+    prog = compile_kcnot(register, ["C1", "C2"], "T", AncillaPool(register))
     _check_mcx_truth_table(layout, register, prog, 3)
 
     # K=3 mixed at cutoff 3, timed
     start = time.monotonic()
     layout, register = _kcnot_register(
         ["internal", "dual_rail_aux", "internal_aux"])
-    prog = compile_kcnot(register, ["C1", "C2", "C3"], "T")
+    prog = compile_kcnot(register, ["C1", "C2", "C3"], "T",
+                         AncillaPool(register))
     _check_mcx_truth_table(layout, register, prog, 4)
     elapsed = time.monotonic() - start
 
@@ -293,7 +299,7 @@ def test_criterion_07_kcnot():
         kinds = ["internal"] + ["internal_aux"] * (k - 1)
         _, reg = _kcnot_register(kinds)
         counts[k] = len(compile_kcnot(reg, [f"C{i + 1}" for i in range(k)],
-                                      "T").ops)
+                                      "T", AncillaPool(reg)).ops)
     a = counts[3] - counts[2]
     b = counts[2] - 2 * a
     assert all(counts[k] == a * k + b for k in (2, 3, 4))
@@ -309,8 +315,8 @@ def test_criterion_08_multi_controlled():
         kinds = ["internal"] + ["internal_aux"] * (k - 1)
         _, register = _kcnot_register(kinds, target_kind="internal")
         prog = compile_multi_controlled(
-            register, [f"C{i + 1}" for i in range(k)],
-            comp.LogicalGate("cnot", ("T",)))
+            register, [f"C{i + 1}" for i in range(k)], ["T"],
+            AncillaPool(register))
         assert prog.rsb_unitary_count() == 2 * k + 2
 
     # Three-controlled SWAP on two dual-rail targets (inner paired-CBS CSWAP).
@@ -328,7 +334,7 @@ def test_criterion_08_multi_controlled():
          ("T2", "dual_rail", ("m2", "m3"))],
         ancilla_qubits=("anc1", "anc2"), com_mode="com")
     prog = compile_multi_controlled(register, ["C1", "C2", "C3"],
-                                    comp.LogicalGate("cswap", ("T1", "T2")))
+                                    ["T1", "T2"], AncillaPool(register))
     assert prog.rsb_unitary_count() == 2 * 3 + 2
     from drqsim import extract_logical_state
     for value in range(32):
@@ -396,7 +402,7 @@ def test_criterion_10_su2_universality():
     rng = np.random.default_rng(110)
     for _ in range(50):
         u = unitary_group.rvs(2, random_state=rng)
-        prog = compile_su2_dual(register, u, "D", "anc")
+        prog = compile_su2(register, u, "D", AncillaPool(register))
         assert all(op.kind == "zbs" for op in prog.ops)
         got = program_unitary(prog, layout, restrict=register)
         rep = equivalent_up_to_phase(got.matrix, u, 1e-9, got.leakage_max)
@@ -429,11 +435,11 @@ def test_criterion_11_ancilla_hygiene():
         layout,
         [("Q", "internal", ("q",)), ("D", "dual_rail", ("m0", "m1"))],
         ancilla_qubits=("anc",))
-    gates = [comp.h("D"), comp.rx(0.37, "Q"), comp.ry(1.1, "D"),
-             comp.cnot("Q", "D"), comp.cnot("D", "Q"),
-             comp.rxx(0.81, "Q", "D")]
-    for gate in gates:
-        prog = compile_gate(register, gate, _AncillaPool(register))
+    records = [gate("h", "D"), gate("rx", 0.37, "Q"), gate("ry", 1.1, "D"),
+               gate("cnot", "Q", "D"), gate("cnot", "D", "Q"),
+               gate("rxx", 0.81, "Q", "D")]
+    for record in records:
+        prog = compile_gate(register, record, AncillaPool(register))
         out = run_program(random_logical(register, layout), prog)
         worst_reset = max(worst_reset, ancilla_reset_defect(out, register))
         worst_sentinel = max(worst_sentinel, sentinel_population(out))
@@ -446,15 +452,16 @@ def test_criterion_11_ancilla_hygiene():
         [("D1", "dual_rail", ("m0", "m1")),
          ("D2", "dual_rail", ("m2", "m3"))],
         ancilla_qubits=("anc",))
-    prog = compile_gate(register2, comp.rzz(0.53, "D1", "D2"),
-                        _AncillaPool(register2))
+    prog = compile_gate(register2, gate("rzz", 0.53, "D1", "D2"),
+                        AncillaPool(register2))
     out = run_program(random_logical(register2, layout2), prog)
     worst_reset = max(worst_reset, ancilla_reset_defect(out, register2))
     worst_sentinel = max(worst_sentinel, sentinel_population(out))
 
     # CSWAP with an internal control.
     layout3, register3 = _cswap_register(1, cutoff=4)
-    prog = compile_cswap(register3, "Q", ["D1", "D2"], "anc")
+    prog = compile_cswap(register3, "Q", ["D1", "D2"],
+                         AncillaPool(register3))
     out = run_program(random_logical(register3, layout3), prog)
     worst_reset = max(worst_reset, ancilla_reset_defect(out, register3))
     worst_sentinel = max(worst_sentinel, sentinel_population(out))
@@ -462,7 +469,7 @@ def test_criterion_11_ancilla_hygiene():
     # K-CNOT with a dual-rail control at cutoff 4 (sentinel live).
     layout4, register4 = _kcnot_register(["internal", "dual_rail_aux"],
                                          cutoff=4)
-    prog = compile_kcnot(register4, ["C1", "C2"], "T")
+    prog = compile_kcnot(register4, ["C1", "C2"], "T", AncillaPool(register4))
     out = run_program(random_logical(register4, layout4), prog)
     worst_reset = max(worst_reset, ancilla_reset_defect(out, register4))
     worst_sentinel = max(worst_sentinel, sentinel_population(out))
@@ -490,7 +497,8 @@ def test_criterion_12_statistics():
         layout,
         [("Q", "internal", ("q",)), ("D", "dual_rail", ("m0", "m1"))],
         ancilla_qubits=("anc",))
-    prog = compile_program([comp.h("Q"), comp.cnot("Q", "D")], register)
+    prog = compile_program([gate("h", "Q"), gate("cnot", "Q", "D")],
+                           register)
     bell = run_program(logical_basis_state(register, [0, 0]), prog)
 
     shots = 10000

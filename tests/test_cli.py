@@ -299,7 +299,7 @@ GATE_CASES = {
     "mcswap": (MCSWAP_SYSTEM, ["mcswap C1 C2 T1 T2"]),
 }
 
-UNITARY_GATES = [name for name, spec in GATES.items() if spec.build]
+UNITARY_GATES = [name for name, spec in GATES.items() if spec.lower]
 
 
 @pytest.mark.parametrize("name", UNITARY_GATES)

@@ -5,19 +5,19 @@ from scipy.stats import unitary_group
 from drqsim import CompileError, create_layout, define_register
 from drqsim import compiler as comp
 from drqsim.compiler import (
-    _AncillaPool,
-    compile_cnot_hybrid,
-    compile_cnot_internal,
+    AncillaPool,
+    CompiledProgram,
+    _exchange_back_ops,
+    _exchange_out_ops,
+    compile_cnot,
     compile_cswap,
-    compile_exchange,
     compile_gate,
     compile_kcnot,
     compile_multi_controlled,
     compile_program,
-    compile_rxx_hybrid,
+    compile_rxx,
     compile_rzz,
-    compile_su2_dual,
-    compile_su2_internal,
+    compile_su2,
     xy_decompose,
 )
 from drqsim.encoding import logical_basis_state
@@ -29,7 +29,7 @@ from drqsim.verify import (
     run_program,
 )
 
-from conftest import random_state
+from conftest import gate, random_state
 
 
 def rot(axis, theta):
@@ -56,13 +56,13 @@ def test_xy_decompose_rejects_non_unitary():
 
 def test_su2_identity_elides_all_pulses(hybrid_system):
     _, register = hybrid_system
-    prog = compile_su2_dual(register, np.eye(2), "D", "anc")
+    prog = compile_su2(register, np.eye(2), "D", AncillaPool(register))
     assert prog.ops == []
 
 
 def test_su2_x_is_single_beamsplitter(hybrid_system):
     _, register = hybrid_system
-    prog = compile_su2_dual(register, comp.PAULI_X, "D", "anc")
+    prog = compile_su2(register, comp.PAULI_X, "D", AncillaPool(register))
     assert len(prog.ops) == 1
     op = prog.ops[0]
     assert op.kind == "zbs"
@@ -74,7 +74,7 @@ def test_su2_dual_random_targets(hybrid_system, rng):
     layout, register = hybrid_system
     for _ in range(15):
         u = unitary_group.rvs(2, random_state=rng)
-        prog = compile_su2_dual(register, u, "D", "anc")
+        prog = compile_su2(register, u, "D", AncillaPool(register))
         got = program_unitary(prog, layout, restrict=register)
         ideal = np.kron(np.eye(2), u)
         rep = equivalent_up_to_phase(got.matrix, ideal, 1e-9, got.leakage_max)
@@ -83,7 +83,7 @@ def test_su2_dual_random_targets(hybrid_system, rng):
 
 def test_su2_internal_diagonal_uses_qphase(hybrid_system):
     _, register = hybrid_system
-    prog = compile_su2_internal(register, rot("z", 0.7), "Q")
+    prog = compile_su2(register, rot("z", 0.7), "Q", AncillaPool(register))
     assert [op.kind for op in prog.ops] == ["qphase"]
     assert prog.ops[0].theta == pytest.approx(-0.7)
 
@@ -92,7 +92,7 @@ def test_su2_internal_random(hybrid_system, rng):
     layout, register = hybrid_system
     for _ in range(15):
         u = unitary_group.rvs(2, random_state=rng)
-        prog = compile_su2_internal(register, u, "Q")
+        prog = compile_su2(register, u, "Q", AncillaPool(register))
         got = program_unitary(prog, layout, restrict=register)
         ideal = np.kron(u, np.eye(2))
         rep = equivalent_up_to_phase(got.matrix, ideal, 1e-9, got.leakage_max)
@@ -102,7 +102,7 @@ def test_su2_internal_random(hybrid_system, rng):
 def test_su2_ledger_matches_inferred_phase(hybrid_system, rng):
     layout, register = hybrid_system
     u = unitary_group.rvs(2, random_state=rng)
-    prog = compile_su2_dual(register, u, "D", "anc")
+    prog = compile_su2(register, u, "D", AncillaPool(register))
     got = program_unitary(prog, layout, restrict=register)
     rep = equivalent_up_to_phase(got.matrix, np.kron(np.eye(2), u), 1e-9)
     # physical = e^{i ledger} * ideal, so the inferred phase is -ledger.
@@ -116,7 +116,8 @@ def test_rzz_fock_phases(dual_pair_system):
     import drqsim.fock as fock
     layout, register = dual_pair_system
     theta = 0.913
-    prog = compile_rzz(register, theta, "D1", "D2", "anc")
+    prog = compile_rzz(register, theta, "D1", "D2",
+                       AncillaPool(register))
     # (n, m) on the second rails: (0,0) -> e^{-i theta/2}, (1,0) -> e^{+i theta/2}
     for (n, m), want in [((0, 0), np.exp(-1j * theta / 2)),
                          ((1, 0), np.exp(1j * theta / 2))]:
@@ -130,7 +131,8 @@ def test_rzz_logical_truth_table(dual_pair_system, rng):
     layout, register = dual_pair_system
     for _ in range(10):
         theta = rng.uniform(-2 * np.pi, 2 * np.pi)
-        prog = compile_rzz(register, theta, "D1", "D2", "anc")
+        prog = compile_rzz(register, theta, "D1", "D2",
+                       AncillaPool(register))
         got = program_unitary(prog, layout, restrict=register)
         rep = equivalent_up_to_phase(
             got.matrix, ideal_logical_gate("rzz", [theta], 2), 1e-9,
@@ -155,7 +157,8 @@ def test_rzz_half_pi_is_cnot_equivalent(dual_pair_system):
     # Canonical-invariant check: R_ZZ(pi/2) and CNOT share their Makhlin
     # invariants, so they match up to single-qubit gates.
     layout, register = dual_pair_system
-    prog = compile_rzz(register, np.pi / 2, "D1", "D2", "anc")
+    prog = compile_rzz(register, np.pi / 2, "D1", "D2",
+                       AncillaPool(register))
     got = program_unitary(prog, layout, restrict=register).matrix
     g1, g2 = _makhlin_invariants(got)
     c1, c2 = _makhlin_invariants(ideal_logical_gate("cnot", [], 2))
@@ -167,9 +170,9 @@ def test_rzz_half_pi_is_cnot_equivalent(dual_pair_system):
 
 def test_cnot_on_superposition_makes_bell(hybrid_system):
     layout, register = hybrid_system
-    pool = _AncillaPool(register)
-    plus = compile_gate(register, comp.h("Q"), pool)
-    cx = compile_cnot_hybrid(register, "Q", "D", "anc")
+    pool = AncillaPool(register)
+    plus = compile_gate(register, gate("h", "Q"), pool)
+    cx = compile_cnot(register, "Q", "D", AncillaPool(register))
     state = logical_basis_state(register, [0, 0])
     state = run_program(run_program(state, plus), cx)
     from drqsim import extract_logical_state
@@ -183,7 +186,7 @@ def test_cnot_on_superposition_makes_bell(hybrid_system):
 
 def test_cnot_flips_target(hybrid_system):
     layout, register = hybrid_system
-    cx = compile_cnot_hybrid(register, "Q", "D", "anc")
+    cx = compile_cnot(register, "Q", "D", AncillaPool(register))
     state = logical_basis_state(register, [1, 0])
     out = run_program(state, cx)
     from drqsim import extract_logical_state
@@ -194,7 +197,7 @@ def test_cnot_flips_target(hybrid_system):
 @pytest.mark.parametrize("control,target", [("Q", "D"), ("D", "Q")])
 def test_cnot_both_directions_phase(hybrid_system, control, target):
     layout, register = hybrid_system
-    prog = compile_cnot_hybrid(register, control, target, "anc")
+    prog = compile_cnot(register, control, target, AncillaPool(register))
     got = program_unitary(prog, layout, restrict=register)
     cnot = ideal_logical_gate("cnot", [], 2)
     if control == "D":
@@ -210,7 +213,7 @@ def test_cnot_internal_native(rng):
     layout = create_layout([("a", "qubit", 2), ("b", "qubit", 2)])
     register = define_register(layout, [("A", "internal", ("a",)),
                                         ("B", "internal", ("b",))])
-    prog = compile_cnot_internal(register, "A", "B")
+    prog = compile_cnot(register, "A", "B", AncillaPool(register))
     got = program_unitary(prog, layout, restrict=register)
     rep = equivalent_up_to_phase(got.matrix, ideal_logical_gate("cnot", [], 2),
                                  1e-9, got.leakage_max)
@@ -222,7 +225,7 @@ def test_cnot_internal_native(rng):
 
 def test_rxx_zero_angle_identity(hybrid_system):
     layout, register = hybrid_system
-    prog = compile_rxx_hybrid(register, 0.0, "Q", "D")
+    prog = compile_rxx(register, 0.0, "Q", "D", AncillaPool(register))
     got = program_unitary(prog, layout, restrict=register)
     rep = equivalent_up_to_phase(got.matrix, np.eye(4), 1e-9, got.leakage_max)
     assert rep.equivalent
@@ -230,7 +233,7 @@ def test_rxx_zero_angle_identity(hybrid_system):
 
 def test_rxx_half_pi_on_00(hybrid_system):
     layout, register = hybrid_system
-    prog = compile_rxx_hybrid(register, np.pi / 2, "Q", "D")
+    prog = compile_rxx(register, np.pi / 2, "Q", "D", AncillaPool(register))
     state = run_program(logical_basis_state(register, [0, 0]), prog)
     from drqsim import extract_logical_state
     amps = extract_logical_state(state, register).logical_amplitudes
@@ -242,7 +245,7 @@ def test_rxx_random_angles(hybrid_system, rng):
     layout, register = hybrid_system
     for _ in range(20):
         theta = rng.uniform(-2 * np.pi, 2 * np.pi)
-        prog = compile_rxx_hybrid(register, theta, "Q", "D")
+        prog = compile_rxx(register, theta, "Q", "D", AncillaPool(register))
         assert prog.ancilla_manifest == []
         got = program_unitary(prog, layout, restrict=register)
         rep = equivalent_up_to_phase(
@@ -267,7 +270,7 @@ def _cswap_system(n_pairs, cutoff=3):
 
 def test_cswap_swaps_on_excited_control():
     layout, register = _cswap_system(1)
-    prog = compile_cswap(register, "Q", ["D1", "D2"], "anc")
+    prog = compile_cswap(register, "Q", ["D1", "D2"], AncillaPool(register))
     state = logical_basis_state(register, [1, 1, 0])
     out = run_program(state, prog)
     from drqsim import extract_logical_state
@@ -283,7 +286,7 @@ def test_cswap_swaps_on_excited_control():
 
 def test_cswap_unitary_and_phase():
     layout, register = _cswap_system(1)
-    prog = compile_cswap(register, "Q", ["D1", "D2"], "anc")
+    prog = compile_cswap(register, "Q", ["D1", "D2"], AncillaPool(register))
     got = program_unitary(prog, layout, restrict=register)
     rep = equivalent_up_to_phase(got.matrix, ideal_logical_gate("cswap", [], 3),
                                  1e-9, got.leakage_max)
@@ -294,7 +297,7 @@ def test_cswap_unitary_and_phase():
 
 def test_cswap_even_n_has_no_correction():
     layout, register = _cswap_system(2)
-    prog = compile_cswap(register, "Q", ["D1", "D2", "D3", "D4"], "anc")
+    prog = compile_cswap(register, "Q", ["D1", "D2", "D3", "D4"], AncillaPool(register))
     assert all(op.kind != "qphase" for op in prog.ops)
     got = program_unitary(prog, layout, restrict=register)
     rep = equivalent_up_to_phase(got.matrix, ideal_logical_gate("cswap", [], 5),
@@ -307,14 +310,14 @@ def test_cswap_correction_iff_odd():
     for n_pairs, expect in [(1, True), (2, False)]:
         _, register = _cswap_system(n_pairs)
         targets = [f"D{j + 1}" for j in range(2 * n_pairs)]
-        prog = compile_cswap(register, "Q", targets, "anc")
+        prog = compile_cswap(register, "Q", targets, AncillaPool(register))
         assert any(op.kind == "qphase" for op in prog.ops) is expect
 
 
 def test_cswap_rejects_overlap():
     _, register = _cswap_system(1)
     with pytest.raises(CompileError):
-        compile_cswap(register, "Q", ["D1", "D1"], "anc")
+        compile_cswap(register, "Q", ["D1", "D1"], AncillaPool(register))
 
 
 # --- exchange ---------------------------------------------------------------------
@@ -326,13 +329,20 @@ def _exchange_state(layout, register, alpha, beta):
     return StateVector(layout, alpha * a + beta * b)
 
 
+def _exchange(register, ops):
+    """The bus ladder's exchange pulses between D's rails and qubit q."""
+    prog = CompiledProgram()
+    prog.add(*ops("q", *register.entry("D").rails, "anc"))
+    return prog
+
+
 def test_exchange_moves_rail_state_to_qubit(hybrid_system):
     layout, register = hybrid_system
-    c1, c2 = compile_exchange(register, "D", "q", "anc")
+    exchange = _exchange(register, _exchange_out_ops)
     alpha, beta = 0.6, 0.8
     state = _exchange_state(layout, register, alpha, beta)
-    out = run_program(run_program(state, c2), c1)  # C1 C2 composite
-    phase = np.exp(1j * (c1.global_phase + c2.global_phase))
+    out = run_program(state, exchange)  # C1 C2 composite
+    phase = np.exp(1j * exchange.global_phase)
     idx_down = layout.basis_index([0, 0, 1, 0])
     idx_up = layout.basis_index([1, 0, 1, 0])
     assert out.amplitudes[idx_down] == pytest.approx(alpha * phase, abs=1e-10)
@@ -342,28 +352,27 @@ def test_exchange_moves_rail_state_to_qubit(hybrid_system):
 
 def test_exchange_basis_cases(hybrid_system):
     layout, register = hybrid_system
-    c1, c2 = compile_exchange(register, "D", "q", "anc")
+    exchange = _exchange(register, _exchange_out_ops)
     # alpha = 1: rails to |10>, qubit stays ground
-    out = run_program(run_program(_exchange_state(layout, register, 1, 0), c2), c1)
+    out = run_program(_exchange_state(layout, register, 1, 0), exchange)
     assert abs(out.amplitudes[layout.basis_index([0, 0, 1, 0])]) == pytest.approx(
         1.0, abs=1e-10)
     # beta = 1: qubit excited
-    out = run_program(run_program(_exchange_state(layout, register, 0, 1), c2), c1)
+    out = run_program(_exchange_state(layout, register, 0, 1), exchange)
     assert abs(out.amplitudes[layout.basis_index([1, 0, 1, 0])]) == pytest.approx(
         1.0, abs=1e-10)
 
 
 def test_exchange_round_trip_is_identity_up_to_phase(hybrid_system, rng):
     layout, register = hybrid_system
-    c1, c2 = compile_exchange(register, "D", "q", "anc")
     alpha = rng.normal() + 1j * rng.normal()
     beta = rng.normal() + 1j * rng.normal()
     norm = np.sqrt(abs(alpha) ** 2 + abs(beta) ** 2)
     alpha, beta = alpha / norm, beta / norm
     state = _exchange_state(layout, register, alpha, beta)
     # C2 C1 after C1 C2
-    out = run_program(run_program(state, c2), c1)
-    out = run_program(run_program(out, c1), c2)
+    out = run_program(state, _exchange(register, _exchange_out_ops))
+    out = run_program(out, _exchange(register, _exchange_back_ops))
     fid = abs(np.vdot(state.amplitudes, out.amplitudes))
     assert fid == pytest.approx(1.0, abs=1e-9)
 
@@ -424,7 +433,7 @@ def _mcx_rule(bits):
 
 def test_kcnot_two_internal_controls():
     layout, register = _kcnot_system(["internal", "internal_aux"])
-    prog = compile_kcnot(register, ["C1", "C2"], "T")
+    prog = compile_kcnot(register, ["C1", "C2"], "T", AncillaPool(register))
     got = program_unitary(prog, layout, restrict=register)
     rep = equivalent_up_to_phase(got.matrix, ideal_logical_gate("kcnot", [], 3),
                                  1e-9, got.leakage_max)
@@ -433,20 +442,20 @@ def test_kcnot_two_internal_controls():
 
 def test_kcnot_mixed_control_truth_table():
     layout, register = _kcnot_system(["internal", "dual_rail_aux"])
-    prog = compile_kcnot(register, ["C1", "C2"], "T")
+    prog = compile_kcnot(register, ["C1", "C2"], "T", AncillaPool(register))
     _truth_table_check(layout, register, prog, 3, _mcx_rule)
 
 
 def test_kcnot_dual_rail_first_control():
     layout, register = _kcnot_system(["dual_rail_aux", "internal_aux"])
-    prog = compile_kcnot(register, ["C1", "C2"], "T")
+    prog = compile_kcnot(register, ["C1", "C2"], "T", AncillaPool(register))
     _truth_table_check(layout, register, prog, 3, _mcx_rule)
 
 
 def test_kcnot_dual_rail_target():
     layout, register = _kcnot_system(["internal", "internal_aux"],
                                      target_kind="dual_rail_aux")
-    prog = compile_kcnot(register, ["C1", "C2"], "T")
+    prog = compile_kcnot(register, ["C1", "C2"], "T", AncillaPool(register))
     _truth_table_check(layout, register, prog, 3, _mcx_rule)
     # Ledger integrity: the exchange wrapping contributes exactly the
     # recorded global phase.
@@ -463,7 +472,7 @@ def test_kcnot_op_count_linear():
     for k in (2, 3, 4):
         kinds = ["internal"] + ["internal_aux"] * (k - 1)
         _, register = _kcnot_system(kinds)
-        prog = compile_kcnot(register, [f"C{i + 1}" for i in range(k)], "T")
+        prog = compile_kcnot(register, [f"C{i + 1}" for i in range(k)], "T", AncillaPool(register))
         counts[k] = len(prog.ops)
     slope = counts[3] - counts[2]
     assert counts[4] - counts[3] == slope
@@ -477,13 +486,13 @@ def test_kcnot_op_count_linear():
 def test_kcnot_requires_two_controls():
     _, register = _kcnot_system(["internal", "internal_aux"])
     with pytest.raises(CompileError):
-        compile_kcnot(register, ["C1"], "T")
+        compile_kcnot(register, ["C1"], "T", AncillaPool(register))
 
 
 def test_kcnot_requires_aux_modes():
     layout, register = _kcnot_system(["internal", "internal"])
     with pytest.raises(CompileError, match="auxiliary mode"):
-        compile_kcnot(register, ["C1", "C2"], "T")
+        compile_kcnot(register, ["C1", "C2"], "T", AncillaPool(register))
 
 
 def test_kcnot_requires_com():
@@ -496,7 +505,7 @@ def test_kcnot_requires_com():
          ("T", "internal_aux", ("q2", "b2"))],
         ancilla_qubits=("anc",))
     with pytest.raises(CompileError, match="COM"):
-        compile_kcnot(register, ["C1", "C2"], "T")
+        compile_kcnot(register, ["C1", "C2"], "T", AncillaPool(register))
 
 
 def test_aux_transition_block_transformations():
@@ -538,8 +547,8 @@ def test_aux_transition_block_transformations():
 def test_multi_controlled_cnot_is_toffoli():
     layout, register = _kcnot_system(["internal", "internal_aux"],
                                      target_kind="internal")
-    gate = comp.mcx(["C1", "C2"], "T")
-    prog = compile_multi_controlled(register, ["C1", "C2"], gate.inner)
+    prog = compile_multi_controlled(register, ["C1", "C2"], ["T"],
+                                    AncillaPool(register))
     got = program_unitary(prog, layout, restrict=register)
     rep = equivalent_up_to_phase(got.matrix, ideal_logical_gate("mcx", [], 3),
                                  1e-9, got.leakage_max)
@@ -550,18 +559,17 @@ def test_multi_controlled_rsb_unitary_count():
     for k in (2, 3):
         kinds = ["internal"] + ["internal_aux"] * (k - 1)
         _, register = _kcnot_system(kinds, target_kind="internal")
-        gate = comp.mcx([f"C{i + 1}" for i in range(k)], "T")
         prog = compile_multi_controlled(register,
                                         [f"C{i + 1}" for i in range(k)],
-                                        gate.inner)
+                                        ["T"], AncillaPool(register))
         assert prog.rsb_unitary_count() == 2 * k + 2
 
 
 def test_multi_controlled_skips_inner_when_any_control_low():
     layout, register = _kcnot_system(["internal", "internal_aux"],
                                      target_kind="internal")
-    gate = comp.mcx(["C1", "C2"], "T")
-    prog = compile_multi_controlled(register, ["C1", "C2"], gate.inner)
+    prog = compile_multi_controlled(register, ["C1", "C2"], ["T"],
+                                    AncillaPool(register))
     for bits in ([0, 0, 1], [0, 1, 0], [1, 0, 1]):
         state = logical_basis_state(register, bits)
         out = run_program(state, prog)
@@ -589,9 +597,8 @@ def test_three_controlled_swap():
          ("T1", "dual_rail", ("m0", "m1")),
          ("T2", "dual_rail", ("m2", "m3"))],
         ancilla_qubits=("anc1", "anc2"), com_mode="com")
-    prog = compile_multi_controlled(
-        register, ["C1", "C2", "C3"],
-        comp.LogicalGate("cswap", ("T1", "T2")))
+    prog = compile_multi_controlled(register, ["C1", "C2", "C3"],
+                                    ["T1", "T2"], AncillaPool(register))
 
     def rule(bits):
         c1, c2, c3, t1, t2 = bits
@@ -613,7 +620,7 @@ def test_compile_empty_program(hybrid_system):
 
 def test_compile_bell_circuit(hybrid_system):
     layout, register = hybrid_system
-    circuit = [comp.h("D"), comp.cnot("D", "Q")]
+    circuit = [gate("h", "D"), gate("cnot", "D", "Q")]
     prog = compile_program(circuit, register)
     state = run_program(logical_basis_state(register, [0, 0]), prog)
     from drqsim import extract_logical_state
@@ -626,7 +633,7 @@ def test_compile_bell_circuit(hybrid_system):
 
 def test_compile_program_manifests_borrowings(dual_pair_system):
     _, register = dual_pair_system
-    circuit = [comp.h("D1"), comp.rzz(0.4, "D1", "D2")]
+    circuit = [gate("h", "D1"), gate("rzz", 0.4, "D1", "D2")]
     prog = compile_program(circuit, register)
     assert len(prog.ancilla_manifest) == 2
     assert all("anc" in use.qubits for use in prog.ancilla_manifest)
@@ -636,14 +643,14 @@ def test_compile_program_reports_gate_index_on_exhaustion():
     layout = create_layout([("m0", "mode", 4), ("m1", "mode", 4)])
     register = define_register(layout, [("D", "dual_rail", ("m0", "m1"))])
     with pytest.raises(CompileError, match="gate 0"):
-        compile_program([comp.h("D")], register)
+        compile_program([gate("h", "D")], register)
 
 
 def test_compiled_gates_keep_codeword_span(hybrid_system, rng):
     # Logical closure: compiled gates map the code span to itself.
     layout, register = hybrid_system
-    gates = [comp.h("D"), comp.rx(0.3, "Q"), comp.cnot("Q", "D"),
-             comp.rxx(0.8, "Q", "D")]
+    gates = [gate("h", "D"), gate("rx", 0.3, "Q"), gate("cnot", "Q", "D"),
+             gate("rxx", 0.8, "Q", "D")]
     prog = compile_program(gates, register)
     coeffs = rng.normal(size=4) + 1j * rng.normal(size=4)
     coeffs /= np.linalg.norm(coeffs)

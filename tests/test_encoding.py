@@ -15,9 +15,11 @@ from drqsim import (
     measure_dual_rail,
     prepare_dual_rail_zero,
 )
-from drqsim.compiler import _AncillaPool, compile_gate, h
+from drqsim.compiler import AncillaPool, compile_gate
 from drqsim.encoding import codeword_index, logical_basis_state
 from drqsim.verify import inject_heating_error, run_program
+
+from conftest import gate
 
 
 def test_logical_basis_state_rejects_oversized_register():
@@ -182,7 +184,7 @@ def test_prep_gate_measure_round_trip(hybrid_system):
     layout, register = hybrid_system
     ops, _ = prepare_dual_rail_zero(register, "D", "anc")
     state = apply_pulses(ground_state(layout), ops)
-    prog = compile_gate(register, h("D"), _AncillaPool(register))
+    prog = compile_gate(register, gate("h", "D"), AncillaPool(register))
     state = run_program(state, prog)
     rng = np.random.default_rng(7)
     shots = 10000

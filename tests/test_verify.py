@@ -17,13 +17,7 @@ from drqsim import (
 )
 from drqsim import encoding, verify
 from drqsim.cli import build_system
-from drqsim.compiler import (
-    _AncillaPool,
-    compile_cnot_hybrid,
-    compile_gate,
-    h,
-    lower,
-)
+from drqsim.compiler import AncillaPool, compile_cnot, compile_gate, lower
 from drqsim.document import parse_circuit
 from drqsim.encoding import logical_basis_state, measure_dual_rail
 from drqsim.errors import HealthError, RegisterError
@@ -45,7 +39,7 @@ from drqsim.verify import (
     sentinel_population,
 )
 
-from conftest import random_state
+from conftest import gate, random_state
 from test_cli import GATE_CASES, UNITARY_GATES
 
 
@@ -146,7 +140,7 @@ def test_dual_path_kilodim(rng):
 
 def test_restricted_unitary_of_compiled_cnot(hybrid_system):
     layout, register = hybrid_system
-    prog = compile_cnot_hybrid(register, "Q", "D", "anc")
+    prog = compile_cnot(register, "Q", "D", AncillaPool(register))
     got = program_unitary(prog, layout, restrict=register)
     rep = equivalent_up_to_phase(got.matrix, ideal_logical_gate("cnot", [], 2),
                                  1e-9, got.leakage_max)
@@ -325,10 +319,10 @@ def test_gain_at_truncation_rejected(qmm):
 def test_error_detectable_after_compiled_gates(hybrid_system, rng):
     # For compiled single- and two-qubit gates, one loss or gain on any
     # involved rail flips the parity flag to even with certainty.
-    from drqsim.compiler import cnot, rx
     layout, register = hybrid_system
-    for gate in (h("D"), rx(0.83, "Q"), cnot("Q", "D")):
-        prog = compile_gate(register, gate, _AncillaPool(register))
+    for record in (gate("h", "D"), gate("rx", 0.83, "Q"),
+                   gate("cnot", "Q", "D")):
+        prog = compile_gate(register, record, AncillaPool(register))
         state = run_program(logical_basis_state(register, [0, 0]), prog)
         for mode in ("m0", "m1"):
             for kind in ("loss", "gain"):
@@ -380,7 +374,7 @@ def test_run_program_asserts_ancilla_ground(hybrid_system):
     # Compiled gates assume pool ancillas in the ground state; executing
     # one against an excited ancilla is flagged at the gate boundary.
     layout, register = hybrid_system
-    prog = compile_cnot_hybrid(register, "Q", "D", "anc")
+    prog = compile_cnot(register, "Q", "D", AncillaPool(register))
     state = basis_state(layout, {"anc": 1, "m0": 1})
     with pytest.raises(HealthError, match="ancilla not in its reference "
                        "state at gate entry"):
@@ -397,10 +391,10 @@ def test_run_program_asserts_ancilla_ground(hybrid_system):
 
 def test_sample_counts_bell(hybrid_system):
     layout, register = hybrid_system
-    pool = _AncillaPool(register)
+    pool = AncillaPool(register)
     state = logical_basis_state(register, [0, 0])
-    state = run_program(state, compile_gate(register, h("Q"), pool))
-    state = run_program(state, compile_cnot_hybrid(register, "Q", "D", "anc"))
+    state = run_program(state, compile_gate(register, gate("h", "Q"), pool))
+    state = run_program(state, compile_cnot(register, "Q", "D", pool))
     counts = sample_counts(state, register, ["Q", "D"], 10000, seed=11)
     assert sum(counts.values()) == 10000
     p_corr = (counts.get("00", 0) + counts.get("11", 0)) / 10000
@@ -419,9 +413,9 @@ def test_sample_counts_deterministic_codeword(hybrid_system):
 
 def test_sample_counts_seed_determinism(hybrid_system):
     layout, register = hybrid_system
-    pool = _AncillaPool(register)
+    pool = AncillaPool(register)
     state = logical_basis_state(register, [0, 0])
-    state = run_program(state, compile_gate(register, h("D"), pool))
+    state = run_program(state, compile_gate(register, gate("h", "D"), pool))
     one = sample_counts(state, register, ["Q", "D"], 500, seed=123)
     two = sample_counts(state, register, ["Q", "D"], 500, seed=123)
     assert one == two
@@ -453,10 +447,10 @@ def _sample_by_shot(state, register, measured_ids, shots, seed):
 
 def _heated_bell(hybrid_system, mode, kind):
     layout, register = hybrid_system
-    pool = _AncillaPool(register)
+    pool = AncillaPool(register)
     state = logical_basis_state(register, [0, 0])
-    state = run_program(state, compile_gate(register, h("Q"), pool))
-    state = run_program(state, compile_cnot_hybrid(register, "Q", "D", "anc"))
+    state = run_program(state, compile_gate(register, gate("h", "Q"), pool))
+    state = run_program(state, compile_cnot(register, "Q", "D", pool))
     return inject_heating_error(state, mode, kind), register
 
 
