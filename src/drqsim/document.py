@@ -86,16 +86,17 @@ def parse_number(token: str, line: int) -> float:
 
 
 def format_number(value: float) -> str:
+    """Text that `parse_number` reads back as exactly `value`: a multiple
+    of pi where that form round-trips, the shortest decimal otherwise."""
     if value == 0:
         return "0"
     ratio = value / math.pi
     rounded = round(ratio, 12)
     if abs(ratio - rounded) < 1e-15 and abs(rounded) >= 1e-6:
-        if rounded == 1:
-            return "pi"
-        if rounded == -1:
-            return "-pi"
-        return f"pi*{rounded:.12g}"
+        text = ("pi" if rounded == 1 else "-pi" if rounded == -1
+                else f"pi*{rounded:.12g}")
+        if parse_number(text, 0) == value:
+            return text
     return repr(value)
 
 

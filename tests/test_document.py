@@ -1,9 +1,10 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from drqsim import DocumentError, parse_circuit, serialize_circuit
-from drqsim.document import parse_number
+from drqsim.document import format_number, parse_number
 
 MINIMAL = """
 system:
@@ -144,6 +145,39 @@ program:
     assert doc.program[0].params[0] == pytest.approx(math.pi / 2)
     again = parse_circuit(serialize_circuit(doc))
     assert again == doc
+
+
+def test_angle_near_a_pi_multiple_keeps_its_value():
+    # One ulp below pi*0.3: the pi form would read back as pi*0.3 itself.
+    doc = parse_circuit(BELL.replace("h D", "rx 0.9424777960769378 D"))
+    assert doc.program[0].render() == "rx 0.9424777960769378 D"
+    again = parse_circuit(serialize_circuit(doc))
+    assert again.program[0].params == (0.9424777960769378,)
+    assert again == doc
+    # Twelve significant digits would print pi*3.000000000001 as pi*3.
+    doc = parse_circuit(BELL.replace("h D", "rx pi*3.000000000001 D"))
+    assert doc.program[0].render() != "rx pi*3 D"
+    assert parse_circuit(serialize_circuit(doc)) == doc
+    # Exact multiples keep the pi form.
+    doc = parse_circuit(BELL.replace("h D", "rx pi*0.3 D"))
+    assert doc.program[0].render() == "rx pi*0.3 D"
+
+
+def _pi_fraction_neighbour(k, j, steps):
+    """`steps` ulps away from pi*k/10**j."""
+    x = math.pi * k / 10 ** j
+    for _ in range(abs(steps)):
+        x = math.nextafter(x, math.copysign(math.inf, steps))
+    return x
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.builds(_pi_fraction_neighbour, st.integers(-10 ** 6, 10 ** 6),
+              st.integers(0, 13), st.integers(-2, 2))))
+def test_format_number_round_trips(x):
+    assert parse_number(format_number(x), 1) == x
 
 
 def test_example_circuits_parse():
