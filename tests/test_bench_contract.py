@@ -10,6 +10,9 @@ silently zero a per-layer count, so those positions are pinned too.
 import importlib
 import importlib.util
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -33,6 +36,19 @@ def test_traced_attribute_resolves(module, attribute, span):
 def test_setup_probe_entry_point():
     from drqsim import cli
     assert callable(cli.build_system)
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # Every command pays the import in setup_s; only the few oracles that
+    # need scipy import it, inside the function.
+    src = str(SPANS.parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, drqsim.cli; print(sorted("
+         "m for m in sys.modules if m.partition('.')[0] == 'scipy'))"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"
 
 
 @pytest.mark.parametrize("module,function,leading", [

@@ -323,6 +323,47 @@ def test_every_unitary_gate_verifies_and_runs(name, tmp_path, capsys):
     assert json.loads(out)["leakage"] <= 1e-9
 
 
+def _one_ancilla(system):
+    return system.replace("qubits: a0 a1\n", "qubits: a0\n").replace(
+        "qubits: a1 a2\n", "qubits: a1\n")
+
+
+# Documents that parse but do not lower: (system, gate line, message).
+COMPILE_ERRORS = {
+    "cnot-dual-dual": (HYBRID_SYSTEM, "cnot D1 D2",
+                       "cnot between two dual-rail qubits is not lowered; "
+                       "use rzz with single-qubit gates"),
+    "rxx-dual-dual": (HYBRID_SYSTEM, "rxx pi*0.3 D1 D2",
+                      "rxx between two dual-rail qubits is not lowered"),
+    "rzz-internal": (HYBRID_SYSTEM, "rzz pi*0.3 Q D1",
+                     "rzz operands must both be dual-rail"),
+    "cswap-dual-control": (HYBRID_SYSTEM, "cswap D1 Q D2",
+                           "cswap control must be a logical internal qubit"),
+    "cswap-odd-targets": (MCSWAP_SYSTEM, "cswap C1 T1 T2 C2",
+                          "cswap needs an even number (>= 2) of targets"),
+    "cswap-internal-target": (MCSWAP_SYSTEM, "cswap C1 T1 C2",
+                              "cswap targets must be dual-rail qubits"),
+    "kcnot-no-aux": (MCSWAP_SYSTEM, "kcnot C2 C1 T1",
+                     "'C1' must carry an auxiliary mode for kcnot"),
+    "mcx-one-ancilla": (_one_ancilla(BUS_SYSTEM), "mcx C1 C2 T",
+                        "multi_controlled: ancilla pool exhausted"),
+    "mcswap-one-ancilla": (_one_ancilla(MCSWAP_SYSTEM), "mcswap C1 C2 T1 T2",
+                           "multi_controlled: ancilla pool exhausted"),
+}
+
+
+@pytest.mark.parametrize("case", COMPILE_ERRORS)
+def test_compile_error_names_the_gate(case, tmp_path, capsys):
+    system, line, message = COMPILE_ERRORS[case]
+    path = tmp_path / "bad.drq"
+    path.write_text(system + f"program:\n  {line}\n")
+    for command in ("compile", "run", "verify"):
+        code, out, err = run_cli(capsys, command, str(path))
+        assert code == 2, command
+        assert out == ""
+        assert err == f"error: gate 0 ({line.split()[0]}): {message}\n"
+
+
 @pytest.mark.parametrize("flag,value", [("--seed", "-1"), ("--shots", "-5")])
 def test_negative_seed_or_shots_flag_exit_code(bell_doc, capsys, flag, value):
     with pytest.raises(SystemExit) as exc:

@@ -8,7 +8,9 @@ the health numbers (sentinel population, ancilla-reset defect, codeword
 leakage) must agree to 1e-10.
 """
 import argparse
+import functools
 import importlib.util
+import itertools
 import sys
 from pathlib import Path
 
@@ -16,9 +18,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from drqsim.cli import build_system, cmd_run
+from drqsim.cli import build_system, cmd_compile, cmd_run
 from drqsim.compiler import ERROR_INJECTION, GATES, PARITY_CHECK, lower
-from drqsim.document import parse_circuit
+from drqsim.document import parse_circuit, serialize_circuit
 from drqsim.encoding import codeword_index, extract_logical_state
 from drqsim.errors import CompileError
 from drqsim.fock import (
@@ -167,13 +169,19 @@ def _gate_document(name):
     return system + "program:\n" + "".join(f"  {line}\n" for line in program)
 
 
-def _deep_circuit(seed):
+@functools.cache
+def _perfbench(name):
+    """A module of the benchmark directory, loaded from its file."""
     spec = importlib.util.spec_from_file_location(
-        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+        f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # its dataclasses look it up there
     spec.loader.exec_module(module)
-    return module.deep_circuit(seed)
+    return module
+
+
+def _deep_circuit(seed):
+    return _perfbench("workloads").deep_circuit(seed)
 
 
 def _heated_bell(kind, rail):
@@ -229,10 +237,27 @@ ancillas:
   com_mode: com
 """
 
-# (header, logical ids, cutoffs): total_dim stays at most 4096.
+# The only register here with two dual-rail targets for mcswap: 11 664 dims.
+SWAP_REGISTER = """\
+system:
+  qubits: c1 c2 a1 a2
+  modes: b2 com m0 m1 m2 m3
+  cutoff: {cutoff}
+registers:
+  C1 internal c1
+  C2 internal_aux c2 b2
+  T1 dual_rail m0 m1
+  T2 dual_rail m2 m3
+ancillas:
+  qubits: a1 a2
+  com_mode: com
+"""
+
+# (header, logical ids, cutoffs)
 REGISTERS = {
     "deep": (DEEP_REGISTER, ("Q", "D1", "D2"), (3, 4)),
     "bus": (BUS_REGISTER, ("C1", "C2", "T"), (3,)),
+    "swap": (SWAP_REGISTER, ("C1", "C2", "T1", "T2"), (3,)),
 }
 
 
@@ -245,24 +270,35 @@ def _lowers(header, line):
     return True
 
 
+@functools.cache
+def _lowering_operands(register, cutoff, name):
+    """The operand tuples on which a `name` record lowers on a register."""
+    header, ids, _ = REGISTERS[register]
+    spec = GATES[name]
+    line = " ".join([name, *["0.5"] * spec.n_params])
+    most = min(spec.max_operands or len(ids), len(ids))
+    return [operands for count in range(spec.min_operands, most + 1)
+            for operands in itertools.permutations(ids, count)
+            if _lowers(header.format(cutoff=cutoff),
+                       " ".join([line, *operands]))]
+
+
 @st.composite
 def documents(draw, register):
-    header, ids, cutoffs = REGISTERS[register]
-    header = header.format(cutoff=draw(st.sampled_from(cutoffs)))
+    header, _, cutoffs = REGISTERS[register]
+    cutoff = draw(st.sampled_from(cutoffs))
     lines = []
     for _ in range(draw(st.integers(1, 12))):
         name = draw(st.sampled_from(UNITARY_GATES))
         spec = GATES[name]
         params = [repr(draw(st.floats(-7.0, 7.0))) for _ in range(spec.n_params)]
-        # A row needing more operands than the register has is drawn and
-        # dropped like a record that does not lower.
-        most = max(spec.min_operands, spec.max_operands or len(ids))
-        count = draw(st.integers(spec.min_operands, most))
-        operands = draw(st.permutations(ids))[:count]
-        line = " ".join([name, *params, *operands])
-        if count == len(operands) and _lowers(header, line):
-            lines.append(line)
-    return header + "program:\n" + "".join(f"  {line}\n" for line in lines)
+        # A row that lowers on no operands of the register is dropped.
+        choices = _lowering_operands(register, cutoff, name)
+        if choices:
+            lines.append(" ".join(
+                [name, *params, *draw(st.sampled_from(choices))]))
+    return (header.format(cutoff=cutoff) + "program:\n"
+            + "".join(f"  {line}\n" for line in lines))
 
 
 @pytest.mark.parametrize("register", REGISTERS)
@@ -270,3 +306,37 @@ def documents(draw, register):
 @given(data=st.data())
 def test_generated_documents_run_sparse_like_dense(register, data):
     replay(data.draw(documents(register)))
+
+
+@pytest.mark.parametrize("name", UNITARY_GATES)
+def test_every_unitary_row_is_drawn_on_some_register(name):
+    assert any(_lowering_operands(register, cutoffs[0], name)
+               for register, (_, _, cutoffs) in REGISTERS.items())
+
+
+@pytest.mark.parametrize("register", REGISTERS)
+@settings(derandomize=True, deadline=None, max_examples=15)
+@given(data=st.data())
+def test_generated_documents_match_the_reference(register, data):
+    """`compile`'s listing replayed by the reference pulse simulator gives
+    `run`'s amplitudes and leakage; the amplitudes are the textbook
+    logical state up to global phase; the document round-trips."""
+    ref = _perfbench("reference")
+    text = data.draw(documents(register))
+    doc = parse_circuit(text)
+    assert parse_circuit(serialize_circuit(doc)) == doc
+    compiled, code = cmd_compile(doc, argparse.Namespace(cutoff=None))
+    assert code == 0
+    args = argparse.Namespace(cutoff=None, seed=0, shots=0,
+                              allow_midcircuit=False)
+    report, code = cmd_run(doc, args)
+    assert code == 0
+    circ = ref.read_circuit(text)
+    sim = ref.PulseSim(circ)
+    sim.replay(compiled, report)
+    want = sim.logical_amplitudes()
+    got = np.array([complex(*a) for a in report["logical_amplitudes"]])
+    assert np.max(np.abs(got - want)) <= 1e-8
+    leakage = max(0.0, 1.0 - float(np.sum(np.abs(want) ** 2)))
+    assert abs(report["leakage"] - leakage) <= 1e-8
+    assert ref.phase_error(got, ref.logical_model(circ)) <= 1e-8
