@@ -505,10 +505,11 @@ def _bus_ladder(register: LogicalRegister, gate: str,
             raise CompileError(
                 f"{e.logical_id!r} must carry an auxiliary mode for {gate}")
 
+    x_target = register.entry(inner[0]) if len(inner) == 1 else None
     q_c = pool.take(gate) if inner else None
     exchange = any(e.is_dual_rail for e in entries)
-    need_bs = len(controls) > 1 or bool(inner) and (
-        len(inner) > 1 or register.entry(inner[0]).is_dual_rail)
+    need_bs = (len(controls) > 1 or len(inner) > 1
+               or x_target is not None and x_target.is_dual_rail)
     bs_anc = pool.take(gate) if need_bs or exchange else None
     ex_anc = pool.take(gate) if exchange else None
 
@@ -541,14 +542,13 @@ def _bus_ladder(register: LogicalRegister, gate: str,
             _internal_rotation("y", _PI / 2, q)])
     else:
         prog.add([rsb(_PI, q_c, com)])
-        if len(inner) > 1:
+        if x_target is None:
             prog.extend(_cswap(register, q_c, inner, bs_anc))
-        elif register.entry(inner[0]).is_dual_rail:
-            prog.add(*_cnot_q_to_rails(q_c, *register.entry(inner[0]).rails,
-                                       anc=bs_anc))
+        elif x_target.is_dual_rail:
+            prog.add(*_cnot_q_to_rails(q_c, *x_target.rails, anc=bs_anc))
         else:
             # q_c is a bare ancilla, so emit the native decomposition.
-            prog.add(*_native_cnot(q_c, register.entry(inner[0]).qubit))
+            prog.add(*_native_cnot(q_c, x_target.qubit))
         prog.add([rsb(_PI, q_c, com)])
     for entry, pulses in reversed(ladder):
         rung(entry, pulses)
