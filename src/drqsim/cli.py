@@ -15,7 +15,13 @@ import sys
 
 import numpy as np
 
-from .compiler import ERROR_INJECTION, PARITY_CHECK, CompiledProgram, lower
+from .compiler import (
+    ERROR_INJECTION,
+    PARITY_CHECK,
+    CompiledProgram,
+    lower,
+    preparation,
+)
 from .document import MAX_SHOTS, CircuitDocument, parse_circuit
 from .encoding import LogicalRegister, define_register, extract_logical_state
 from .errors import (
@@ -77,9 +83,10 @@ def _op_entry(op) -> dict:
 
 def cmd_compile(doc: CircuitDocument, args) -> tuple[dict, int]:
     layout, register = build_system(doc, args.cutoff)
-    preparation, steps = lower(register, doc.program)
+    prep = preparation(register)
+    steps = lower(register, doc.program)
     program = CompiledProgram()
-    program.extend(preparation)
+    program.extend(prep)
     entries = []
     for step in steps:
         entry = {"step": step.index, "gate": step.record.render(),
@@ -92,7 +99,7 @@ def cmd_compile(doc: CircuitDocument, args) -> tuple[dict, int]:
     report = {
         "schema": SCHEMA,
         "command": "compile",
-        "preparation": [_op_entry(op) for op in preparation.ops],
+        "preparation": [_op_entry(op) for op in prep.ops],
         "steps": entries,
         "pulse_count": len(program.ops),
         "global_phase": program.phase_mod_2pi,
@@ -111,10 +118,11 @@ def cmd_run(doc: CircuitDocument, args) -> tuple[dict, int]:
                else doc.options.get("seed", 0))
     shots = int(args.shots if args.shots is not None
                 else doc.options.get("shots", 0))
-    preparation, steps = lower(register, doc.program)
+    prep = preparation(register)
+    steps = lower(register, doc.program)
 
-    state = run_program(ground_state(layout), preparation)
-    ledger = preparation.global_phase
+    state = run_program(ground_state(layout), prep)
+    ledger = prep.global_phase
     injected = False
     parity_flags = []
     for step in steps:
@@ -194,22 +202,21 @@ def cmd_verify(doc: CircuitDocument | None, args) -> tuple[dict, int]:
                                  and result.max_entry_error <= tol)
             checks.append(result.to_dict())
     if doc is not None:
-        # Gates repeat in a document: each distinct program (its exact
-        # pulses and the record it must equal) is checked once.
+        # Gates repeat in a document, and a record's pulses depend only
+        # on the register and the record: each distinct record is
+        # checked once.
         reports = {}
-        for step in lower(register, doc.program, prepare=False)[1]:
+        for step in lower(register, doc.program):
             if step.program is None:
                 continue
             rec = step.record
-            key = (tuple(step.program.ops), rec.name, tuple(rec.params),
-                   tuple(rec.operands))
-            if key not in reports:
+            if rec not in reports:
                 ideal = ideal_logical_gate(rec.name, rec.params,
                                            len(rec.operands))
-                reports[key] = check_gate(register, step.program, ideal,
+                reports[rec] = check_gate(register, step.program, ideal,
                                           rec.operands, tol)
             checks.append(CheckResult.from_report(
-                f"gate-{step.index}:{rec.render()}", reports[key]).to_dict())
+                f"gate-{step.index}:{rec.render()}", reports[rec]).to_dict())
     passed = all(c["equivalent"] for c in checks)
     report = {
         "schema": SCHEMA,

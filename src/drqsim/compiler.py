@@ -27,8 +27,10 @@ Gate catalogue conventions (pinned by the oracle tests):
 `GATES` is the one table of document gate names: each row holds the
 arity, the lowering of a document record to pulses, and the ideal
 matrix.  `lower` walks a whole program of records through it for the
-compile, run and verify commands; every lowering takes the register, the
-record's parameters and operands, and the program's ancilla pool.
+compile, run and verify commands.  A lowering takes only the register
+and the record's parameters and operands: each gate takes the pool
+ancillas it needs in register order, so equal records lower to equal
+pulses wherever they sit in the program.
 
 Global phases stated by the constructions (e^{i pi/4} per hybrid CNOT,
 e^{i pi/2} per odd-N CSWAP and per exchange composite, the su2 phase
@@ -37,8 +39,6 @@ physical pulses.
 """
 from __future__ import annotations
 
-from collections import deque
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -124,30 +124,18 @@ class CompiledProgram:
         return plain + flagged // 2
 
 
-class AncillaPool:
-    """Least-recently-used checkout over the register's ancilla qubits."""
+def _ancillas(register: LogicalRegister, label: str,
+              roles: Sequence[bool] = (True,)) -> list[str | None]:
+    """One pool ancilla per role that needs one, in register order, else None.
 
-    def __init__(self, register: LogicalRegister):
-        self._free = deque(register.ancilla_qubits)
-
-    def take(self, label: str) -> str:
-        if not self._free:
-            raise CompileError(f"{label}: ancilla pool exhausted")
-        return self._free.popleft()
-
-    def release(self, *ids: str) -> None:
-        for sid in ids:
-            if sid is not None:
-                self._free.append(sid)
-
-    @contextmanager
-    def borrowed(self, label: str):
-        """One ancilla for the body, returned to the pool afterwards."""
-        anc = self.take(label)
-        try:
-            yield anc
-        finally:
-            self.release(anc)
+    Every gate returns its ancillas to the ground state, so each lowering
+    starts from the whole pool and depends only on the register and the
+    record.
+    """
+    if sum(roles) > len(register.ancilla_qubits):
+        raise CompileError(f"{label}: ancilla pool exhausted")
+    free = iter(register.ancilla_qubits)
+    return [next(free) if role else None for role in roles]
 
 
 # ---------------------------------------------------------------------------
@@ -207,11 +195,11 @@ def _rail_rotation(axis: str, theta: float, d0: str, d1: str,
     return zbs(theta / 2, phi, anc, d0, d1)
 
 
-def compile_su2(register: LogicalRegister, matrix: np.ndarray, target: str,
-                pool: AncillaPool) -> CompiledProgram:
+def compile_su2(register: LogicalRegister, matrix: np.ndarray,
+                target: str) -> CompiledProgram:
     """Arbitrary single-qubit gate.
 
-    A dual-rail target gets beamsplitters on its rails through a pooled
+    A dual-rail target gets beamsplitters on its rails through a pool
     ancilla; an internal target gets carrier pulses, or free evolution
     when the gate is diagonal.
     """
@@ -220,12 +208,12 @@ def compile_su2(register: LogicalRegister, matrix: np.ndarray, target: str,
     prog = CompiledProgram()
     if entry.is_dual_rail:
         d0, d1 = entry.rails
-        with pool.borrowed("su2") as anc:
-            alpha, rots = _xy_angles(u)
-            prog.add([_rail_rotation(ax, th, d0, d1, anc)
-                      for ax, th in rots], -alpha)
-            if rots:
-                prog.borrow(f"su2:{target}", qubits=(anc,))
+        anc, = _ancillas(register, "su2")
+        alpha, rots = _xy_angles(u)
+        prog.add([_rail_rotation(ax, th, d0, d1, anc)
+                  for ax, th in rots], -alpha)
+        if rots:
+            prog.borrow(f"su2:{target}", qubits=(anc,))
         return prog
     if max(abs(u[0, 1]), abs(u[1, 0])) < 1e-14:
         # Diagonal gates map to free evolution instead of three pulses.
@@ -279,16 +267,16 @@ def tnp_sequence(theta: float, qubit: str, mode1: str,
 
 
 def compile_rzz(register: LogicalRegister, theta: float, d1_id: str,
-                d2_id: str, pool: AncillaPool) -> CompiledProgram:
+                d2_id: str) -> CompiledProgram:
     """ZZ-rotation between two dual-rail qubits via the parity phase."""
     prog = CompiledProgram()
-    with pool.borrowed("rzz") as anc:
-        e1, e2 = register.entry(d1_id), register.entry(d2_id)
-        if not (e1.is_dual_rail and e2.is_dual_rail):
-            raise CompileError("rzz operands must both be dual-rail")
-        # The occupied second rail decides the computational basis state,
-        # so the parity circuit runs on the two second rails.
-        prog.add(tnp_sequence(theta, anc, e1.rails[1], e2.rails[1]))
+    anc, = _ancillas(register, "rzz")
+    e1, e2 = register.entry(d1_id), register.entry(d2_id)
+    if not (e1.is_dual_rail and e2.is_dual_rail):
+        raise CompileError("rzz operands must both be dual-rail")
+    # The occupied second rail decides the computational basis state,
+    # so the parity circuit runs on the two second rails.
+    prog.add(tnp_sequence(theta, anc, e1.rails[1], e2.rails[1]))
     prog.borrow(f"rzz:{d1_id},{d2_id}", qubits=(anc,))
     return prog
 
@@ -325,11 +313,11 @@ def _native_cnot(c: str, t: str) -> tuple[list[PhysicalOp], float]:
     ], _PI / 4
 
 
-def compile_cnot(register: LogicalRegister, control: str, target: str,
-                 pool: AncillaPool) -> CompiledProgram:
+def compile_cnot(register: LogicalRegister, control: str,
+                 target: str) -> CompiledProgram:
     """CNOT: the native XX gate between two internal qubits, or the
     hybrid conditional-beamsplitter CNOT (either direction) between an
-    internal and a dual-rail qubit through a pooled ancilla."""
+    internal and a dual-rail qubit through a pool ancilla."""
     ce, te = register.entry(control), register.entry(target)
     prog = CompiledProgram()
     if not ce.is_dual_rail and not te.is_dual_rail:
@@ -339,17 +327,17 @@ def compile_cnot(register: LogicalRegister, control: str, target: str,
         raise CompileError(
             "cnot between two dual-rail qubits is not lowered; "
             "use rzz with single-qubit gates")
-    with pool.borrowed("cnot") as anc:
-        if te.is_dual_rail:
-            prog.add(*_cnot_q_to_rails(ce.qubit, *te.rails, anc=anc))
-        else:
-            prog.add(*_cnot_rails_to_q(te.qubit, *ce.rails, anc=anc))
+    anc, = _ancillas(register, "cnot")
+    if te.is_dual_rail:
+        prog.add(*_cnot_q_to_rails(ce.qubit, *te.rails, anc=anc))
+    else:
+        prog.add(*_cnot_rails_to_q(te.qubit, *ce.rails, anc=anc))
     prog.borrow(f"cnot:{control}->{target}", qubits=(anc,))
     return prog
 
 
-def compile_rxx(register: LogicalRegister, theta: float, a: str, b: str,
-                pool: AncillaPool) -> CompiledProgram:
+def compile_rxx(register: LogicalRegister, theta: float, a: str,
+                b: str) -> CompiledProgram:
     """XX-rotation: the native XX gate between two internal qubits, or a
     ZBS conjugation of a carrier y-rotation between an internal and a
     dual-rail qubit.  Neither takes an ancilla from the pool."""
@@ -371,8 +359,7 @@ def compile_rxx(register: LogicalRegister, theta: float, a: str, b: str,
 
 
 def compile_cswap(register: LogicalRegister, control: str,
-                  targets: Sequence[str],
-                  pool: AncillaPool) -> CompiledProgram:
+                  targets: Sequence[str]) -> CompiledProgram:
     """Controlled SWAP of two N-qubit dual-rail registers.
 
     Pairs target i with target N+i; each pair costs two conditional
@@ -380,11 +367,11 @@ def compile_cswap(register: LogicalRegister, control: str,
     cancelled by a sigma_z rotation for odd N, which leaves the stated
     e^{i pi/2} overall phase.
     """
-    with pool.borrowed("cswap") as anc:
-        ce = register.entry(control)
-        if ce.is_dual_rail:
-            raise CompileError("cswap control must be a logical internal qubit")
-        prog = _cswap(register, ce.qubit, targets, anc)
+    anc, = _ancillas(register, "cswap")
+    ce = register.entry(control)
+    if ce.is_dual_rail:
+        raise CompileError("cswap control must be a logical internal qubit")
+    prog = _cswap(register, ce.qubit, targets, anc)
     prog.borrow(f"cswap:{control}", qubits=(anc,))
     return prog
 
@@ -450,19 +437,19 @@ def _aux_rsb_pi(q: str, aux_mode: str, com: str,
 
 
 def compile_kcnot(register: LogicalRegister, controls: Sequence[str],
-                  target: str, pool: AncillaPool) -> CompiledProgram:
+                  target: str) -> CompiledProgram:
     """Multi-controlled X through the COM phonon bus.
 
     The target flip fires only while the bus phonon survives the ladder,
     and the mirrored unwind restores all controls.  Controls beyond the
     first and the target must be registered with auxiliary modes.
     """
-    return _bus_ladder(register, "kcnot", controls, pool, target=target)
+    return _bus_ladder(register, "kcnot", controls, target=target)
 
 
 def compile_multi_controlled(register: LogicalRegister,
-                             controls: Sequence[str], targets: Sequence[str],
-                             pool: AncillaPool) -> CompiledProgram:
+                             controls: Sequence[str],
+                             targets: Sequence[str]) -> CompiledProgram:
     """General multi-controlled gate via a condition qubit.
 
     K+1 sideband-type unitaries store "all controls are |1>" on a spare
@@ -470,13 +457,12 @@ def compile_multi_controlled(register: LogicalRegister,
     K+1 mirrored unitaries restore the controls and return q_c to |0>.
     One target makes the inner gate an X, several a swap of their halves.
     """
-    return _bus_ladder(register, "multi_controlled", controls, pool,
+    return _bus_ladder(register, "multi_controlled", controls,
                        inner=tuple(targets))
 
 
 def _bus_ladder(register: LogicalRegister, gate: str,
-                controls: Sequence[str], pool: AncillaPool,
-                target: str | None = None,
+                controls: Sequence[str], target: str | None = None,
                 inner: tuple[str, ...] = ()) -> CompiledProgram:
     """Controls loaded onto the COM bus, a middle, and the mirrored unwind.
 
@@ -487,8 +473,8 @@ def _bus_ladder(register: LogicalRegister, gate: str,
     targets, stores the bus on a pool qubit q_c that controls an X on the
     one inner target or a swap of the inner targets' halves.  A dual-rail
     rung is exchanged onto a pool qubit around its pulses.  Pool qubits
-    are checked out as q_c, the beamsplitter ancilla, then the exchange
-    ancilla; that order decides the pulse targets.
+    are taken in register order as q_c, the beamsplitter ancilla, then
+    the exchange ancilla; that order decides the pulse targets.
     """
     need = 1 if inner else 2
     if len(controls) < need:
@@ -506,12 +492,11 @@ def _bus_ladder(register: LogicalRegister, gate: str,
                 f"{e.logical_id!r} must carry an auxiliary mode for {gate}")
 
     x_target = register.entry(inner[0]) if len(inner) == 1 else None
-    q_c = pool.take(gate) if inner else None
     exchange = any(e.is_dual_rail for e in entries)
     need_bs = (len(controls) > 1 or len(inner) > 1
                or x_target is not None and x_target.is_dual_rail)
-    bs_anc = pool.take(gate) if need_bs or exchange else None
-    ex_anc = pool.take(gate) if exchange else None
+    q_c, bs_anc, ex_anc = _ancillas(
+        register, gate, (bool(inner), need_bs or exchange, exchange))
 
     prog = CompiledProgram()
 
@@ -558,7 +543,6 @@ def _bus_ladder(register: LogicalRegister, gate: str,
         label += f"->{target}"
     prog.borrow(label, qubits=tuple(q for q in (q_c, bs_anc, ex_anc)
                                     if q is not None), modes=(com,))
-    pool.release(q_c, bs_anc, ex_anc)
     return prog
 
 
@@ -571,15 +555,15 @@ PULSES = "pulses"
 ERROR_INJECTION = "error-injection"
 PARITY_CHECK = "parity-check"
 
-Lowering = Callable[[LogicalRegister, Sequence[float], Sequence[str],
-                     AncillaPool], CompiledProgram]
+Lowering = Callable[[LogicalRegister, Sequence[float], Sequence[str]],
+                    CompiledProgram]
 
 
 @dataclass(frozen=True)
 class GateSpec:
     """One row of the gate table.
 
-    `lower` maps (register, params, operands, pool) to the record's
+    `lower` maps (register, params, operands) to the record's
     pulses, and `ideal` maps (params, operand count) to the textbook
     matrix over the operands, first operand most significant.
     Directives, whose `step` is not PULSES, have neither.
@@ -597,7 +581,7 @@ def _one_qubit(n_params: int, matrix: Callable[..., np.ndarray]) -> GateSpec:
     """Row of the single-qubit gate `matrix(*params)`."""
     return GateSpec(
         n_params, 1, 1,
-        lower=lambda r, p, ops, pool: compile_su2(r, matrix(*p), ops[0], pool),
+        lower=lambda r, p, ops: compile_su2(r, matrix(*p), ops[0]),
         ideal=lambda p, n: np.array(matrix(*p), dtype=complex))
 
 
@@ -629,8 +613,8 @@ def _controlled_swap_ideal(n: int, n_targets: int) -> np.ndarray:
         n, n_targets, lambda t: (t % (1 << half)) << half | t >> half)
 
 
-_RXX = GateSpec(1, 2, 2, lambda r, p, ops, pool: compile_rxx(
-    r, p[0], *ops, pool), _rxx_ideal)
+_RXX = GateSpec(1, 2, 2, lambda r, p, ops: compile_rxx(r, p[0], *ops),
+                _rxx_ideal)
 
 GATES: dict[str, GateSpec] = {
     **{name: _one_qubit(0, lambda u=u: u) for name, u in (
@@ -639,28 +623,28 @@ GATES: dict[str, GateSpec] = {
     **{f"r{axis}": _one_qubit(1, lambda t, axis=axis: rotation_matrix(axis, t))
        for axis in "xyz"},
     "rzz": GateSpec(
-        1, 2, 2, lambda r, p, ops, pool: compile_rzz(r, p[0], *ops, pool),
+        1, 2, 2, lambda r, p, ops: compile_rzz(r, p[0], *ops),
         lambda p, n: np.diag(np.exp(-1j * p[0] / 2 * np.array([1, -1, -1, 1])))),
     "rxx": _RXX,
     "xx": _RXX,
     "cnot": GateSpec(
-        0, 2, 2, lambda r, p, ops, pool: compile_cnot(r, *ops, pool),
+        0, 2, 2, lambda r, p, ops: compile_cnot(r, *ops),
         _controlled_x_ideal),
     "cswap": GateSpec(
         0, 3, None,
-        lambda r, p, ops, pool: compile_cswap(r, ops[0], ops[1:], pool),
+        lambda r, p, ops: compile_cswap(r, ops[0], ops[1:]),
         lambda p, n: _controlled_swap_ideal(n, n - 1)),
     "kcnot": GateSpec(
         0, 3, None,
-        lambda r, p, ops, pool: compile_kcnot(r, ops[:-1], ops[-1], pool),
+        lambda r, p, ops: compile_kcnot(r, ops[:-1], ops[-1]),
         _controlled_x_ideal),
     "mcx": GateSpec(
-        0, 2, None, lambda r, p, ops, pool: compile_multi_controlled(
-            r, ops[:-1], ops[-1:], pool),
+        0, 2, None,
+        lambda r, p, ops: compile_multi_controlled(r, ops[:-1], ops[-1:]),
         _controlled_x_ideal),
     "mcswap": GateSpec(
-        0, 4, None, lambda r, p, ops, pool: compile_multi_controlled(
-            r, ops[:-2], ops[-2:], pool),
+        0, 4, None,
+        lambda r, p, ops: compile_multi_controlled(r, ops[:-2], ops[-2:]),
         lambda p, n: _controlled_swap_ideal(n, 2)),
     "loss": GateSpec(0, 1, 1, step=ERROR_INJECTION),
     "gain": GateSpec(0, 1, 1, step=ERROR_INJECTION),
@@ -668,11 +652,9 @@ GATES: dict[str, GateSpec] = {
 }
 
 
-def compile_gate(register: LogicalRegister, record,
-                 pool: AncillaPool) -> CompiledProgram:
+def compile_gate(register: LogicalRegister, record) -> CompiledProgram:
     """Pulses of one unitary document record, from its GATES row."""
-    return GATES[record.name].lower(register, record.params, record.operands,
-                                    pool)
+    return GATES[record.name].lower(register, record.params, record.operands)
 
 
 @dataclass
@@ -685,7 +667,7 @@ class Step:
     program: CompiledProgram | None = None
 
 
-def _preparation(register: LogicalRegister) -> CompiledProgram:
+def preparation(register: LogicalRegister) -> CompiledProgram:
     """Pulses loading every dual-rail register into |0> from the ground state."""
     prog = CompiledProgram()
     dual = [e for e in register.entries if e.is_dual_rail]
@@ -697,26 +679,22 @@ def _preparation(register: LogicalRegister) -> CompiledProgram:
     return prog
 
 
-def lower(register: LogicalRegister, records: Sequence,
-          prepare: bool = True) -> tuple[CompiledProgram, list[Step]]:
-    """Lower a program: (preparation pulses, one step per record).
+def lower(register: LogicalRegister, records: Sequence) -> list[Step]:
+    """Lower a program: one step per record.
 
     A record is a document gate record (`name`, `params`, `operands`);
     its GATES row either lowers it to pulses or marks it a directive.
-    One ancilla pool serves the whole program.  The preparation is empty
-    unless `prepare` is set.  A parity check needs a dual-rail target and
-    a register with an ancilla.  Compile and register errors are raised
-    as CompileError naming the record: `gate {index} ({name}): ...`.
+    A parity check needs a dual-rail target and a register with an
+    ancilla.  Compile and register errors are raised as CompileError
+    naming the record: `gate {index} ({name}): ...`.
     """
-    preparation = _preparation(register) if prepare else CompiledProgram()
-    pool = AncillaPool(register)
     steps = []
     for i, rec in enumerate(records):
         spec = GATES[rec.name]
         step = Step(i, rec, spec.step)
         try:
             if spec.lower is not None:
-                step.program = compile_gate(register, rec, pool)
+                step.program = compile_gate(register, rec)
             elif spec.step == PARITY_CHECK:
                 if not register.entry(rec.operands[0]).is_dual_rail:
                     raise CompileError("qndcheck target must be dual-rail")
@@ -725,13 +703,13 @@ def lower(register: LogicalRegister, records: Sequence,
         except (CompileError, RegisterError) as exc:
             raise CompileError(f"gate {i} ({rec.name}): {exc}") from exc
         steps.append(step)
-    return preparation, steps
+    return steps
 
 
 def compile_program(records: Sequence,
                     register: LogicalRegister) -> CompiledProgram:
-    """Lower unitary document records, with per-gate ancilla checkout."""
+    """Lower unitary document records into one program."""
     program = CompiledProgram()
-    for step in lower(register, records, prepare=False)[1]:
+    for step in lower(register, records):
         program.extend(step.program)
     return program

@@ -89,9 +89,6 @@ class HilbertLayout:
         except KeyError:
             raise LayoutError(f"unknown subsystem id {sid!r}") from None
 
-    def subsystem(self, sid: str) -> Subsystem:
-        return self.subsystems[self.axis(sid)]
-
     def dim_of(self, sid: str) -> int:
         return self.subsystems[self.axis(sid)].dim
 

@@ -130,8 +130,7 @@ def check_rzz(rng: np.random.Generator, draws: int = 3) -> CheckResult:
     phase = 0.0
     for _ in range(draws):
         theta = rng.uniform(-np.pi, np.pi)
-        prog = comp.compile_rzz(register, theta, "D1", "D2",
-                                comp.AncillaPool(register))
+        prog = comp.compile_rzz(register, theta, "D1", "D2")
         report = check_gate(register, prog,
                             ideal_logical_gate("rzz", [theta], 2),
                             ["D1", "D2"], 1e-9)
@@ -146,8 +145,7 @@ def check_cnot_directions() -> CheckResult:
     worst = 0.0
     phases = []
     for control, target in (("Q", "D"), ("D", "Q")):
-        prog = comp.compile_cnot(register, control, target,
-                                 comp.AncillaPool(register))
+        prog = comp.compile_cnot(register, control, target)
         report = check_gate(register, prog, cnot, [control, target], 1e-9)
         worst = max(worst, report.max_entry_error)
         phases.append(report.inferred_phase)
@@ -161,8 +159,7 @@ def check_rxx(rng: np.random.Generator, draws: int = 5) -> CheckResult:
     worst = 0.0
     for _ in range(draws):
         theta = rng.uniform(-2 * np.pi, 2 * np.pi)
-        prog = comp.compile_rxx(register, theta, "Q", "D",
-                                comp.AncillaPool(register))
+        prog = comp.compile_rxx(register, theta, "Q", "D")
         if prog.ancilla_manifest:
             return CheckResult("hybrid-rxx", False, 1.0, 0.0)
         report = check_gate(register, prog,
@@ -182,8 +179,7 @@ def check_cswap() -> CheckResult:
          ("D1", "dual_rail", ("m0", "m1")),
          ("D2", "dual_rail", ("m2", "m3"))],
         ancilla_qubits=("anc",))
-    prog = comp.compile_cswap(register, "Q", ["D1", "D2"],
-                              comp.AncillaPool(register))
+    prog = comp.compile_cswap(register, "Q", ["D1", "D2"])
     report = check_gate(register, prog, ideal_logical_gate("cswap", [], 3),
                         ["Q", "D1", "D2"], 1e-9)
     return CheckResult.from_report("cswap", report)
@@ -195,7 +191,7 @@ def check_su2(rng: np.random.Generator, draws: int = 10) -> CheckResult:
     worst = 0.0
     for _ in range(draws):
         u = unitary_group.rvs(2, random_state=rng)
-        prog = comp.compile_su2(register, u, "D", comp.AncillaPool(register))
+        prog = comp.compile_su2(register, u, "D")
         report = check_gate(register, prog, u, ["D"], 1e-9)
         worst = max(worst, report.max_entry_error)
     return CheckResult("su2-universality", worst <= 1e-9, worst, 0.0)
@@ -235,8 +231,7 @@ def check_kcnot() -> CheckResult:
          ("C2", "internal_aux", ("c2", "b2")),
          ("T", "internal_aux", ("t", "bt"))],
         ancilla_qubits=("anc",), com_mode="com")
-    prog = comp.compile_kcnot(register, ["C1", "C2"], "T",
-                              comp.AncillaPool(register))
+    prog = comp.compile_kcnot(register, ["C1", "C2"], "T")
     report = check_gate(register, prog, ideal_logical_gate("kcnot", [], 3),
                         ["C1", "C2", "T"], 1e-9)
     return CheckResult.from_report("kcnot-toffoli", report)

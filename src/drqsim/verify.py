@@ -46,6 +46,7 @@ MAX_RESTRICTED_DIM = 256
 MAX_FULL_DIM = 4096
 SENTINEL_TOL = 1e-12
 LEAKAGE_GUARD_TOL = 1e-6
+ANCILLA_TOL = 1e-9
 
 
 def _op_list(program) -> list[PhysicalOp]:
@@ -138,8 +139,7 @@ def equivalent_up_to_phase(a: np.ndarray, b: np.ndarray, tol: float,
 
 def run_program(state: StateVector, program, norm_tol: float = 1e-10,
                 probe: Callable[[StateVector], None] | None = None,
-                register: LogicalRegister | None = None,
-                ancilla_tol: float = 1e-9) -> StateVector:
+                register: LogicalRegister | None = None) -> StateVector:
     """Apply a pulse program with norm monitoring.
 
     `probe` is called after every pulse (population tracking in tests and
@@ -151,7 +151,7 @@ def run_program(state: StateVector, program, norm_tol: float = 1e-10,
     """
     if register is not None:
         defect = ancilla_reset_defect(state, register)
-        if defect > ancilla_tol:
+        if defect > ANCILLA_TOL:
             raise HealthError(
                 f"ancilla not in its reference state at gate entry "
                 f"(defect {defect:.3e})")
@@ -164,7 +164,7 @@ def run_program(state: StateVector, program, norm_tol: float = 1e-10,
             probe(state)
     if register is not None:
         defect = ancilla_reset_defect(state, register)
-        if defect > ancilla_tol:
+        if defect > ANCILLA_TOL:
             raise HealthError(
                 f"ancilla not restored at gate exit (defect {defect:.3e})")
     return state

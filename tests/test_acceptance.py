@@ -26,7 +26,6 @@ from drqsim import (
 )
 from drqsim import compiler as comp
 from drqsim.compiler import (
-    AncillaPool,
     compile_cnot,
     compile_cswap,
     compile_gate,
@@ -122,8 +121,7 @@ def test_criterion_03_rzz_truth_table(rzz_system):
     rng = np.random.default_rng(103)
     for _ in range(10):
         theta = rng.uniform(-2 * np.pi, 2 * np.pi)
-        prog = compile_rzz(register, theta, "D1", "D2",
-                           AncillaPool(register))
+        prog = compile_rzz(register, theta, "D1", "D2")
         got = program_unitary(prog, layout, restrict=register).matrix
         ideal = np.diag(np.exp(-1j * theta / 2 * np.array([1, -1, -1, 1])))
         assert np.max(np.abs(got - ideal)) <= 1e-9
@@ -141,8 +139,7 @@ def test_criterion_04_hybrid_cnot():
         ancilla_qubits=("anc",))
     cnot = ideal_logical_gate("cnot", [], 2)
     for control, target in (("Q", "D"), ("D", "Q")):
-        prog = compile_cnot(register, control, target,
-                            AncillaPool(register))
+        prog = compile_cnot(register, control, target)
         got = program_unitary(prog, layout, restrict=register)
         ideal = cnot
         if control == "D":
@@ -169,7 +166,7 @@ def test_criterion_05_rxx_identity():
     rng = np.random.default_rng(105)
     for _ in range(20):
         theta = rng.uniform(-2 * np.pi, 2 * np.pi)
-        prog = compile_rxx(register, theta, "Q", "D", AncillaPool(register))
+        prog = compile_rxx(register, theta, "Q", "D")
         assert prog.ancilla_manifest == []      # zero ancillas consumed
         assert all("anc" not in op.targets for op in prog.ops)
         got = program_unitary(prog, layout, restrict=register)
@@ -196,7 +193,7 @@ def _cswap_register(n_pairs, cutoff=3):
 
 def test_criterion_06_cswap():
     layout, register = _cswap_register(1)
-    prog = compile_cswap(register, "Q", ["D1", "D2"], AncillaPool(register))
+    prog = compile_cswap(register, "Q", ["D1", "D2"])
     assert any(op.kind == "qphase" for op in prog.ops)  # odd-N correction
     got = program_unitary(prog, layout, restrict=register)
     rep = equivalent_up_to_phase(got.matrix, ideal_logical_gate("cswap", [], 3),
@@ -204,8 +201,7 @@ def test_criterion_06_cswap():
     assert rep.equivalent
 
     layout2, register2 = _cswap_register(2)
-    prog2 = compile_cswap(register2, "Q", ["D1", "D2", "D3", "D4"],
-                          AncillaPool(register2))
+    prog2 = compile_cswap(register2, "Q", ["D1", "D2", "D3", "D4"])
     assert all(op.kind != "qphase" for op in prog2.ops)  # even N: none
     got2 = program_unitary(prog2, layout2, restrict=register2)
     rep2 = equivalent_up_to_phase(got2.matrix,
@@ -276,20 +272,19 @@ def _check_mcx_truth_table(layout, register, prog, n_qubits):
 def test_criterion_07_kcnot():
     # K=2 all-internal
     layout, register = _kcnot_register(["internal", "internal_aux"])
-    prog = compile_kcnot(register, ["C1", "C2"], "T", AncillaPool(register))
+    prog = compile_kcnot(register, ["C1", "C2"], "T")
     _check_mcx_truth_table(layout, register, prog, 3)
 
     # K=2 mixed internal / dual-rail
     layout, register = _kcnot_register(["internal", "dual_rail_aux"])
-    prog = compile_kcnot(register, ["C1", "C2"], "T", AncillaPool(register))
+    prog = compile_kcnot(register, ["C1", "C2"], "T")
     _check_mcx_truth_table(layout, register, prog, 3)
 
     # K=3 mixed at cutoff 3, timed
     start = time.monotonic()
     layout, register = _kcnot_register(
         ["internal", "dual_rail_aux", "internal_aux"])
-    prog = compile_kcnot(register, ["C1", "C2", "C3"], "T",
-                         AncillaPool(register))
+    prog = compile_kcnot(register, ["C1", "C2", "C3"], "T")
     _check_mcx_truth_table(layout, register, prog, 4)
     elapsed = time.monotonic() - start
 
@@ -299,7 +294,7 @@ def test_criterion_07_kcnot():
         kinds = ["internal"] + ["internal_aux"] * (k - 1)
         _, reg = _kcnot_register(kinds)
         counts[k] = len(compile_kcnot(reg, [f"C{i + 1}" for i in range(k)],
-                                      "T", AncillaPool(reg)).ops)
+                                      "T").ops)
     a = counts[3] - counts[2]
     b = counts[2] - 2 * a
     assert all(counts[k] == a * k + b for k in (2, 3, 4))
@@ -315,8 +310,7 @@ def test_criterion_08_multi_controlled():
         kinds = ["internal"] + ["internal_aux"] * (k - 1)
         _, register = _kcnot_register(kinds, target_kind="internal")
         prog = compile_multi_controlled(
-            register, [f"C{i + 1}" for i in range(k)], ["T"],
-            AncillaPool(register))
+            register, [f"C{i + 1}" for i in range(k)], ["T"])
         assert prog.rsb_unitary_count() == 2 * k + 2
 
     # Three-controlled SWAP on two dual-rail targets (inner paired-CBS CSWAP).
@@ -334,7 +328,7 @@ def test_criterion_08_multi_controlled():
          ("T2", "dual_rail", ("m2", "m3"))],
         ancilla_qubits=("anc1", "anc2"), com_mode="com")
     prog = compile_multi_controlled(register, ["C1", "C2", "C3"],
-                                    ["T1", "T2"], AncillaPool(register))
+                                    ["T1", "T2"])
     assert prog.rsb_unitary_count() == 2 * 3 + 2
     from drqsim import extract_logical_state
     for value in range(32):
@@ -402,7 +396,7 @@ def test_criterion_10_su2_universality():
     rng = np.random.default_rng(110)
     for _ in range(50):
         u = unitary_group.rvs(2, random_state=rng)
-        prog = compile_su2(register, u, "D", AncillaPool(register))
+        prog = compile_su2(register, u, "D")
         assert all(op.kind == "zbs" for op in prog.ops)
         got = program_unitary(prog, layout, restrict=register)
         rep = equivalent_up_to_phase(got.matrix, u, 1e-9, got.leakage_max)
@@ -439,7 +433,7 @@ def test_criterion_11_ancilla_hygiene():
                gate("cnot", "Q", "D"), gate("cnot", "D", "Q"),
                gate("rxx", 0.81, "Q", "D")]
     for record in records:
-        prog = compile_gate(register, record, AncillaPool(register))
+        prog = compile_gate(register, record)
         out = run_program(random_logical(register, layout), prog)
         worst_reset = max(worst_reset, ancilla_reset_defect(out, register))
         worst_sentinel = max(worst_sentinel, sentinel_population(out))
@@ -452,16 +446,14 @@ def test_criterion_11_ancilla_hygiene():
         [("D1", "dual_rail", ("m0", "m1")),
          ("D2", "dual_rail", ("m2", "m3"))],
         ancilla_qubits=("anc",))
-    prog = compile_gate(register2, gate("rzz", 0.53, "D1", "D2"),
-                        AncillaPool(register2))
+    prog = compile_gate(register2, gate("rzz", 0.53, "D1", "D2"))
     out = run_program(random_logical(register2, layout2), prog)
     worst_reset = max(worst_reset, ancilla_reset_defect(out, register2))
     worst_sentinel = max(worst_sentinel, sentinel_population(out))
 
     # CSWAP with an internal control.
     layout3, register3 = _cswap_register(1, cutoff=4)
-    prog = compile_cswap(register3, "Q", ["D1", "D2"],
-                         AncillaPool(register3))
+    prog = compile_cswap(register3, "Q", ["D1", "D2"])
     out = run_program(random_logical(register3, layout3), prog)
     worst_reset = max(worst_reset, ancilla_reset_defect(out, register3))
     worst_sentinel = max(worst_sentinel, sentinel_population(out))
@@ -469,7 +461,7 @@ def test_criterion_11_ancilla_hygiene():
     # K-CNOT with a dual-rail control at cutoff 4 (sentinel live).
     layout4, register4 = _kcnot_register(["internal", "dual_rail_aux"],
                                          cutoff=4)
-    prog = compile_kcnot(register4, ["C1", "C2"], "T", AncillaPool(register4))
+    prog = compile_kcnot(register4, ["C1", "C2"], "T")
     out = run_program(random_logical(register4, layout4), prog)
     worst_reset = max(worst_reset, ancilla_reset_defect(out, register4))
     worst_sentinel = max(worst_sentinel, sentinel_population(out))

@@ -1,10 +1,17 @@
+import contextlib
+import io
 import json
+import re
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from drqsim import cli, fock
 from drqsim.cli import main
 from drqsim.compiler import GATES
+from drqsim.document import parse_circuit
+from drqsim.errors import DocumentError
 
 BELL = """\
 system:
@@ -592,3 +599,98 @@ def test_report_write_failure_exit_code(bell_doc, tmp_path, capsys):
     assert json.loads(out)["command"] == "compile"
     assert err.startswith(f"error: {target}: ") and "No such file" in err
 
+
+ROOT = Path(__file__).resolve().parent.parent
+CHECKED_IN = [path.read_text(encoding="utf-8") for path in sorted(
+    [*ROOT.glob("circuits/*.drq"), *ROOT.glob("perfbench/inputs/*.drq")])]
+# Each document also without its comment lines, so that most edits land
+# on lines the parser reads.
+SEED_DOCUMENTS = CHECKED_IN + ["".join(
+    line for line in text.splitlines(keepends=True)
+    if not line.startswith("#")) for text in CHECKED_IN]
+# Every word of the checked-in documents, so a mutation can move a word
+# into a section where it does not belong.
+SEED_TOKENS = sorted({tok for text in SEED_DOCUMENTS for tok in text.split()})
+
+
+@st.composite
+def mutated_documents(draw):
+    """A checked-in document after one to four random text edits."""
+    text = draw(st.sampled_from(SEED_DOCUMENTS))
+    odd_numbers = st.sampled_from([
+        "pi*", "-pi", "pi*1e400", "1e999", "-1e999", "1e-400", "+.5", "0x10",
+        "1_0", "\u0663", "nan", "inf", "-0"])
+    junk = st.one_of(
+        st.text(st.characters(codec="utf-8"), max_size=12),
+        st.sampled_from(SEED_TOKENS),
+        st.floats(allow_nan=True, allow_infinity=True).map(repr),
+        st.integers(-2 ** 70, 2 ** 70).map(str),
+        st.sampled_from([":", "\n", "  ", "#", "pi", "*", "-"]),
+        odd_numbers)
+    for _ in range(draw(st.integers(1, 4))):
+        edit = draw(st.sampled_from(
+            ["delete", "insert", "replace-word", "replace-number",
+             "drop-line", "copy-line", "swap-lines"]))
+        if edit in ("delete", "insert"):
+            start = draw(st.integers(0, len(text)))
+            end = start
+            if edit == "delete":
+                end = draw(st.integers(start, min(len(text), start + 40)))
+            text = text[:start] + (draw(junk) if edit == "insert" else "") \
+                + text[end:]
+            continue
+        if edit.startswith("replace"):
+            # Odd pieces are the words; the spacing between them is kept.
+            pieces = re.split(r"(\S+)", text)
+            picks = range(1, len(pieces), 2)
+            if edit == "replace-number":
+                # A number the parser reads: not inside a comment.
+                picks = [k for k in picks
+                         if re.match(r"[-+]?(pi|\d|\.\d)", pieces[k])
+                         and "#" not in "".join(pieces[:k]).rsplit("\n", 1)[-1]]
+            if picks:
+                pieces[draw(st.sampled_from(picks))] = draw(
+                    st.one_of(odd_numbers, junk)
+                    if edit == "replace-number" else junk)
+            text = "".join(pieces)
+            continue
+        lines = text.split("\n")
+        i = draw(st.integers(0, len(lines) - 1))
+        j = draw(st.integers(0, len(lines) - 1))
+        if edit == "drop-line":
+            del lines[i]
+        elif edit == "copy-line":
+            lines.insert(j, lines[i])
+        else:
+            lines[i], lines[j] = lines[j], lines[i]
+        text = "\n".join(lines)
+    return text
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(text=mutated_documents())
+def test_mutated_documents_fail_only_as_documents(text, tmp_path_factory):
+    """Fuzzed text raises only DocumentError, and `compile` maps any bad
+    input to exit 2 with a one-line message, never a traceback; what it
+    accepts gets a strict JSON report (no NaN or Infinity)."""
+    try:
+        parse_circuit(text)
+    except DocumentError:
+        pass
+    path = tmp_path_factory.getbasetemp() / "fuzzed.drq"
+    path.write_text(text, encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["compile", str(path)])
+    assert code in (0, 2)
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1
+    else:
+        assert err.getvalue() == ""
+        json.loads(out.getvalue(), parse_constant=_not_json)
+
+
+def _not_json(constant):
+    raise ValueError(f"{constant} is not JSON")

@@ -15,7 +15,7 @@ from drqsim import (
     measure_dual_rail,
     prepare_dual_rail_zero,
 )
-from drqsim.compiler import AncillaPool, compile_gate
+from drqsim.compiler import compile_gate
 from drqsim.encoding import codeword_index, logical_basis_state
 from drqsim.verify import inject_heating_error, run_program
 
@@ -184,7 +184,7 @@ def test_prep_gate_measure_round_trip(hybrid_system):
     layout, register = hybrid_system
     ops, _ = prepare_dual_rail_zero(register, "D", "anc")
     state = apply_pulses(ground_state(layout), ops)
-    prog = compile_gate(register, gate("h", "D"), AncillaPool(register))
+    prog = compile_gate(register, gate("h", "D"))
     state = run_program(state, prog)
     rng = np.random.default_rng(7)
     shots = 10000

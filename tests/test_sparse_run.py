@@ -19,7 +19,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from drqsim.cli import build_system, cmd_compile, cmd_run
-from drqsim.compiler import ERROR_INJECTION, GATES, PARITY_CHECK, lower
+from drqsim.compiler import (
+    ERROR_INJECTION,
+    GATES,
+    PARITY_CHECK,
+    lower,
+    preparation,
+)
 from drqsim.document import parse_circuit, serialize_circuit
 from drqsim.encoding import codeword_index, extract_logical_state
 from drqsim.errors import CompileError
@@ -98,11 +104,12 @@ def replay(text, seed=0):
     """
     doc = parse_circuit(text)
     layout, register = build_system(doc)
-    preparation, steps = lower(register, doc.program)
-    state = run_program(ground_state(layout), preparation)
+    prep = preparation(register)
+    steps = lower(register, doc.program)
+    state = run_program(ground_state(layout), prep)
     dense = np.zeros(layout.total_dim, dtype=complex)
     dense[0] = 1.0
-    dense = _dense_pulses(dense, layout, preparation.ops)
+    dense = _dense_pulses(dense, layout, prep.ops)
     _compare(state, dense, register)
     injected = False
     for step in steps:

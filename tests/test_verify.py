@@ -17,7 +17,7 @@ from drqsim import (
 )
 from drqsim import encoding, verify
 from drqsim.cli import build_system
-from drqsim.compiler import AncillaPool, compile_cnot, compile_gate, lower
+from drqsim.compiler import compile_cnot, compile_gate, lower, preparation
 from drqsim.document import parse_circuit
 from drqsim.encoding import logical_basis_state, measure_dual_rail
 from drqsim.errors import HealthError, RegisterError
@@ -140,7 +140,7 @@ def test_dual_path_kilodim(rng):
 
 def test_restricted_unitary_of_compiled_cnot(hybrid_system):
     layout, register = hybrid_system
-    prog = compile_cnot(register, "Q", "D", AncillaPool(register))
+    prog = compile_cnot(register, "Q", "D")
     got = program_unitary(prog, layout, restrict=register)
     rep = equivalent_up_to_phase(got.matrix, ideal_logical_gate("cnot", [], 2),
                                  1e-9, got.leakage_max)
@@ -191,7 +191,7 @@ def test_restricted_unitary_matches_column_reference(name):
     doc = parse_circuit(GATE_DOCUMENTS[name])
     layout, register = build_system(doc)
     checked = 0
-    for step in lower(register, doc.program, prepare=False)[1]:
+    for step in lower(register, doc.program):
         if step.program is None:
             continue
         got = program_unitary(step.program, layout, restrict=register)
@@ -322,7 +322,7 @@ def test_error_detectable_after_compiled_gates(hybrid_system, rng):
     layout, register = hybrid_system
     for record in (gate("h", "D"), gate("rx", 0.83, "Q"),
                    gate("cnot", "Q", "D")):
-        prog = compile_gate(register, record, AncillaPool(register))
+        prog = compile_gate(register, record)
         state = run_program(logical_basis_state(register, [0, 0]), prog)
         for mode in ("m0", "m1"):
             for kind in ("loss", "gain"):
@@ -374,7 +374,7 @@ def test_run_program_asserts_ancilla_ground(hybrid_system):
     # Compiled gates assume pool ancillas in the ground state; executing
     # one against an excited ancilla is flagged at the gate boundary.
     layout, register = hybrid_system
-    prog = compile_cnot(register, "Q", "D", AncillaPool(register))
+    prog = compile_cnot(register, "Q", "D")
     state = basis_state(layout, {"anc": 1, "m0": 1})
     with pytest.raises(HealthError, match="ancilla not in its reference "
                        "state at gate entry"):
@@ -391,10 +391,9 @@ def test_run_program_asserts_ancilla_ground(hybrid_system):
 
 def test_sample_counts_bell(hybrid_system):
     layout, register = hybrid_system
-    pool = AncillaPool(register)
     state = logical_basis_state(register, [0, 0])
-    state = run_program(state, compile_gate(register, gate("h", "Q"), pool))
-    state = run_program(state, compile_cnot(register, "Q", "D", pool))
+    state = run_program(state, compile_gate(register, gate("h", "Q")))
+    state = run_program(state, compile_cnot(register, "Q", "D"))
     counts = sample_counts(state, register, ["Q", "D"], 10000, seed=11)
     assert sum(counts.values()) == 10000
     p_corr = (counts.get("00", 0) + counts.get("11", 0)) / 10000
@@ -413,9 +412,8 @@ def test_sample_counts_deterministic_codeword(hybrid_system):
 
 def test_sample_counts_seed_determinism(hybrid_system):
     layout, register = hybrid_system
-    pool = AncillaPool(register)
     state = logical_basis_state(register, [0, 0])
-    state = run_program(state, compile_gate(register, gate("h", "D"), pool))
+    state = run_program(state, compile_gate(register, gate("h", "D")))
     one = sample_counts(state, register, ["Q", "D"], 500, seed=123)
     two = sample_counts(state, register, ["Q", "D"], 500, seed=123)
     assert one == two
@@ -447,10 +445,9 @@ def _sample_by_shot(state, register, measured_ids, shots, seed):
 
 def _heated_bell(hybrid_system, mode, kind):
     layout, register = hybrid_system
-    pool = AncillaPool(register)
     state = logical_basis_state(register, [0, 0])
-    state = run_program(state, compile_gate(register, gate("h", "Q"), pool))
-    state = run_program(state, compile_cnot(register, "Q", "D", pool))
+    state = run_program(state, compile_gate(register, gate("h", "Q")))
+    state = run_program(state, compile_cnot(register, "Q", "D"))
     return inject_heating_error(state, mode, kind), register
 
 
@@ -461,9 +458,8 @@ def _toffoli_superposition():
     text = (root / "circuits" / "toffoli.drq").read_text()
     doc = parse_circuit(text.replace("  x C1\n", "  h C1\n"))
     layout, register = build_system(doc)
-    preparation, steps = lower(register, doc.program)
-    state = run_program(ground_state(layout), preparation)
-    for step in steps:
+    state = run_program(ground_state(layout), preparation(register))
+    for step in lower(register, doc.program):
         state = run_program(state, step.program)
     return state, register, list(doc.logical_ids())
 
