@@ -198,12 +198,18 @@ def _bit_patterns(n: int):
         yield tuple((b >> (n - 1 - i)) & 1 for i in range(n))
 
 
+PHASE_REFERENCE_RTOL = 1e-9
+
+
 @dataclass
 class LogicalStateReport:
     """Projection of a physical state onto the codeword span.
 
     `logical_amplitudes` is indexed lexicographically with the first
-    registered logical qubit as the most significant bit.
+    registered logical qubit as the most significant bit.  `global_phase`
+    is the phase of the first amplitude in that order whose magnitude is
+    within a relative PHASE_REFERENCE_RTOL of the largest, so a last-bit
+    change cannot move it between amplitudes of tied magnitude.
     """
 
     logical_amplitudes: np.ndarray = field(repr=False)
@@ -218,7 +224,9 @@ def extract_logical_state(state: StateVector,
     leakage = max(0.0, 1.0 - weight)
     phase = 0.0
     if weight > 1e-15:
-        phase = float(np.angle(amps[int(np.argmax(np.abs(amps)))]))
+        mags = np.abs(amps)
+        near_max = mags >= (1.0 - PHASE_REFERENCE_RTOL) * mags.max()
+        phase = float(np.angle(amps[int(np.argmax(near_max))]))
     return LogicalStateReport(amps, leakage, phase)
 
 

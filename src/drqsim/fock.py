@@ -26,6 +26,10 @@ MODE = "mode"
 UNITARITY_TOL = 1e-10
 HERMITICITY_TOL = 1e-12
 NORM_TOL = 1e-10
+# The support kernel drops a row whose magnitude is at or below this in
+# every column: the rounding residue of pi-pulses and of destructive
+# interference (about 1e-17), which holds no weight.
+PRUNE_TOL = 1e-14
 # Largest dense array: 2**25 complex amplitudes take 512 MiB.  It bounds
 # the dense `amplitudes` of a state, a support block and a pulse matrix.
 MAX_STATE_DIM = 2 ** 25
@@ -324,9 +328,20 @@ def apply_matrix_support(index: np.ndarray, amplitudes: np.ndarray,
 
     `index` is a sorted, unique int64 array of basis indices and
     `amplitudes` the matching (len(index), k) array.  Rows sharing the
-    levels outside the targets form one block of the matrix's dimension,
-    so the product is exact; rows that come out exactly zero in every
-    column are dropped.  Returns the new sorted index and amplitudes.
+    levels outside the targets form one block of the matrix's dimension.
+    A row is kept when some column's magnitude exceeds `PRUNE_TOL`, so
+    the support holds only states with weight.  The pruning is bounded:
+
+    - a pruned row holds at most k * PRUNE_TOL**2 = k * 1e-28 of weight,
+      and one call, whose block holds at most MAX_STATE_DIM amplitudes,
+      prunes less than 4e-21 in all;
+    - the state is not renormalized, so the per-pulse norm check (1e-10)
+      still bounds the total pruned weight;
+    - that is far below the sentinel bound (1e-12 population) and the
+      leakage guard (1e-6), so the pruning cannot hide a breach of
+      either.
+
+    Returns the new sorted index and amplitudes.
     """
     index = support_index(layout, index)
     _, dims, strides, weights, offsets = _targets(layout, tuple(sids),
@@ -346,7 +361,7 @@ def apply_matrix_support(index: np.ndarray, amplitudes: np.ndarray,
     block[target, group] = amplitudes
     block = (matrix @ block.reshape(block_dim, -1)).reshape(-1, k)
     new_index = (offsets[:, None] + rests).ravel()
-    keep = np.flatnonzero(block.any(axis=1))
+    keep = np.flatnonzero((np.abs(block) > PRUNE_TOL).any(axis=1))
     keep = keep[np.argsort(new_index[keep])]
     return new_index[keep], block[keep]
 

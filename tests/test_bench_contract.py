@@ -7,6 +7,7 @@ benchmark rather than fail a test, so these checks pin the names.  The
 tracer also reads some arguments by position; a reordering would
 silently zero a per-layer count, so those positions are pinned too.
 """
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -38,17 +39,33 @@ def test_setup_probe_entry_point():
     assert callable(cli.build_system)
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # Every command pays the import in setup_s; only the few oracles that
-    # need scipy import it, inside the function.
+def _scipy_modules_after(code):
+    """The scipy modules a fresh interpreter has loaded after `code`."""
     src = str(SPANS.parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
     out = subprocess.run(
-        [sys.executable, "-c", "import sys, drqsim.cli; print(sorted("
+        [sys.executable, "-c", code + "\nprint(sorted("
          "m for m in sys.modules if m.partition('.')[0] == 'scipy'))"],
         env=env, capture_output=True, text=True, check=True).stdout
-    assert out == "[]\n"
+    return ast.literal_eval(out.splitlines()[-1])
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # Every command pays the import in setup_s; only the few oracles that
+    # need scipy import it, inside the function.
+    assert _scipy_modules_after("import sys, drqsim.cli") == []
+
+
+def test_verify_builtin_leaves_scipy_stats_unloaded():
+    # scipy.stats alone costs ~40 MB and ~0.8 s; the su2 check draws its
+    # Haar unitaries with numpy.  scipy.linalg stays, for the expm oracle.
+    loaded = _scipy_modules_after(
+        "import contextlib, io, sys\nfrom drqsim.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['verify', '--builtin']) == 0")
+    assert "scipy.linalg" in loaded
+    assert not [m for m in loaded if m.startswith("scipy.stats")]
 
 
 @pytest.mark.parametrize("module,function,leading", [
@@ -58,6 +75,8 @@ def test_cli_import_leaves_scipy_unloaded():
     ("pulses", "pulse_matrix", ["op", "layout"]),
     ("fock", "apply_matrix", ["state", "matrix", "sids"]),
     ("fock", "apply_matrix_columns", ["columns", "layout", "matrix", "sids"]),
+    ("fock", "apply_matrix_support", ["index", "amplitudes", "layout",
+                                      "matrix", "sids"]),
     ("verify", "program_unitary", ["program", "layout", "restrict"]),
 ])
 def test_traced_argument_positions(module, function, leading):

@@ -4,6 +4,7 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,6 +13,7 @@ from drqsim.cli import main
 from drqsim.compiler import GATES
 from drqsim.document import parse_circuit
 from drqsim.errors import DocumentError
+from drqsim.suite import haar_unitary
 
 BELL = """\
 system:
@@ -100,6 +102,16 @@ def test_verify_builtin_suite(capsys):
         "hybrid-rxx", "cswap", "su2-universality", "qnd-parity",
         "kcnot-toffoli"]
     assert all(c["equivalent"] for c in report["checks"])
+
+
+def test_haar_unitary_draws_like_scipy():
+    # The su2-universality check draws with suite.haar_unitary; equal
+    # draws keep its --builtin line what scipy.stats used to give.
+    from scipy.stats import unitary_group
+    ours, theirs = np.random.default_rng(7), np.random.default_rng(7)
+    for _ in range(50):
+        assert np.array_equal(haar_unitary(ours, 2),
+                              unitary_group.rvs(2, random_state=theirs))
 
 
 def test_verify_builtin_honours_tol(capsys):

@@ -162,6 +162,21 @@ def test_extract_superposition_stays_in_span(hybrid_system, rng):
     assert np.allclose(report.logical_amplitudes, coeffs)
 
 
+@pytest.mark.parametrize("nudged", [0, 1])
+def test_global_phase_ignores_a_last_bit_tie_break(hybrid_system, nudged):
+    # Two codewords of equal magnitude; one ulp more on either one must
+    # not move the reported phase off the first in logical order.
+    layout, register = hybrid_system
+    mag = np.full(2, 1 / np.sqrt(2))
+    mag[nudged] = np.nextafter(mag[nudged], 1.0)
+    amps = np.zeros(layout.total_dim, dtype=complex)
+    amps[[codeword_index(register, bits) for bits in [(0, 1), (1, 0)]]] = (
+        mag * np.exp(1j * np.array([0.3, 1.2])))
+    report = extract_logical_state(StateVector(layout, amps), register)
+    assert np.argmax(np.abs(report.logical_amplitudes[1:3])) == nudged
+    assert report.global_phase == pytest.approx(0.3, abs=1e-15)
+
+
 def test_leakage_half_mix(hybrid_system):
     layout, register = hybrid_system
     good = logical_basis_state(register, [0, 0]).amplitudes

@@ -296,18 +296,27 @@ def test_apply_matrix_support_matches_dense(case):
     assert np.max(np.abs(want)) <= 1e-12
 
 
-def test_apply_matrix_support_prunes_exact_zeros_only():
-    # a^dag on |2> of a cutoff-3 mode gives exactly zero, so that row
-    # goes; a row holding only 1e-300 stays.
-    layout = create_layout([("q", "qubit", 2), ("m", "mode", 3)])
-    index = np.array([layout.basis_index(levels)
-                      for levels in ([1, 0], [0, 1], [1, 2])])
-    amps = np.array([[0, 1e-300], [1, 0], [0, 1]], dtype=complex)
+def test_apply_matrix_support_prunes_rows_at_or_below_tolerance():
+    # a^dag on one cutoff-3 mode, three columns, one row per rest group
+    # (q, r): rows at 1e-15 and 1e-300 go, and so does the exact zero
+    # a^dag leaves on |2>; a row at 2e-14 in one column of three stays.
+    layout = create_layout([("q", "qubit", 2), ("r", "qubit", 2),
+                            ("m", "mode", 3)])
+    rows = {(0, 0, 0): [1e-15, 0, 0], (1, 0, 0): [0, 0, 2e-14],
+            (0, 1, 0): [0, 1e-300, 0], (1, 1, 1): [1, 0, 0],
+            (1, 1, 2): [0, 1, 0]}
+    index = np.array([layout.basis_index(levels) for levels in rows])
+    amps = np.array(list(rows.values()), dtype=complex)
     got_index, got_amps = apply_matrix_support(
         index, amps, layout, creation_matrix(3), ("m",))
-    assert got_index.tolist() == [layout.basis_index([1, 1]),
-                                  layout.basis_index([0, 2])]
-    assert got_amps.tolist() == [[0, 1e-300], [np.sqrt(2), 0]]
+    assert got_index.tolist() == [layout.basis_index([1, 0, 1]),
+                                  layout.basis_index([1, 1, 2])]
+    assert got_amps.tolist() == [[0, 0, 2e-14], [np.sqrt(2), 0, 0]]
+    # "At or below": a row of exactly PRUNE_TOL goes.
+    got_index, _ = apply_matrix_support(
+        np.array([0, 1]), np.array([[fock.PRUNE_TOL], [1]], dtype=complex),
+        layout, np.eye(2), ("q",))
+    assert got_index.tolist() == [1]
 
 
 def test_apply_matrix_support_checks_targets_and_shape():

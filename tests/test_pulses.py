@@ -331,8 +331,10 @@ def test_analytic_path_matches_exponential(make_op, rng):
 ], ids=["qphase", "native_xx", "rsb", "bs", "zbs"])
 def test_pulse_matrix_exactly_zero_between_conserved_numbers(make_op,
                                                              conserved, rng):
-    # The support kernel prunes exact zeros only, so no entry may couple
-    # states of different conserved number, even at rounding level.
+    # Exact block structure is what keeps the pruned support small: the
+    # support kernel drops only rows at or below fock.PRUNE_TOL, so any
+    # coupling between conserved numbers that rounding left above it
+    # would spread the support over other blocks.
     for _ in range(10):
         d1, d2 = rng.integers(3, 7, size=2)
         layout = create_layout([("q", "qubit", 2), ("q2", "qubit", 2),
