@@ -75,9 +75,10 @@ def test_verify_builtin_leaves_scipy_stats_unloaded():
     ("pulses", "pulse_matrix", ["op", "layout"]),
     ("fock", "apply_matrix", ["state", "matrix", "sids"]),
     ("fock", "apply_matrix_columns", ["columns", "layout", "matrix", "sids"]),
+    ("verify", "program_unitary", ["program", "layout", "restrict"]),
+    # New cases go last: the ids are numbered by position in this table.
     ("fock", "apply_matrix_support", ["index", "amplitudes", "layout",
                                       "matrix", "sids"]),
-    ("verify", "program_unitary", ["program", "layout", "restrict"]),
 ])
 def test_traced_argument_positions(module, function, leading):
     fn = getattr(importlib.import_module(f"drqsim.{module}"), function)
