@@ -687,14 +687,22 @@ def lower(register: LogicalRegister, records: Sequence) -> list[Step]:
     A parity check needs a dual-rail target and a register with an
     ancilla.  Compile and register errors are raised as CompileError
     naming the record: `gate {index} ({name}): ...`.
+
+    Equal records lower to equal pulses, so each distinct record is
+    lowered once and its steps share that one CompiledProgram.  The key
+    tells -0.0 from 0.0, which `==` does not: their pulses print apart.
     """
     steps = []
+    programs: dict = {}
     for i, rec in enumerate(records):
         spec = GATES[rec.name]
         step = Step(i, rec, spec.step)
         try:
             if spec.lower is not None:
-                step.program = compile_gate(register, rec)
+                key = (rec, repr(rec.params))
+                if key not in programs:
+                    programs[key] = compile_gate(register, rec)
+                step.program = programs[key]
             elif spec.step == PARITY_CHECK:
                 if not register.entry(rec.operands[0]).is_dual_rail:
                     raise CompileError("qndcheck target must be dual-rail")

@@ -95,9 +95,24 @@ class LogicalRegister:
     @cached_property
     def codeword_indices(self) -> np.ndarray:
         """Basis indices of the 2**n codewords, in logical order (first
-        registered qubit most significant); read-only, built once."""
-        indices = support_index(self.layout, [
-            codeword_index(self, bits) for bits in _bit_patterns(self.n_logical)])
+        registered qubit most significant); read-only, built once.
+
+        A codeword's index is the all-zero codeword's plus one step per
+        set bit: flipping a dual-rail qubit moves its phonon from d0 to
+        d1, flipping an internal qubit excites it."""
+        layout = self.layout
+        base, deltas = 0, []
+        for e in self.entries:
+            if e.is_dual_rail:
+                d0, d1 = (layout.strides[layout.axis(s)] for s in e.rails)
+                base += d0
+                deltas.append(d1 - d0)
+            else:
+                deltas.append(layout.strides[layout.axis(e.qubit)])
+        # Bit i of codeword b, first registered qubit most significant.
+        bits = (np.arange(self.logical_dim)[:, None]
+                >> np.arange(self.n_logical)[::-1] & 1)
+        indices = base + bits @ support_index(layout, deltas)
         indices.flags.writeable = False
         return indices
 
@@ -191,11 +206,6 @@ def codeword_index(register: LogicalRegister, bits: Sequence[int]) -> int:
 def logical_basis_state(register: LogicalRegister,
                         bits: Sequence[int]) -> StateVector:
     return basis_state(register.layout, codeword_levels(register, bits))
-
-
-def _bit_patterns(n: int):
-    for b in range(2 ** n):
-        yield tuple((b >> (n - 1 - i)) & 1 for i in range(n))
 
 
 PHASE_REFERENCE_RTOL = 1e-9

@@ -15,6 +15,12 @@ Every pulse is exp(i f theta G) of a small Hermitian generator G that
 conserves an excitation or phonon number, so G is block-diagonal.
 `pulse_matrix` takes it block by block in G's eigenbasis, cached per
 (kind, phi, target dims); tests pin it to the Pade oracle `exp_hermitian`.
+The finished matrix of a pulse of at most `MEMO_MAX_ROWS` rows is
+memoized per (pulse, layout object) in a 64-entry LRU, since a deep
+circuit repeats a few pulses many times.  Every command builds its own
+layout, so the memo never carries a matrix from one command into the
+next, and the cost of building each distinct pulse is paid once per
+command.
 
 Sign conventions worth noting: with the (ground, excited) basis ordering,
 sigma_z is diag(-1, +1), so the red sideband couples |g, m+1> <-> |e, m>
@@ -219,16 +225,40 @@ def _eigenbasis(kind: str, phi: float, dims: tuple[int, ...]) -> tuple:
     return tuple(groups)
 
 
-def pulse_matrix(op: PhysicalOp, layout: HilbertLayout) -> OperatorMatrix:
-    """Unitary exp(i f theta G) of the pulse over its targets, taken block
-    by block in G's cached eigenbasis: theta enters only as the phases
-    exp(i f theta w), and every entry between two blocks is exactly 0."""
-    dims = _check_kinds(op, layout)
+def _build(op: PhysicalOp, dims: tuple[int, ...]) -> np.ndarray:
     angle = _GENERATORS[op.kind][1] * op.theta
     u = np.zeros((math.prod(dims),) * 2, dtype=complex)
     for flat, w, v, vh in _eigenbasis(op.kind, op.phi, dims):
         np.put(u, flat, (v * np.exp(1j * angle * w)[:, None, :]) @ vh)
-    return OperatorMatrix(op.targets, u)
+    return u
+
+
+# The memo keeps pulses of at most this many rows, so its 64 entries hold
+# at most 4 MiB.  A larger pulse is built on every call: 64 zbs matrices
+# at cutoff 20 would hold 655 MB.
+MEMO_MAX_ROWS = 64
+
+
+@functools.lru_cache(maxsize=64)
+def _matrix(op: PhysicalOp, layout: HilbertLayout) -> np.ndarray:
+    """The pulse's unitary on one layout, read-only: a document repeats a
+    few pulses many times.  The key is the layout object, not its dims,
+    so each command (which builds its own layout) builds its own."""
+    u = _build(op, tuple(layout.dim_of(sid) for sid in op.targets))
+    u.flags.writeable = False  # shared by every caller of the cache
+    return u
+
+
+def pulse_matrix(op: PhysicalOp, layout: HilbertLayout) -> OperatorMatrix:
+    """Unitary exp(i f theta G) of the pulse over its targets, taken block
+    by block in G's cached eigenbasis: theta enters only as the phases
+    exp(i f theta w), and every entry between two blocks is exactly 0.
+    A pulse of at most MEMO_MAX_ROWS rows comes from the per-layout memo,
+    as the caller's own copy."""
+    dims = _check_kinds(op, layout)
+    if math.prod(dims) > MEMO_MAX_ROWS:
+        return OperatorMatrix(op.targets, _build(op, dims))
+    return OperatorMatrix(op.targets, _matrix(op, layout).copy())
 
 
 def apply_pulse(state: StateVector, op: PhysicalOp) -> StateVector:

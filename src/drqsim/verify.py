@@ -177,11 +177,10 @@ def sentinel_population(state: StateVector) -> float:
     never populate it, so weight there means truncation influenced the
     run.
     """
-    worst = 0.0
-    for sub in state.layout.subsystems:
-        if sub.kind == "mode" and sub.dim >= 4:
-            worst = max(worst, state.population(sub.sid, sub.dim - 1))
-    return worst
+    pops = state.populations([(sub.sid, sub.dim - 1)
+                              for sub in state.layout.subsystems
+                              if sub.kind == "mode" and sub.dim >= 4])
+    return max([0.0, *pops.tolist()])
 
 
 def check_sentinel(state: StateVector, tol: float = SENTINEL_TOL) -> None:
@@ -193,12 +192,11 @@ def check_sentinel(state: StateVector, tol: float = SENTINEL_TOL) -> None:
 def ancilla_reset_defect(state: StateVector,
                          register: LogicalRegister) -> float:
     """Worst deviation of any pool ancilla / COM mode from its reference state."""
-    worst = 0.0
-    for q in register.ancilla_qubits:
-        worst = max(worst, 1.0 - state.population(q, 0))
+    sids = list(register.ancilla_qubits)
     if register.com_mode is not None:
-        worst = max(worst, 1.0 - state.population(register.com_mode, 0))
-    return worst
+        sids.append(register.com_mode)
+    pops = state.populations([(sid, 0) for sid in sids])
+    return max([0.0, *(1.0 - pops).tolist()])
 
 
 # ---------------------------------------------------------------------------

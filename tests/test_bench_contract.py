@@ -79,6 +79,9 @@ def test_verify_builtin_leaves_scipy_stats_unloaded():
     # New cases go last: the ids are numbered by position in this table.
     ("fock", "apply_matrix_support", ["index", "amplitudes", "layout",
                                       "matrix", "sids"]),
+    ("compiler", "compile_gate", ["register", "record"]),
+    ("verify", "ancilla_reset_defect", ["state", "register"]),
+    ("verify", "check_sentinel", ["state"]),
 ])
 def test_traced_argument_positions(module, function, leading):
     fn = getattr(importlib.import_module(f"drqsim.{module}"), function)

@@ -1,5 +1,8 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from drqsim import (
     RegisterError,
@@ -15,11 +18,14 @@ from drqsim import (
     measure_dual_rail,
     prepare_dual_rail_zero,
 )
+from drqsim.cli import build_system
 from drqsim.compiler import compile_gate
-from drqsim.encoding import codeword_index, logical_basis_state
+from drqsim.document import parse_circuit
+from drqsim.encoding import KIND_ARITY, codeword_index, logical_basis_state
 from drqsim.verify import inject_heating_error, run_program
 
 from conftest import gate
+from test_sparse_run import REGISTERS
 
 
 def test_logical_basis_state_rejects_oversized_register():
@@ -46,6 +52,44 @@ def test_codeword_indices_built_once(hybrid_system):
     assert register.codeword_indices is indices
     with pytest.raises(ValueError):
         indices[0] = 0
+
+
+def _codeword_loop(register):
+    return [codeword_index(register, bits)
+            for bits in itertools.product((0, 1), repeat=register.n_logical)]
+
+
+@st.composite
+def registers(draw):
+    """Entries of every kind, in a drawn order, over a shuffled layout."""
+    cutoff = draw(st.integers(3, 5))
+    spec, entries = [("anc", "qubit", 2)], []
+    for i, kind in enumerate(draw(st.lists(st.sampled_from(sorted(KIND_ARITY)),
+                                           max_size=5))):
+        # Each kind's subsystems: one qubit first for the internal kinds,
+        # then modes.
+        n_qubits = 1 if kind.startswith("internal") else 0
+        physical = [f"s{i}_{j}" for j in range(KIND_ARITY[kind])]
+        spec += [(sid, "qubit", 2) if j < n_qubits else (sid, "mode", cutoff)
+                 for j, sid in enumerate(physical)]
+        entries.append((f"L{i}", kind, physical))
+    layout = create_layout(draw(st.permutations(spec)))
+    return define_register(layout, entries, ancilla_qubits=("anc",))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(register=registers())
+def test_codeword_indices_match_the_codeword_loop(register):
+    assert register.codeword_indices.tolist() == _codeword_loop(register)
+
+
+@pytest.mark.parametrize("name", REGISTERS)
+def test_codeword_indices_of_the_document_registers(name):
+    header, _, cutoffs = REGISTERS[name]
+    for cutoff in cutoffs:
+        doc = parse_circuit(header.format(cutoff=cutoff) + "program:\n")
+        register = build_system(doc)[1]
+        assert register.codeword_indices.tolist() == _codeword_loop(register)
 
 
 def test_register_rejects_reuse():

@@ -1,0 +1,256 @@
+"""A command does each piece of its repeated gate work once.
+
+- `compiler.lower` lowers each distinct record once per call;
+- `pulses.pulse_matrix` builds each distinct pulse once per layout;
+- the health checks read all their populations in one pass.
+
+Each is pinned to the form that does the work every time.
+"""
+import argparse
+import json
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from drqsim import cli, compiler, pulses
+from drqsim.compiler import lower, preparation
+from drqsim.document import parse_circuit
+from drqsim.encoding import define_register
+from drqsim.errors import CompileError
+from drqsim.fock import StateVector, create_layout, exp_hermitian, ground_state
+from drqsim.pulses import (
+    beamsplitter,
+    carrier,
+    native_xx,
+    pulse_generator,
+    pulse_matrix,
+    qphase,
+    rsb,
+    zbs,
+)
+from drqsim.verify import (
+    ancilla_reset_defect,
+    run_program,
+    sentinel_population,
+)
+
+from conftest import gate, random_state
+from test_sparse_run import DEEP_REGISTER, REGISTERS, documents
+from test_verify_memo import repeating_documents
+
+ARGS = argparse.Namespace(cutoff=None, seed=5, shots=200,
+                          allow_midcircuit=False, builtin=False, tol=None)
+
+
+def _memo_key(rec):
+    # The memo tells -0.0 from 0.0, as the compile listing does.
+    return rec, repr(rec.params)
+
+
+# --- lowering memo ---------------------------------------------------------
+
+def _lower_afresh(register, records):
+    """`lower` without its memo: every record in a call of its own."""
+    steps = []
+    for i, rec in enumerate(records):
+        (step,) = lower(register, [rec])
+        step.index = i
+        steps.append(step)
+    return steps
+
+
+def _reports(doc):
+    """The compile, run and verify reports of a document, as JSON text."""
+    return [json.dumps(cmd(doc, ARGS))
+            for cmd in (cli.cmd_compile, cli.cmd_run, cli.cmd_verify)]
+
+
+@pytest.mark.parametrize("register", REGISTERS)
+@settings(derandomize=True, deadline=None, max_examples=10)
+@given(data=st.data())
+def test_lower_compiles_each_distinct_record_once(register, data):
+    doc = parse_circuit(data.draw(repeating_documents(register)))
+    with mock.patch.object(compiler, "compile_gate",
+                           wraps=compiler.compile_gate) as spy:
+        steps = lower(cli.build_system(doc)[1], doc.program)
+    assert spy.call_count == len({_memo_key(rec) for rec in doc.program})
+    first = {}
+    for step in steps:
+        assert first.setdefault(_memo_key(step.record),
+                                step.program) is step.program
+
+
+@pytest.mark.parametrize("register", REGISTERS)
+@settings(derandomize=True, deadline=None, max_examples=8)
+@given(data=st.data())
+def test_memo_reports_equal_fresh_lowering(register, data):
+    doc = parse_circuit(data.draw(repeating_documents(register)))
+    memo = _reports(doc)
+    with mock.patch.object(cli, "lower", _lower_afresh):
+        assert _reports(doc) == memo
+
+
+def test_memo_tells_signed_zeros_apart():
+    # `rx 0` and `rx -0` are equal records whose pulses print apart.
+    lines = ["rx 0 D1", "rx -0 D1", "rz -0 Q", "rz 0 Q", "rzz 0 D1 D2",
+             "rzz -0 D1 D2"]
+    doc = parse_circuit(DEEP_REGISTER.format(cutoff=4) + "program:\n"
+                        + "".join(f"  {line}\n" for line in lines))
+    memo = _reports(doc)
+    with mock.patch.object(cli, "lower", _lower_afresh):
+        assert _reports(doc) == memo
+
+
+def test_first_failing_record_is_named():
+    layout = create_layout([("q", "qubit", 2), ("m0", "mode", 4),
+                            ("m1", "mode", 4)])
+    # No ancilla: a dual-rail Hadamard cannot lower.
+    register = define_register(
+        layout, [("Q", "internal", ("q",)), ("D", "dual_rail", ("m0", "m1"))])
+    records = [gate("x", "Q"), gate("h", "D"), gate("x", "Q"), gate("h", "D")]
+    with pytest.raises(CompileError, match=r"^gate 1 \(h\): "):
+        lower(register, records)
+
+
+# --- pulse memo ------------------------------------------------------------
+
+SPEC = [("q", "qubit", 2), ("q2", "qubit", 2), ("m0", "mode", 4),
+        ("m1", "mode", 3)]
+
+
+def _misses_hits():
+    info = pulses._matrix.cache_info()
+    return np.array([info.misses, info.hits])
+
+
+def test_equal_pulses_build_once_per_layout():
+    layout = create_layout(SPEC)
+    start = _misses_hits()
+    first = pulse_matrix(zbs(0.7, 0.3, "q", "m0", "m1"), layout).entries
+    again = pulse_matrix(zbs(0.7, 0.3, "q", "m0", "m1"), layout).entries
+    assert (_misses_hits() - start).tolist() == [1, 1]
+    assert again is not first and again.tobytes() == first.tobytes()
+    # Every command builds its own layout, so a layout built from the
+    # same spec builds the pulse again: no matrix crosses commands.
+    pulse_matrix(zbs(0.7, 0.3, "q", "m0", "m1"), create_layout(SPEC))
+    assert (_misses_hits() - start).tolist() == [2, 1]
+
+
+@pytest.mark.parametrize("op", [
+    carrier(0.97, -1.2, "q"),
+    rsb(1.41, "q", "m0"),
+    beamsplitter(0.66, 2.1, "m0", "m1"),
+    zbs(-0.58, 0.9, "q", "m0", "m1"),
+    qphase(2.3, "q"),
+    native_xx(0.77, "q", "q2"),
+], ids=lambda op: op.kind)
+def test_cached_pulse_matrix_is_a_fresh_build(op):
+    layout = create_layout(SPEC)
+    pulse_matrix(op, layout)
+    start = _misses_hits()
+    cached = pulse_matrix(op, layout).entries
+    assert (_misses_hits() - start).tolist() == [0, 1]
+    assert cached.tobytes() == pulses._matrix.__wrapped__(op, layout).tobytes()
+    oracle = exp_hermitian(*pulse_generator(op, layout)).entries
+    assert np.max(np.abs(cached - oracle)) <= 1e-10
+
+
+def test_pulses_past_the_row_cap_skip_the_memo():
+    # The memo holds at most 64 matrices of MEMO_MAX_ROWS rows; this zbs
+    # has 2 * 6 * 6 = 72 rows and is built on every call.
+    layout = create_layout([("q", "qubit", 2), ("m0", "mode", 6),
+                            ("m1", "mode", 6)])
+    op = zbs(0.7, 0.3, "q", "m0", "m1")
+    assert 72 > pulses.MEMO_MAX_ROWS
+    start = _misses_hits()
+    first = pulse_matrix(op, layout).entries
+    again = pulse_matrix(op, layout).entries
+    assert (_misses_hits() - start).tolist() == [0, 0]
+    assert again is not first and again.tobytes() == first.tobytes()
+    oracle = exp_hermitian(*pulse_generator(op, layout)).entries
+    assert np.max(np.abs(first - oracle)) <= 1e-10
+
+
+# --- health populations ----------------------------------------------------
+
+@st.composite
+def states_and_pairs(draw):
+    """A state on a drawn share of a small layout's basis, and (sid,
+    level) pairs to read, repeats included."""
+    dims = draw(st.lists(st.sampled_from([2, 3, 4, 5]), min_size=1,
+                         max_size=5))
+    layout = create_layout([(f"s{i}", "qubit" if d == 2 else "mode", d)
+                            for i, d in enumerate(dims)])
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    index = np.flatnonzero(rng.random(layout.total_dim)
+                           < draw(st.floats(0.0, 1.0)))
+    values = rng.normal(size=len(index)) + 1j * rng.normal(size=len(index))
+    state = StateVector(layout, index=index, values=values)
+    pairs = draw(st.lists(st.sampled_from(
+        [(s.sid, level) for s in layout.subsystems for level in range(s.dim)]),
+        min_size=1, max_size=8))
+    return state, pairs
+
+
+def _masked_population(state, sid, level):
+    return np.sum(np.abs(state.values[state.levels(sid) == level]) ** 2)
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(drawn=states_and_pairs())
+def test_populations_match_the_masked_sums(drawn):
+    state, pairs = drawn
+    got = state.populations(pairs)
+    assert got.shape == (len(pairs),)
+    for (sid, level), pop in zip(pairs, got):
+        # Equal, not only close: readout branches on these sums.
+        assert pop == _masked_population(state, sid, level)
+        assert state.population(sid, level) == pop
+
+
+def _sentinel_loop(state):
+    worst = 0.0
+    for sub in state.layout.subsystems:
+        if sub.kind == "mode" and sub.dim >= 4:
+            worst = max(worst, _masked_population(state, sub.sid, sub.dim - 1))
+    return worst
+
+
+def _ancilla_loop(state, register):
+    worst = 0.0
+    for sid in [*register.ancilla_qubits, register.com_mode]:
+        if sid is not None:
+            worst = max(worst, 1.0 - _masked_population(state, sid, 0))
+    return worst
+
+
+@pytest.mark.parametrize("register", REGISTERS)
+@settings(derandomize=True, deadline=None, max_examples=10)
+@given(data=st.data())
+def test_health_numbers_equal_their_loop_forms(register, data):
+    doc = parse_circuit(data.draw(documents(register)))
+    layout, reg = cli.build_system(doc)
+    probed = []
+
+    def probe(state):
+        assert abs(sentinel_population(state) - _sentinel_loop(state)) <= 1e-15
+        assert abs(ancilla_reset_defect(state, reg)
+                   - _ancilla_loop(state, reg)) <= 1e-15
+        probed.append(state)
+
+    state = run_program(ground_state(layout), preparation(reg), probe=probe)
+    for step in lower(reg, doc.program):
+        state = run_program(state, step.program, probe=probe)
+    assert probed
+
+
+def test_health_numbers_without_sentinel_or_ancilla(rng):
+    layout = create_layout([("q", "qubit", 2), ("m0", "mode", 3),
+                            ("m1", "mode", 3)])
+    register = define_register(
+        layout, [("Q", "internal", ("q",)), ("D", "dual_rail", ("m0", "m1"))])
+    state = random_state(layout, rng)
+    assert sentinel_population(state) == 0.0
+    assert ancilla_reset_defect(state, register) == 0.0
