@@ -38,7 +38,6 @@ from .pulses import apply_pulse, carrier
 from .suite import CheckResult, run_builtin_suite
 from .verify import (
     LEAKAGE_GUARD_TOL,
-    MAX_RESTRICTED_DIM,
     check_gate,
     check_sentinel,
     ideal_logical_gate,
@@ -187,11 +186,6 @@ def cmd_verify(doc: CircuitDocument | None, args) -> tuple[dict, int]:
     tol = float(args.tol) if args.tol is not None else 1e-9
     if doc is not None:
         _, register = build_system(doc, args.cutoff)
-        if register.logical_dim > MAX_RESTRICTED_DIM:
-            raise RegisterError(
-                f"verify supports at most {MAX_RESTRICTED_DIM.bit_length() - 1}"
-                f" logical qubits (logical dimension {MAX_RESTRICTED_DIM}); "
-                f"the register has {register.n_logical}")
         if "tolerance" in doc.options and args.tol is None:
             tol = doc.options["tolerance"]
     checks = []
@@ -213,8 +207,12 @@ def cmd_verify(doc: CircuitDocument | None, args) -> tuple[dict, int]:
             if rec not in reports:
                 ideal = ideal_logical_gate(rec.name, rec.params,
                                            len(rec.operands))
-                reports[rec] = check_gate(register, step.program, ideal,
-                                          rec.operands, tol)
+                try:
+                    reports[rec] = check_gate(register, step.program, ideal,
+                                              rec.operands, tol)
+                except RegisterError as exc:
+                    raise RegisterError(
+                        f"gate {step.index} ({rec.render()}): {exc}") from exc
             checks.append(CheckResult.from_report(
                 f"gate-{step.index}:{rec.render()}", reports[rec]).to_dict())
     passed = all(c["equivalent"] for c in checks)

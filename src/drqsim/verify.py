@@ -10,7 +10,7 @@ parity circuit detects them without disturbing healthy states.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -281,7 +281,10 @@ def ideal_logical_gate(name: str, params: Sequence[float],
 
 def embed_logical_matrix(u_small: np.ndarray, positions: Sequence[int],
                          n: int) -> np.ndarray:
-    """Embed a k-qubit matrix at the given logical positions (MSB-first)."""
+    """Embed a k-qubit matrix at the given logical positions (MSB-first).
+
+    The full-register oracle of `check_gate`'s operand-local comparison.
+    """
     k = len(positions)
     rest = [p for p in range(n) if p not in positions]
     full = np.kron(np.asarray(u_small, dtype=complex), np.eye(2 ** (n - k)))
@@ -294,16 +297,31 @@ def embed_logical_matrix(u_small: np.ndarray, positions: Sequence[int],
 
 def check_gate(register: LogicalRegister, program, ideal: np.ndarray,
                operands: Sequence[str], tol: float) -> EquivalenceReport:
-    """Compare a gate's pulses with its ideal matrix on the codeword span.
+    """Compare a gate's pulses with its ideal matrix on its operands'
+    codeword span.
 
-    `ideal` acts on the logical qubits `operands`, first most significant,
-    and is embedded at their register positions; the comparison is up to
-    a global phase, with the restricted unitary's leakage reported.
+    A gate is local: every pulse must target an operand's subsystems, a
+    pool ancilla or the COM mode.  A pulse anywhere else fails the check
+    before anything is evolved, reported with the largest entry error
+    and leakage a unitary can show, 2 and 1.  The other logical qubits
+    then see the identity exactly, so the pulses are evolved on the
+    sub-register of `operands` alone, first most significant, whose
+    2**k codeword columns are compared with `ideal` as it is, up to a
+    global phase, with the restricted unitary's leakage reported.
+    A gate of more than log2(MAX_RESTRICTED_DIM) operands is a
+    RegisterError.
     """
-    got = program_unitary(program, register.layout, restrict=register)
-    ids = [e.logical_id for e in register.entries]
-    ideal = embed_logical_matrix(ideal, [ids.index(op) for op in operands],
-                                 register.n_logical)
+    if 2 ** len(operands) > MAX_RESTRICTED_DIM:
+        raise RegisterError(
+            f"verify checks gates of at most "
+            f"{MAX_RESTRICTED_DIM.bit_length() - 1} operands (logical "
+            f"dimension {MAX_RESTRICTED_DIM}); this one has {len(operands)}")
+    local = replace(register,
+                    entries=tuple(register.entry(o) for o in operands))
+    footprint = set(local.claimed_subsystems())
+    if any(t not in footprint for op in _op_list(program) for t in op.targets):
+        return EquivalenceReport(False, 2.0, 0.0, 1.0)
+    got = program_unitary(program, register.layout, restrict=local)
     return equivalent_up_to_phase(got.matrix, ideal, tol, got.leakage_max)
 
 

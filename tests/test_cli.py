@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import re
@@ -8,11 +9,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from drqsim import cli, fock
+from drqsim import cli, fock, verify
 from drqsim.cli import main
 from drqsim.compiler import GATES
 from drqsim.document import parse_circuit
 from drqsim.errors import DocumentError
+from drqsim.pulses import beamsplitter, carrier
 from drqsim.suite import haar_unitary
 
 BELL = """\
@@ -543,7 +545,9 @@ program:
                           "200000000000000000000 states do not fit in int64")
 
 
-def test_verify_register_limit_exit_code(tmp_path, capsys):
+def test_nine_qubit_register_verifies(tmp_path, capsys):
+    # Each gate is checked on its own operands' codewords, so the register
+    # may be wider than the 8 qubits a single check evolves.
     qubits = " ".join(f"q{i}" for i in range(9))
     registers = "".join(f"  Q{i} internal q{i}\n" for i in range(9))
     path = tmp_path / "nine.drq"
@@ -555,12 +559,115 @@ registers:
   x Q0
   h Q8
 """)
-    code, _, err = run_cli(capsys, "verify", str(path))
-    assert code == 2
-    assert "at most 8 logical qubits" in err
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert code == 0, err
+    checks = json.loads(out)["checks"]
+    assert [c["name"] for c in checks] == ["gate-0:x Q0", "gate-1:h Q8"]
+    assert all(c["equivalent"] for c in checks)
     code, out, _ = run_cli(capsys, "run", str(path), "--shots", "100")
     assert code == 0
     assert set(json.loads(out)["histogram"]) == {"100000000", "100000001"}
+
+
+def test_ten_plus_ten_hybrid_register_verifies(tmp_path, capsys):
+    # The paper's hybrid register at twenty logical qubits.  Imported
+    # here: test_support imports this module through test_sparse_run.
+    from test_support import hybrid_document
+    path = tmp_path / "hybrid.drq"
+    path.write_text(hybrid_document(10, 150, seed=23))
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert code == 0, err
+    checks = json.loads(out)["checks"]
+    assert len(checks) == 150
+    assert all(c["equivalent"] for c in checks)
+
+
+def _mcx_document(controls):
+    """An mcx with `controls` controls, all but the first with an
+    auxiliary mode, through the COM bus."""
+    qubits = " ".join(f"c{i}" for i in range(1, controls + 1))
+    modes = " ".join(f"b{i}" for i in range(2, controls + 1))
+    registers = "".join(f"  C{i} internal_aux c{i} b{i}\n"
+                        for i in range(2, controls + 1))
+    operands = " ".join(f"C{i}" for i in range(1, controls + 1))
+    return f"""\
+system:
+  qubits: {qubits} t a0 a1
+  modes: {modes} com
+  cutoff: 3
+registers:
+  C1 internal c1
+{registers}  T internal t
+ancillas:
+  qubits: a0 a1
+  com_mode: com
+program:
+  mcx {operands} T
+"""
+
+
+def test_verify_gate_operand_limit_exit_code(tmp_path, capsys, monkeypatch):
+    # Nine operands span 512 codewords, past MAX_RESTRICTED_DIM: the gate
+    # is refused as invalid input before any column is evolved.
+    def evolved(*args, **kwargs):
+        raise AssertionError("program_unitary called")
+
+    monkeypatch.setattr(verify, "program_unitary", evolved)
+    path = tmp_path / "mcx8.drq"
+    path.write_text(_mcx_document(8))
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert code == 2
+    assert out == ""
+    operands = " ".join(f"C{i}" for i in range(1, 9))
+    assert err == (f"error: gate 0 (mcx {operands} T): verify checks gates "
+                   "of at most 8 operands (logical dimension 256); this one "
+                   "has 9\n")
+
+
+def test_verify_gate_at_operand_limit(tmp_path, capsys):
+    path = tmp_path / "mcx7.drq"
+    path.write_text(_mcx_document(7))
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert code == 0, err
+    assert json.loads(out)["passed"] is True
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+# Pulses on a spectator of `x D1`.  On the spectator's level 0, which the
+# operand-local columns give it, the beamsplitter acts as the identity:
+# only the footprint check sees it.
+STRAY_PULSES = {
+    "carrier": carrier(np.pi, 0.0, "q0"),
+    "beamsplitter": beamsplitter(np.pi, 0.0, "m2", "m3"),
+}
+
+
+@pytest.mark.parametrize("stray_pulse", STRAY_PULSES)
+def test_stray_pulse_fails_the_check(stray_pulse, tmp_path, capsys,
+                                     monkeypatch):
+    spec = GATES["x"]
+
+    def stray(register, params, operands):
+        prog = spec.lower(register, params, operands)
+        prog.add([STRAY_PULSES[stray_pulse]])
+        return prog
+
+    monkeypatch.setitem(GATES, "x", dataclasses.replace(spec, lower=stray))
+    path = tmp_path / "stray.drq"
+    path.write_text(HYBRID_SYSTEM + "program:\n  h Q\n  x D1\n")
+    _, register = cli.build_system(parse_circuit(path.read_text()))
+    report = verify.check_gate(register, stray(register, (), ("D1",)),
+                               spec.ideal((), 1), ["D1"], 1e-9)
+    assert not report.equivalent
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert code == 1, err
+    report = json.loads(out, parse_constant=_reject_constant)
+    assert report["passed"] is False
+    assert [(c["name"], c["equivalent"]) for c in report["checks"]] == [
+        ("gate-0:h Q", True), ("gate-1:x D1", False)]
 
 
 def test_health_failure_names_gate(bell_doc, capsys, monkeypatch):

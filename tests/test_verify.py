@@ -1,3 +1,4 @@
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ from drqsim import (
     qnd_parity_check,
     sample_counts,
 )
-from drqsim import encoding, verify
+from drqsim import encoding, suite, verify
 from drqsim.cli import build_system
 from drqsim.compiler import compile_cnot, compile_gate, lower, preparation
 from drqsim.document import parse_circuit
@@ -32,6 +33,7 @@ from drqsim.pulses import (
     zbs,
 )
 from drqsim.verify import (
+    check_gate,
     check_sentinel,
     embed_logical_matrix,
     ideal_logical_gate,
@@ -200,6 +202,65 @@ def test_restricted_unitary_matches_column_reference(name):
         assert abs(got.leakage_max - leakage) <= 1e-10
         checked += 1
     assert checked == len(doc.program)
+
+
+def check_gate_pinned(register, program, ideal, operands, tol):
+    """`check_gate`, held to the full-register oracle: every codeword
+    column of the register evolved, with `ideal` embedded at the
+    operands' register positions."""
+    ids = [e.logical_id for e in register.entries]
+    positions = [ids.index(op) for op in operands]
+    full = program_unitary(program, register.layout, restrict=register)
+    want = equivalent_up_to_phase(
+        full.matrix, embed_logical_matrix(ideal, positions, len(ids)), tol,
+        full.leakage_max)
+    local = dataclasses.replace(
+        register, entries=tuple(register.entry(op) for op in operands))
+    got = program_unitary(program, register.layout, restrict=local)
+    assert np.max(np.abs(embed_logical_matrix(got.matrix, positions, len(ids))
+                         - full.matrix)) <= 1e-10
+    assert abs(got.leakage_max - full.leakage_max) <= 1e-10
+    report = check_gate(register, program, ideal, operands, tol)
+    assert report.equivalent == want.equivalent
+    assert abs(report.max_entry_error - want.max_entry_error) <= 1e-10
+    assert abs(report.leakage_max - want.leakage_max) <= 1e-10
+    return report
+
+
+PIN_DOCUMENTS = {
+    **GATE_DOCUMENTS,
+    **{path.stem: path.read_text() for path in sorted(
+        (Path(__file__).resolve().parent.parent / "perfbench" / "inputs")
+        .glob("*.drq"))},
+}
+
+
+@pytest.mark.parametrize("name", PIN_DOCUMENTS)
+def test_operand_local_check_matches_full_register(name):
+    doc = parse_circuit(PIN_DOCUMENTS[name])
+    _, register = build_system(doc)
+    checked = 0
+    for step in lower(register, doc.program):
+        if step.program is None:
+            continue
+        rec = step.record
+        ideal = ideal_logical_gate(rec.name, rec.params, len(rec.operands))
+        assert check_gate_pinned(register, step.program, ideal, rec.operands,
+                                 1e-9).equivalent
+        checked += 1
+    assert checked
+
+
+def test_builtin_checks_match_full_register(monkeypatch):
+    calls = []
+
+    def pinned(*args):
+        calls.append(args)
+        return check_gate_pinned(*args)
+
+    monkeypatch.setattr(suite, "check_gate", pinned)
+    assert all(result.equivalent for result in suite.run_builtin_suite())
+    assert len(calls) == 22
 
 
 def test_program_unitary_dimension_budget():
