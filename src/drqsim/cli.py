@@ -39,7 +39,6 @@ from .suite import CheckResult, run_builtin_suite
 from .verify import (
     LEAKAGE_GUARD_TOL,
     check_gate,
-    check_sentinel,
     ideal_logical_gate,
     inject_heating_error,
     qnd_parity_check,
@@ -145,12 +144,9 @@ def cmd_run(doc: CircuitDocument, args) -> tuple[dict, int]:
                 parity_flags.append({"step": i, "target": rec.operands[0],
                                      "parity": flag})
             else:
-                state = run_program(
-                    state, step.program,
-                    register=register if not injected else None)
+                state = run_program(state, step.program,
+                                    register=None if injected else register)
                 ledger += step.program.global_phase
-                if not injected:
-                    check_sentinel(state)
         except (HealthError, StateError) as exc:
             raise type(exc)(f"gate {i} ({rec.render()}): {exc}") from exc
 

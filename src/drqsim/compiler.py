@@ -719,5 +719,9 @@ def compile_program(records: Sequence,
     """Lower unitary document records into one program."""
     program = CompiledProgram()
     for step in lower(register, records):
+        if step.program is None:
+            name = step.record.name
+            raise CompileError(f"gate {step.index} ({name}): {name} is a "
+                               "directive, not a unitary gate")
         program.extend(step.program)
     return program

@@ -20,6 +20,7 @@ from .encoding import LogicalRegister, map_dual_rail_readout
 from .errors import HealthError, RegisterError, StateError
 from .fock import (
     HilbertLayout,
+    NORM_TOL,
     StateVector,
     annihilation_matrix,
     apply_matrix,
@@ -137,27 +138,22 @@ def equivalent_up_to_phase(a: np.ndarray, b: np.ndarray, tol: float,
     return EquivalenceReport(err <= tol, err, phase, leakage_max)
 
 
-def run_program(state: StateVector, program, norm_tol: float = 1e-10,
+def run_program(state: StateVector, program,
                 probe: Callable[[StateVector], None] | None = None,
                 register: LogicalRegister | None = None) -> StateVector:
-    """Apply a pulse program with norm monitoring.
+    """Apply a pulse program, checking the norm after every pulse.
 
-    `probe` is called after every pulse (population tracking in tests and
-    health checks).  With `register`, pool ancillas and the COM mode must
-    sit in their reference states at the program boundaries: compiled
-    gates borrow them mid-sequence but assume them ground on entry, so a
-    violation means an earlier gate failed to restore its resources.
-    A norm breach names the index and kind of the pulse that caused it.
+    A norm drift past `NORM_TOL` names the index and kind of the pulse
+    that caused it.  `probe` is called after every pulse (population
+    tracking in tests).  With `register`, the program's exit state is
+    checked once: every pool ancilla and the COM mode must be back in
+    its reference state, then the sentinel level empty.  Gates borrow
+    them mid-sequence and must hand them back; each step starts where
+    the one before ended, so there is no entry check.
     """
-    if register is not None:
-        defect = ancilla_reset_defect(state, register)
-        if defect > ANCILLA_TOL:
-            raise HealthError(
-                f"ancilla not in its reference state at gate entry "
-                f"(defect {defect:.3e})")
     for k, op in enumerate(_op_list(program)):
         state = apply_pulse(state, op)
-        if abs(state.norm() - 1.0) > norm_tol:
+        if abs(state.norm() - 1.0) > NORM_TOL:
             raise HealthError(
                 f"norm drifted to {state.norm()} at pulse {k} ({op.kind})")
         if probe is not None:
@@ -167,6 +163,7 @@ def run_program(state: StateVector, program, norm_tol: float = 1e-10,
         if defect > ANCILLA_TOL:
             raise HealthError(
                 f"ancilla not restored at gate exit (defect {defect:.3e})")
+        check_sentinel(state)
     return state
 
 
@@ -231,7 +228,7 @@ def qnd_parity_check(state: StateVector, qubit: str, mode1: str, mode2: str,
     """
     if not state.layout.is_qubit(qubit):
         raise StateError(f"{qubit!r} is not a qubit")
-    if state.population(qubit, 0) < 1.0 - 1e-9:
+    if state.population(qubit, 0) < 1.0 - ANCILLA_TOL:
         raise StateError(f"parity qubit {qubit!r} must start in the ground state")
     for op in qnd_parity_sequence(qubit, mode1, mode2):
         state = apply_pulse(state, op)

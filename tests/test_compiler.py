@@ -638,6 +638,20 @@ def test_compile_program_reports_gate_index_on_exhaustion():
         compile_program([gate("h", "D")], register)
 
 
+@pytest.mark.parametrize("directive", [gate("loss", "m0"),
+                                       gate("gain", "m1"),
+                                       gate("qndcheck", "D")],
+                         ids=lambda rec: rec.name)
+def test_compile_program_refuses_directives(hybrid_system, directive):
+    # Heating jumps and parity checks have no pulses to splice in.
+    _, register = hybrid_system
+    circuit = [gate("h", "D"), gate("cnot", "D", "Q"), directive]
+    with pytest.raises(CompileError, match=(
+            rf"^gate 2 \({directive.name}\): {directive.name} is a "
+            "directive, not a unitary gate$")):
+        compile_program(circuit, register)
+
+
 def test_compiled_gates_keep_codeword_span(hybrid_system, rng):
     # Logical closure: compiled gates map the code span to itself.
     layout, register = hybrid_system

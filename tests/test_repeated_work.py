@@ -2,7 +2,8 @@
 
 - `compiler.lower` lowers each distinct record once per call;
 - `pulses.pulse_matrix` builds each distinct pulse once per layout;
-- the health checks read all their populations in one pass.
+- the health checks read all their populations in one pass;
+- `run` checks each unitary step's health once, at its exit.
 
 Each is pinned to the form that does the work every time.
 """
@@ -14,8 +15,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from drqsim import cli, compiler, pulses
-from drqsim.compiler import lower, preparation
+from drqsim import cli, compiler, pulses, verify
+from drqsim.compiler import PULSES, lower, preparation
 from drqsim.document import parse_circuit
 from drqsim.encoding import define_register
 from drqsim.errors import CompileError
@@ -37,7 +38,12 @@ from drqsim.verify import (
 )
 
 from conftest import gate, random_state
-from test_sparse_run import DEEP_REGISTER, REGISTERS, documents
+from test_sparse_run import (
+    DEEP_REGISTER,
+    REGISTERS,
+    _deep_circuit,
+    documents,
+)
 from test_verify_memo import repeating_documents
 
 ARGS = argparse.Namespace(cutoff=None, seed=5, shots=200,
@@ -254,3 +260,18 @@ def test_health_numbers_without_sentinel_or_ancilla(rng):
     state = random_state(layout, rng)
     assert sentinel_population(state) == 0.0
     assert ancilla_reset_defect(state, register) == 0.0
+
+
+def test_run_checks_each_unitary_step_once(monkeypatch):
+    # Each step starts from the state the step before it passed at exit.
+    doc = parse_circuit(_deep_circuit(7))
+    steps = lower(cli.build_system(doc)[1], doc.program)
+    spies = {name: mock.Mock(wraps=getattr(verify, name))
+             for name in ("ancilla_reset_defect", "check_sentinel")}
+    for name, spy in spies.items():
+        monkeypatch.setattr(verify, name, spy)
+    _, code = cli.cmd_run(doc, argparse.Namespace(
+        cutoff=None, seed=3, shots=0, allow_midcircuit=False))
+    assert code == 0
+    assert len(steps) == 161 and all(s.kind == PULSES for s in steps)
+    assert [spy.call_count for spy in spies.values()] == [161, 161]

@@ -39,7 +39,6 @@ from drqsim.pulses import apply_pulse, carrier, pulse_matrix
 from drqsim.verify import (
     LEAKAGE_GUARD_TOL,
     ancilla_reset_defect,
-    check_sentinel,
     inject_heating_error,
     qnd_parity_check,
     qnd_parity_sequence,
@@ -146,8 +145,6 @@ def replay(text, seed=0):
             state = run_program(state, step.program,
                                 register=None if injected else register)
             dense = _dense_pulses(dense, layout, step.program.ops)
-            if not injected:
-                check_sentinel(state)
         _compare(state, dense, register)
     leakage = _dense_health(dense, register)[2]
     assert injected or leakage <= LEAKAGE_GUARD_TOL

@@ -433,19 +433,19 @@ def test_run_program_checks_norm(qmm):
 
 def test_run_program_asserts_ancilla_ground(hybrid_system):
     # Compiled gates assume pool ancillas in the ground state; executing
-    # one against an excited ancilla is flagged at the gate boundary.
+    # one against an excited ancilla is flagged at the gate's exit.
     layout, register = hybrid_system
     prog = compile_cnot(register, "Q", "D")
     state = basis_state(layout, {"anc": 1, "m0": 1})
-    with pytest.raises(HealthError, match="ancilla not in its reference "
-                       "state at gate entry"):
+    with pytest.raises(HealthError, match="ancilla not restored at gate "
+                       "exit"):
         run_program(state, prog, register=register)
     # A norm breach names the pulse that caused it.
     first = prog.ops[0]
+    state = logical_basis_state(register, [0, 0])
     with pytest.raises(HealthError,
                        match=rf"at pulse 0 \({first.kind}\)"):
-        run_program(logical_basis_state(register, [0, 0]), prog,
-                    norm_tol=-1.0)
+        run_program(StateVector(layout, 0.9 * state.amplitudes), prog)
 
 
 # --- sampling ----------------------------------------------------------------------
