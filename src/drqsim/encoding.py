@@ -18,8 +18,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import RegisterError
+from .errors import RegisterError, StateError
 from .fock import (
+    MAX_STATE_DIM,
     MODE,
     QUBIT,
     HilbertLayout,
@@ -36,6 +37,10 @@ DUAL_RAIL_AUX = "dual_rail_aux"
 INTERNAL_AUX = "internal_aux"
 
 KIND_ARITY = {DUAL_RAIL: 2, INTERNAL: 1, DUAL_RAIL_AUX: 3, INTERNAL_AUX: 2}
+
+# Largest weight a pool ancilla or the COM mode may hold outside its
+# ground level and still count as reset.
+ANCILLA_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -99,7 +104,13 @@ class LogicalRegister:
 
         A codeword's index is the all-zero codeword's plus one step per
         set bit: flipping a dual-rail qubit moves its phonon from d0 to
-        d1, flipping an internal qubit excites it."""
+        d1, flipping an internal qubit excites it.  A register of more
+        codewords than `fock.MAX_STATE_DIM` is a StateError: its dense
+        codeword amplitudes would pass that limit."""
+        if self.logical_dim > MAX_STATE_DIM:
+            raise StateError(
+                f"{self.n_logical} logical qubits have {self.logical_dim} "
+                f"codewords; the limit is {MAX_STATE_DIM} dense amplitudes")
         layout = self.layout
         base, deltas = 0, []
         for e in self.entries:
@@ -109,10 +120,11 @@ class LogicalRegister:
                 deltas.append(d1 - d0)
             else:
                 deltas.append(layout.strides[layout.axis(e.qubit)])
-        # Bit i of codeword b, first registered qubit most significant.
-        bits = (np.arange(self.logical_dim)[:, None]
-                >> np.arange(self.n_logical)[::-1] & 1)
-        indices = base + bits @ support_index(layout, deltas)
+        # Doubling from the last registered qubit, the least significant,
+        # to the first: each qubit appends the codewords with its bit set.
+        indices = support_index(layout, [base])
+        for delta in reversed(deltas):
+            indices = np.concatenate((indices, indices + delta))
         indices.flags.writeable = False
         return indices
 
@@ -283,7 +295,7 @@ def map_dual_rail_readout(state: StateVector, register: LogicalRegister,
         raise RegisterError(f"{logical_id!r} is not a dual-rail qubit")
     if ancilla_qubit not in register.ancilla_qubits:
         raise RegisterError(f"{ancilla_qubit!r} is not in the ancilla pool")
-    if state.population(ancilla_qubit, 0) < 1.0 - 1e-9:
+    if state.population(ancilla_qubit, 0) < 1.0 - ANCILLA_TOL:
         raise RegisterError(f"ancilla {ancilla_qubit!r} is not in the ground state")
     _, d1 = entry.rails
     return apply_pulse(state, rsb(np.pi, ancilla_qubit, d1))

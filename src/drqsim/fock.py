@@ -195,7 +195,10 @@ class StateVector:
                            values=self.values.copy())
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.values))
+        # numpy's own 2-norm of a 1-D complex vector, bit for bit, without
+        # `np.linalg.norm`'s dispatch: heating renormalizes by it.
+        re, im = self.values.real, self.values.imag
+        return math.sqrt(re.dot(re) + im.dot(im))
 
     def check_norm(self, tol: float = NORM_TOL) -> None:
         if abs(self.norm() - 1.0) > tol:
@@ -206,20 +209,24 @@ class StateVector:
         axis = self.layout.axis(sid)
         return self.index // self.layout.strides[axis] % self.layout.dims[axis]
 
-    def populations(self, pairs: Sequence[tuple[str, int]]) -> np.ndarray:
-        """Total probability of finding each (subsystem, level) pair's
-        subsystem at its level, from one pass over the support."""
+    def level_hits(self, pairs: Sequence[tuple[str, int]]) -> np.ndarray:
+        """(len(pairs), len(index)) mask: whether each support basis state
+        has each (subsystem, level) pair's subsystem at its level."""
         layout = self.layout
         axes = [(layout.axis(sid), level) for sid, level in pairs]
         table = np.array([(layout.strides[a], layout.dims[a], level)
                           for a, level in axes], dtype=np.int64)
         strides, dims, wanted = table.reshape(-1, 3).T[:, :, None]
-        hits = self.index // strides % dims == wanted
+        return self.index // strides % dims == wanted
+
+    def populations(self, pairs: Sequence[tuple[str, int]]) -> np.ndarray:
+        """Total probability of finding each (subsystem, level) pair's
+        subsystem at its level, from one pass over the support."""
         weights = np.abs(self.values) ** 2
         # A masked sum per pair rounds exactly as the one-pair form always
         # has: readout draws branch on these sums, and a last-bit change
         # (0.5 against 0.5000000000000001) moves a seeded histogram.
-        return np.array([weights[row].sum() for row in hits])
+        return np.array([weights[row].sum() for row in self.level_hits(pairs)])
 
     def population(self, sid: str, level: int) -> float:
         """Total probability of finding subsystem `sid` at `level`."""

@@ -17,10 +17,12 @@ conserves an excitation or phonon number, so G is block-diagonal.
 (kind, phi, target dims); tests pin it to the Pade oracle `exp_hermitian`.
 The finished matrix of a pulse of at most `MEMO_MAX_ROWS` rows is
 memoized per (pulse, layout object) in a 64-entry LRU, since a deep
-circuit repeats a few pulses many times.  Every command builds its own
-layout, so the memo never carries a matrix from one command into the
-next, and the cost of building each distinct pulse is paid once per
-command.
+circuit repeats a few pulses many times; its targets are checked once,
+when the entry is built.  Every command builds its own layout, so the
+memo never carries a matrix from one command into the next, and the
+cost of building each distinct pulse is paid once per command.
+`apply_pulse` hands the memo's read-only matrix itself to the kernel;
+`pulse_matrix` gives its caller a copy of its own.
 
 Sign conventions worth noting: with the (ground, excited) basis ordering,
 sigma_z is diag(-1, +1), so the red sideband couples |g, m+1> <-> |e, m>
@@ -240,11 +242,16 @@ MEMO_MAX_ROWS = 64
 
 
 @functools.lru_cache(maxsize=64)
-def _matrix(op: PhysicalOp, layout: HilbertLayout) -> np.ndarray:
+def _matrix(op: PhysicalOp, layout: HilbertLayout) -> np.ndarray | None:
     """The pulse's unitary on one layout, read-only: a document repeats a
     few pulses many times.  The key is the layout object, not its dims,
-    so each command (which builds its own layout) builds its own."""
-    u = _build(op, tuple(layout.dim_of(sid) for sid in op.targets))
+    so each command (which builds its own layout) builds its own.  The
+    target kinds and size are checked here, once per entry; a pulse past
+    MEMO_MAX_ROWS is held as None and left to its caller to build."""
+    dims = _check_kinds(op, layout)
+    if math.prod(dims) > MEMO_MAX_ROWS:
+        return None
+    u = _build(op, dims)
     u.flags.writeable = False  # shared by every caller of the cache
     return u
 
@@ -262,9 +269,13 @@ def pulse_matrix(op: PhysicalOp, layout: HilbertLayout) -> OperatorMatrix:
 
 
 def apply_pulse(state: StateVector, op: PhysicalOp) -> StateVector:
-    """Apply one pulse through `pulse_matrix`."""
-    mat = pulse_matrix(op, state.layout)
-    return apply_matrix(state, mat.entries, mat.subsystem_ids)
+    """Apply one pulse.  The memo's own read-only matrix goes to the
+    kernel, which only reads it; a pulse past MEMO_MAX_ROWS is checked
+    and built on every call."""
+    u = _matrix(op, state.layout)
+    if u is None:
+        u = _build(op, _check_kinds(op, state.layout))
+    return apply_matrix(state, u, op.targets)
 
 
 def apply_pulses(state: StateVector, ops: Sequence[PhysicalOp]) -> StateVector:

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .compiler import GATES, CompiledProgram
-from .encoding import LogicalRegister, map_dual_rail_readout
+from .encoding import ANCILLA_TOL, LogicalRegister, map_dual_rail_readout
 from .errors import HealthError, RegisterError, StateError
 from .fock import (
     HilbertLayout,
@@ -47,7 +47,6 @@ MAX_RESTRICTED_DIM = 256
 MAX_FULL_DIM = 4096
 SENTINEL_TOL = 1e-12
 LEAKAGE_GUARD_TOL = 1e-6
-ANCILLA_TOL = 1e-9
 
 
 def _op_list(program) -> list[PhysicalOp]:
@@ -174,10 +173,13 @@ def sentinel_population(state: StateVector) -> float:
     never populate it, so weight there means truncation influenced the
     run.
     """
-    pops = state.populations([(sub.sid, sub.dim - 1)
-                              for sub in state.layout.subsystems
-                              if sub.kind == "mode" and sub.dim >= 4])
-    return max([0.0, *pops.tolist()])
+    hits = state.level_hits([(sub.sid, sub.dim - 1)
+                             for sub in state.layout.subsystems
+                             if sub.kind == "mode" and sub.dim >= 4])
+    # One reduction for all modes; it may round apart from the masked
+    # sums of `StateVector.populations` in the last bit, which no health
+    # bound can see (readout, which branches on exact sums, keeps them).
+    return max([0.0, *(hits @ (np.abs(state.values) ** 2)).tolist()])
 
 
 def check_sentinel(state: StateVector, tol: float = SENTINEL_TOL) -> None:
@@ -192,8 +194,9 @@ def ancilla_reset_defect(state: StateVector,
     sids = list(register.ancilla_qubits)
     if register.com_mode is not None:
         sids.append(register.com_mode)
-    pops = state.populations([(sid, 0) for sid in sids])
-    return max([0.0, *(1.0 - pops).tolist()])
+    hits = state.level_hits([(sid, 0) for sid in sids])
+    # One reduction, as in `sentinel_population`.
+    return max([0.0, *(1.0 - hits @ (np.abs(state.values) ** 2)).tolist()])
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +253,7 @@ def inject_heating_error(state: StateVector, mode: str,
     if kind == "loss":
         jump = annihilation_matrix(dim)
     elif kind == "gain":
-        if state.population(mode, dim - 1) >= 1e-12:
+        if state.population(mode, dim - 1) >= SENTINEL_TOL:
             raise StateError(
                 "gain would push population past the Fock truncation")
         jump = creation_matrix(dim)

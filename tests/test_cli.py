@@ -521,6 +521,22 @@ program:
     assert all(c["equivalent"] for c in checks)
 
 
+def test_register_past_the_dense_limit_exit_code(tmp_path, capsys):
+    # 26 internal qubits have 2**26 codewords, past fock.MAX_STATE_DIM:
+    # `run` refuses their dense amplitudes before it allocates anything
+    # of that size.
+    qubits = [f"q{i}" for i in range(26)]
+    path = tmp_path / "qubits26.drq"
+    path.write_text("system:\n  qubits: " + " ".join(qubits)
+                    + "\nregisters:\n"
+                    + "".join(f"  Q{i} internal {q}\n"
+                              for i, q in enumerate(qubits))
+                    + "program:\n  x Q0\n")
+    code, out, err = run_cli(capsys, "run", str(path), "--shots", "0")
+    assert code == 3 and out == ""
+    assert f"{2 ** 26} codewords; the limit is {fock.MAX_STATE_DIM}" in err
+
+
 def test_verify_past_int64_exit_code(tmp_path, capsys):
     # 20 modes at cutoff 10 hold 2e20 amplitudes, whose basis indices do
     # not fit in int64.

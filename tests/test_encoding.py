@@ -83,6 +83,23 @@ def test_codeword_indices_match_the_codeword_loop(register):
     assert register.codeword_indices.tolist() == _codeword_loop(register)
 
 
+def _bit_table(register):
+    """The codeword indices as a (2**n, n) bit table, first registered
+    qubit most significant, times each qubit's step."""
+    n = register.n_logical
+    base = codeword_index(register, [0] * n)
+    steps = [codeword_index(register, [int(i == j) for j in range(n)]) - base
+             for i in range(n)]
+    bits = np.arange(2 ** n)[:, None] >> np.arange(n)[::-1] & 1
+    return (base + bits @ np.array(steps, dtype=np.int64)).tolist()
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(register=registers())
+def test_codeword_indices_match_the_bit_table(register):
+    assert register.codeword_indices.tolist() == _bit_table(register)
+
+
 @pytest.mark.parametrize("name", REGISTERS)
 def test_codeword_indices_of_the_document_registers(name):
     header, _, cutoffs = REGISTERS[name]

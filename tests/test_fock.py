@@ -255,6 +255,22 @@ def test_norm_guard():
         state.check_norm()
 
 
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(0, 300),
+       step=st.integers(1, 3))
+def test_norm_is_numpys_norm_bit_for_bit(seed, n, step):
+    # Heating renormalizes by `norm`, so it must round as numpy's does,
+    # also on a strided view and on real amplitudes.
+    from drqsim import StateVector
+    layout = create_layout([(f"m{i}", "mode", 8) for i in range(3)])
+    rng = np.random.default_rng(seed)
+    raw = rng.normal(size=n * step) + 1j * rng.normal(size=n * step)
+    for values in (raw[::step], raw[::step].real.copy()):
+        state = StateVector(layout, index=np.arange(len(values)),
+                            values=values)
+        assert state.norm() == float(np.linalg.norm(values))
+
+
 # --- sparse support kernel ----------------------------------------------------
 
 @st.composite

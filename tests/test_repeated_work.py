@@ -1,8 +1,9 @@
 """A command does each piece of its repeated gate work once.
 
 - `compiler.lower` lowers each distinct record once per call;
-- `pulses.pulse_matrix` builds each distinct pulse once per layout;
-- the health checks read all their populations in one pass;
+- `pulses.pulse_matrix` builds each distinct pulse once per layout, and
+  `apply_pulse` reads the memo's matrix in place;
+- the health checks take all their populations in one reduction;
 - `run` checks each unitary step's health once, at its exit.
 
 Each is pinned to the form that does the work every time.
@@ -20,7 +21,14 @@ from drqsim.compiler import PULSES, lower, preparation
 from drqsim.document import parse_circuit
 from drqsim.encoding import define_register
 from drqsim.errors import CompileError
-from drqsim.fock import StateVector, create_layout, exp_hermitian, ground_state
+from drqsim.fock import (
+    StateVector,
+    apply_matrix,
+    basis_state,
+    create_layout,
+    exp_hermitian,
+    ground_state,
+)
 from drqsim.pulses import (
     beamsplitter,
     carrier,
@@ -177,6 +185,44 @@ def test_pulses_past_the_row_cap_skip_the_memo():
     assert again is not first and again.tobytes() == first.tobytes()
     oracle = exp_hermitian(*pulse_generator(op, layout)).entries
     assert np.max(np.abs(first - oracle)) <= 1e-10
+    # `apply_pulse` keeps no matrix of it either: its memo entry is None.
+    state = basis_state(layout, {"q": 1, "m0": 3})
+    want = apply_matrix(state, first, op.targets).values.tobytes()
+    for _ in range(2):
+        assert pulses.apply_pulse(state, op).values.tobytes() == want
+    assert pulses._matrix(op, layout) is None
+
+
+def test_memo_hit_hands_the_kernel_the_memo_matrix(monkeypatch):
+    layout = create_layout(SPEC)
+    op = zbs(0.7, 0.3, "q", "m0", "m1")
+    state = basis_state(layout, {"q": 1, "m0": 2, "m1": 1})
+    pulses.apply_pulse(state, op)  # the miss that builds the entry
+    memo = pulses._matrix(op, layout)
+    seen = []
+
+    def kernel(state, matrix, sids):
+        seen.append(matrix)
+        return apply_matrix(state, matrix, sids)
+
+    def forbidden(*args):
+        raise AssertionError("called on a memo hit")
+
+    with monkeypatch.context() as m:
+        for name in ("pulse_matrix", "_build", "_check_kinds"):
+            m.setattr(pulses, name, forbidden)
+        m.setattr(pulses, "apply_matrix", kernel)
+        out = pulses.apply_pulse(state, op)
+    assert len(seen) == 1 and seen[0] is memo
+    with pytest.raises(ValueError):
+        memo[0, 0] = 0
+    # `pulse_matrix` still hands its caller a writable copy.
+    own = pulse_matrix(op, layout).entries
+    assert own is not memo and own.flags.writeable
+    assert own.tobytes() == memo.tobytes()
+    fresh = apply_matrix(state, own, op.targets)
+    assert out.index.tobytes() == fresh.index.tobytes()
+    assert out.values.tobytes() == fresh.values.tobytes()
 
 
 # --- health populations ----------------------------------------------------
@@ -230,6 +276,45 @@ def _ancilla_loop(state, register):
         if sid is not None:
             worst = max(worst, 1.0 - _masked_population(state, sid, 0))
     return worst
+
+
+@st.composite
+def health_states(draw):
+    """A register with pool ancillas and a COM mode, and a random
+    normalized state of 3 to 64 support rows that holds an excited
+    ancilla, a COM mode above level 0 and, from cutoff 4, a populated
+    sentinel."""
+    cutoff = draw(st.integers(3, 5))
+    layout = create_layout([("c", "qubit", 2), ("a0", "qubit", 2),
+                            ("a1", "qubit", 2), ("d0", "mode", cutoff),
+                            ("d1", "mode", cutoff), ("com", "mode", cutoff)])
+    register = define_register(
+        layout, [("C", "internal", ("c",)), ("D", "dual_rail", ("d0", "d1"))],
+        ancilla_qubits=("a0", "a1"), com_mode="com")
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    top = cutoff - 1
+    marked = [layout.basis_index([0, 1, 0, 1, 0, 0]),
+              layout.basis_index([0, 0, 0, 0, 1, 2]),
+              layout.basis_index([1, 0, 0, top, 0, top])]
+    n = draw(st.integers(len(marked), 64))
+    others = np.setdiff1d(rng.choice(layout.total_dim, n, replace=False),
+                          marked)
+    index = np.union1d(marked, others[:n - len(marked)])
+    values = rng.normal(size=len(index)) + 1j * rng.normal(size=len(index))
+    values /= np.linalg.norm(values)
+    return StateVector(layout, index=index, values=values), register
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(drawn=health_states())
+def test_health_reductions_equal_their_loop_forms(drawn):
+    # Past 8 rows numpy's pairwise sum and one reduction can round
+    # apart, so the two forms agree to 1e-15, not exactly.
+    state, register = drawn
+    sentinel, defect = _sentinel_loop(state), _ancilla_loop(state, register)
+    assert defect > 0 and (sentinel > 0) == (state.layout.dim_of("com") >= 4)
+    assert abs(sentinel_population(state) - sentinel) <= 1e-15
+    assert abs(ancilla_reset_defect(state, register) - defect) <= 1e-15
 
 
 @pytest.mark.parametrize("register", REGISTERS)
