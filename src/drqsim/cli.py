@@ -35,11 +35,10 @@ from .errors import (
 )
 from .fock import create_layout, ground_state
 from .pulses import apply_pulse, carrier
-from .suite import CheckResult, run_builtin_suite
+from .suite import run_builtin_suite
 from .verify import (
     LEAKAGE_GUARD_TOL,
-    check_gate,
-    ideal_logical_gate,
+    check_records,
     inject_heating_error,
     qnd_parity_check,
     run_program,
@@ -192,25 +191,8 @@ def cmd_verify(doc: CircuitDocument | None, args) -> tuple[dict, int]:
                                  and result.max_entry_error <= tol)
             checks.append(result.to_dict())
     if doc is not None:
-        # Gates repeat in a document, and a record's pulses depend only
-        # on the register and the record: each distinct record is
-        # checked once.
-        reports = {}
-        for step in lower(register, doc.program):
-            if step.program is None:
-                continue
-            rec = step.record
-            if rec not in reports:
-                ideal = ideal_logical_gate(rec.name, rec.params,
-                                           len(rec.operands))
-                try:
-                    reports[rec] = check_gate(register, step.program, ideal,
-                                              rec.operands, tol)
-                except RegisterError as exc:
-                    raise RegisterError(
-                        f"gate {step.index} ({rec.render()}): {exc}") from exc
-            checks.append(CheckResult.from_report(
-                f"gate-{step.index}:{rec.render()}", reports[rec]).to_dict())
+        checks += [report.to_dict()
+                   for report in check_records(register, doc.program, tol)]
     passed = all(c["equivalent"] for c in checks)
     report = {
         "schema": SCHEMA,

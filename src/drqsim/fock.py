@@ -200,9 +200,10 @@ class StateVector:
         re, im = self.values.real, self.values.imag
         return math.sqrt(re.dot(re) + im.dot(im))
 
-    def check_norm(self, tol: float = NORM_TOL) -> None:
-        if abs(self.norm() - 1.0) > tol:
-            raise StateError(f"state norm {self.norm()} drifted beyond {tol}")
+    def check_norm(self) -> None:
+        if abs(self.norm() - 1.0) > NORM_TOL:
+            raise StateError(
+                f"state norm {self.norm()} drifted beyond {NORM_TOL}")
 
     def levels(self, sid: str) -> np.ndarray:
         """Level of subsystem `sid` in each support basis state."""

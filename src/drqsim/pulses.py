@@ -12,7 +12,8 @@ plus a non-pulse `native_xx` entangling unitary between two internal
 qubits (an existing native two-qubit gate, applied as an ideal R_XX).
 
 Every pulse is exp(i f theta G) of a small Hermitian generator G that
-conserves an excitation or phonon number, so G is block-diagonal.
+conserves an excitation or phonon number, so G is block-diagonal.  One
+`_PULSES` row per kind holds its target kinds, G and f.
 `pulse_matrix` takes it block by block in G's eigenbasis, cached per
 (kind, phi, target dims); tests pin it to the Pade oracle `exp_hermitian`.
 The finished matrix of a pulse of at most `MEMO_MAX_ROWS` rows is
@@ -56,14 +57,28 @@ from .fock import (
     kron_le,
 )
 
-# kind -> (target kinds in order)
-_ARITY = {
-    "carrier": (QUBIT,),
-    "qphase": (QUBIT,),
-    "rsb": (QUBIT, MODE),
-    "bs": (MODE, MODE),
-    "zbs": (QUBIT, MODE, MODE),
-    "native_xx": (QUBIT, QUBIT),
+
+def _bs_generator(phi: float, d1: int, d2: int) -> np.ndarray:
+    a1, ad1 = annihilation_matrix(d1), creation_matrix(d1)
+    a2, ad2 = annihilation_matrix(d2), creation_matrix(d2)
+    return (np.exp(1j * phi) * kron_le([ad1, a2])
+            + np.exp(-1j * phi) * kron_le([a1, ad2]))
+
+
+# kind -> (target kinds in order, Hermitian generator G(phi, *target
+# dims), angle factor f): the pulse of angle theta is exp(i f theta G).
+_PULSES = {
+    "carrier": ((QUBIT,), lambda phi, _: np.exp(1j * phi) * SIGMA_PLUS
+                + np.exp(-1j * phi) * SIGMA_MINUS, -0.5),
+    "qphase": ((QUBIT,), lambda phi, _: SIGMA_Z.copy(), -0.5),
+    "rsb": ((QUBIT, MODE),
+            lambda phi, _, d: kron_le([SIGMA_PLUS, annihilation_matrix(d)])
+            + kron_le([SIGMA_MINUS, creation_matrix(d)]), -0.5),
+    "bs": ((MODE, MODE), _bs_generator, 1.0),
+    "zbs": ((QUBIT, MODE, MODE), lambda phi, _, d1, d2:
+            kron_le([SIGMA_Z, _bs_generator(phi, d1, d2)]), -1.0),
+    "native_xx": ((QUBIT, QUBIT),
+                  lambda phi, *_: kron_le([SIGMA_X, SIGMA_X]), -0.5),
 }
 
 
@@ -78,12 +93,12 @@ class PhysicalOp:
     aux_flag: bool = False
 
     def __post_init__(self):
-        if self.kind not in _ARITY:
+        if self.kind not in _PULSES:
             raise PulseError(f"unknown pulse kind {self.kind!r}")
-        if len(self.targets) != len(_ARITY[self.kind]):
-            raise PulseError(
-                f"{self.kind} takes {len(_ARITY[self.kind])} targets, "
-                f"got {len(self.targets)}")
+        arity = len(_PULSES[self.kind][0])
+        if len(self.targets) != arity:
+            raise PulseError(f"{self.kind} takes {arity} targets, "
+                             f"got {len(self.targets)}")
         if self.kind in ("bs", "zbs") and len(set(self.targets[-2:])) != 2:
             raise PulseError(f"{self.kind} needs two distinct modes")
         if self.kind == "native_xx" and len(set(self.targets)) != 2:
@@ -151,7 +166,7 @@ def cbs_factors(theta: float, phi: float, qubit_id: str, mode1: str,
 
 def _check_kinds(op: PhysicalOp, layout: HilbertLayout) -> tuple[int, ...]:
     """Check the target kinds and the matrix size; return the target dims."""
-    for sid, want in zip(op.targets, _ARITY[op.kind]):
+    for sid, want in zip(op.targets, _PULSES[op.kind][0]):
         got = layout.kind_of(sid)
         if got != want:
             raise PulseError(
@@ -165,28 +180,6 @@ def _check_kinds(op: PhysicalOp, layout: HilbertLayout) -> tuple[int, ...]:
     return dims
 
 
-def _bs_generator(phi: float, d1: int, d2: int) -> np.ndarray:
-    a1, ad1 = annihilation_matrix(d1), creation_matrix(d1)
-    a2, ad2 = annihilation_matrix(d2), creation_matrix(d2)
-    return (np.exp(1j * phi) * kron_le([ad1, a2])
-            + np.exp(-1j * phi) * kron_le([a1, ad2]))
-
-
-# kind -> (Hermitian generator G(phi, *target dims), angle factor f): the
-# pulse of angle theta is exp(i f theta G).
-_GENERATORS = {
-    "carrier": (lambda phi, _: np.exp(1j * phi) * SIGMA_PLUS
-                + np.exp(-1j * phi) * SIGMA_MINUS, -0.5),
-    "qphase": (lambda phi, _: SIGMA_Z.copy(), -0.5),
-    "rsb": (lambda phi, _, d: kron_le([SIGMA_PLUS, annihilation_matrix(d)])
-            + kron_le([SIGMA_MINUS, creation_matrix(d)]), -0.5),
-    "bs": (_bs_generator, 1.0),
-    "zbs": (lambda phi, _, d1, d2:
-            kron_le([SIGMA_Z, _bs_generator(phi, d1, d2)]), -1.0),
-    "native_xx": (lambda phi, *_: kron_le([SIGMA_X, SIGMA_X]), -0.5),
-}
-
-
 def pulse_generator(op: PhysicalOp,
                     layout: HilbertLayout) -> tuple[OperatorMatrix, float]:
     """Hermitian generator G and scale s with effect exp(i*s*G).
@@ -195,7 +188,7 @@ def pulse_generator(op: PhysicalOp,
     is the oracle side of the dual-path checks.
     """
     dims = _check_kinds(op, layout)
-    build, factor = _GENERATORS[op.kind]
+    _, build, factor = _PULSES[op.kind]
     return OperatorMatrix(op.targets, build(op.phi, *dims)), factor * op.theta
 
 
@@ -204,7 +197,7 @@ def _eigenbasis(kind: str, phi: float, dims: tuple[int, ...]) -> tuple:
     """G's eigendecomposition, one connected block of its nonzeros at a
     time.  Blocks of one size are stacked into a group: (flat positions of
     their entries in the matrix, eigenvalues, V, V^dagger)."""
-    gen = _GENERATORS[kind][0](phi, *dims)
+    gen = _PULSES[kind][1](phi, *dims)
     rows, cols = np.nonzero(gen)
     # Label propagation: each state takes its neighbours' least label, then
     # that label's label, until none moves (each block's least index).
@@ -228,7 +221,7 @@ def _eigenbasis(kind: str, phi: float, dims: tuple[int, ...]) -> tuple:
 
 
 def _build(op: PhysicalOp, dims: tuple[int, ...]) -> np.ndarray:
-    angle = _GENERATORS[op.kind][1] * op.theta
+    angle = _PULSES[op.kind][2] * op.theta
     u = np.zeros((math.prod(dims),) * 2, dtype=complex)
     for flat, w, v, vh in _eigenbasis(op.kind, op.phi, dims):
         np.put(u, flat, (v * np.exp(1j * angle * w)[:, None, :]) @ vh)

@@ -2,17 +2,21 @@
 
 Each check compiles a construction and compares it against an
 independently built target (a direct matrix exponential or a textbook
-gate), up to a global phase.  The CLI `verify --builtin` command runs the
+gate), up to a global phase, in one `verify.EquivalenceReport`.  The
+gate checks build document records and check them with
+`verify.check_records`, as `verify <doc>` does, through the
+`compiler.GATES` rows.  The CLI `verify --builtin` command runs the
 whole list and reports one entry per check, holding each entry's error
 to the report's tolerance as well.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import replace
 
 import numpy as np
 
 from . import compiler as comp
+from .document import GateRecord
 from .encoding import define_register
 from .fock import (
     OperatorMatrix,
@@ -28,33 +32,12 @@ from .pulses import apply_pulses, cbs_factors
 from .verify import (
     EquivalenceReport,
     check_gate,
-    ideal_logical_gate,
+    check_records,
     program_unitary,
     qnd_parity_check,
 )
 
-
-@dataclass
-class CheckResult:
-    name: str
-    equivalent: bool
-    max_entry_error: float
-    inferred_phase: float
-    leakage_max: float = 0.0
-
-    @classmethod
-    def from_report(cls, name: str, report: EquivalenceReport) -> "CheckResult":
-        return cls(name, report.equivalent, report.max_entry_error,
-                   report.inferred_phase, report.leakage_max)
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "equivalent": bool(self.equivalent),
-            "max_entry_error": float(self.max_entry_error),
-            "inferred_phase": float(self.inferred_phase),
-            "leakage_max": float(self.leakage_max),
-        }
+SEED = 2024
 
 
 def _hybrid_pair(cutoff: int = 4):
@@ -89,13 +72,12 @@ def cbs_generator(phi: float, cutoff: int) -> np.ndarray:
     return kron_le([proj_up, bs])
 
 
-def check_cbs_decomposition(rng: np.random.Generator,
-                            draws: int = 5) -> CheckResult:
+def check_cbs_decomposition(rng: np.random.Generator) -> EquivalenceReport:
     """Two-factor CBS sequence vs the directly exponentiated generator."""
     layout = create_layout([("q", "qubit", 2), ("m0", "mode", 4),
                             ("m1", "mode", 4)])
     worst = 0.0
-    for _ in range(draws):
+    for _ in range(5):
         theta = rng.uniform(-np.pi, np.pi)
         phi = rng.uniform(-np.pi, np.pi)
         seq = cbs_factors(theta, phi, "q", "m0", "m1")
@@ -103,15 +85,16 @@ def check_cbs_decomposition(rng: np.random.Generator,
         gen = OperatorMatrix(("q", "m0", "m1"), cbs_generator(phi, 4))
         direct = exp_hermitian(gen, theta).entries
         worst = max(worst, float(np.max(np.abs(built - direct))))
-    return CheckResult("cbs-decomposition", worst <= 1e-10, worst, 0.0)
+    return EquivalenceReport(worst <= 1e-10, worst, 0.0,
+                             name="cbs-decomposition")
 
 
-def check_tnp_phase(rng: np.random.Generator, draws: int = 3) -> CheckResult:
+def check_tnp_phase(rng: np.random.Generator) -> EquivalenceReport:
     """Parity-dependent phase on every Fock pair with n+m <= 2."""
     layout = create_layout([("q", "qubit", 2), ("m0", "mode", 4),
                             ("m1", "mode", 4)])
     worst = 0.0
-    for _ in range(draws):
+    for _ in range(3):
         theta = rng.uniform(-np.pi, np.pi)
         seq = comp.tnp_sequence(theta, "q", "m0", "m1")
         for n in range(3):
@@ -121,55 +104,46 @@ def check_tnp_phase(rng: np.random.Generator, draws: int = 3) -> CheckResult:
                 want = np.exp(1j * ((-1) ** (n + m + 1)) * theta / 2)
                 idx = layout.basis_index([0, n, m])
                 worst = max(worst, abs(out.amplitude_at([idx])[0] - want))
-    return CheckResult("tnp-phase", worst <= 1e-10, worst, 0.0)
+    return EquivalenceReport(worst <= 1e-10, worst, 0.0, name="tnp-phase")
 
 
-def check_rzz(rng: np.random.Generator, draws: int = 3) -> CheckResult:
-    register = _dual_pair()
-    worst = 0.0
-    phase = 0.0
-    for _ in range(draws):
-        theta = rng.uniform(-np.pi, np.pi)
-        prog = comp.compile_rzz(register, theta, "D1", "D2")
-        report = check_gate(register, prog,
-                            ideal_logical_gate("rzz", [theta], 2),
-                            ["D1", "D2"], 1e-9)
-        worst = max(worst, report.max_entry_error)
-        phase = report.inferred_phase
-    return CheckResult("rzz-truth-table", worst <= 1e-9, worst, phase)
+def check_rzz(rng: np.random.Generator) -> EquivalenceReport:
+    thetas = [rng.uniform(-np.pi, np.pi) for _ in range(3)]
+    reports = check_records(
+        _dual_pair(),
+        [GateRecord("rzz", (t,), ("D1", "D2")) for t in thetas], 1e-9)
+    worst = max(r.max_entry_error for r in reports)
+    return EquivalenceReport(worst <= 1e-9, worst, reports[-1].inferred_phase,
+                             name="rzz-truth-table")
 
 
-def check_cnot_directions() -> CheckResult:
-    register = _hybrid_pair()
-    cnot = ideal_logical_gate("cnot", [], 2)
-    worst = 0.0
-    phases = []
-    for control, target in (("Q", "D"), ("D", "Q")):
-        prog = comp.compile_cnot(register, control, target)
-        report = check_gate(register, prog, cnot, [control, target], 1e-9)
-        worst = max(worst, report.max_entry_error)
-        phases.append(report.inferred_phase)
+def check_cnot_directions() -> EquivalenceReport:
+    reports = check_records(
+        _hybrid_pair(),
+        [GateRecord("cnot", (), ops) for ops in (("Q", "D"), ("D", "Q"))],
+        1e-9)
+    worst = max(r.max_entry_error for r in reports)
     ok = worst <= 1e-9 and all(
-        abs(np.exp(1j * p) - np.exp(-1j * np.pi / 4)) < 1e-8 for p in phases)
-    return CheckResult("hybrid-cnot", ok, worst, phases[0])
+        abs(np.exp(1j * r.inferred_phase) - np.exp(-1j * np.pi / 4)) < 1e-8
+        for r in reports)
+    return EquivalenceReport(ok, worst, reports[0].inferred_phase,
+                             name="hybrid-cnot")
 
 
-def check_rxx(rng: np.random.Generator, draws: int = 5) -> CheckResult:
+def check_rxx(rng: np.random.Generator) -> EquivalenceReport:
     register = _hybrid_pair()
-    worst = 0.0
-    for _ in range(draws):
-        theta = rng.uniform(-2 * np.pi, 2 * np.pi)
-        prog = comp.compile_rxx(register, theta, "Q", "D")
-        if prog.ancilla_manifest:
-            return CheckResult("hybrid-rxx", False, 1.0, 0.0)
-        report = check_gate(register, prog,
-                            ideal_logical_gate("rxx", [theta], 2),
-                            ["Q", "D"], 1e-9)
-        worst = max(worst, report.max_entry_error)
-    return CheckResult("hybrid-rxx", worst <= 1e-9, worst, 0.0)
+    records = [GateRecord("rxx", (rng.uniform(-2 * np.pi, 2 * np.pi),),
+                          ("Q", "D")) for _ in range(5)]
+    # The hybrid RXX takes no ancilla from the pool.
+    if any(step.program.ancilla_manifest
+           for step in comp.lower(register, records)):
+        return EquivalenceReport(False, 1.0, 0.0, name="hybrid-rxx")
+    worst = max(r.max_entry_error
+                for r in check_records(register, records, 1e-9))
+    return EquivalenceReport(worst <= 1e-9, worst, 0.0, name="hybrid-rxx")
 
 
-def check_cswap() -> CheckResult:
+def check_cswap() -> EquivalenceReport:
     layout = create_layout(
         [("q", "qubit", 2), ("anc", "qubit", 2)]
         + [(f"m{i}", "mode", 3) for i in range(4)])
@@ -179,10 +153,9 @@ def check_cswap() -> CheckResult:
          ("D1", "dual_rail", ("m0", "m1")),
          ("D2", "dual_rail", ("m2", "m3"))],
         ancilla_qubits=("anc",))
-    prog = comp.compile_cswap(register, "Q", ["D1", "D2"])
-    report = check_gate(register, prog, ideal_logical_gate("cswap", [], 3),
-                        ["Q", "D1", "D2"], 1e-9)
-    return CheckResult.from_report("cswap", report)
+    report, = check_records(
+        register, [GateRecord("cswap", (), ("Q", "D1", "D2"))], 1e-9)
+    return replace(report, name="cswap")
 
 
 def haar_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -197,23 +170,25 @@ def haar_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     return q * (d / abs(d))
 
 
-def check_su2(rng: np.random.Generator, draws: int = 10) -> CheckResult:
+def check_su2(rng: np.random.Generator) -> EquivalenceReport:
+    # An arbitrary U has no GATES row: its pulses come from compile_su2.
     register = _hybrid_pair()
     worst = 0.0
-    for _ in range(draws):
+    for _ in range(10):
         u = haar_unitary(rng, 2)
         prog = comp.compile_su2(register, u, "D")
         report = check_gate(register, prog, u, ["D"], 1e-9)
         worst = max(worst, report.max_entry_error)
-    return CheckResult("su2-universality", worst <= 1e-9, worst, 0.0)
+    return EquivalenceReport(worst <= 1e-9, worst, 0.0,
+                             name="su2-universality")
 
 
-def check_qnd(rng: np.random.Generator, draws: int = 20) -> CheckResult:
+def check_qnd(rng: np.random.Generator) -> EquivalenceReport:
     layout = create_layout([("q", "qubit", 2), ("m0", "mode", 4),
                             ("m1", "mode", 4)])
     worst = 0.0
     ok = True
-    for _ in range(draws):
+    for _ in range(20):
         parity = int(rng.integers(2))
         pairs = [(n, m) for n in range(4) for m in range(4)
                  if (n + m) % 2 == parity and n + m <= 3]
@@ -228,10 +203,11 @@ def check_qnd(rng: np.random.Generator, draws: int = 20) -> CheckResult:
         fid = sum(np.conj(amps) * post.amplitude_at(
             [layout.basis_index([lvl, n, m]) for n, m in pairs]))
         worst = max(worst, abs(abs(fid) - 1.0))
-    return CheckResult("qnd-parity", ok and worst <= 1e-10, worst, 0.0)
+    return EquivalenceReport(ok and worst <= 1e-10, worst, 0.0,
+                             name="qnd-parity")
 
 
-def check_kcnot() -> CheckResult:
+def check_kcnot() -> EquivalenceReport:
     layout = create_layout(
         [("c1", "qubit", 2), ("c2", "qubit", 2), ("t", "qubit", 2),
          ("anc", "qubit", 2),
@@ -242,14 +218,13 @@ def check_kcnot() -> CheckResult:
          ("C2", "internal_aux", ("c2", "b2")),
          ("T", "internal_aux", ("t", "bt"))],
         ancilla_qubits=("anc",), com_mode="com")
-    prog = comp.compile_kcnot(register, ["C1", "C2"], "T")
-    report = check_gate(register, prog, ideal_logical_gate("kcnot", [], 3),
-                        ["C1", "C2", "T"], 1e-9)
-    return CheckResult.from_report("kcnot-toffoli", report)
+    report, = check_records(
+        register, [GateRecord("kcnot", (), ("C1", "C2", "T"))], 1e-9)
+    return replace(report, name="kcnot-toffoli")
 
 
-def run_builtin_suite(seed: int = 2024) -> list[CheckResult]:
-    rng = np.random.default_rng(seed)
+def run_builtin_suite() -> list[EquivalenceReport]:
+    rng = np.random.default_rng(SEED)
     return [
         check_cbs_decomposition(rng),
         check_tnp_phase(rng),

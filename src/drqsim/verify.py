@@ -5,8 +5,10 @@ routes: evolving basis columns through each generator's eigenbasis block
 by block, or multiplying embedded exponentials from the Pade `expm` oracle.
 Agreement between the routes is what keeps the compiler honest; the
 equivalence checker then compares against ideal gates up to an overall
-phase.  Heating errors are injected as discrete phonon jumps, and the
-parity circuit detects them without disturbing healthy states.
+phase, per document record in `check_records` for `verify <doc>` and
+the built-in suite alike.  Heating errors are injected as discrete
+phonon jumps, and the parity circuit detects them without disturbing
+healthy states.
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .compiler import GATES, CompiledProgram
+from .compiler import GATES, CompiledProgram, lower
 from .encoding import ANCILLA_TOL, LogicalRegister, map_dual_rail_readout
 from .errors import HealthError, RegisterError, StateError
 from .fock import (
@@ -114,10 +116,19 @@ def program_unitary(program, layout: HilbertLayout,
 
 @dataclass
 class EquivalenceReport:
+    """One check of `verify`'s report: a gate step or a built-in check."""
+
     equivalent: bool
     max_entry_error: float
     inferred_phase: float
     leakage_max: float = 0.0
+    name: str = ""
+
+    def to_dict(self) -> dict:
+        return {"name": self.name, "equivalent": bool(self.equivalent),
+                "max_entry_error": float(self.max_entry_error),
+                "inferred_phase": float(self.inferred_phase),
+                "leakage_max": float(self.leakage_max)}
 
 
 def equivalent_up_to_phase(a: np.ndarray, b: np.ndarray, tol: float,
@@ -182,9 +193,9 @@ def sentinel_population(state: StateVector) -> float:
     return max([0.0, *(hits @ (np.abs(state.values) ** 2)).tolist()])
 
 
-def check_sentinel(state: StateVector, tol: float = SENTINEL_TOL) -> None:
+def check_sentinel(state: StateVector) -> None:
     worst = sentinel_population(state)
-    if worst > tol:
+    if worst > SENTINEL_TOL:
         raise HealthError(f"sentinel Fock level populated ({worst:.3e})")
 
 
@@ -323,6 +334,31 @@ def check_gate(register: LogicalRegister, program, ideal: np.ndarray,
         return EquivalenceReport(False, 2.0, 0.0, 1.0)
     got = program_unitary(program, register.layout, restrict=local)
     return equivalent_up_to_phase(got.matrix, ideal, tol, got.leakage_max)
+
+
+def check_records(register: LogicalRegister, records: Sequence,
+                  tol: float) -> list[EquivalenceReport]:
+    """`check_gate` on each unitary record, lowered by its `GATES` row,
+    in reports named `gate-<index>:<record>`.  A record's pulses depend
+    only on the register and the record, so each distinct one is
+    checked once."""
+    reports, checks = {}, []
+    for step in lower(register, records):
+        if step.program is None:
+            continue
+        rec = step.record
+        if rec not in reports:
+            ideal = ideal_logical_gate(rec.name, rec.params,
+                                       len(rec.operands))
+            try:
+                reports[rec] = check_gate(register, step.program, ideal,
+                                          rec.operands, tol)
+            except RegisterError as exc:
+                raise RegisterError(
+                    f"gate {step.index} ({rec.render()}): {exc}") from exc
+        checks.append(replace(reports[rec],
+                              name=f"gate-{step.index}:{rec.render()}"))
+    return checks
 
 
 # ---------------------------------------------------------------------------

@@ -688,9 +688,7 @@ def test_stray_pulse_fails_the_check(stray_pulse, tmp_path, capsys,
 
 def test_health_failure_names_gate(bell_doc, capsys, monkeypatch):
     # A breach inside a gate is reported with the gate's index and text.
-    check = verify.check_sentinel
-    monkeypatch.setattr(verify, "check_sentinel",
-                        lambda state: check(state, tol=-1.0))
+    monkeypatch.setattr(verify, "SENTINEL_TOL", -1.0)
     code, _, err = run_cli(capsys, "run", bell_doc, "--shots", "0")
     assert code == 3
     assert err.startswith("numeric health failure: gate 0 (h D): "

@@ -16,9 +16,15 @@ from drqsim import (
     qnd_parity_check,
     sample_counts,
 )
-from drqsim import encoding, suite, verify
+from drqsim import compiler, encoding, suite, verify
 from drqsim.cli import build_system
-from drqsim.compiler import compile_cnot, compile_gate, lower, preparation
+from drqsim.compiler import (
+    CompiledProgram,
+    compile_cnot,
+    compile_gate,
+    lower,
+    preparation,
+)
 from drqsim.document import parse_circuit
 from drqsim.encoding import logical_basis_state, measure_dual_rail
 from drqsim.errors import HealthError, RegisterError
@@ -258,9 +264,29 @@ def test_builtin_checks_match_full_register(monkeypatch):
         calls.append(args)
         return check_gate_pinned(*args)
 
+    # su2 calls check_gate itself; the gate checks reach it through
+    # verify.check_records.
     monkeypatch.setattr(suite, "check_gate", pinned)
+    monkeypatch.setattr(verify, "check_gate", pinned)
     assert all(result.equivalent for result in suite.run_builtin_suite())
     assert len(calls) == 22
+
+
+# GATES row -> the built-in entry that checks it.
+BUILTIN_ROWS = {"rzz": "rzz-truth-table", "cnot": "hybrid-cnot",
+                "rxx": "hybrid-rxx", "cswap": "cswap",
+                "kcnot": "kcnot-toffoli"}
+
+
+@pytest.mark.parametrize("name", BUILTIN_ROWS)
+def test_builtin_suite_checks_the_gate_rows(monkeypatch, name):
+    # A row that lowers to no pulses fails its own entry and no other.
+    monkeypatch.setitem(compiler.GATES, name, dataclasses.replace(
+        compiler.GATES[name], lower=lambda r, p, ops: CompiledProgram()))
+    results = {r.name: r.equivalent for r in suite.run_builtin_suite()}
+    assert BUILTIN_ROWS[name] in results
+    assert results == {entry: entry != BUILTIN_ROWS[name]
+                       for entry in results}
 
 
 def test_program_unitary_dimension_budget():

@@ -8,15 +8,15 @@ document must pass.
 """
 import argparse
 import json
+from dataclasses import replace
 from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 import pytest
 
-from drqsim import cli
+from drqsim import cli, verify
 from drqsim.compiler import lower
 from drqsim.document import parse_circuit
-from drqsim.suite import CheckResult
 from drqsim.verify import check_gate, ideal_logical_gate
 
 from test_sparse_run import DEEP_REGISTER, REGISTERS, documents
@@ -34,15 +34,15 @@ def _fresh_checks(doc, tol=1e-9):
         rec = step.record
         ideal = ideal_logical_gate(rec.name, rec.params, len(rec.operands))
         report = check_gate(register, step.program, ideal, rec.operands, tol)
-        checks.append(CheckResult.from_report(
-            f"gate-{step.index}:{rec.render()}", report).to_dict())
+        checks.append(replace(
+            report, name=f"gate-{step.index}:{rec.render()}").to_dict())
     return checks
 
 
 def _verify(text):
     """(parsed report, number of check_gate calls) of `cmd_verify`."""
     doc = parse_circuit(text)
-    with mock.patch.object(cli, "check_gate", wraps=check_gate) as spy:
+    with mock.patch.object(verify, "check_gate", wraps=check_gate) as spy:
         report, code = cli.cmd_verify(doc, ARGS)
     assert code == (0 if report["passed"] else 1)
     return json.loads(json.dumps(report)), spy.call_count, doc
