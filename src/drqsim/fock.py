@@ -347,46 +347,101 @@ def support_index(layout: HilbertLayout, indices: Sequence[int]) -> np.ndarray:
 def apply_matrix_support(index: np.ndarray, amplitudes: np.ndarray,
                          layout: HilbertLayout, matrix: np.ndarray,
                          sids: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-    """Apply a subsystem matrix to k columns held on a sparse support.
+    """Apply a subsystem matrix, or a stack of them, to columns held on a
+    sparse support.
 
     `index` is a sorted, unique int64 array of basis indices and
-    `amplitudes` the matching (len(index), k) array.  Rows sharing the
-    levels outside the targets form one block of the matrix's dimension.
-    A row is kept when some column's magnitude exceeds `PRUNE_TOL`, so
-    the support holds only states with weight.  The pruning is bounded:
+    `amplitudes` the matching (len(index), width) array.  `matrix` is one
+    (d, d) matrix over `sids`, or an (R, d, d) stack of them: then the
+    columns split into R equal groups, the r-th group taken by the r-th
+    matrix.  Rows sharing the levels outside the targets form one block
+    of dimension d.  A group's slice of a row is kept when one of its
+    columns' magnitude exceeds `PRUNE_TOL` and zeroed otherwise, and a
+    row is kept when some group keeps it, so the support holds only
+    states with weight.  The pruning is bounded:
 
-    - a pruned row holds at most k * PRUNE_TOL**2 = k * 1e-28 of weight,
-      and one call, whose block holds at most MAX_STATE_DIM amplitudes,
-      prunes less than 4e-21 in all;
+    - a pruned row or slice holds at most width * PRUNE_TOL**2 =
+      width * 1e-28 of weight, and one call, whose block holds at most
+      MAX_STATE_DIM amplitudes, prunes less than 4e-21 in all;
     - the state is not renormalized, so the per-pulse norm check (1e-10)
       still bounds the total pruned weight;
     - that is far below the sentinel bound (1e-12 population) and the
       leakage guard (1e-6), so the pruning cannot hide a breach of
       either.
 
+    With several groups, each group's product leaves out the blocks in
+    which all of its rows are zero.  A group's matrix product then has the
+    shape it has in a call on that group's nonzero rows alone, and BLAS
+    rounds each column by the shape of the product it is in, so every
+    group's columns come out bit for bit as they would from that call.
+
     Returns the new sorted index and amplitudes.
     """
     index = support_index(layout, index)
     _, dims, strides, weights, offsets = _targets(layout, tuple(sids),
-                                                  matrix.shape)
+                                                  matrix.shape[-2:])
+    n_groups = len(matrix) if matrix.ndim == 3 else 1
+    width = amplitudes.shape[1]
+    k, extra = divmod(width, n_groups)
+    if matrix.ndim > 3 or extra:
+        raise StateError(f"a stack of shape {matrix.shape} does not split "
+                         f"{width} columns into equal groups")
     # target: the little-endian sub-index over `sids`; index = rest +
     # offsets[target].
     target = (index[:, None] // strides % dims) @ weights
     rest = index - offsets[target]
     rests = np.unique(rest)
     group = np.searchsorted(rests, rest)
-    block_dim, k = matrix.shape[0], amplitudes.shape[1]
-    if len(rests) * block_dim * k > MAX_STATE_DIM:
+    block_dim = matrix.shape[-1]
+    if len(rests) * block_dim * width > MAX_STATE_DIM:
         raise StateError(
-            f"support block of {len(rests)} x {block_dim} x {k} amplitudes "
-            f"exceeds the limit of {MAX_STATE_DIM}")
-    block = np.zeros((block_dim, len(rests), k), dtype=complex)
+            f"support block of {len(rests)} x {block_dim} x {width} "
+            f"amplitudes exceeds the limit of {MAX_STATE_DIM}")
+    block = np.zeros((block_dim, len(rests), width), dtype=complex)
     block[target, group] = amplitudes
-    block = (matrix @ block.reshape(block_dim, -1)).reshape(-1, k)
+    if n_groups == 1:
+        block = matrix @ block.reshape(block_dim, -1)
+    else:
+        # present[r, j]: group r has a nonzero row in block j.
+        present = np.zeros((n_groups, len(rests)), dtype=bool)
+        rows, groups = np.nonzero(
+            (amplitudes != 0).reshape(len(index), n_groups, k).any(axis=2))
+        present[groups, group[rows]] = True
+        block = _group_products(matrix, block, present)
+    block = block.reshape(-1, width)
     new_index = (offsets[:, None] + rests).ravel()
     keep = np.flatnonzero((np.abs(block) > PRUNE_TOL).any(axis=1))
     keep = keep[np.argsort(new_index[keep])]
-    return new_index[keep], block[keep]
+    out = block[keep]
+    if n_groups > 1:
+        slices = out.reshape(len(keep), n_groups, k)
+        slices[~(np.abs(slices) > PRUNE_TOL).any(axis=2)] = 0
+    return new_index[keep], out
+
+
+def _group_products(stack: np.ndarray, block: np.ndarray,
+                    present: np.ndarray) -> np.ndarray:
+    """Each group's columns of `block` ((d, n_rest, R * k), groups side by
+    side) times its matrix of the (R, d, d) `stack`, in the same layout.
+    Group r's product leaves out the blocks j where present[r, j] is
+    False, and is 0 there: groups of one pattern share one stacked call."""
+    n_groups, block_dim = stack.shape[:2]
+    k = block.shape[2] // n_groups
+    groups = block.reshape(block_dim, -1, n_groups, k).transpose(2, 0, 1, 3)
+    if present.all():
+        out = stack @ groups.reshape(n_groups, block_dim, -1)
+    else:
+        out = np.zeros(groups.shape, dtype=complex)
+        patterns, which = np.unique(present, axis=0, return_inverse=True)
+        for p, pattern in enumerate(patterns):
+            members = np.flatnonzero(which.ravel() == p)
+            kept = np.flatnonzero(pattern)
+            part = groups[members][:, :, kept].reshape(len(members),
+                                                       block_dim, -1)
+            out[members[:, None, None], np.arange(block_dim)[:, None],
+                kept] = (stack[members] @ part).reshape(
+                    len(members), block_dim, len(kept), k)
+    return out.reshape(groups.shape).transpose(1, 2, 0, 3)
 
 
 def support_rows(index: np.ndarray, rows: np.ndarray,

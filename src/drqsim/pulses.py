@@ -22,8 +22,9 @@ circuit repeats a few pulses many times; its targets are checked once,
 when the entry is built.  Every command builds its own layout, so the
 memo never carries a matrix from one command into the next, and the
 cost of building each distinct pulse is paid once per command.
-`apply_pulse` hands the memo's read-only matrix itself to the kernel;
-`pulse_matrix` gives its caller a copy of its own.
+`pulse_unitary` hands the memo's read-only matrix itself to the kernel
+(`apply_pulse` and `verify`'s evolution); `pulse_matrix` gives its
+caller a copy of its own.
 
 Sign conventions worth noting: with the (ground, excited) basis ordering,
 sigma_z is diag(-1, +1), so the red sideband couples |g, m+1> <-> |e, m>
@@ -249,12 +250,20 @@ def _matrix(op: PhysicalOp, layout: HilbertLayout) -> np.ndarray | None:
     return u
 
 
-def pulse_matrix(op: PhysicalOp, layout: HilbertLayout) -> OperatorMatrix:
+def pulse_unitary(op: PhysicalOp, layout: HilbertLayout) -> np.ndarray:
     """Unitary exp(i f theta G) of the pulse over its targets, taken block
     by block in G's cached eigenbasis: theta enters only as the phases
     exp(i f theta w), and every entry between two blocks is exactly 0.
-    A pulse of at most MEMO_MAX_ROWS rows comes from the per-layout memo,
-    as the caller's own copy."""
+    A pulse of at most MEMO_MAX_ROWS rows is the memo's own read-only
+    matrix, for callers that only read it (the support kernel); a larger
+    one is checked and built on every call."""
+    u = _matrix(op, layout)
+    return _build(op, _check_kinds(op, layout)) if u is None else u
+
+
+def pulse_matrix(op: PhysicalOp, layout: HilbertLayout) -> OperatorMatrix:
+    """`pulse_unitary` as the caller's own copy.  A pulse past
+    MEMO_MAX_ROWS is built without a memo lookup."""
     dims = _check_kinds(op, layout)
     if math.prod(dims) > MEMO_MAX_ROWS:
         return OperatorMatrix(op.targets, _build(op, dims))
@@ -262,13 +271,8 @@ def pulse_matrix(op: PhysicalOp, layout: HilbertLayout) -> OperatorMatrix:
 
 
 def apply_pulse(state: StateVector, op: PhysicalOp) -> StateVector:
-    """Apply one pulse.  The memo's own read-only matrix goes to the
-    kernel, which only reads it; a pulse past MEMO_MAX_ROWS is checked
-    and built on every call."""
-    u = _matrix(op, state.layout)
-    if u is None:
-        u = _build(op, _check_kinds(op, state.layout))
-    return apply_matrix(state, u, op.targets)
+    """Apply one pulse: its `pulse_unitary` goes to the kernel."""
+    return apply_matrix(state, pulse_unitary(op, state.layout), op.targets)
 
 
 def apply_pulses(state: StateVector, ops: Sequence[PhysicalOp]) -> StateVector:

@@ -5,9 +5,11 @@ independently built target (a direct matrix exponential or a textbook
 gate), up to a global phase, in one `verify.EquivalenceReport`.  The
 gate checks build document records and check them with
 `verify.check_records`, as `verify <doc>` does, through the
-`compiler.GATES` rows.  The CLI `verify --builtin` command runs the
-whole list and reports one entry per check, holding each entry's error
-to the report's tolerance as well.
+`compiler.GATES` rows; a check that reads the lowering itself lowers
+the records and checks the programs with `verify.check_gates`.  The CLI
+`verify --builtin` command runs the whole list and reports one entry
+per check, holding each entry's error to the report's tolerance as
+well.
 """
 from __future__ import annotations
 
@@ -31,8 +33,9 @@ from .fock import (
 from .pulses import apply_pulses, cbs_factors
 from .verify import (
     EquivalenceReport,
-    check_gate,
+    check_gates,
     check_records,
+    ideal_logical_gate,
     program_unitary,
     qnd_parity_check,
 )
@@ -134,12 +137,13 @@ def check_rxx(rng: np.random.Generator) -> EquivalenceReport:
     register = _hybrid_pair()
     records = [GateRecord("rxx", (rng.uniform(-2 * np.pi, 2 * np.pi),),
                           ("Q", "D")) for _ in range(5)]
+    programs = [step.program for step in comp.lower(register, records)]
     # The hybrid RXX takes no ancilla from the pool.
-    if any(step.program.ancilla_manifest
-           for step in comp.lower(register, records)):
+    if any(prog.ancilla_manifest for prog in programs):
         return EquivalenceReport(False, 1.0, 0.0, name="hybrid-rxx")
-    worst = max(r.max_entry_error
-                for r in check_records(register, records, 1e-9))
+    ideals = [ideal_logical_gate("rxx", rec.params, 2) for rec in records]
+    worst = max(r.max_entry_error for r in check_gates(
+        register, programs, ideals, ("Q", "D"), 1e-9))
     return EquivalenceReport(worst <= 1e-9, worst, 0.0, name="hybrid-rxx")
 
 
@@ -171,14 +175,14 @@ def haar_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 
 def check_su2(rng: np.random.Generator) -> EquivalenceReport:
-    # An arbitrary U has no GATES row: its pulses come from compile_su2.
+    # An arbitrary U has no GATES row: its pulses come from compile_su2,
+    # three zbs on (anc, m0, m1) whatever U is, so all draws are checked
+    # in one batch.
     register = _hybrid_pair()
-    worst = 0.0
-    for _ in range(10):
-        u = haar_unitary(rng, 2)
-        prog = comp.compile_su2(register, u, "D")
-        report = check_gate(register, prog, u, ["D"], 1e-9)
-        worst = max(worst, report.max_entry_error)
+    us = [haar_unitary(rng, 2) for _ in range(10)]
+    programs = [comp.compile_su2(register, u, "D") for u in us]
+    worst = max(r.max_entry_error
+                for r in check_gates(register, programs, us, ["D"], 1e-9))
     return EquivalenceReport(worst <= 1e-9, worst, 0.0,
                              name="su2-universality")
 

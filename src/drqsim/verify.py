@@ -6,17 +6,24 @@ by block, or multiplying embedded exponentials from the Pade `expm` oracle.
 Agreement between the routes is what keeps the compiler honest; the
 equivalence checker then compares against ideal gates up to an overall
 phase, per document record in `check_records` for `verify <doc>` and
-the built-in suite alike.  Heating errors are injected as discrete
-phonon jumps, and the parity circuit detects them without disturbing
-healthy states.
+the built-in suite alike.  `check_records` groups the distinct records
+by operands and by each pulse's targets (a gate at other angles keeps
+its targets), and each group's programs are evolved together, one
+stacked kernel call per pulse, by `check_gates` and
+`program_unitaries`; `check_gate` and `program_unitary` are their
+one-program case, and every report equals its one-program report.
+Heating errors are injected as discrete phonon jumps, and the parity
+circuit detects them without disturbing healthy states.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
+from . import fock
 from .compiler import GATES, CompiledProgram, lower
 from .encoding import ANCILLA_TOL, LogicalRegister, map_dual_rail_readout
 from .errors import HealthError, RegisterError, StateError
@@ -41,7 +48,7 @@ from .pulses import (
     apply_pulse,
     carrier,
     pulse_generator,
-    pulse_matrix,
+    pulse_unitary,
     zbs,
 )
 
@@ -72,46 +79,120 @@ def program_unitary(program, layout: HilbertLayout,
     program and projected back onto the codeword span; `leakage_max` is
     the largest weight lost outside that span.  Without it the full
     total_dim matrix is returned.  `method` selects the evolution route:
-    "pulse" for the generators' eigenbases, block by block, "expm" for
-    the Pade `exp_hermitian` matmul oracle (full-space only).
+    "pulse" for the generators' eigenbases, block by block, as
+    `program_unitaries` of one program, "expm" for the Pade
+    `exp_hermitian` matmul oracle (full-space only).
     """
-    ops = _op_list(program)
+    if restrict is not None and method != "pulse":
+        raise ValueError("restricted unitaries use the pulse path")
+    if method == "pulse":
+        return program_unitaries([program], layout, restrict)[0]
+    if method != "expm":
+        raise ValueError(f"unknown method {method!r}")
+    dim = _full_dim(layout)
+    full = np.eye(dim, dtype=complex)
+    for op in _op_list(program):
+        gen, scale = pulse_generator(op, layout)
+        small = exp_hermitian(gen, scale)
+        full = embedded_matrix(layout, small) @ full
+    return ProgramUnitary(full)
+
+
+def _full_dim(layout: HilbertLayout) -> int:
+    dim = layout.total_dim
+    if dim > MAX_FULL_DIM:
+        raise StateError(f"full dimension {dim} exceeds {MAX_FULL_DIM}")
+    return dim
+
+
+def _shared_targets(programs) -> tuple[tuple[str, ...], ...]:
+    """Each pulse's targets, the same in every program, or a ValueError."""
+    shapes = {tuple(op.targets for op in ops) for ops in programs}
+    if len(shapes) != 1:
+        raise ValueError("the programs' pulses must share their targets")
+    return shapes.pop()
+
+
+def program_unitaries(programs: Sequence, layout: HilbertLayout,
+                      restrict: LogicalRegister | None = None
+                      ) -> list[ProgramUnitary]:
+    """`program_unitary` of several programs whose pulses share their
+    targets, pulse by pulse: R programs differing only in their angles.
+
+    The programs' columns are evolved together, one stacked call of
+    `fock.apply_matrix_support` per pulse, each program's columns taken
+    by its own pulse's matrix and pruned on their own; each program's
+    unitary equals its `program_unitary` bit for bit.  A batch holds as
+    many programs as keep the largest block the kernel can meet within
+    `fock.MAX_STATE_DIM`, at least one.
+    """
+    programs = [_op_list(p) for p in programs]
+    targets = _shared_targets(programs)
     if restrict is None:
-        dim = layout.total_dim
-        if dim > MAX_FULL_DIM:
-            raise StateError(f"full dimension {dim} exceeds {MAX_FULL_DIM}")
-        if method == "expm":
-            full = np.eye(dim, dtype=complex)
-            for op in ops:
-                gen, scale = pulse_generator(op, layout)
-                small = exp_hermitian(gen, scale)
-                full = embedded_matrix(layout, small) @ full
-            return ProgramUnitary(full)
-        if method != "pulse":
-            raise ValueError(f"unknown method {method!r}")
+        dim = _full_dim(layout)
         columns = support_index(layout, range(dim))
     else:
-        if method != "pulse":
-            raise ValueError("restricted unitaries use the pulse path")
         layout, dim = restrict.layout, restrict.logical_dim
         if dim > MAX_RESTRICTED_DIM:
             raise StateError(
                 f"logical dimension {dim} exceeds {MAX_RESTRICTED_DIM}")
         columns = restrict.codeword_indices
-    # All columns evolve together on the basis states they occupy.
+    batch = len(programs)
+    if batch > 1:
+        batch = max(1, fock.MAX_STATE_DIM // _block_bound(layout, columns,
+                                                          targets))
+    out = []
+    for start in range(0, len(programs), batch):
+        out += _evolve(programs[start:start + batch], layout, columns,
+                       leakage=restrict is not None)
+    return out
+
+
+def _block_bound(layout: HilbertLayout, columns: np.ndarray,
+                 targets: Sequence[tuple[str, ...]]) -> int:
+    """Amplitudes of the largest block one program's columns can fill.
+
+    The support varies only on the subsystems whose levels differ among
+    `columns` and on the pulses' targets, so no block has more rows than
+    those subsystems have basis states."""
+    strides, dims = (np.array(a, dtype=np.int64)
+                     for a in (layout.strides, layout.dims))
+    levels = columns[:, None] // strides % dims
+    varying = set(np.flatnonzero(levels.min(axis=0) != levels.max(axis=0)))
+    varying.update(layout.axis(sid) for sids in targets for sid in sids)
+    return math.prod(layout.dims[a] for a in varying) * len(columns)
+
+
+def _evolve(programs: list[list[PhysicalOp]], layout: HilbertLayout,
+            columns: np.ndarray, leakage: bool) -> list[ProgramUnitary]:
+    """Each program's matrix on the basis states `columns`, its columns
+    in the order of `columns`, with the weight each column loses outside
+    them when `leakage` is set."""
+    dim, n = len(columns), len(programs)
+    # All columns of all programs evolve together on the basis states
+    # they occupy; program r holds columns r*dim to (r+1)*dim.
     order = np.argsort(columns)
-    index, amps = columns[order], np.eye(dim, dtype=complex)[order]
-    for op in ops:
-        mat = pulse_matrix(op, layout)
-        index, amps = apply_matrix_support(index, amps, layout, mat.entries,
-                                           mat.subsystem_ids)
-    matrix = support_rows(index, amps, columns)
-    if restrict is None:
-        return ProgramUnitary(matrix)
-    # Summed along contiguous rows of the transpose, each column's weight
+    index = columns[order]
+    amps = np.zeros((dim, n, dim), dtype=complex)
+    amps[np.arange(dim), :, order] = 1.0
+    amps = amps.reshape(dim, n * dim)
+    for ops in zip(*programs):
+        # One program hands the kernel its memo matrix, uncopied.
+        mats = [pulse_unitary(op, layout) for op in ops]
+        index, amps = apply_matrix_support(
+            index, amps, layout, mats[0] if n == 1 else np.array(mats),
+            ops[0].targets)
+    # rows[:, r]: program r's matrix.
+    rows = support_rows(index, amps, columns).reshape(dim, n, dim)
+    matrices = np.ascontiguousarray(rows.transpose(1, 0, 2))
+    if not leakage:
+        return [ProgramUnitary(m) for m in matrices]
+    # Summed along contiguous rows of the transposes, each column's weight
     # rounds exactly as a one-column sum would.
-    lost = 1.0 - np.sum(np.abs(np.ascontiguousarray(matrix.T)) ** 2, axis=1)
-    return ProgramUnitary(matrix, max(0.0, float(np.max(lost))))
+    lost = 1.0 - np.sum(np.abs(np.ascontiguousarray(
+        rows.transpose(1, 2, 0))) ** 2, axis=2)
+    return [ProgramUnitary(m, max(0.0, worst))
+            for m, worst in zip(matrices, np.max(lost, axis=1).tolist())]
 
 
 @dataclass
@@ -306,10 +387,26 @@ def embed_logical_matrix(u_small: np.ndarray, positions: Sequence[int],
             .transpose([*axes, *(axes + n)]).reshape(2 ** n, 2 ** n))
 
 
+def _check_operand_count(operands: Sequence[str]) -> None:
+    if 2 ** len(operands) > MAX_RESTRICTED_DIM:
+        raise RegisterError(
+            f"verify checks gates of at most "
+            f"{MAX_RESTRICTED_DIM.bit_length() - 1} operands (logical "
+            f"dimension {MAX_RESTRICTED_DIM}); this one has {len(operands)}")
+
+
 def check_gate(register: LogicalRegister, program, ideal: np.ndarray,
                operands: Sequence[str], tol: float) -> EquivalenceReport:
-    """Compare a gate's pulses with its ideal matrix on its operands'
-    codeword span.
+    """`check_gates` of one program."""
+    return check_gates(register, [program], [ideal], operands, tol)[0]
+
+
+def check_gates(register: LogicalRegister, programs: Sequence,
+                ideals: Sequence[np.ndarray], operands: Sequence[str],
+                tol: float) -> list[EquivalenceReport]:
+    """Compare each gate program with its ideal matrix on its operands'
+    codeword span; the programs act on the same operands and their
+    pulses share their targets.
 
     A gate is local: every pulse must target an operand's subsystems, a
     pool ancilla or the COM mode.  A pulse anywhere else fails the check
@@ -317,48 +414,61 @@ def check_gate(register: LogicalRegister, program, ideal: np.ndarray,
     and leakage a unitary can show, 2 and 1.  The other logical qubits
     then see the identity exactly, so the pulses are evolved on the
     sub-register of `operands` alone, first most significant, whose
-    2**k codeword columns are compared with `ideal` as it is, up to a
-    global phase, with the restricted unitary's leakage reported.
-    A gate of more than log2(MAX_RESTRICTED_DIM) operands is a
-    RegisterError.
+    2**k codeword columns are compared with each ideal as it is, up to a
+    global phase, with the restricted unitary's leakage reported.  The
+    sub-register and the footprint are built once for all the programs,
+    which are evolved together by `program_unitaries`.  A gate of more
+    than log2(MAX_RESTRICTED_DIM) operands is a RegisterError.
     """
-    if 2 ** len(operands) > MAX_RESTRICTED_DIM:
-        raise RegisterError(
-            f"verify checks gates of at most "
-            f"{MAX_RESTRICTED_DIM.bit_length() - 1} operands (logical "
-            f"dimension {MAX_RESTRICTED_DIM}); this one has {len(operands)}")
+    _check_operand_count(operands)
     local = replace(register,
                     entries=tuple(register.entry(o) for o in operands))
     footprint = set(local.claimed_subsystems())
-    if any(t not in footprint for op in _op_list(program) for t in op.targets):
-        return EquivalenceReport(False, 2.0, 0.0, 1.0)
-    got = program_unitary(program, register.layout, restrict=local)
-    return equivalent_up_to_phase(got.matrix, ideal, tol, got.leakage_max)
+    targets = _shared_targets([_op_list(p) for p in programs])
+    if any(t not in footprint for sids in targets for t in sids):
+        return [EquivalenceReport(False, 2.0, 0.0, 1.0) for _ in programs]
+    return [equivalent_up_to_phase(got.matrix, ideal, tol, got.leakage_max)
+            for got, ideal in zip(program_unitaries(
+                programs, register.layout, restrict=local), ideals)]
 
 
 def check_records(register: LogicalRegister, records: Sequence,
                   tol: float) -> list[EquivalenceReport]:
-    """`check_gate` on each unitary record, lowered by its `GATES` row,
-    in reports named `gate-<index>:<record>`.  A record's pulses depend
-    only on the register and the record, so each distinct one is
-    checked once."""
-    reports, checks = {}, []
-    for step in lower(register, records):
-        if step.program is None:
-            continue
-        rec = step.record
-        if rec not in reports:
-            ideal = ideal_logical_gate(rec.name, rec.params,
-                                       len(rec.operands))
-            try:
-                reports[rec] = check_gate(register, step.program, ideal,
-                                          rec.operands, tol)
-            except RegisterError as exc:
-                raise RegisterError(
-                    f"gate {step.index} ({rec.render()}): {exc}") from exc
-        checks.append(replace(reports[rec],
-                              name=f"gate-{step.index}:{rec.render()}"))
-    return checks
+    """Check each unitary record, lowered by its `GATES` row, against its
+    ideal matrix, in reports named `gate-<index>:<record>`.
+
+    A record's pulses depend only on the register and the record, so each
+    distinct record is checked once.  Distinct records on the same
+    operands whose pulses share their targets, pulse by pulse (the same
+    gate at other angles, mostly), form one group, checked by one
+    `check_gates` call; each report equals the record's own
+    `check_gate`.  A gate of too many operands is a RegisterError naming
+    its first step, raised before anything is evolved.
+    """
+    steps = [step for step in lower(register, records)
+             if step.program is not None]
+    first = {}
+    for step in steps:
+        try:
+            _check_operand_count(step.record.operands)
+        except RegisterError as exc:
+            raise RegisterError(
+                f"gate {step.index} ({step.record.render()}): {exc}"
+            ) from exc
+        first.setdefault(step.record, step.program)
+    groups: dict = {}
+    for rec, program in first.items():
+        key = (rec.operands, tuple(op.targets for op in program.ops))
+        groups.setdefault(key, {})[rec] = program
+    reports = {}
+    for (operands, _), group in groups.items():
+        ideals = [ideal_logical_gate(rec.name, rec.params, len(operands))
+                  for rec in group]
+        reports.update(zip(group, check_gates(
+            register, list(group.values()), ideals, operands, tol)))
+    return [replace(reports[step.record],
+                    name=f"gate-{step.index}:{step.record.render()}")
+            for step in steps]
 
 
 # ---------------------------------------------------------------------------

@@ -624,20 +624,25 @@ program:
 
 def test_verify_gate_operand_limit_exit_code(tmp_path, capsys, monkeypatch):
     # Nine operands span 512 codewords, past MAX_RESTRICTED_DIM: the gate
-    # is refused as invalid input before any column is evolved.
+    # is refused as invalid input before any column is evolved, that of
+    # an earlier gate included, and named by its first step.
     def evolved(*args, **kwargs):
-        raise AssertionError("program_unitary called")
+        raise AssertionError("program_unitaries called")
 
-    monkeypatch.setattr(verify, "program_unitary", evolved)
-    path = tmp_path / "mcx8.drq"
-    path.write_text(_mcx_document(8))
-    code, out, err = run_cli(capsys, "verify", str(path))
-    assert code == 2
-    assert out == ""
+    monkeypatch.setattr(verify, "program_unitaries", evolved)
     operands = " ".join(f"C{i}" for i in range(1, 9))
-    assert err == (f"error: gate 0 (mcx {operands} T): verify checks gates "
-                   "of at most 8 operands (logical dimension 256); this one "
-                   "has 9\n")
+    for first, text in [(0, _mcx_document(8)),
+                        (1, _mcx_document(8).replace(
+                            "program:\n", "program:\n  x T\n")
+                         + f"  mcx {operands} T\n")]:
+        path = tmp_path / "mcx8.drq"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "verify", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == (f"error: gate {first} (mcx {operands} T): verify "
+                       "checks gates of at most 8 operands (logical "
+                       "dimension 256); this one has 9\n")
 
 
 def test_verify_gate_at_operand_limit(tmp_path, capsys):

@@ -312,6 +312,54 @@ def test_apply_matrix_support_matches_dense(case):
     assert np.max(np.abs(want)) <= 1e-12
 
 
+@st.composite
+def stacked_cases(draw):
+    """A support case with R groups of k columns, each group zero on some
+    rows and at the pruning tolerance's scale on others."""
+    layout, sids, index, k, seed = draw(support_cases())
+    n_groups = draw(st.integers(1, 4))
+    rows = st.lists(st.sampled_from(["zero", "tiny", "full"]),
+                    min_size=len(index), max_size=len(index))
+    kinds = draw(st.lists(rows, min_size=n_groups, max_size=n_groups))
+    return layout, sids, index, k, kinds, seed
+
+
+@settings(max_examples=80, deadline=None)
+@given(stacked_cases())
+def test_stacked_support_kernel_matches_separate_calls(case):
+    # Each group comes out bit for bit as a call on its own nonzero rows,
+    # though the groups meet different blocks and BLAS rounds a column by
+    # the shape of the product it is in.
+    layout, sids, index, k, kinds, seed = case
+    rng = np.random.default_rng(seed)
+    block_dim = math.prod(layout.dim_of(s) for s in sids)
+    n_groups = len(kinds)
+    stack = np.stack([np.linalg.qr(
+        rng.normal(size=(block_dim, block_dim))
+        + 1j * rng.normal(size=(block_dim, block_dim)))[0]
+        for _ in range(n_groups)])
+    index = np.array(index, dtype=np.int64)
+    scale = {"zero": 0.0, "tiny": 1e-15, "full": 1.0}
+    amps = np.concatenate([
+        (rng.normal(size=(len(index), k)) + 1j * rng.normal(
+            size=(len(index), k))) * np.array([scale[r] for r in rows])[:, None]
+        for rows in kinds], axis=1)
+    got_index, got_amps = apply_matrix_support(index, amps, layout, stack,
+                                               sids)
+    assert np.all(np.diff(got_index) > 0)
+    for r in range(n_groups):
+        cols = slice(r * k, (r + 1) * k)
+        # A lone group's rows are all its own: a stack of one is the 2-D
+        # call on the same rows.
+        own = (np.flatnonzero(amps[:, cols].any(axis=1)) if n_groups > 1
+               else np.arange(len(index)))
+        want_index, want_amps = apply_matrix_support(
+            index[own], amps[own, cols], layout, stack[r], sids)
+        live = got_amps[:, cols].any(axis=1)
+        assert got_index[live].tobytes() == want_index.tobytes()
+        assert got_amps[live, cols].tobytes() == want_amps.tobytes()
+
+
 def test_apply_matrix_support_prunes_rows_at_or_below_tolerance():
     # a^dag on one cutoff-3 mode, three columns, one row per rest group
     # (q, r): rows at 1e-15 and 1e-300 go, and so does the exact zero
@@ -342,6 +390,9 @@ def test_apply_matrix_support_checks_targets_and_shape():
         apply_matrix_support(index, amps, layout, np.eye(4), ("q", "q"))
     with pytest.raises(StateError, match="does not match targets"):
         apply_matrix_support(index, amps, layout, np.eye(2), ("m",))
+    with pytest.raises(StateError, match="does not split 3 columns"):
+        apply_matrix_support(index, np.ones((1, 3), dtype=complex), layout,
+                             np.stack([np.eye(2)] * 2), ("q",))
 
 
 @pytest.mark.parametrize("limit", [100, 299])

@@ -211,9 +211,15 @@ def test_restricted_unitary_matches_column_reference(name):
 
 
 def check_gate_pinned(register, program, ideal, operands, tol):
-    """`check_gate`, held to the full-register oracle: every codeword
-    column of the register evolved, with `ideal` embedded at the
-    operands' register positions."""
+    """`check_gate`, held to the full-register oracle."""
+    return _pinned(register, program, ideal, operands, tol,
+                   check_gate(register, program, ideal, operands, tol))
+
+
+def _pinned(register, program, ideal, operands, tol, report):
+    """`report`, the check of `program`, held to the full-register oracle:
+    every codeword column of the register evolved, with `ideal` embedded
+    at the operands' register positions."""
     ids = [e.logical_id for e in register.entries]
     positions = [ids.index(op) for op in operands]
     full = program_unitary(program, register.layout, restrict=register)
@@ -226,7 +232,6 @@ def check_gate_pinned(register, program, ideal, operands, tol):
     assert np.max(np.abs(embed_logical_matrix(got.matrix, positions, len(ids))
                          - full.matrix)) <= 1e-10
     assert abs(got.leakage_max - full.leakage_max) <= 1e-10
-    report = check_gate(register, program, ideal, operands, tol)
     assert report.equivalent == want.equivalent
     assert abs(report.max_entry_error - want.max_entry_error) <= 1e-10
     assert abs(report.leakage_max - want.leakage_max) <= 1e-10
@@ -259,15 +264,18 @@ def test_operand_local_check_matches_full_register(name):
 
 def test_builtin_checks_match_full_register(monkeypatch):
     calls = []
+    batched = verify.check_gates
 
-    def pinned(*args):
-        calls.append(args)
-        return check_gate_pinned(*args)
+    def pinned(register, programs, ideals, operands, tol):
+        reports = batched(register, programs, ideals, operands, tol)
+        calls.extend(programs)
+        return [_pinned(register, program, ideal, operands, tol, report)
+                for program, ideal, report in zip(programs, ideals, reports)]
 
-    # su2 calls check_gate itself; the gate checks reach it through
-    # verify.check_records.
-    monkeypatch.setattr(suite, "check_gate", pinned)
-    monkeypatch.setattr(verify, "check_gate", pinned)
+    # su2 and rxx call check_gates themselves; the other gate checks reach
+    # it through verify.check_records.
+    monkeypatch.setattr(suite, "check_gates", pinned)
+    monkeypatch.setattr(verify, "check_gates", pinned)
     assert all(result.equivalent for result in suite.run_builtin_suite())
     assert len(calls) == 22
 
