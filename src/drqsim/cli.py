@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -265,6 +266,20 @@ def _file_error(path: str, exc: Exception) -> int:
     return EXIT_VALIDATION
 
 
+def _print_report(text: str) -> None:
+    """Print the report; a reader that closed stdout (`| head -1`) ends
+    the output quietly, and the command goes on to its report file and
+    its own exit code."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # What is still buffered goes to the null device when the
+        # interpreter flushes stdout at exit, not to the closed pipe.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def main(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
@@ -286,7 +301,7 @@ def main(argv=None) -> int:
         else:
             report, code = cmd_verify(doc, args)
         text = json.dumps(report, indent=2, sort_keys=True)
-        print(text)
+        _print_report(text)
         if args.report:
             try:
                 with open(args.report, "w", encoding="utf-8") as fh:

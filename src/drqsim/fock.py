@@ -7,7 +7,13 @@ are hard-truncated, so the creation operator annihilates the top Fock
 level; downstream checks assert that the sentinel level stays empty.
 A state is held on its support (the basis states with amplitude) and
 evolves through one sparse kernel, tested against the dense contraction
-`apply_matrix_columns`.
+`apply_matrix_columns`.  A deep circuit applies many pulses to a support
+that rarely changes, so the part of the kernel's work that depends only
+on the support and the targets (its plan) is memoized per (layout
+object, targets, matrix shape, support) for a support of at most
+`MEMO_MAX_ROWS` rows whose plan has at most `MEMO_MAX_ROWS`**2
+candidate rows; a larger support is planned on every call.
+`MEMO_MAX_ROWS` also bounds the pulse memo of `pulses`.
 """
 from __future__ import annotations
 
@@ -35,6 +41,12 @@ PRUNE_TOL = 1e-14
 MAX_STATE_DIM = 2 ** 25
 # Largest layout whose basis indices fit in int64 (the support kernel's).
 MAX_INDEX_DIM = 2 ** 63
+# The memos of per-layout work keep only small entries: a pulse matrix of
+# at most this many rows (`pulses`), and the kernel plan of a support of
+# at most this many rows and at most its square in candidate rows.  The
+# pulse memo's 64 entries then hold at most 4 MiB and the plan memo's 32
+# about 1 MiB, and a paper-scale support or pulse bypasses its memo.
+MEMO_MAX_ROWS = 64
 
 # Internal-qubit matrices in the (ground, excited) = (level 0, level 1)
 # ordering.  sigma_z has eigenvalue -1 on the ground state, +1 on the
@@ -213,11 +225,7 @@ class StateVector:
     def level_hits(self, pairs: Sequence[tuple[str, int]]) -> np.ndarray:
         """(len(pairs), len(index)) mask: whether each support basis state
         has each (subsystem, level) pair's subsystem at its level."""
-        layout = self.layout
-        axes = [(layout.axis(sid), level) for sid, level in pairs]
-        table = np.array([(layout.strides[a], layout.dims[a], level)
-                          for a, level in axes], dtype=np.int64)
-        strides, dims, wanted = table.reshape(-1, 3).T[:, :, None]
+        strides, dims, wanted = _level_table(self.layout, tuple(pairs))
         return self.index // strides % dims == wanted
 
     def populations(self, pairs: Sequence[tuple[str, int]]) -> np.ndarray:
@@ -241,6 +249,20 @@ class StateVector:
         """Amplitudes at the given basis indices, zero off the support."""
         return support_rows(self.index, self.values,
                             support_index(self.layout, indices))
+
+
+@functools.lru_cache(maxsize=32)
+def _level_table(layout: HilbertLayout, pairs: tuple) -> tuple:
+    """(strides, dims, wanted) of the (subsystem, level) pairs, each a
+    read-only (len(pairs), 1) int64 column: the health checks ask for the
+    same pairs at every step exit."""
+    axes = [(layout.axis(sid), level) for sid, level in pairs]
+    table = np.array([(layout.strides[a], layout.dims[a], level)
+                      for a, level in axes], dtype=np.int64)
+    columns = tuple(table.reshape(-1, 3).T[:, :, None])
+    for arr in columns:
+        arr.flags.writeable = False  # shared by every caller of the cache
+    return columns
 
 
 def basis_state(layout: HilbertLayout, levels: dict[str, int]) -> StateVector:
@@ -378,21 +400,23 @@ def apply_matrix_support(index: np.ndarray, amplitudes: np.ndarray,
     Returns the new sorted index and amplitudes.
     """
     index = support_index(layout, index)
-    _, dims, strides, weights, offsets = _targets(layout, tuple(sids),
-                                                  matrix.shape[-2:])
+    sids, shape = tuple(sids), matrix.shape[-2:]
     n_groups = len(matrix) if matrix.ndim == 3 else 1
     width = amplitudes.shape[1]
     k, extra = divmod(width, n_groups)
     if matrix.ndim > 3 or extra:
         raise StateError(f"a stack of shape {matrix.shape} does not split "
                          f"{width} columns into equal groups")
-    # target: the little-endian sub-index over `sids`; index = rest +
-    # offsets[target].
-    target = (index[:, None] // strides % dims) @ weights
-    rest = index - offsets[target]
-    rests = np.unique(rest)
-    group = np.searchsorted(rests, rest)
-    block_dim = matrix.shape[-1]
+    block_dim = shape[-1]
+    # Only small plans enter the memo.  A support of n rows meets at most
+    # n blocks, so its plan has at most n * block_dim candidate rows.
+    if (len(index) <= MEMO_MAX_ROWS
+            and len(index) * block_dim <= MEMO_MAX_ROWS ** 2):
+        target, group, rests, new_index = _memo_plan(layout, sids, shape,
+                                                     index.tobytes())
+    else:
+        target, group, rests, offsets = _plan(index, layout, sids, shape)
+        new_index = None
     if len(rests) * block_dim * width > MAX_STATE_DIM:
         raise StateError(
             f"support block of {len(rests)} x {block_dim} x {width} "
@@ -409,14 +433,56 @@ def apply_matrix_support(index: np.ndarray, amplitudes: np.ndarray,
         present[groups, group[rows]] = True
         block = _group_products(matrix, block, present)
     block = block.reshape(-1, width)
-    new_index = (offsets[:, None] + rests).ravel()
-    keep = np.flatnonzero((np.abs(block) > PRUNE_TOL).any(axis=1))
-    keep = keep[np.argsort(new_index[keep])]
+    if new_index is None:  # built once the input block is freed
+        new_index = (offsets[:, None] + rests).ravel()
+    live = np.abs(block) > PRUNE_TOL
+    keep = (live.any(axis=1) if width > 1 else live.ravel()).nonzero()[0]
+    keep = keep[new_index[keep].argsort()]
     out = block[keep]
     if n_groups > 1:
         slices = out.reshape(len(keep), n_groups, k)
         slices[~(np.abs(slices) > PRUNE_TOL).any(axis=2)] = 0
     return new_index[keep], out
+
+
+def _plan(index: np.ndarray, layout: HilbertLayout, sids: tuple[str, ...],
+          shape: tuple[int, ...]) -> tuple:
+    """The kernel's grouping of the support rows by the levels outside the
+    targets: (target, group, rests, offsets).
+
+    Row i has basis index rests[group[i]] + offsets[target[i]]: `target`
+    is its little-endian sub-index over `sids`, `rests` the sorted,
+    distinct basis indices with the targets at level 0, and `offsets`
+    the targets' displacement of each sub-index.
+    """
+    _, dims, strides, weights, offsets = _targets(layout, sids, shape)
+    target = (index[:, None] // strides % dims).dot(weights)
+    rest = index - offsets[target]
+    # np.unique's hash is some 50 times slower than a sort on 2**20 rows.
+    rests = rest.copy()
+    rests.sort()
+    distinct = np.empty(len(rests), dtype=bool)
+    distinct[:1] = True
+    np.not_equal(rests[1:], rests[:-1], out=distinct[1:])
+    rests = rests[distinct]
+    return target, rests.searchsorted(rest), rests, offsets
+
+
+# One command meets a few dozen plans (52 in a `deep` run), and each
+# entry keeps its layout alive after the command ends.
+@functools.lru_cache(maxsize=32)
+def _memo_plan(layout: HilbertLayout, sids: tuple[str, ...],
+               shape: tuple[int, ...], support: bytes) -> tuple:
+    """`_plan` of a small support, given as its int64 index's bytes, with
+    the basis index of each row of the output block in place of
+    `offsets`; read-only.  The key holds the layout object, as `_targets`
+    does, so no plan crosses commands."""
+    target, group, rests, offsets = _plan(
+        np.frombuffer(support, dtype=np.int64), layout, sids, shape)
+    plan = target, group, rests, (offsets[:, None] + rests).ravel()
+    for arr in plan:
+        arr.setflags(write=False)  # shared by every caller of the cache
+    return plan
 
 
 def _group_products(stack: np.ndarray, block: np.ndarray,

@@ -87,3 +87,31 @@ def test_traced_argument_positions(module, function, leading):
     fn = getattr(importlib.import_module(f"drqsim.{module}"), function)
     params = list(inspect.signature(fn).parameters)
     assert params[:len(leading)] == leading
+
+
+def test_run_program_calls_health_checks_by_module_attribute(monkeypatch):
+    # The tracer times `verify.health_s` by wrapping these two module
+    # attributes; `run_program` must reach each through them, once per
+    # step exit, or the traced health time silently reads 0.
+    from drqsim import verify
+    from drqsim.cli import build_system
+    from drqsim.compiler import lower, preparation
+    from drqsim.document import parse_circuit
+    from drqsim.fock import ground_state
+
+    root = SPANS.parent.parent
+    doc = parse_circuit((root / "circuits" / "bell.drq").read_text())
+    layout, register = build_system(doc)
+    calls = []
+    for name in ("ancilla_reset_defect", "check_sentinel"):
+        def spy(state, *args, _name=name, _original=getattr(verify, name)):
+            calls.append(_name)
+            return _original(state, *args)
+        monkeypatch.setattr(verify, name, spy)
+    state = verify.run_program(ground_state(layout), preparation(register))
+    assert calls == []
+    steps = [s for s in lower(register, doc.program) if s.program is not None]
+    assert steps
+    for step in steps:
+        state = verify.run_program(state, step.program, register=register)
+    assert calls == ["ancilla_reset_defect", "check_sentinel"] * len(steps)

@@ -2,7 +2,10 @@ import contextlib
 import dataclasses
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -736,6 +739,32 @@ def test_report_write_failure_exit_code(bell_doc, tmp_path, capsys):
     assert code == 2
     assert json.loads(out)["command"] == "compile"
     assert err.startswith(f"error: {target}: ") and "No such file" in err
+
+
+@pytest.mark.parametrize("argv,want", [
+    (["compile"], 0),
+    # An absurd tolerance fails the check: the exit code stays 1.
+    (["verify", "--tol", "1e-18"], 1),
+], ids=["compile", "failed-verify"])
+def test_closed_stdout_ends_quietly(bell_doc, tmp_path, argv, want):
+    # The reader of the pipe is gone before the command starts (as with
+    # `| head -1` once head has exited), so the first write fails.
+    target = tmp_path / "r.json"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "drqsim.cli", argv[0], bell_doc,
+             *argv[1:], "--report", str(target)],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.stderr.decode() == ""
+    assert proc.returncode == want
+    assert json.loads(target.read_text())["command"] == argv[0]
 
 
 ROOT = Path(__file__).resolve().parent.parent

@@ -456,3 +456,106 @@ def test_support_rows_matches_isin_lookup(case, k):
         assert np.array_equal(state.amplitude_at(wanted),
                               state.amplitudes[wanted])
         assert np.array_equal(state.amplitude_at(list(wanted)), got)
+
+
+# --- the kernel's plan memo ---------------------------------------------------
+
+def _plan_memo_calls():
+    info = fock._memo_plan.cache_info()
+    return np.array([info.misses, info.hits])
+
+
+def _unitary(rng, dim):
+    return np.linalg.qr(rng.normal(size=(dim, dim))
+                        + 1j * rng.normal(size=(dim, dim)))[0]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(support_cases(), st.integers(1, 3))
+def test_plan_memo_hit_equals_miss(case, n_groups):
+    # Each call is made twice, so the second finds the first's plan; a
+    # plan past the memo's bound is planned on both calls.
+    layout, sids, index, k, seed = case
+    rng = np.random.default_rng(seed)
+    block_dim = math.prod(layout.dim_of(s) for s in sids)
+    stack = np.stack([_unitary(rng, block_dim) for _ in range(n_groups)])
+    matrix = stack if n_groups > 1 else stack[0]
+    index = np.array(index, dtype=np.int64)
+    width = n_groups * k
+    amps = rng.normal(size=(len(index), width)) + 1j * rng.normal(
+        size=(len(index), width))
+    fock._memo_plan.cache_clear()
+    miss = apply_matrix_support(index, amps, layout, matrix, sids)
+    start = _plan_memo_calls()
+    hit = apply_matrix_support(index, amps, layout, matrix, sids)
+    small = (len(index) <= fock.MEMO_MAX_ROWS
+             and len(index) * block_dim <= fock.MEMO_MAX_ROWS ** 2)
+    assert (_plan_memo_calls() - start).tolist() == [0, int(small)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fock, "MEMO_MAX_ROWS", 0)
+        unmemoized = apply_matrix_support(index, amps, layout, matrix, sids)
+    for got in (hit, unmemoized):
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in miss]
+    dense = np.zeros((layout.total_dim, width), dtype=complex)
+    dense[index] = amps
+    got_index, got_amps = hit
+    for r in range(n_groups):
+        cols = slice(r * k, (r + 1) * k)
+        want = apply_matrix_columns(dense[:, cols], layout, stack[r], sids)
+        got = np.zeros_like(want)
+        got[got_index] = got_amps[:, cols]
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_plan_memo_arrays_are_read_only():
+    layout = create_layout([("q", "qubit", 2), ("m", "mode", 4)])
+    index = support_index(layout, [0, 3, 5])
+    apply_matrix_support(index, np.ones((3, 1), dtype=complex), layout,
+                         creation_matrix(4), ("m",))
+    start = _plan_memo_calls()
+    plan = fock._memo_plan(layout, ("m",), (4, 4), index.tobytes())
+    assert (_plan_memo_calls() - start).tolist() == [0, 1]
+    for arr in plan:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] = 0
+
+
+@pytest.mark.parametrize("rows,sids,memoized", [
+    (64, ("q",), True),
+    (65, ("q",), False),  # past MEMO_MAX_ROWS support rows
+    (56, ("q", "m0", "m1"), True),  # 56 * 72 = 4032 candidate rows
+    (57, ("q", "m0", "m1"), False),  # 4104, past MEMO_MAX_ROWS**2
+])
+def test_support_past_the_memo_bound_skips_the_memo(rows, sids, memoized):
+    layout = create_layout([("q", "qubit", 2), ("m0", "mode", 6),
+                            ("m1", "mode", 6), ("m2", "mode", 6)])
+    block_dim = math.prod(layout.dim_of(s) for s in sids)
+    matrix = _unitary(np.random.default_rng(rows), block_dim)
+    index = support_index(layout, range(0, 7 * rows, 7))
+    amps = np.ones((rows, 1), dtype=complex) / np.sqrt(rows)
+    start = fock._memo_plan.cache_info()
+    first = apply_matrix_support(index, amps, layout, matrix, sids)
+    again = apply_matrix_support(index, amps, layout, matrix, sids)
+    info = fock._memo_plan.cache_info()
+    if memoized:
+        assert [info.misses - start.misses, info.hits - start.hits] == [1, 1]
+    else:
+        assert info == start
+    assert [a.tobytes() for a in again] == [a.tobytes() for a in first]
+
+
+def test_equal_layouts_share_no_plan():
+    # The key holds the layout object: every command builds its own, so
+    # no plan crosses commands.
+    spec = [("q", "qubit", 2), ("m0", "mode", 4), ("m1", "mode", 4)]
+    one, other = create_layout(spec), create_layout(spec)
+    index = np.array([1, 6, 17], dtype=np.int64)
+    amps = np.full((3, 1), 1 / np.sqrt(3), dtype=complex)
+    matrix, sids = _unitary(np.random.default_rng(3), 16), ("m0", "m1")
+    start = _plan_memo_calls()
+    want = apply_matrix_support(index, amps, one, matrix, sids)
+    apply_matrix_support(index, amps, one, matrix, sids)
+    got = apply_matrix_support(index, amps, other, matrix, sids)
+    assert (_plan_memo_calls() - start).tolist() == [2, 1]
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
