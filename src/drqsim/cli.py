@@ -1,7 +1,8 @@
 """Command-line surface: compile, run, verify.
 
 Reports are JSON documents (schema `drqsim-report/1`), printed to stdout
-and optionally written to a file.  Exit codes: 0 success, 1 verification
+and optionally written to a file, in the bytes of `json.dumps(report,
+indent=2, sort_keys=True)`.  Exit codes: 0 success, 1 verification
 failure, 2 parse/validation error (an unreadable document or report file
 included), 3 numeric-health failure (including an array too large to
 allocate).
@@ -9,10 +10,10 @@ allocate).
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii as _escape
 
 import numpy as np
 
@@ -86,11 +87,17 @@ def cmd_compile(doc: CircuitDocument, args) -> tuple[dict, int]:
     program = CompiledProgram()
     program.extend(prep)
     entries = []
+    # Steps of equal records share one lowered program (see `lower`),
+    # and so one pulse list: id(program) -> its entries.
+    listings: dict[int, list] = {}
     for step in steps:
         entry = {"step": step.index, "gate": step.record.render(),
                  "kind": step.kind}
         if step.program is not None:
-            entry["pulses"] = [_op_entry(op) for op in step.program.ops]
+            key = id(step.program)
+            if key not in listings:
+                listings[key] = [_op_entry(op) for op in step.program.ops]
+            entry["pulses"] = listings[key]
             entry["phase"] = step.program.phase_mod_2pi
             program.extend(step.program)
         entries.append(entry)
@@ -260,10 +267,65 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once, at import: a CLI process pays for it before its command
+# starts, and in-process callers of `main` share it.
+_PARSER = make_parser()
+
+
 def _file_error(path: str, exc: Exception) -> int:
     reason = getattr(exc, "strerror", None) or exc
     print(f"error: {path}: {reason}", file=sys.stderr)
     return EXIT_VALIDATION
+
+
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float(value: float) -> str:
+    text = float.__repr__(value)
+    return _NONFINITE.get(text, text)
+
+
+def _scalar(value) -> str:
+    if isinstance(value, str):
+        return _escape(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _float(value)
+    raise TypeError(f"Object of type {type(value).__name__} "
+                    "is not JSON serializable")
+
+
+def _dumps(obj, indent: str = "\n") -> str:
+    """The text of `json.dumps(obj, indent=2, sort_keys=True)`, byte for
+    byte: the standard encoder ignores its C speedups when indenting.
+    Dict keys must be strings.  Strings and floats, most of a report's
+    values, are written in place rather than through a recursive call."""
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = indent + "  "
+        return "{" + inner + ("," + inner).join([
+            _escape(key) + ": " + (
+                _escape(v) if type(v) is str else
+                _float(v) if type(v) is float else _dumps(v, inner))
+            for key in sorted(obj) for v in (obj[key],)]) + indent + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = indent + "  "
+        return "[" + inner + ("," + inner).join([
+            _escape(v) if type(v) is str else
+            _float(v) if type(v) is float else _dumps(v, inner)
+            for v in obj]) + indent + "]"
+    return _scalar(obj)
 
 
 def _print_report(text: str) -> None:
@@ -281,8 +343,7 @@ def _print_report(text: str) -> None:
 
 
 def main(argv=None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         doc = None
         if getattr(args, "document", None):
@@ -293,14 +354,14 @@ def main(argv=None) -> int:
                 return _file_error(args.document, exc)
             doc = parse_circuit(text)
         if args.command == "verify" and doc is None and not args.builtin:
-            parser.error("verify needs a document or --builtin")
+            _PARSER.error("verify needs a document or --builtin")
         if args.command == "compile":
             report, code = cmd_compile(doc, args)
         elif args.command == "run":
             report, code = cmd_run(doc, args)
         else:
             report, code = cmd_verify(doc, args)
-        text = json.dumps(report, indent=2, sort_keys=True)
+        text = _dumps(report)
         _print_report(text)
         if args.report:
             try:

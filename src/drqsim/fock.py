@@ -302,7 +302,9 @@ class OperatorMatrix:
         return float(np.max(np.abs(self.entries - self.entries.conj().T)))
 
 
-@functools.lru_cache(maxsize=256)
+# One command meets at most 25 target sets (`verify --builtin`), and each
+# entry keeps its layout alive after the command ends.
+@functools.lru_cache(maxsize=32)
 def _targets(layout: HilbertLayout, sids: tuple[str, ...],
              shape: tuple[int, ...]) -> tuple:
     """(axes, dims, strides, weights, offsets) of the targets, checked to be
