@@ -12,7 +12,7 @@ auxiliary mode sits in vacuum; any population there counts as leakage.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -136,6 +136,25 @@ class LogicalRegister:
         if self.com_mode is not None:
             out.append(self.com_mode)
         return tuple(out)
+
+    def footprint(self, logical_ids: Sequence[str]) -> "LogicalRegister":
+        """The register of `logical_ids` (first most significant), the
+        pool ancillas and the COM mode on a layout of only their
+        subsystems, in layout order: all that a gate on them may touch.
+        One subsystem set always gets the same layout object, so the
+        memos keyed on a layout serve every gate of that footprint."""
+        local = LogicalRegister(self.layout,
+                                tuple(map(self.entry, logical_ids)),
+                                self.ancilla_qubits, self.com_mode)
+        sids = frozenset(local.claimed_subsystems())
+        if sids not in self._footprint_layouts:
+            self._footprint_layouts[sids] = HilbertLayout(
+                [s for s in self.layout.subsystems if s.sid in sids])
+        return replace(local, layout=self._footprint_layouts[sids])
+
+    @cached_property
+    def _footprint_layouts(self) -> dict:
+        return {}
 
 
 def define_register(layout: HilbertLayout,

@@ -43,10 +43,10 @@ from .verify import (
 SEED = 2024
 
 
-def _hybrid_pair(cutoff: int = 4):
+def _hybrid_pair():
     layout = create_layout([
         ("q", "qubit", 2), ("anc", "qubit", 2),
-        ("m0", "mode", cutoff), ("m1", "mode", cutoff),
+        ("m0", "mode", 4), ("m1", "mode", 4),
     ])
     return define_register(
         layout,
@@ -54,11 +54,11 @@ def _hybrid_pair(cutoff: int = 4):
         ancilla_qubits=("anc",))
 
 
-def _dual_pair(cutoff: int = 4):
+def _dual_pair():
     layout = create_layout([
         ("anc", "qubit", 2),
-        ("a0", "mode", cutoff), ("a1", "mode", cutoff),
-        ("b0", "mode", cutoff), ("b1", "mode", cutoff),
+        ("a0", "mode", 4), ("a1", "mode", 4),
+        ("b0", "mode", 4), ("b1", "mode", 4),
     ])
     return define_register(
         layout,

@@ -1,12 +1,13 @@
 """Independent oracles and health checks.
 
-`program_unitary` reconstructs a pulse program as a dense matrix by two
-routes: evolving basis columns through each generator's eigenbasis block
-by block, or multiplying embedded exponentials from the Pade `expm` oracle.
-Agreement between the routes is what keeps the compiler honest; the
-equivalence checker then compares against ideal gates up to an overall
-phase, per document record in `check_records` for `verify <doc>` and
-the built-in suite alike.  `check_records` groups the distinct records
+`program_unitary` reconstructs a pulse program as a dense matrix by
+evolving basis columns through each generator's eigenbasis block by
+block, and `expm_unitary` by multiplying embedded exponentials from the
+Pade `expm` oracle.  Agreement between the routes is what keeps the
+compiler honest; the equivalence checker then compares against ideal
+gates up to an overall phase, per document record in `check_records`
+for `verify <doc>` and the built-in suite alike, each gate evolved on
+its own footprint's layout.  `check_records` groups the distinct records
 by operands and by each pulse's targets (a gate at other angles keeps
 its targets), and each group's programs are evolved together, one
 stacked kernel call per pulse, by `check_gates` and
@@ -18,7 +19,6 @@ circuit detects them without disturbing healthy states.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
@@ -72,24 +72,21 @@ class ProgramUnitary:
 
 
 def program_unitary(program, layout: HilbertLayout,
-                    restrict: LogicalRegister | None = None,
-                    method: str = "pulse") -> ProgramUnitary:
-    """Dense unitary of a pulse program.
+                    restrict: LogicalRegister | None = None) -> ProgramUnitary:
+    """Dense unitary of a pulse program, evolved through the generators'
+    eigenbases block by block: `program_unitaries` of one program.
 
     With `restrict`, columns are codeword basis states evolved through the
-    program and projected back onto the codeword span; `leakage_max` is
-    the largest weight lost outside that span.  Without it the full
-    total_dim matrix is returned.  `method` selects the evolution route:
-    "pulse" for the generators' eigenbases, block by block, as
-    `program_unitaries` of one program, "expm" for the Pade
-    `exp_hermitian` matmul oracle (full-space only).
+    program on `restrict`'s layout and projected back onto the codeword
+    span; `leakage_max` is the largest weight lost outside that span.
+    Without it the full total_dim matrix is returned.
     """
-    if restrict is not None and method != "pulse":
-        raise ValueError("restricted unitaries use the pulse path")
-    if method == "pulse":
-        return program_unitaries([program], layout, restrict)[0]
-    if method != "expm":
-        raise ValueError(f"unknown method {method!r}")
+    return program_unitaries([program], layout, restrict)[0]
+
+
+def expm_unitary(program, layout: HilbertLayout) -> ProgramUnitary:
+    """The full-space unitary as a product of embedded Pade `exp_hermitian`
+    matrices: the oracle `program_unitary` is tested against."""
     dim = _full_dim(layout)
     full = np.eye(dim, dtype=complex)
     for op in _op_list(program):
@@ -124,11 +121,12 @@ def program_unitaries(programs: Sequence, layout: HilbertLayout,
     `fock.apply_matrix_support` per pulse, each program's columns taken
     by its own pulse's matrix and pruned on their own; each program's
     unitary equals its `program_unitary` bit for bit.  A batch holds as
-    many programs as keep the largest block the kernel can meet within
-    `fock.MAX_STATE_DIM`, at least one.
+    many programs as keep their columns over every state of the layout,
+    a bound on any block the kernel meets, within `fock.MAX_STATE_DIM`,
+    at least one.
     """
     programs = [_op_list(p) for p in programs]
-    targets = _shared_targets(programs)
+    _shared_targets(programs)
     if restrict is None:
         dim = _full_dim(layout)
         columns = support_index(layout, range(dim))
@@ -138,30 +136,12 @@ def program_unitaries(programs: Sequence, layout: HilbertLayout,
             raise StateError(
                 f"logical dimension {dim} exceeds {MAX_RESTRICTED_DIM}")
         columns = restrict.codeword_indices
-    batch = len(programs)
-    if batch > 1:
-        batch = max(1, fock.MAX_STATE_DIM // _block_bound(layout, columns,
-                                                          targets))
+    batch = max(1, fock.MAX_STATE_DIM // (layout.total_dim * len(columns)))
     out = []
     for start in range(0, len(programs), batch):
         out += _evolve(programs[start:start + batch], layout, columns,
                        leakage=restrict is not None)
     return out
-
-
-def _block_bound(layout: HilbertLayout, columns: np.ndarray,
-                 targets: Sequence[tuple[str, ...]]) -> int:
-    """Amplitudes of the largest block one program's columns can fill.
-
-    The support varies only on the subsystems whose levels differ among
-    `columns` and on the pulses' targets, so no block has more rows than
-    those subsystems have basis states."""
-    strides, dims = (np.array(a, dtype=np.int64)
-                     for a in (layout.strides, layout.dims))
-    levels = columns[:, None] // strides % dims
-    varying = set(np.flatnonzero(levels.min(axis=0) != levels.max(axis=0)))
-    varying.update(layout.axis(sid) for sids in targets for sid in sids)
-    return math.prod(layout.dims[a] for a in varying) * len(columns)
 
 
 def _evolve(programs: list[list[PhysicalOp]], layout: HilbertLayout,
@@ -425,23 +405,24 @@ def check_gates(register: LogicalRegister, programs: Sequence,
     before anything is evolved, reported with the largest entry error
     and leakage a unitary can show, 2 and 1.  The other logical qubits
     then see the identity exactly, so the pulses are evolved on the
-    sub-register of `operands` alone, first most significant, whose
-    2**k codeword columns are compared with each ideal as it is, up to a
+    register's `footprint` of `operands`, first most significant: only
+    the footprint's subsystems, whatever the register's width.  Its 2**k
+    codeword columns are compared with each ideal as it is, up to a
     global phase, with the restricted unitary's leakage reported.  The
-    sub-register and the footprint are built once for all the programs,
-    which are evolved together by `program_unitaries`.  A gate of more
-    than log2(MAX_RESTRICTED_DIM) operands is a RegisterError.
+    footprint register is built once for all the programs, which are
+    evolved together by `program_unitaries`.  A gate of more than
+    log2(MAX_RESTRICTED_DIM) operands is a RegisterError, and one whose
+    footprint's basis indices do not fit in int64 a StateError.
     """
     _check_operand_count(operands)
-    local = replace(register,
-                    entries=tuple(register.entry(o) for o in operands))
-    footprint = set(local.claimed_subsystems())
+    local = register.footprint(operands)
+    footprint = set(local.layout.ids)
     targets = _shared_targets([_op_list(p) for p in programs])
     if any(t not in footprint for sids in targets for t in sids):
         return [EquivalenceReport(False, 2.0, 0.0, 1.0) for _ in programs]
     return [equivalent_up_to_phase(got.matrix, ideal, tol, got.leakage_max)
             for got, ideal in zip(program_unitaries(
-                programs, register.layout, restrict=local), ideals)]
+                programs, local.layout, restrict=local), ideals)]
 
 
 def check_records(register: LogicalRegister, records: Sequence,

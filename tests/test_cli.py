@@ -542,7 +542,8 @@ def test_register_past_the_dense_limit_exit_code(tmp_path, capsys):
 
 def test_verify_past_int64_exit_code(tmp_path, capsys):
     # 20 modes at cutoff 10 hold 2e20 amplitudes, whose basis indices do
-    # not fit in int64.
+    # not fit in int64, but `h D9` is evolved on its footprint alone:
+    # m18, m19 and the ancilla, 200 states.
     modes = " ".join(f"m{i}" for i in range(20))
     path = tmp_path / "past64.drq"
     path.write_text(f"""\
@@ -558,10 +559,54 @@ ancillas:
 program:
   h D9
 """)
-    code, _, err = run_cli(capsys, "verify", str(path))
-    assert code == 3
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert code == 0, err
+    checks = json.loads(out)["checks"]
+    assert [c["name"] for c in checks] == ["gate-0:h D9"]
+    assert all(c["equivalent"] for c in checks)
+
+
+@pytest.mark.parametrize("n", [13, 16])
+def test_hybrid_register_past_int64_verifies(tmp_path, capsys, n):
+    # n + n hybrid registers of 2^(5n+2) states, 2^67 and 2^82: no gate
+    # touches more than two logical qubits, so each footprint fits.
+    from test_support import hybrid_document
+    path = tmp_path / "hybrid.drq"
+    path.write_text(hybrid_document(n, 40, seed=6))
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert code == 0, err
+    checks = json.loads(out)["checks"]
+    assert len(checks) == 40
+    assert all(c["equivalent"] for c in checks)
+
+
+def test_verify_footprint_past_int64_exit_code(tmp_path, capsys,
+                                              monkeypatch):
+    # One dual-rail qubit and 63 pool ancillas: the footprint of `h D`
+    # alone holds 2^63 * 16 states, whose basis indices do not fit in
+    # int64, and nothing is evolved.
+    def evolved(*args, **kwargs):
+        raise AssertionError("_evolve called")
+
+    monkeypatch.setattr(verify, "_evolve", evolved)
+    ancillas = " ".join(f"a{i}" for i in range(63))
+    path = tmp_path / "pool63.drq"
+    path.write_text(f"""\
+system:
+  qubits: {ancillas}
+  modes: m0 m1
+  cutoff: 4
+registers:
+  D dual_rail m0 m1
+ancillas:
+  qubits: {ancillas}
+program:
+  h D
+""")
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert code == 3 and out == ""
     assert err.startswith("numeric health failure: basis indices of "
-                          "200000000000000000000 states do not fit in int64")
+                          f"{2 ** 67} states do not fit in int64")
 
 
 def test_nine_qubit_register_verifies(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -107,6 +108,29 @@ def test_codeword_indices_of_the_document_registers(name):
         doc = parse_circuit(header.format(cutoff=cutoff) + "program:\n")
         register = build_system(doc)[1]
         assert register.codeword_indices.tolist() == _codeword_loop(register)
+
+
+def test_footprint_keeps_the_operands_pool_and_bus_in_layout_order():
+    header, _, _ = REGISTERS["bus"]
+    register = build_system(parse_circuit(
+        header.format(cutoff=3) + "program:\n"))[1]
+    local = register.footprint(["T", "C1"])
+    assert [e.logical_id for e in local.entries] == ["T", "C1"]
+    assert (local.ancilla_qubits, local.com_mode) == (
+        register.ancilla_qubits, register.com_mode)
+    want = set(local.claimed_subsystems())
+    assert local.layout.subsystems == tuple(
+        s for s in register.layout.subsystems if s.sid in want)
+    # Each codeword keeps its levels on the footprint's subsystems.
+    full = dataclasses.replace(register, entries=local.entries)
+    for big, small in zip(full.codeword_indices, local.codeword_indices):
+        levels = dict(zip(register.layout.ids,
+                          register.layout.levels_of(int(big))))
+        assert local.layout.levels_of(int(small)) == tuple(
+            levels[sid] for sid in local.layout.ids)
+    # One subsystem set, whatever the operands' order: one layout object.
+    assert register.footprint(["C1", "T"]).layout is local.layout
+    assert register.footprint(["C2", "T"]).layout is not local.layout
 
 
 def test_register_rejects_reuse():

@@ -1,6 +1,7 @@
 import dataclasses
 from pathlib import Path
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -42,6 +43,7 @@ from drqsim.verify import (
     check_gate,
     check_sentinel,
     embed_logical_matrix,
+    expm_unitary,
     ideal_logical_gate,
     run_program,
     sentinel_population,
@@ -49,6 +51,7 @@ from drqsim.verify import (
 
 from conftest import gate, random_state
 from test_cli import GATE_CASES, UNITARY_GATES
+from test_sparse_run import REGISTERS, documents
 
 
 @pytest.fixture
@@ -107,8 +110,8 @@ def test_empty_program_is_identity(qmm):
 
 def test_single_zbs_dual_path(qmm):
     ops = [zbs(0.7, 0.3, "q", "m0", "m1")]
-    a = program_unitary(ops, qmm, method="pulse").matrix
-    b = program_unitary(ops, qmm, method="expm").matrix
+    a = program_unitary(ops, qmm).matrix
+    b = expm_unitary(ops, qmm).matrix
     assert np.max(np.abs(a - b)) <= 1e-10
 
 
@@ -128,8 +131,8 @@ def test_dual_path_long_program(rng):
                        "q1", "mb", "mc"))
         ops.append(qphase(rng.uniform(-2, 2), "q2"))
     assert len(ops) == 50
-    a = program_unitary(ops, layout, method="pulse").matrix
-    b = program_unitary(ops, layout, method="expm").matrix
+    a = program_unitary(ops, layout).matrix
+    b = expm_unitary(ops, layout).matrix
     assert np.max(np.abs(a - b)) <= 1e-10
 
 
@@ -141,8 +144,8 @@ def test_dual_path_kilodim(rng):
     ops = [zbs(0.3, 0.1, "q1", "ma", "mb"), rsb(1.2, "q2", "mc"),
            beamsplitter(0.8, -0.9, "mc", "md"), carrier(0.4, 0.2, "q1"),
            zbs(-0.5, 1.7, "q2", "mb", "md")]
-    a = program_unitary(ops, layout, method="pulse").matrix
-    b = program_unitary(ops, layout, method="expm").matrix
+    a = program_unitary(ops, layout).matrix
+    b = expm_unitary(ops, layout).matrix
     assert np.max(np.abs(a - b)) <= 1e-10
 
 
@@ -226,9 +229,7 @@ def _pinned(register, program, ideal, operands, tol, report):
     want = equivalent_up_to_phase(
         full.matrix, embed_logical_matrix(ideal, positions, len(ids)), tol,
         full.leakage_max)
-    local = dataclasses.replace(
-        register, entries=tuple(register.entry(op) for op in operands))
-    got = program_unitary(program, register.layout, restrict=local)
+    got = _pinned_footprint(register, program, operands)
     assert np.max(np.abs(embed_logical_matrix(got.matrix, positions, len(ids))
                          - full.matrix)) <= 1e-10
     assert abs(got.leakage_max - full.leakage_max) <= 1e-10
@@ -236,6 +237,19 @@ def _pinned(register, program, ideal, operands, tol, report):
     assert abs(report.max_entry_error - want.max_entry_error) <= 1e-10
     assert abs(report.leakage_max - want.leakage_max) <= 1e-10
     return report
+
+
+def _pinned_footprint(register, program, operands):
+    """The program on the register's footprint of `operands`, held to its
+    operands' sub-register evolved on the whole register's layout."""
+    local = dataclasses.replace(
+        register, entries=tuple(register.entry(op) for op in operands))
+    want = program_unitary(program, register.layout, restrict=local)
+    footprint = register.footprint(operands)
+    got = program_unitary(program, footprint.layout, restrict=footprint)
+    assert np.max(np.abs(got.matrix - want.matrix)) <= 1e-10
+    assert abs(got.leakage_max - want.leakage_max) <= 1e-10
+    return got
 
 
 PIN_DOCUMENTS = {
@@ -260,6 +274,17 @@ def test_operand_local_check_matches_full_register(name):
                                  1e-9).equivalent
         checked += 1
     assert checked
+
+
+@pytest.mark.parametrize("register", REGISTERS)
+@settings(derandomize=True, deadline=None, max_examples=10)
+@given(data=st.data())
+def test_footprint_matches_full_layout_on_generated_documents(register,
+                                                              data):
+    doc = parse_circuit(data.draw(documents(register)))
+    _, reg = build_system(doc)
+    for step in lower(reg, doc.program):
+        _pinned_footprint(reg, step.program, step.record.operands)
 
 
 def test_builtin_checks_match_full_register(monkeypatch):

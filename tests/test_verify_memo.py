@@ -57,14 +57,13 @@ def _verify(text):
 
 def _groups(doc):
     """Each (operands, targets of every pulse) group of the document's
-    distinct records: {key: sub-register, targets, records}."""
+    distinct records: {key: footprint register, targets, records}."""
     _, register = cli.build_system(doc)
     groups = {}
     for step in lower(register, doc.program):
         ops = step.program.ops
         key = (step.record.operands, tuple(op.targets for op in ops))
-        local = replace(register, entries=tuple(
-            register.entry(o) for o in step.record.operands))
+        local = register.footprint(step.record.operands)
         groups.setdefault(key, (local, key[1], set()))[2].add(step.record)
     return groups
 
@@ -95,14 +94,14 @@ def test_memo_matches_fresh_checks(register, data):
 @settings(derandomize=True, deadline=None, max_examples=8)
 @given(data=st.data())
 def test_memo_matches_fresh_checks_in_small_batches(register, data):
-    # At the largest block one record can meet (or the largest pulse
-    # matrix, which the limit also bounds), the group that meets it is
-    # evolved one record at a time, and the others in fewer at once.
+    # At the most amplitudes one record's columns can hold, every state
+    # of its footprint's layout in each (or at the largest pulse matrix,
+    # which the limit also bounds), the group that meets it is evolved
+    # one record at a time, and the others in fewer at once.
     doc = parse_circuit(data.draw(repeating_documents(register)))
     groups = _groups(doc)
-    bounds = {key: verify._block_bound(local.layout, local.codeword_indices,
-                                       targets)
-              for key, (local, targets, _) in groups.items()}
+    bounds = {key: local.layout.total_dim * local.logical_dim
+              for key, (local, _, _) in groups.items()}
     layout = cli.build_system(doc)[0]
     limit = max([*bounds.values(), *(
         math.prod(layout.dim_of(sid) for sid in sids) ** 2
@@ -117,13 +116,13 @@ def test_memo_matches_fresh_checks_in_small_batches(register, data):
 
 def _verify_in_chunks(text, limit):
     """`_verify` with MAX_STATE_DIM at `limit`, and each evolution's
-    (programs, most programs its block bound allows)."""
+    (programs, most programs whose columns over every state of the
+    evolution's layout fit in `limit`)."""
     evolve, chunks = verify._evolve, []
 
     def spy(programs, layout, columns, leakage):
-        targets = tuple(op.targets for op in programs[0])
-        chunks.append((len(programs), max(1, limit // verify._block_bound(
-            layout, columns, targets))))
+        chunks.append((len(programs), max(
+            1, limit // (layout.total_dim * len(columns)))))
         return evolve(programs, layout, columns, leakage)
 
     with mock.patch.object(fock, "MAX_STATE_DIM", limit), \
@@ -133,13 +132,14 @@ def _verify_in_chunks(text, limit):
 
 
 def test_group_splits_at_the_block_limit():
-    # An rx on Q meets at most 2 rows x 2 columns, and its carrier matrix
-    # has 4 entries: at a limit of 8 amplitudes its group of five records
-    # is evolved two at a time.
+    # An rx on Q is evolved on its footprint, q0 and the ancillas a0 and
+    # a1: 8 states x 2 columns, and its carrier matrix has 4 entries.  At
+    # a limit of 32 amplitudes its group of five records is evolved two
+    # at a time.
     lines = [f"rx pi*0.{i} Q" for i in range(3, 8)]
     text = DEEP_REGISTER.format(cutoff=4) + "program:\n" + "".join(
         f"  {line}\n" for line in lines)
-    report, batches, chunks = _verify_in_chunks(text, 8)
+    report, batches, chunks = _verify_in_chunks(text, 32)
     assert batches == [5]
     assert chunks == [(2, 2), (2, 2), (1, 2)]
     assert report["checks"] == _fresh_checks(parse_circuit(text))
