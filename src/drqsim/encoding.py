@@ -140,21 +140,13 @@ class LogicalRegister:
     def footprint(self, logical_ids: Sequence[str]) -> "LogicalRegister":
         """The register of `logical_ids` (first most significant), the
         pool ancillas and the COM mode on a layout of only their
-        subsystems, in layout order: all that a gate on them may touch.
-        One subsystem set always gets the same layout object, so the
-        memos keyed on a layout serve every gate of that footprint."""
+        subsystems, in layout order: all that a gate on them may touch."""
         local = LogicalRegister(self.layout,
                                 tuple(map(self.entry, logical_ids)),
                                 self.ancilla_qubits, self.com_mode)
-        sids = frozenset(local.claimed_subsystems())
-        if sids not in self._footprint_layouts:
-            self._footprint_layouts[sids] = HilbertLayout(
-                [s for s in self.layout.subsystems if s.sid in sids])
-        return replace(local, layout=self._footprint_layouts[sids])
-
-    @cached_property
-    def _footprint_layouts(self) -> dict:
-        return {}
+        sids = set(local.claimed_subsystems())
+        return replace(local, layout=HilbertLayout(
+            [s for s in self.layout.subsystems if s.sid in sids]))
 
 
 def define_register(layout: HilbertLayout,

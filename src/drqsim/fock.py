@@ -9,11 +9,13 @@ A state is held on its support (the basis states with amplitude) and
 evolves through one sparse kernel, tested against the dense contraction
 `apply_matrix_columns`.  A deep circuit applies many pulses to a support
 that rarely changes, so the part of the kernel's work that depends only
-on the support and the targets (its plan) is memoized per (layout
-object, targets, matrix shape, support) for a support of at most
+on the support and the targets (its plan) is memoized per (layout,
+targets, matrix shape, support) for a support of at most
 `MEMO_MAX_ROWS` rows whose plan has at most `MEMO_MAX_ROWS`**2
 candidate rows; a larger support is planned on every call.
-`MEMO_MAX_ROWS` also bounds the pulse memo of `pulses`.
+`MEMO_MAX_ROWS` also bounds the pulse memo of `pulses`.  Layouts
+compare by value, so every memo is a function of values: equal layouts
+share entries, and a hit gives the same bits as a miss.
 """
 from __future__ import annotations
 
@@ -87,10 +89,18 @@ class Subsystem:
 
 
 class HilbertLayout:
-    """Ordered registry of subsystems with mixed-radix index arithmetic."""
+    """Ordered registry of subsystems with mixed-radix index arithmetic.
+
+    Two layouts are equal when their ordered (sid, kind, dim) triples are,
+    so a memo keyed on a layout is keyed on its value.  The key and its
+    hash are computed once: a memo hit on the same object compares nothing
+    in Python.
+    """
 
     def __init__(self, subsystems: Sequence[Subsystem]):
         self.subsystems = tuple(subsystems)
+        self._key = tuple((s.sid, s.kind, s.dim) for s in self.subsystems)
+        self._hash = hash(self._key)
         self._pos = {s.sid: i for i, s in enumerate(self.subsystems)}
         self.dims = tuple(s.dim for s in self.subsystems)
         strides = [1]
@@ -98,6 +108,12 @@ class HilbertLayout:
             strides.append(strides[-1] * d)
         self.strides = tuple(strides)
         self.total_dim = math.prod(self.dims)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, HilbertLayout) and self._key == other._key
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def axis(self, sid: str) -> int:
         try:
@@ -302,8 +318,7 @@ class OperatorMatrix:
         return float(np.max(np.abs(self.entries - self.entries.conj().T)))
 
 
-# One command meets at most 25 target sets (`verify --builtin`), and each
-# entry keeps its layout alive after the command ends.
+# One command meets at most 25 target sets (`verify --builtin`).
 @functools.lru_cache(maxsize=32)
 def _targets(layout: HilbertLayout, sids: tuple[str, ...],
              shape: tuple[int, ...]) -> tuple:
@@ -470,15 +485,13 @@ def _plan(index: np.ndarray, layout: HilbertLayout, sids: tuple[str, ...],
     return target, rests.searchsorted(rest), rests, offsets
 
 
-# One command meets a few dozen plans (52 in a `deep` run), and each
-# entry keeps its layout alive after the command ends.
+# One command meets a few dozen plans (52 in a `deep` run).
 @functools.lru_cache(maxsize=32)
 def _memo_plan(layout: HilbertLayout, sids: tuple[str, ...],
                shape: tuple[int, ...], support: bytes) -> tuple:
     """`_plan` of a small support, given as its int64 index's bytes, with
     the basis index of each row of the output block in place of
-    `offsets`; read-only.  The key holds the layout object, as `_targets`
-    does, so no plan crosses commands."""
+    `offsets`; read-only."""
     target, group, rests, offsets = _plan(
         np.frombuffer(support, dtype=np.int64), layout, sids, shape)
     plan = target, group, rests, (offsets[:, None] + rests).ravel()
@@ -622,8 +635,7 @@ def measure_qubit_z(state: StateVector, qubit_id: str,
 
 def overlap(a: StateVector, b: StateVector) -> complex:
     """Inner product <a|b>."""
-    if a.layout is not b.layout and (a.layout.ids != b.layout.ids
-                                     or a.layout.dims != b.layout.dims):
+    if a.layout != b.layout:
         raise StateError("states live on different layouts")
     _, ia, ib = np.intersect1d(a.index, b.index, assume_unique=True,
                                return_indices=True)

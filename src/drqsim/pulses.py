@@ -18,12 +18,11 @@ conserves an excitation or phonon number, so G is block-diagonal.  One
 (kind, phi, target dims); tests pin it to the Pade oracle `exp_hermitian`.
 The finished matrix of a pulse of at most `fock.MEMO_MAX_ROWS` rows
 (the bound of the support kernel's plan memo too, importable here as
-`MEMO_MAX_ROWS`) is memoized per (pulse, layout object) in a 64-entry
-LRU, since a deep circuit repeats a few pulses many times; its targets
-are checked once, when the entry is built.  Every command builds its
-own layout, so the memo never carries a matrix from one command into
-the next, and the cost of building each distinct pulse is paid once
-per command.
+`MEMO_MAX_ROWS`) is memoized per (pulse, layout) in a 64-entry LRU,
+since a deep circuit repeats a few pulses many times; its targets are
+checked once, when the entry is built.  Layouts compare by value, so
+equal layouts, such as the footprints of two gates on one subsystem set,
+share the entry.
 `pulse_unitary` hands the memo's read-only matrix itself to the kernel
 (`apply_pulse` and `verify`'s evolution); `pulse_matrix` gives its
 caller a copy of its own.
@@ -235,12 +234,10 @@ def _build(op: PhysicalOp, dims: tuple[int, ...]) -> np.ndarray:
 @functools.lru_cache(maxsize=64)
 def _matrix(op: PhysicalOp, layout: HilbertLayout) -> np.ndarray | None:
     """The pulse's unitary on one layout, read-only: a document repeats a
-    few pulses many times.  The key is the layout object, not its dims,
-    so each command (which builds its own layout) builds its own.  The
-    target kinds and size are checked here, once per entry; a pulse past
-    MEMO_MAX_ROWS is held as None and left to its caller to build, so the
-    64 entries hold at most 4 MiB (64 zbs matrices at cutoff 20 would
-    hold 655 MB)."""
+    few pulses many times.  The target kinds and size are checked here,
+    once per entry; a pulse past MEMO_MAX_ROWS is held as None and left
+    to its caller to build, so the 64 entries hold at most 4 MiB (64 zbs
+    matrices at cutoff 20 would hold 655 MB)."""
     dims = _check_kinds(op, layout)
     if math.prod(dims) > MEMO_MAX_ROWS:
         return None

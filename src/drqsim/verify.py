@@ -436,29 +436,28 @@ def check_records(register: LogicalRegister, records: Sequence,
     gate at other angles, mostly), form one group, checked by one
     `check_gates` call; each report equals the record's own
     `check_gate`.  A gate of too many operands is a RegisterError naming
-    its first step, raised before anything is evolved.
+    its first step, raised before anything is evolved; a StateError
+    raised while a group is checked names the group's first step.
     """
     steps = [step for step in lower(register, records)
              if step.program is not None]
-    first = {}
-    for step in steps:
-        try:
+    first, groups, reports = {}, {}, {}
+    try:
+        for step in steps:
             _check_operand_count(step.record.operands)
-        except RegisterError as exc:
-            raise RegisterError(
-                f"gate {step.index} ({step.record.render()}): {exc}"
-            ) from exc
-        first.setdefault(step.record, step.program)
-    groups: dict = {}
-    for rec, program in first.items():
-        key = (rec.operands, tuple(op.targets for op in program.ops))
-        groups.setdefault(key, {})[rec] = program
-    reports = {}
-    for (operands, _), group in groups.items():
-        ideals = [ideal_logical_gate(rec.name, rec.params, len(operands))
-                  for rec in group]
-        reports.update(zip(group, check_gates(
-            register, list(group.values()), ideals, operands, tol)))
+            first.setdefault(step.record, step)
+        for rec, head in first.items():
+            key = (rec.operands, tuple(op.targets for op in head.program.ops))
+            groups.setdefault(key, {})[rec] = head.program
+        for (operands, _), group in groups.items():
+            step = first[next(iter(group))]  # named if the group fails
+            ideals = [ideal_logical_gate(rec.name, rec.params, len(operands))
+                      for rec in group]
+            reports.update(zip(group, check_gates(
+                register, list(group.values()), ideals, operands, tol)))
+    except (RegisterError, StateError) as exc:
+        raise type(exc)(
+            f"gate {step.index} ({step.record.render()}): {exc}") from exc
     return [replace(reports[step.record],
                     name=f"gate-{step.index}:{step.record.render()}")
             for step in steps]

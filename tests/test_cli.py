@@ -582,16 +582,19 @@ def test_hybrid_register_past_int64_verifies(tmp_path, capsys, n):
 
 def test_verify_footprint_past_int64_exit_code(tmp_path, capsys,
                                               monkeypatch):
-    # One dual-rail qubit and 63 pool ancillas: the footprint of `h D`
-    # alone holds 2^63 * 16 states, whose basis indices do not fit in
-    # int64, and nothing is evolved.
+    # One dual-rail qubit and 63 pool ancillas: the footprint of any gate
+    # on D holds 2^63 * 16 states, whose basis indices do not fit in
+    # int64, and nothing is evolved.  The error names the first step
+    # checked; `verify` does not check a heating jump.
     def evolved(*args, **kwargs):
         raise AssertionError("_evolve called")
 
     monkeypatch.setattr(verify, "_evolve", evolved)
     ancillas = " ".join(f"a{i}" for i in range(63))
     path = tmp_path / "pool63.drq"
-    path.write_text(f"""\
+    for program, named in [(["h D"], "gate 0 (h D)"),
+                           (["gain m0", "x D", "h D", "x D"], "gate 1 (x D)")]:
+        path.write_text(f"""\
 system:
   qubits: {ancillas}
   modes: m0 m1
@@ -601,12 +604,12 @@ registers:
 ancillas:
   qubits: {ancillas}
 program:
-  h D
-""")
-    code, out, err = run_cli(capsys, "verify", str(path))
-    assert code == 3 and out == ""
-    assert err.startswith("numeric health failure: basis indices of "
-                          f"{2 ** 67} states do not fit in int64")
+""" + "".join(f"  {line}\n" for line in program))
+        code, out, err = run_cli(capsys, "verify", str(path))
+        assert code == 3 and out == ""
+        assert err.startswith(f"numeric health failure: {named}: basis "
+                              f"indices of {2 ** 67} states do not fit in "
+                              "int64")
 
 
 def test_nine_qubit_register_verifies(tmp_path, capsys):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from drqsim import fock
 from drqsim import (
     RegisterError,
     StateError,
@@ -128,9 +129,16 @@ def test_footprint_keeps_the_operands_pool_and_bus_in_layout_order():
                           register.layout.levels_of(int(big))))
         assert local.layout.levels_of(int(small)) == tuple(
             levels[sid] for sid in local.layout.ids)
-    # One subsystem set, whatever the operands' order: one layout object.
-    assert register.footprint(["C1", "T"]).layout is local.layout
-    assert register.footprint(["C2", "T"]).layout is not local.layout
+    # One subsystem set, whatever the operands' order: one layout value,
+    # so a second footprint hits the memos of the first.
+    assert register.footprint(["C1", "T"]).layout == local.layout
+    assert register.footprint(["C2", "T"]).layout != local.layout
+    sids = tuple(local.layout.ids[:2])
+    shape = (local.layout.dims[0] * local.layout.dims[1],) * 2
+    fock._targets(local.layout, sids, shape)
+    hits = fock._targets.cache_info().hits
+    fock._targets(register.footprint(["C1", "T"]).layout, sids, shape)
+    assert fock._targets.cache_info().hits == hits + 1
 
 
 def test_register_rejects_reuse():

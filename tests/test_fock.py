@@ -19,6 +19,10 @@ from drqsim import (
 )
 from drqsim.fock import (
     MAX_STATE_DIM,
+    MODE,
+    QUBIT,
+    HilbertLayout,
+    Subsystem,
     SIGMA_X,
     apply_matrix_columns,
     apply_matrix_support,
@@ -52,6 +56,37 @@ def test_bad_dims_rejected():
         create_layout([("q", "qubit", 3)])
     with pytest.raises(LayoutError):
         create_layout([("m", "mode", 2)])
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(spec=st.lists(st.tuples(st.sampled_from("abcde"),
+                               st.sampled_from([QUBIT, MODE]),
+                               st.integers(2, 6)),
+                     min_size=1, max_size=5, unique_by=lambda t: t[0]),
+       data=st.data())
+def test_layouts_compare_by_value(spec, data):
+    def build(triples):
+        return HilbertLayout([Subsystem(*t) for t in triples])
+
+    one, other = build(spec), build(list(spec))
+    assert one is not other
+    assert one == other and hash(one) == hash(other)
+    # Any one change of a sid, kind, dim or the order is another layout.
+    changed, i = list(spec), data.draw(st.integers(0, len(spec) - 1))
+    sid, kind, dim = spec[i]
+    what = data.draw(st.sampled_from(
+        ["sid", "kind", "dim", "order"][:3 + (len(spec) > 1)]))
+    if what == "sid":
+        changed[i] = (sid + "x", kind, dim)
+    elif what == "kind":
+        changed[i] = (sid, MODE if kind == QUBIT else QUBIT, dim)
+    elif what == "dim":
+        changed[i] = (sid, kind, dim + 1)
+    else:
+        j = (i + data.draw(st.integers(1, len(spec) - 1))) % len(spec)
+        changed[i], changed[j] = changed[j], changed[i]
+    assert build(changed) != one
+    assert not build(changed) == one
 
 
 @pytest.mark.parametrize("dims", [
@@ -545,9 +580,9 @@ def test_support_past_the_memo_bound_skips_the_memo(rows, sids, memoized):
     assert [a.tobytes() for a in again] == [a.tobytes() for a in first]
 
 
-def test_equal_layouts_share_no_plan():
-    # The key holds the layout object: every command builds its own, so
-    # no plan crosses commands.
+def test_equal_layouts_share_one_plan():
+    # Layouts compare by value, so a layout built from the same spec
+    # hits the plan of the first.
     spec = [("q", "qubit", 2), ("m0", "mode", 4), ("m1", "mode", 4)]
     one, other = create_layout(spec), create_layout(spec)
     index = np.array([1, 6, 17], dtype=np.int64)
@@ -557,5 +592,5 @@ def test_equal_layouts_share_no_plan():
     want = apply_matrix_support(index, amps, one, matrix, sids)
     apply_matrix_support(index, amps, one, matrix, sids)
     got = apply_matrix_support(index, amps, other, matrix, sids)
-    assert (_plan_memo_calls() - start).tolist() == [2, 1]
+    assert (_plan_memo_calls() - start).tolist() == [1, 2]
     assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
