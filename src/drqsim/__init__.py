@@ -12,7 +12,6 @@ from .encoding import (
     LogicalStateReport,
     define_register,
     extract_logical_state,
-    leakage_probability,
     measure_dual_rail,
     prepare_dual_rail_zero,
 )

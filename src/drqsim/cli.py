@@ -154,7 +154,7 @@ def cmd_run(doc: CircuitDocument, args) -> tuple[dict, int]:
                 state = run_program(state, step.program,
                                     register=None if injected else register)
                 ledger += step.program.global_phase
-        except (HealthError, StateError) as exc:
+        except (CompileError, HealthError, StateError) as exc:
             raise type(exc)(f"gate {i} ({rec.render()}): {exc}") from exc
 
     report_state = extract_logical_state(state, register)

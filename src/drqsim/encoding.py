@@ -263,12 +263,6 @@ def extract_logical_state(state: StateVector,
     return LogicalStateReport(amps, leakage, phase)
 
 
-def leakage_probability(state: StateVector,
-                        register: LogicalRegister) -> float:
-    """Probability weight outside the codeword span."""
-    return extract_logical_state(state, register).leakage
-
-
 PREPARE_PHASE = np.pi  # carrier(pi) and rsb(pi) each contribute -i
 
 

@@ -257,10 +257,6 @@ class StateVector:
         """Total probability of finding subsystem `sid` at `level`."""
         return float(self.populations([(sid, level)])[0])
 
-    def level_distribution(self, sid: str) -> np.ndarray:
-        return self.populations([(sid, l)
-                                 for l in range(self.layout.dim_of(sid))])
-
     def amplitude_at(self, indices: Sequence[int]) -> np.ndarray:
         """Amplitudes at the given basis indices, zero off the support."""
         return support_rows(self.index, self.values,

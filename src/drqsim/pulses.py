@@ -14,15 +14,15 @@ qubits (an existing native two-qubit gate, applied as an ideal R_XX).
 Every pulse is exp(i f theta G) of a small Hermitian generator G that
 conserves an excitation or phonon number, so G is block-diagonal.  One
 `_PULSES` row per kind holds its target kinds, G and f.
-`pulse_matrix` takes it block by block in G's eigenbasis, cached per
+`pulse_unitary` takes it block by block in G's eigenbasis, cached per
 (kind, phi, target dims); tests pin it to the Pade oracle `exp_hermitian`.
-The finished matrix of a pulse of at most `fock.MEMO_MAX_ROWS` rows
-(the bound of the support kernel's plan memo too, importable here as
-`MEMO_MAX_ROWS`) is memoized per (pulse, layout) in a 64-entry LRU,
-since a deep circuit repeats a few pulses many times; its targets are
-checked once, when the entry is built.  Layouts compare by value, so
-equal layouts, such as the footprints of two gates on one subsystem set,
-share the entry.
+A pulse's matrix depends only on (kind, theta, phi, target dims), so the
+finished matrix of a pulse of at most `fock.MEMO_MAX_ROWS` rows (the
+bound of the support kernel's plan memo too, importable here as
+`MEMO_MAX_ROWS`) is memoized on exactly that key in a 64-entry LRU: one
+beamsplitter angle on any rail pair of equal dims, on any layout, shares
+one entry.  A larger pulse is built on every call.  The targets are
+checked against the layout on every call.
 `pulse_unitary` hands the memo's read-only matrix itself to the kernel
 (`apply_pulse` and `verify`'s evolution); `pulse_matrix` gives its
 caller a copy of its own.
@@ -223,25 +223,23 @@ def _eigenbasis(kind: str, phi: float, dims: tuple[int, ...]) -> tuple:
     return tuple(groups)
 
 
-def _build(op: PhysicalOp, dims: tuple[int, ...]) -> np.ndarray:
-    angle = _PULSES[op.kind][2] * op.theta
+def _build(kind: str, theta: float, phi: float,
+           dims: tuple[int, ...]) -> np.ndarray:
+    angle = _PULSES[kind][2] * theta
     u = np.zeros((math.prod(dims),) * 2, dtype=complex)
-    for flat, w, v, vh in _eigenbasis(op.kind, op.phi, dims):
+    for flat, w, v, vh in _eigenbasis(kind, phi, dims):
         np.put(u, flat, (v * np.exp(1j * angle * w)[:, None, :]) @ vh)
     return u
 
 
 @functools.lru_cache(maxsize=64)
-def _matrix(op: PhysicalOp, layout: HilbertLayout) -> np.ndarray | None:
-    """The pulse's unitary on one layout, read-only: a document repeats a
-    few pulses many times.  The target kinds and size are checked here,
-    once per entry; a pulse past MEMO_MAX_ROWS is held as None and left
-    to its caller to build, so the 64 entries hold at most 4 MiB (64 zbs
-    matrices at cutoff 20 would hold 655 MB)."""
-    dims = _check_kinds(op, layout)
-    if math.prod(dims) > MEMO_MAX_ROWS:
-        return None
-    u = _build(op, dims)
+def _matrix(kind: str, theta: float, phi: float,
+            dims: tuple[int, ...]) -> np.ndarray:
+    """`_build`, read-only: a document repeats a few pulses many times, on
+    many targets.  Only pulses of at most MEMO_MAX_ROWS rows come here, so
+    the 64 entries hold at most 4 MiB (64 zbs matrices at cutoff 20 would
+    hold 655 MB)."""
+    u = _build(kind, theta, phi, dims)
     u.flags.writeable = False  # shared by every caller of the cache
     return u
 
@@ -250,20 +248,19 @@ def pulse_unitary(op: PhysicalOp, layout: HilbertLayout) -> np.ndarray:
     """Unitary exp(i f theta G) of the pulse over its targets, taken block
     by block in G's cached eigenbasis: theta enters only as the phases
     exp(i f theta w), and every entry between two blocks is exactly 0.
-    A pulse of at most MEMO_MAX_ROWS rows is the memo's own read-only
-    matrix, for callers that only read it (the support kernel); a larger
-    one is checked and built on every call."""
-    u = _matrix(op, layout)
-    return _build(op, _check_kinds(op, layout)) if u is None else u
+    The targets are checked on every call.  A pulse of at most
+    MEMO_MAX_ROWS rows is the memo's own read-only matrix, for callers
+    that only read it (the support kernel); a larger one is built on
+    every call."""
+    dims = _check_kinds(op, layout)
+    if math.prod(dims) > MEMO_MAX_ROWS:
+        return _build(op.kind, op.theta, op.phi, dims)
+    return _matrix(op.kind, op.theta, op.phi, dims)
 
 
 def pulse_matrix(op: PhysicalOp, layout: HilbertLayout) -> OperatorMatrix:
-    """`pulse_unitary` as the caller's own copy.  A pulse past
-    MEMO_MAX_ROWS is built without a memo lookup."""
-    dims = _check_kinds(op, layout)
-    if math.prod(dims) > MEMO_MAX_ROWS:
-        return OperatorMatrix(op.targets, _build(op, dims))
-    return OperatorMatrix(op.targets, _matrix(op, layout).copy())
+    """`pulse_unitary` as the caller's own copy."""
+    return OperatorMatrix(op.targets, pulse_unitary(op, layout).copy())
 
 
 def apply_pulse(state: StateVector, op: PhysicalOp) -> StateVector:

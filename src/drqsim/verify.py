@@ -11,8 +11,8 @@ its own footprint's layout.  `check_records` groups the distinct records
 by operands and by each pulse's targets (a gate at other angles keeps
 its targets), and each group's programs are evolved together, one
 stacked kernel call per pulse, by `check_gates` and
-`program_unitaries`; `check_gate` and `program_unitary` are their
-one-program case, and every report equals its one-program report.
+`program_unitaries`; every report equals its one-program report, and
+`program_unitary` is `program_unitaries` of one program.
 Heating errors are injected as discrete phonon jumps, and the parity
 circuit detects them without disturbing healthy states.
 """
@@ -32,10 +32,7 @@ from .fock import (
     HilbertLayout,
     NORM_TOL,
     StateVector,
-    annihilation_matrix,
-    apply_matrix,
     apply_matrix_support,
-    creation_matrix,
     embedded_matrix,
     excited_probability,
     exp_hermitian,
@@ -329,21 +326,27 @@ def qnd_parity_check(state: StateVector, qubit: str, mode1: str, mode2: str,
 
 def inject_heating_error(state: StateVector, mode: str,
                          kind: str) -> StateVector:
-    """Apply a discrete phonon jump (loss: a, gain: a^dag) and renormalize."""
+    """Apply a discrete phonon jump (loss: a, gain: a^dag) and renormalize.
+
+    The jump moves each support state one level down (loss, times
+    sqrt(level)) or up (gain, times sqrt(level + 1)); no dense jump
+    matrix is built, whatever the cutoff."""
     layout = state.layout
     if not layout.is_mode(mode):
         raise StateError(f"{mode!r} is not a mode")
-    dim = layout.dim_of(mode)
+    dim, level = layout.dim_of(mode), state.levels(mode)
+    stride = layout.strides[layout.axis(mode)]
     if kind == "loss":
-        jump = annihilation_matrix(dim)
+        keep, shift, factor = level >= 1, -stride, np.sqrt(level)
     elif kind == "gain":
         if state.population(mode, dim - 1) >= SENTINEL_TOL:
             raise StateError(
                 "gain would push population past the Fock truncation")
-        jump = creation_matrix(dim)
+        keep, shift, factor = level < dim - 1, stride, np.sqrt(level + 1)
     else:
         raise ValueError(f"unknown heating kind {kind!r}")
-    out = apply_matrix(state, jump, (mode,))
+    out = StateVector(layout, index=state.index[keep] + shift,
+                      values=state.values[keep] * factor[keep])
     norm = out.norm()
     if norm < 1e-12:
         raise StateError(f"{kind} on {mode!r} annihilates the state")
@@ -367,7 +370,7 @@ def embed_logical_matrix(u_small: np.ndarray, positions: Sequence[int],
                          n: int) -> np.ndarray:
     """Embed a k-qubit matrix at the given logical positions (MSB-first).
 
-    The full-register oracle of `check_gate`'s operand-local comparison.
+    The full-register oracle of `check_gates`' operand-local comparison.
     """
     k = len(positions)
     rest = [p for p in range(n) if p not in positions]
@@ -385,12 +388,6 @@ def _check_operand_count(operands: Sequence[str]) -> None:
             f"verify checks gates of at most "
             f"{MAX_RESTRICTED_DIM.bit_length() - 1} operands (logical "
             f"dimension {MAX_RESTRICTED_DIM}); this one has {len(operands)}")
-
-
-def check_gate(register: LogicalRegister, program, ideal: np.ndarray,
-               operands: Sequence[str], tol: float) -> EquivalenceReport:
-    """`check_gates` of one program."""
-    return check_gates(register, [program], [ideal], operands, tol)[0]
 
 
 def check_gates(register: LogicalRegister, programs: Sequence,
@@ -434,10 +431,11 @@ def check_records(register: LogicalRegister, records: Sequence,
     distinct record is checked once.  Distinct records on the same
     operands whose pulses share their targets, pulse by pulse (the same
     gate at other angles, mostly), form one group, checked by one
-    `check_gates` call; each report equals the record's own
-    `check_gate`.  A gate of too many operands is a RegisterError naming
-    its first step, raised before anything is evolved; a StateError
-    raised while a group is checked names the group's first step.
+    `check_gates` call; each report equals the record's own one-program
+    `check_gates` report.  A gate of too many operands is a RegisterError
+    naming its first step, raised before anything is evolved; a
+    StateError raised while a group is checked names the group's first
+    step.
     """
     steps = [step for step in lower(register, records)
              if step.program is not None]

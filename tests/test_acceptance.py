@@ -252,7 +252,8 @@ def _check_mcx_truth_table(layout, register, prog, n_qubits):
         probe_max = [0.0]
 
         def probe(st):
-            dist = st.level_distribution(layout_com_axis)
+            dist = st.populations([(layout_com_axis, level) for level in
+                                   range(st.layout.dim_of(layout_com_axis))])
             probe_max[0] = max(probe_max[0], float(np.sum(dist[2:])))
 
         out = run_program(state, prog, probe=probe)

@@ -181,6 +181,9 @@ def test_midcircuit_parity_refused(tmp_path, capsys):
     path.write_text(text)
     code, _, err = run_cli(capsys, "run", str(path))
     assert code == 2
+    assert err == ("error: gate 0 (qndcheck D): qndcheck before the end of "
+                   "the program disturbs the modes; pass --allow-midcircuit "
+                   "for idealized studies\n")
     code, out, _ = run_cli(capsys, "run", str(path), "--allow-midcircuit",
                            "--shots", "0")
     assert code == 0
@@ -208,6 +211,23 @@ def test_run_with_injected_loss_reports_leakage(tmp_path, capsys):
     assert code == 0
     report = json.loads(out)
     assert report["leakage"] > 0.9
+
+
+@pytest.mark.parametrize("jump, code, err", [
+    ("gain", 0, ""),
+    ("loss", 3, "numeric health failure: gate 1 (loss m0): loss on 'm0' "
+                "annihilates the state\n"),
+], ids=["gain", "loss"])
+def test_heating_jump_on_a_huge_mode(tmp_path, capsys, jump, code, err):
+    # A dense jump matrix at this cutoff would need 14.6 TiB.
+    path = tmp_path / "heat.drq"
+    path.write_text("system:\n  qubits: q0\n  modes: m0\n  cutoff: 1000000\n"
+                    "registers:\n  Q internal q0\n"
+                    f"program:\n  x Q\n  {jump} m0\n")
+    got, out, stderr = run_cli(capsys, "run", str(path), "--shots", "0")
+    assert (got, stderr) == (code, err)
+    if code == 0:
+        assert json.loads(out)["leakage"] == 1.0
 
 
 def test_toffoli_example_runs(capsys):
@@ -731,8 +751,8 @@ def test_stray_pulse_fails_the_check(stray_pulse, tmp_path, capsys,
     path = tmp_path / "stray.drq"
     path.write_text(HYBRID_SYSTEM + "program:\n  h Q\n  x D1\n")
     _, register = cli.build_system(parse_circuit(path.read_text()))
-    report = verify.check_gate(register, stray(register, (), ("D1",)),
-                               spec.ideal((), 1), ["D1"], 1e-9)
+    (report,) = verify.check_gates(register, [stray(register, (), ("D1",))],
+                                   [spec.ideal((), 1)], ["D1"], 1e-9)
     assert not report.equivalent
     code, out, err = run_cli(capsys, "verify", str(path))
     assert code == 1, err

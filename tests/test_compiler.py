@@ -662,7 +662,7 @@ def test_compiled_gates_keep_codeword_span(hybrid_system, rng):
     coeffs /= np.linalg.norm(coeffs)
     amps = sum(c * logical_basis_state(register, [(k >> 1) & 1, k & 1]).amplitudes
                for k, c in enumerate(coeffs))
-    from drqsim import StateVector, leakage_probability
+    from drqsim import StateVector, extract_logical_state
     out = run_program(StateVector(layout, amps), prog)
-    assert leakage_probability(out, register) <= 1e-9
+    assert extract_logical_state(out, register).leakage <= 1e-9
     assert ancilla_reset_defect(out, register) <= 1e-9

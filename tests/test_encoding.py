@@ -16,7 +16,6 @@ from drqsim import (
     define_register,
     extract_logical_state,
     ground_state,
-    leakage_probability,
     measure_dual_rail,
     prepare_dual_rail_zero,
 )
@@ -276,14 +275,16 @@ def test_leakage_half_mix(hybrid_system):
     bad = np.zeros_like(good)
     bad[layout.basis_index([0, 0, 0, 0])] = 1.0  # rails empty
     state = StateVector(layout, (good + bad) / np.sqrt(2))
-    assert leakage_probability(state, register) == pytest.approx(0.5, abs=1e-10)
+    assert (extract_logical_state(state, register).leakage
+            == pytest.approx(0.5, abs=1e-10))
 
 
 def test_leakage_after_heating_error(hybrid_system):
     layout, register = hybrid_system
     state = logical_basis_state(register, [0, 0])
     lost = inject_heating_error(state, "m0", "loss")
-    assert leakage_probability(lost, register) == pytest.approx(1.0, abs=1e-10)
+    assert (extract_logical_state(lost, register).leakage
+            == pytest.approx(1.0, abs=1e-10))
 
 
 def test_prep_gate_measure_round_trip(hybrid_system):

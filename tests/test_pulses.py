@@ -360,8 +360,13 @@ def test_pulse_matrix_cache_is_safe(qm_layout):
 
 # --- excitation conservation -------------------------------------------------
 
+def _level_distribution(state, mode):
+    return state.populations([(mode, level) for level
+                              in range(state.layout.dim_of(mode))])
+
+
 def _phonon_expectation(state, mode):
-    dist = state.level_distribution(mode)
+    dist = _level_distribution(state, mode)
     return float(np.dot(np.arange(len(dist)), dist))
 
 
@@ -370,8 +375,8 @@ def test_carrier_and_qphase_conserve_phonons(qm_layout, rng):
     for op in (carrier(1.2, 0.6, "q"), qphase(0.9, "q")):
         out = apply_pulse(state, op)
         for mode in ("m0", "m1"):
-            assert np.max(np.abs(out.level_distribution(mode)
-                                 - state.level_distribution(mode))) <= 1e-10
+            assert np.max(np.abs(_level_distribution(out, mode)
+                                 - _level_distribution(state, mode))) <= 1e-10
 
 
 def test_rsb_conserves_total_excitation(qm_layout, rng):

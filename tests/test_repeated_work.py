@@ -1,8 +1,9 @@
 """A command does each piece of its repeated gate work once.
 
 - `compiler.lower` lowers each distinct record once per call;
-- `pulses.pulse_matrix` builds each distinct pulse once per layout, and
-  `apply_pulse` reads the memo's matrix in place;
+- `pulses.pulse_matrix` builds each distinct (kind, theta, phi, target
+  dims) once, whatever its targets and layout, and `apply_pulse` reads
+  the memo's matrix in place;
 - the health checks take all their populations in one reduction;
 - `run` checks each unitary step's health once, at its exit.
 
@@ -166,7 +167,9 @@ def test_cached_pulse_matrix_is_a_fresh_build(op):
     start = _misses_hits()
     cached = pulse_matrix(op, layout).entries
     assert (_misses_hits() - start).tolist() == [0, 1]
-    assert cached.tobytes() == pulses._matrix.__wrapped__(op, layout).tobytes()
+    dims = tuple(layout.dim_of(sid) for sid in op.targets)
+    fresh = pulses._matrix.__wrapped__(op.kind, op.theta, op.phi, dims)
+    assert cached.tobytes() == fresh.tobytes()
     oracle = exp_hermitian(*pulse_generator(op, layout)).entries
     assert np.max(np.abs(cached - oracle)) <= 1e-10
 
@@ -185,12 +188,30 @@ def test_pulses_past_the_row_cap_skip_the_memo():
     assert again is not first and again.tobytes() == first.tobytes()
     oracle = exp_hermitian(*pulse_generator(op, layout)).entries
     assert np.max(np.abs(first - oracle)) <= 1e-10
-    # `apply_pulse` keeps no matrix of it either: its memo entry is None.
+    # `apply_pulse` does not touch the memo either.
     state = basis_state(layout, {"q": 1, "m0": 3})
     want = apply_matrix(state, first, op.targets).values.tobytes()
+    info = pulses._matrix.cache_info()
     for _ in range(2):
         assert pulses.apply_pulse(state, op).values.tobytes() == want
-    assert pulses._matrix(op, layout) is None
+    assert pulses._matrix.cache_info() == info
+
+
+def test_one_angle_shares_an_entry_across_targets_and_layouts():
+    # The matrix depends only on (kind, theta, phi, target dims): another
+    # rail pair of equal dims, a layout of only the targets (as a gate's
+    # footprint is) and the aux flag all hit the first call's entry.
+    layout = create_layout(SPEC + [("m2", "mode", 4), ("m3", "mode", 3)])
+    footprint = create_layout([("q", "qubit", 2), ("m0", "mode", 4),
+                               ("m1", "mode", 3)])
+    op = zbs(0.4321, -1.234, "q", "m0", "m1")
+    start = _misses_hits()
+    first = pulse_matrix(op, layout).entries
+    assert (_misses_hits() - start).tolist() == [1, 0]
+    for other, on in [(zbs(0.4321, -1.234, "q2", "m2", "m3"), layout),
+                      (op, footprint), (op.with_aux_flag(), layout)]:
+        assert pulse_matrix(other, on).entries.tobytes() == first.tobytes()
+    assert (_misses_hits() - start).tolist() == [1, 3]
 
 
 def test_memo_hit_hands_the_kernel_the_memo_matrix(monkeypatch):
@@ -198,7 +219,7 @@ def test_memo_hit_hands_the_kernel_the_memo_matrix(monkeypatch):
     op = zbs(0.7, 0.3, "q", "m0", "m1")
     state = basis_state(layout, {"q": 1, "m0": 2, "m1": 1})
     pulses.apply_pulse(state, op)  # the miss that builds the entry
-    memo = pulses._matrix(op, layout)
+    memo = pulses._matrix(op.kind, op.theta, op.phi, (2, 4, 3))
     seen = []
 
     def kernel(state, matrix, sids):
@@ -209,7 +230,8 @@ def test_memo_hit_hands_the_kernel_the_memo_matrix(monkeypatch):
         raise AssertionError("called on a memo hit")
 
     with monkeypatch.context() as m:
-        for name in ("pulse_matrix", "_build", "_check_kinds"):
+        # The target check runs on every call; nothing is built.
+        for name in ("pulse_matrix", "_build"):
             m.setattr(pulses, name, forbidden)
         m.setattr(pulses, "apply_matrix", kernel)
         out = pulses.apply_pulse(state, op)

@@ -40,7 +40,7 @@ from drqsim.pulses import (
     zbs,
 )
 from drqsim.verify import (
-    check_gate,
+    check_gates,
     check_sentinel,
     embed_logical_matrix,
     expm_unitary,
@@ -214,9 +214,10 @@ def test_restricted_unitary_matches_column_reference(name):
 
 
 def check_gate_pinned(register, program, ideal, operands, tol):
-    """`check_gate`, held to the full-register oracle."""
+    """`check_gates` of one program, held to the full-register oracle."""
     return _pinned(register, program, ideal, operands, tol,
-                   check_gate(register, program, ideal, operands, tol))
+                   check_gates(register, [program], [ideal], operands,
+                               tol)[0])
 
 
 def _pinned(register, program, ideal, operands, tol, report):

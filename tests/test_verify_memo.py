@@ -23,7 +23,7 @@ from drqsim.compiler import lower
 from drqsim.document import parse_circuit, serialize_circuit
 from drqsim.pulses import carrier
 from drqsim.suite import _hybrid_pair
-from drqsim.verify import check_gate, check_gates, ideal_logical_gate
+from drqsim.verify import check_gates, ideal_logical_gate
 
 from test_sparse_run import DEEP_REGISTER, REGISTERS, _deep_circuit, documents
 
@@ -39,7 +39,8 @@ def _fresh_checks(doc, tol=1e-9):
             continue
         rec = step.record
         ideal = ideal_logical_gate(rec.name, rec.params, len(rec.operands))
-        report = check_gate(register, step.program, ideal, rec.operands, tol)
+        (report,) = check_gates(register, [step.program], [ideal],
+                                rec.operands, tol)
         checks.append(replace(
             report, name=f"gate-{step.index}:{rec.render()}").to_dict())
     return checks
@@ -206,5 +207,5 @@ def test_group_with_pruned_residues_matches_per_record_checks():
         batched = check_gates(register, programs, [ideal] * 5, ["Q"], 1e-9)
     # The records' supports part after the flip.
     assert len({rows.tobytes() for rows in seen[2]}) == 3
-    assert batched == [check_gate(register, program, ideal, ["Q"], 1e-9)
-                       for program in programs]
+    assert batched == [check_gates(register, [program], [ideal], ["Q"],
+                                   1e-9)[0] for program in programs]
