@@ -5,7 +5,7 @@ dual-rail and logical internal qubits to five pulse primitives, and
 machine-verifies the gate-construction identities.
 """
 from . import compiler, document, encoding, fock, pulses, suite, verify
-from .compiler import CompiledProgram, compile_program
+from .compiler import CompiledProgram
 from .document import CircuitDocument, parse_circuit, serialize_circuit
 from .encoding import (
     LogicalRegister,
@@ -29,13 +29,11 @@ from .fock import (
     HilbertLayout,
     OperatorMatrix,
     StateVector,
-    apply_embedded_unitary,
     basis_state,
     create_layout,
     exp_hermitian,
     ground_state,
     measure_qubit_z,
-    overlap,
 )
 from .pulses import (
     PhysicalOp,

@@ -713,15 +713,3 @@ def lower(register: LogicalRegister, records: Sequence) -> list[Step]:
         steps.append(step)
     return steps
 
-
-def compile_program(records: Sequence,
-                    register: LogicalRegister) -> CompiledProgram:
-    """Lower unitary document records into one program."""
-    program = CompiledProgram()
-    for step in lower(register, records):
-        if step.program is None:
-            name = step.record.name
-            raise CompileError(f"gate {step.index} ({name}): {name} is a "
-                               "directive, not a unitary gate")
-        program.extend(step.program)
-    return program

@@ -37,6 +37,7 @@ from .errors import DocumentError
 
 SECTIONS = ("system", "registers", "ancillas", "program", "options")
 MAX_SHOTS = 2 ** 63 - 1  # the sampler draws int64 binomial counts
+_INT_RE = re.compile(r"^[+-]?\d+$")
 _NUMBER_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 _PI_RE = re.compile(r"^([+-]?)pi(\*([+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?))?$")
 
@@ -64,7 +65,7 @@ class CircuitDocument:
     ancilla_qubits: tuple[str, ...] = ()
     com_mode: str | None = None
     program: tuple[GateRecord, ...] = ()
-    options: dict[str, float] = field(default_factory=dict)
+    options: dict[str, float | int] = field(default_factory=dict)
 
     def logical_ids(self) -> tuple[str, ...]:
         return tuple(r[0] for r in self.registers)
@@ -108,9 +109,10 @@ def parse_circuit(text: str) -> CircuitDocument:
     doc = CircuitDocument()
     registers: list[tuple[str, str, tuple[str, ...]]] = []
     program: list[GateRecord] = []
-    options: dict[str, float] = {}
+    options: dict[str, float | int] = {}
     section = None
     seen_sections: set[str] = set()
+    seen_keys: set[tuple[str, str]] = set()
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
@@ -128,10 +130,16 @@ def parse_circuit(text: str) -> CircuitDocument:
             raise DocumentError("section", lineno,
                                 f"content before any section: {stripped!r}")
 
-        if section == "system":
+        if section in ("system", "ancillas", "options"):
             key, _, rest = stripped.partition(":")
             key = key.strip()
             values = rest.split()
+            if (section, key) in seen_keys:
+                raise DocumentError("duplicate", lineno,
+                                    f"repeated {section} key {key!r}")
+            seen_keys.add((section, key))
+
+        if section == "system":
             if key == "qubits":
                 doc.qubits = _unique(values, lineno, "qubit")
             elif key == "modes":
@@ -166,9 +174,6 @@ def parse_circuit(text: str) -> CircuitDocument:
                                     f"logical id {lid!r} already defined")
             registers.append((lid, kind, tuple(phys)))
         elif section == "ancillas":
-            key, _, rest = stripped.partition(":")
-            key = key.strip()
-            values = rest.split()
             if key == "qubits":
                 doc.ancilla_qubits = _unique(values, lineno, "ancilla")
             elif key == "com_mode":
@@ -205,17 +210,19 @@ def parse_circuit(text: str) -> CircuitDocument:
                                     f"{name}: repeated operand")
             program.append(GateRecord(name, params, operands, lineno))
         elif section == "options":
-            key, _, rest = stripped.partition(":")
-            key = key.strip()
             if key not in ("seed", "shots", "tolerance"):
                 raise DocumentError("syntax", lineno,
                                     f"unknown option {key!r}")
-            value = parse_number(rest.strip(), lineno)
+            token = rest.strip()
+            value = parse_number(token, lineno)
             integer = key != "tolerance"
             if value < 0 or (integer and not value.is_integer()):
                 what = "integer" if integer else "number"
                 raise DocumentError("number", lineno,
                                     f"{key} must be a non-negative {what}")
+            if integer:
+                # A plain decimal integer is read exactly, past float's 2**53.
+                value = int(token) if _INT_RE.match(token) else int(value)
             if key == "shots" and value > MAX_SHOTS:
                 raise DocumentError("number", lineno,
                                     f"shots must be at most {MAX_SHOTS}")

@@ -25,7 +25,6 @@ from .fock import (
     QUBIT,
     HilbertLayout,
     StateVector,
-    basis_state,
     measure_qubit_z,
     support_index,
 )
@@ -194,41 +193,6 @@ def define_register(layout: HilbertLayout,
         dupes = sorted({s for s in claimed if claimed.count(s) > 1})
         raise RegisterError(f"subsystems assigned twice: {dupes}")
     return register
-
-
-def codeword_levels(register: LogicalRegister,
-                    bits: Sequence[int]) -> dict[str, int]:
-    """Physical levels of the codeword |bits>; reference levels elsewhere."""
-    if len(bits) != register.n_logical:
-        raise RegisterError(
-            f"expected {register.n_logical} bits, got {len(bits)}")
-    levels: dict[str, int] = {}
-    for e, b in zip(register.entries, bits):
-        if b not in (0, 1):
-            raise RegisterError("logical bits must be 0 or 1")
-        if e.is_dual_rail:
-            d0, d1 = e.rails
-            levels[d0] = 1 - b
-            levels[d1] = b
-        else:
-            levels[e.qubit] = b
-        if e.aux_mode is not None:
-            levels[e.aux_mode] = 0
-    return levels
-
-
-def codeword_index(register: LogicalRegister, bits: Sequence[int]) -> int:
-    """Full-space basis index of the codeword (everything else at level 0)."""
-    layout = register.layout
-    full = [0] * len(layout.dims)
-    for sid, lvl in codeword_levels(register, bits).items():
-        full[layout.axis(sid)] = lvl
-    return layout.basis_index(full)
-
-
-def logical_basis_state(register: LogicalRegister,
-                        bits: Sequence[int]) -> StateVector:
-    return basis_state(register.layout, codeword_levels(register, bits))
 
 
 PHASE_REFERENCE_RTOL = 1e-9

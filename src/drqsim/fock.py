@@ -7,12 +7,14 @@ are hard-truncated, so the creation operator annihilates the top Fock
 level; downstream checks assert that the sentinel level stays empty.
 A state is held on its support (the basis states with amplitude) and
 evolves through one sparse kernel, tested against the dense contraction
-`apply_matrix_columns`.  A deep circuit applies many pulses to a support
-that rarely changes, so the part of the kernel's work that depends only
-on the support and the targets (its plan) is memoized per (layout,
-targets, matrix shape, support) for a support of at most
-`MEMO_MAX_ROWS` rows whose plan has at most `MEMO_MAX_ROWS`**2
-candidate rows; a larger support is planned on every call.
+`apply_matrix_columns` (which `perfbench/spans.py` also wraps);
+`exp_hermitian` is the Pade exponential that the tests pin every pulse
+to.  A deep circuit applies many pulses to a support that rarely
+changes, so the part of the kernel's work that depends only on the
+support and the targets (its plan) is memoized per (layout, targets,
+matrix shape, support) for a support of at most `MEMO_MAX_ROWS` rows
+whose plan has at most `MEMO_MAX_ROWS`**2 candidate rows; a larger
+support is planned on every call.
 `MEMO_MAX_ROWS` also bounds the pulse memo of `pulses`.  Layouts
 compare by value, so every memo is a function of values: equal layouts
 share entries, and a hit gives the same bits as a miss.
@@ -52,11 +54,10 @@ MEMO_MAX_ROWS = 64
 
 # Internal-qubit matrices in the (ground, excited) = (level 0, level 1)
 # ordering.  sigma_z has eigenvalue -1 on the ground state, +1 on the
-# excited state; sigma_y follows from sigma_y = -i(sigma_+ - sigma_-).
+# excited state.
 SIGMA_PLUS = np.array([[0, 0], [1, 0]], dtype=complex)
 SIGMA_MINUS = SIGMA_PLUS.conj().T
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
-SIGMA_Y = np.array([[0, 1j], [-1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[-1, 0], [0, 1]], dtype=complex)
 
 
@@ -151,16 +152,6 @@ class HilbertLayout:
             idx += lvl * stride
         return idx
 
-    def levels_of(self, index: int) -> tuple[int, ...]:
-        """Inverse of basis_index."""
-        if not 0 <= index < self.total_dim:
-            raise LayoutError(f"basis index {index} out of range")
-        levels = []
-        for d in self.dims:
-            levels.append(index % d)
-            index //= d
-        return tuple(levels)
-
     def __repr__(self) -> str:
         parts = ", ".join(f"{s.sid}:{s.kind}[{s.dim}]" for s in self.subsystems)
         return f"HilbertLayout({parts})"
@@ -191,17 +182,11 @@ def create_layout(spec: Iterable[tuple[str, str, int]]) -> HilbertLayout:
 class StateVector:
     """Normalized state on its support: a sorted, unique int64 `index` of
     basis states and their `values`; every other amplitude is zero.
-    `StateVector(layout, dense)` takes a dense total_dim vector instead,
-    and `amplitudes` builds one on request.
+    `amplitudes` builds the dense total_dim vector on request.
     """
 
-    def __init__(self, layout: HilbertLayout,
-                 amplitudes: np.ndarray | None = None, *,
-                 index: np.ndarray | None = None,
-                 values: np.ndarray | None = None):
-        if amplitudes is not None:
-            index = np.flatnonzero(amplitudes)
-            values = np.asarray(amplitudes)[index]
+    def __init__(self, layout: HilbertLayout, *, index: np.ndarray,
+                 values: np.ndarray):
         self.layout, self.index, self.values = layout, index, values
 
     @property
@@ -218,20 +203,11 @@ class StateVector:
         dense[self.index] = self.values
         return dense
 
-    def copy(self) -> "StateVector":
-        return StateVector(self.layout, index=self.index.copy(),
-                           values=self.values.copy())
-
     def norm(self) -> float:
         # numpy's own 2-norm of a 1-D complex vector, bit for bit, without
         # `np.linalg.norm`'s dispatch: heating renormalizes by it.
         re, im = self.values.real, self.values.imag
         return math.sqrt(re.dot(re) + im.dot(im))
-
-    def check_norm(self) -> None:
-        if abs(self.norm() - 1.0) > NORM_TOL:
-            raise StateError(
-                f"state norm {self.norm()} drifted beyond {NORM_TOL}")
 
     def levels(self, sid: str) -> np.ndarray:
         """Level of subsystem `sid` in each support basis state."""
@@ -343,7 +319,7 @@ def apply_matrix(state: StateVector, matrix: np.ndarray,
     """Apply a matrix over the listed subsystems (no unitarity check).
 
     The pulse engine's one evolution step: the support kernel with one
-    column.  `apply_embedded_unitary` wraps it with the contract checks.
+    column.
     """
     index, values = apply_matrix_support(state.index, state.values[:, None],
                                          state.layout, matrix, sids)
@@ -533,45 +509,6 @@ def support_rows(index: np.ndarray, rows: np.ndarray,
     return out
 
 
-def apply_embedded_unitary(state: StateVector, op: OperatorMatrix) -> StateVector:
-    """Apply op (x) identity on untouched subsystems; norm is preserved."""
-    defect = op.unitarity_defect()
-    if defect > UNITARITY_TOL:
-        raise StateError(f"matrix is not unitary (defect {defect:.3e})")
-    out = apply_matrix(state, op.entries, op.subsystem_ids)
-    out.check_norm()
-    return out
-
-
-def embedded_matrix(layout: HilbertLayout, op: OperatorMatrix) -> np.ndarray:
-    """Dense total_dim x total_dim embedding of op, for the matmul oracle.
-
-    Built from a Kronecker product plus an index permutation rather than
-    the reshape engine, so the two paths stay independent.
-    """
-    axes = [layout.axis(s) for s in op.subsystem_ids]
-    rest = [i for i in range(len(layout.dims)) if i not in axes]
-    target_dims = [layout.dims[a] for a in axes]
-    rest_dims = [layout.dims[i] for i in rest]
-    rest_dim = int(np.prod(rest_dims)) if rest_dims else 1
-    big = kron_le([op.entries, np.eye(rest_dim, dtype=complex)])
-
-    # Permutation: index in (targets..., rest...) ordering -> layout index.
-    perm = np.zeros(layout.total_dim, dtype=np.int64)
-    reordered_dims = target_dims + rest_dims
-    order = axes + rest
-    for packed in range(layout.total_dim):
-        rem = packed
-        levels = [0] * len(layout.dims)
-        for pos, d in zip(order, reordered_dims):
-            levels[pos] = rem % d
-            rem //= d
-        perm[packed] = layout.basis_index(levels)
-    full = np.zeros_like(big)
-    full[np.ix_(perm, perm)] = big
-    return full
-
-
 def exp_hermitian(gen: OperatorMatrix, scale: float) -> OperatorMatrix:
     """exp(i * scale * gen) for Hermitian gen.
 
@@ -627,12 +564,3 @@ def measure_qubit_z(state: StateVector, qubit_id: str,
     outcome = int(np.random.default_rng(rng_seed).random() < p1)
     return MeasurementResult(outcome, project_qubit(state, qubit_id, outcome),
                              (1 - p1, p1))
-
-
-def overlap(a: StateVector, b: StateVector) -> complex:
-    """Inner product <a|b>."""
-    if a.layout != b.layout:
-        raise StateError("states live on different layouts")
-    _, ia, ib = np.intersect1d(a.index, b.index, assume_unique=True,
-                               return_indices=True)
-    return complex(np.vdot(a.values[ia], b.values[ib]))

@@ -15,7 +15,8 @@ Every pulse is exp(i f theta G) of a small Hermitian generator G that
 conserves an excitation or phonon number, so G is block-diagonal.  One
 `_PULSES` row per kind holds its target kinds, G and f.
 `pulse_unitary` takes it block by block in G's eigenbasis, cached per
-(kind, phi, target dims); tests pin it to the Pade oracle `exp_hermitian`.
+(kind, phi, target dims); tests pin it to the Pade oracle
+`fock.exp_hermitian` of the same G (`tests/oracles.pulse_generator`).
 A pulse's matrix depends only on (kind, theta, phi, target dims), so the
 finished matrix of a pulse of at most `fock.MEMO_MAX_ROWS` rows (the
 bound of the support kernel's plan memo too, importable here as
@@ -181,18 +182,6 @@ def _check_kinds(op: PhysicalOp, layout: HilbertLayout) -> tuple[int, ...]:
             f"{op.kind} pulse on {op.targets} needs a {block} x {block} "
             f"matrix; the limit is {fock.MAX_STATE_DIM} entries")
     return dims
-
-
-def pulse_generator(op: PhysicalOp,
-                    layout: HilbertLayout) -> tuple[OperatorMatrix, float]:
-    """Hermitian generator G and scale s with effect exp(i*s*G).
-
-    Feeding the pair to `exp_hermitian` reproduces the pulse unitary; this
-    is the oracle side of the dual-path checks.
-    """
-    dims = _check_kinds(op, layout)
-    _, build, factor = _PULSES[op.kind]
-    return OperatorMatrix(op.targets, build(op.phi, *dims)), factor * op.theta
 
 
 @functools.lru_cache(maxsize=256)

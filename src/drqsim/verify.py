@@ -1,20 +1,21 @@
-"""Independent oracles and health checks.
+"""Program unitaries, equivalence checks and health checks.
 
 `program_unitary` reconstructs a pulse program as a dense matrix by
 evolving basis columns through each generator's eigenbasis block by
-block, and `expm_unitary` by multiplying embedded exponentials from the
-Pade `expm` oracle.  Agreement between the routes is what keeps the
-compiler honest; the equivalence checker then compares against ideal
-gates up to an overall phase, per document record in `check_records`
-for `verify <doc>` and the built-in suite alike, each gate evolved on
-its own footprint's layout.  `check_records` groups the distinct records
-by operands and by each pulse's targets (a gate at other angles keeps
-its targets), and each group's programs are evolved together, one
-stacked kernel call per pulse, by `check_gates` and
+block; the tests pin it to `tests/oracles.expm_unitary`, the product of
+each pulse's Pade `exp_hermitian`.  The equivalence checker compares
+programs against ideal gates up to an overall phase, per document
+record in `check_records` for `verify <doc>` and the built-in suite
+alike, each gate evolved on its own footprint's layout, and the tests
+compare the footprint with the whole register through
+`tests/oracles.embed_logical_matrix`.  `check_records` groups the
+distinct records by operands and by each pulse's targets (a gate at
+other angles keeps its targets), and each group's programs are evolved
+together, one stacked kernel call per pulse, by `check_gates` and
 `program_unitaries`; every report equals its one-program report, and
-`program_unitary` is `program_unitaries` of one program.
-Heating errors are injected as discrete phonon jumps, and the parity
-circuit detects them without disturbing healthy states.
+`program_unitary` is `program_unitaries` of one program.  Heating
+errors are injected as discrete phonon jumps, and the parity circuit
+detects them without disturbing healthy states.
 """
 from __future__ import annotations
 
@@ -33,9 +34,7 @@ from .fock import (
     NORM_TOL,
     StateVector,
     apply_matrix_support,
-    embedded_matrix,
     excited_probability,
-    exp_hermitian,
     measure_qubit_z,
     project_qubit,
     support_index,
@@ -45,7 +44,6 @@ from .pulses import (
     PhysicalOp,
     apply_pulse,
     carrier,
-    pulse_generator,
     pulse_unitary,
     zbs,
 )
@@ -79,18 +77,6 @@ def program_unitary(program, layout: HilbertLayout,
     Without it the full total_dim matrix is returned.
     """
     return program_unitaries([program], layout, restrict)[0]
-
-
-def expm_unitary(program, layout: HilbertLayout) -> ProgramUnitary:
-    """The full-space unitary as a product of embedded Pade `exp_hermitian`
-    matrices: the oracle `program_unitary` is tested against."""
-    dim = _full_dim(layout)
-    full = np.eye(dim, dtype=complex)
-    for op in _op_list(program):
-        gen, scale = pulse_generator(op, layout)
-        small = exp_hermitian(gen, scale)
-        full = embedded_matrix(layout, small) @ full
-    return ProgramUnitary(full)
 
 
 def _full_dim(layout: HilbertLayout) -> int:
@@ -364,22 +350,6 @@ def ideal_logical_gate(name: str, params: Sequence[float],
     if spec is None or spec.ideal is None:
         raise ValueError(f"no ideal matrix for gate {name!r}")
     return spec.ideal(params, n_operands)
-
-
-def embed_logical_matrix(u_small: np.ndarray, positions: Sequence[int],
-                         n: int) -> np.ndarray:
-    """Embed a k-qubit matrix at the given logical positions (MSB-first).
-
-    The full-register oracle of `check_gates`' operand-local comparison.
-    """
-    k = len(positions)
-    rest = [p for p in range(n) if p not in positions]
-    full = np.kron(np.asarray(u_small, dtype=complex), np.eye(2 ** (n - k)))
-    # Row and column axes of `full` run over (positions..., rest...);
-    # reorder both into register order.
-    axes = np.argsort([*positions, *rest])
-    return (full.reshape([2] * (2 * n))
-            .transpose([*axes, *(axes + n)]).reshape(2 ** n, 2 ** n))
 
 
 def _check_operand_count(operands: Sequence[str]) -> None:

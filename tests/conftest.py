@@ -4,6 +4,8 @@ import pytest
 from drqsim import create_layout, define_register
 from drqsim.document import GateRecord
 
+from oracles import dense_state
+
 
 @pytest.fixture
 def rng():
@@ -41,8 +43,7 @@ def dual_pair_system():
 def random_state(layout, rng):
     amps = rng.normal(size=layout.total_dim) + 1j * rng.normal(size=layout.total_dim)
     amps /= np.linalg.norm(amps)
-    from drqsim import StateVector
-    return StateVector(layout, amps)
+    return dense_state(layout, amps)
 
 
 def gate(name, *args):

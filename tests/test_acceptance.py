@@ -10,7 +10,6 @@ import pytest
 from scipy.stats import unitary_group
 
 from drqsim import (
-    StateVector,
     basis_state,
     create_layout,
     define_register,
@@ -31,12 +30,10 @@ from drqsim.compiler import (
     compile_gate,
     compile_kcnot,
     compile_multi_controlled,
-    compile_program,
     compile_rxx,
     compile_rzz,
     compile_su2,
 )
-from drqsim.encoding import logical_basis_state
 from drqsim.fock import OperatorMatrix
 from drqsim.pulses import apply_pulses, cbs_factors
 from drqsim.suite import cbs_generator
@@ -48,6 +45,7 @@ from drqsim.verify import (
 )
 
 from conftest import gate
+from oracles import compile_program, dense_state, logical_basis_state
 
 
 def report(number, text):
@@ -364,7 +362,7 @@ def test_criterion_09_qnd_parity():
         amps = np.zeros(layout.total_dim, dtype=complex)
         for (n, m), c in zip(pairs, coeffs):
             amps[layout.basis_index([0, n, m])] = c
-        flag, post = qnd_parity_check(StateVector(layout, amps),
+        flag, post = qnd_parity_check(dense_state(layout, amps),
                                       "q", "m0", "m1", rng_seed=rng)
         assert flag == ("odd" if parity else "even")
         lvl = parity
@@ -377,7 +375,7 @@ def test_criterion_09_qnd_parity():
     amps = np.zeros(layout.total_dim, dtype=complex)
     amps[layout.basis_index([0, 1, 0])] = alpha
     amps[layout.basis_index([0, 0, 1])] = beta
-    healthy = StateVector(layout, amps)
+    healthy = dense_state(layout, amps)
     for mode in ("m0", "m1"):
         for kind in ("loss", "gain"):
             broken = inject_heating_error(healthy, mode, kind)
@@ -418,7 +416,7 @@ def test_criterion_11_ancilla_hygiene():
         for value, c in enumerate(coeffs):
             amps += c * logical_basis_state(
                 register, bits_of(value, register.n_logical)).amplitudes
-        return StateVector(layout, amps)
+        return dense_state(layout, amps)
 
     worst_reset = 0.0
     worst_sentinel = 0.0

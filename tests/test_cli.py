@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from drqsim import cli, fock, verify
 from drqsim.cli import main
 from drqsim.compiler import GATES
-from drqsim.document import parse_circuit
+from drqsim.document import parse_circuit, serialize_circuit
 from drqsim.errors import DocumentError
 from drqsim.pulses import beamsplitter, carrier
 from drqsim.suite import haar_unitary
@@ -425,6 +425,25 @@ def test_bad_seed_or_shots_option_exit_code(tmp_path, capsys, option):
     assert code == 2
     assert out == ""
     assert option.split(":")[0] in err
+
+
+def test_seed_and_shots_options_past_float_precision(bell_doc, tmp_path,
+                                                    capsys):
+    # Both values round as floats (2**53 < shots < 2**63); the document
+    # reads them exactly, as the flags do.
+    seed, shots = "12345678901234567891", "9007199254740993"
+    text = BELL.replace("seed: 7", f"seed: {seed}").replace(
+        "shots: 10000", f"shots: {shots}")
+    path = tmp_path / "big.drq"
+    path.write_text(text)
+    from_doc = run_cli(capsys, "run", str(path))
+    from_flags = run_cli(capsys, "run", bell_doc, "--seed", seed,
+                         "--shots", shots)
+    assert from_doc == from_flags
+    report = json.loads(from_doc[1])
+    assert (report["seed"], report["shots"]) == (int(seed), int(shots))
+    assert sum(report["histogram"].values()) == int(shots)
+    assert serialize_circuit(parse_circuit(text)) == text
 
 
 def test_huge_shots_flag_exit_code(bell_doc, capsys):

@@ -13,13 +13,11 @@ from drqsim.compiler import (
     compile_gate,
     compile_kcnot,
     compile_multi_controlled,
-    compile_program,
     compile_rxx,
     compile_rzz,
     compile_su2,
     xy_decompose,
 )
-from drqsim.encoding import logical_basis_state
 from drqsim.verify import (
     ancilla_reset_defect,
     equivalent_up_to_phase,
@@ -29,6 +27,7 @@ from drqsim.verify import (
 )
 
 from conftest import gate, random_state
+from oracles import compile_program, dense_state, logical_basis_state
 
 
 def rot(axis, theta):
@@ -320,8 +319,7 @@ def test_cswap_rejects_overlap():
 def _exchange_state(layout, register, alpha, beta):
     a = logical_basis_state(register, [0, 0]).amplitudes  # Q=0, D=0
     b = logical_basis_state(register, [0, 1]).amplitudes
-    from drqsim import StateVector
-    return StateVector(layout, alpha * a + beta * b)
+    return dense_state(layout, alpha * a + beta * b)
 
 
 def _exchange(register, ops):
@@ -662,7 +660,7 @@ def test_compiled_gates_keep_codeword_span(hybrid_system, rng):
     coeffs /= np.linalg.norm(coeffs)
     amps = sum(c * logical_basis_state(register, [(k >> 1) & 1, k & 1]).amplitudes
                for k, c in enumerate(coeffs))
-    from drqsim import StateVector, extract_logical_state
-    out = run_program(StateVector(layout, amps), prog)
+    from drqsim import extract_logical_state
+    out = run_program(dense_state(layout, amps), prog)
     assert extract_logical_state(out, register).leakage <= 1e-9
     assert ancilla_reset_defect(out, register) <= 1e-9

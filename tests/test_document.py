@@ -82,6 +82,33 @@ def test_duplicate_register_diagnostic():
     assert err.value.code == "duplicate"
 
 
+@pytest.mark.parametrize("section,first,second", [
+    ("system", "qubits: q0 q1", "qubits: q0"),
+    ("system", "modes: m0 m1", "modes: m0 m1 m2"),
+    ("system", "cutoff: 4", "cutoff: 9"),
+    ("ancillas", "qubits: q1", "qubits: q0"),
+    ("ancillas", "com_mode: m0", "com_mode: m1"),
+    ("options", "seed: 1", "seed: 2"),
+    ("options", "shots: 10", "shots: 20"),
+    ("options", "tolerance: 1e-9", "tolerance: 1e-6"),
+])
+def test_repeated_key_diagnostic(section, first, second):
+    # A repeated key is refused, not read as its last value.
+    text = BELL.replace(f"{section}:\n",
+                        f"{section}:\n  {first}\n  {second}\n")
+    with pytest.raises(DocumentError) as err:
+        parse_circuit(text)
+    assert err.value.code == "duplicate"
+    assert err.value.line == BELL.split("\n").index(f"{section}:") + 3
+
+
+def test_integer_options_read_exactly():
+    doc = parse_circuit(BELL.replace("seed: 7", "seed: 12345678901234567891")
+                        .replace("shots: 10000", "shots: 1e3"))
+    assert doc.options["seed"] == 12345678901234567891
+    assert doc.options["shots"] == 1000
+
+
 def test_bad_number_diagnostic():
     text = BELL.replace("h D", "rx twopi D")
     with pytest.raises(DocumentError) as err:

@@ -9,7 +9,6 @@ from drqsim import fock
 from drqsim import (
     RegisterError,
     StateError,
-    StateVector,
     apply_pulses,
     basis_state,
     create_layout,
@@ -22,10 +21,16 @@ from drqsim import (
 from drqsim.cli import build_system
 from drqsim.compiler import compile_gate
 from drqsim.document import parse_circuit
-from drqsim.encoding import KIND_ARITY, codeword_index, logical_basis_state
+from drqsim.encoding import KIND_ARITY
 from drqsim.verify import inject_heating_error, run_program
 
 from conftest import gate
+from oracles import (
+    codeword_index,
+    dense_state,
+    levels_of,
+    logical_basis_state,
+)
 from test_sparse_run import REGISTERS
 
 
@@ -125,8 +130,8 @@ def test_footprint_keeps_the_operands_pool_and_bus_in_layout_order():
     full = dataclasses.replace(register, entries=local.entries)
     for big, small in zip(full.codeword_indices, local.codeword_indices):
         levels = dict(zip(register.layout.ids,
-                          register.layout.levels_of(int(big))))
-        assert local.layout.levels_of(int(small)) == tuple(
+                          levels_of(register.layout, int(big))))
+        assert levels_of(local.layout, int(small)) == tuple(
             levels[sid] for sid in local.layout.ids)
     # One subsystem set, whatever the operands' order: one layout value,
     # so a second footprint hits the memos of the first.
@@ -199,7 +204,7 @@ def test_measure_superposition_statistics(hybrid_system):
     layout, register = hybrid_system
     plus = (logical_basis_state(register, [0, 0]).amplitudes
             + logical_basis_state(register, [0, 1]).amplitudes) / np.sqrt(2)
-    state = StateVector(layout, plus)
+    state = dense_state(layout, plus)
     rng = np.random.default_rng(99)
     ones = sum(measure_dual_rail(state, register, "D", "anc", rng)[0]
                for _ in range(10000))
@@ -217,7 +222,7 @@ def test_measure_leaves_disjoint_dual_rail(dual_pair_system):
     layout, register = dual_pair_system
     a = logical_basis_state(register, [0, 0]).amplitudes
     b = logical_basis_state(register, [1, 0]).amplitudes
-    state = StateVector(layout, (a + 1j * b) / np.sqrt(2))
+    state = dense_state(layout, (a + 1j * b) / np.sqrt(2))
     before = extract_logical_state(state, register).logical_amplitudes
     bit, collapsed = measure_dual_rail(state, register, "D2", "anc", 3)
     assert bit == 0
@@ -249,7 +254,7 @@ def test_extract_superposition_stays_in_span(hybrid_system, rng):
     coeffs /= np.linalg.norm(coeffs)
     for k, bits in enumerate([(0, 0), (0, 1), (1, 0), (1, 1)]):
         amps[codeword_index(register, bits)] = coeffs[k]
-    report = extract_logical_state(StateVector(layout, amps), register)
+    report = extract_logical_state(dense_state(layout, amps), register)
     assert report.leakage <= 1e-10
     assert np.allclose(report.logical_amplitudes, coeffs)
 
@@ -264,7 +269,7 @@ def test_global_phase_ignores_a_last_bit_tie_break(hybrid_system, nudged):
     amps = np.zeros(layout.total_dim, dtype=complex)
     amps[[codeword_index(register, bits) for bits in [(0, 1), (1, 0)]]] = (
         mag * np.exp(1j * np.array([0.3, 1.2])))
-    report = extract_logical_state(StateVector(layout, amps), register)
+    report = extract_logical_state(dense_state(layout, amps), register)
     assert np.argmax(np.abs(report.logical_amplitudes[1:3])) == nudged
     assert report.global_phase == pytest.approx(0.3, abs=1e-15)
 
@@ -274,7 +279,7 @@ def test_leakage_half_mix(hybrid_system):
     good = logical_basis_state(register, [0, 0]).amplitudes
     bad = np.zeros_like(good)
     bad[layout.basis_index([0, 0, 0, 0])] = 1.0  # rails empty
-    state = StateVector(layout, (good + bad) / np.sqrt(2))
+    state = dense_state(layout, (good + bad) / np.sqrt(2))
     assert (extract_logical_state(state, register).leakage
             == pytest.approx(0.5, abs=1e-10))
 

@@ -13,7 +13,6 @@ from drqsim import (
     create_layout,
     exp_hermitian,
     ground_state,
-    overlap,
     qphase,
     raman_detunings,
     rsb,
@@ -26,12 +25,12 @@ from drqsim.fock import OperatorMatrix, apply_matrix
 from drqsim.pulses import (
     cbs_factors,
     native_xx,
-    pulse_generator,
     pulse_matrix,
     zbs_duration_for_angle,
 )
 
 from conftest import random_state
+from oracles import dense_state, levels_of, pulse_generator
 
 
 @pytest.fixture
@@ -211,8 +210,7 @@ def test_zbs_ground_branch_equals_beamsplitter(qm_layout, rng):
     full = basis_state(qm_layout, {})
     amps = np.zeros(qm_layout.total_dim, dtype=complex)
     amps.reshape((2, 16), order="F")[0, :] = state.amplitudes
-    from drqsim import StateVector
-    embedded = StateVector(qm_layout, amps)
+    embedded = dense_state(qm_layout, amps)
     via_zbs = apply_pulse(embedded, zbs(theta, phi, "q", "m0", "m1"))
     via_bs = apply_pulse(embedded, beamsplitter(theta, phi, "m0", "m1"))
     assert np.max(np.abs(via_zbs.amplitudes - via_bs.amplitudes)) <= 1e-12
@@ -342,7 +340,7 @@ def test_pulse_matrix_exactly_zero_between_conserved_numbers(make_op,
         op = make_op(rng.uniform(-7, 7), rng.uniform(-np.pi, np.pi))
         sub = create_layout([(s, layout.kind_of(s), layout.dim_of(s))
                              for s in op.targets])
-        labels = [conserved(*sub.levels_of(i)) for i in range(sub.total_dim)]
+        labels = [conserved(*levels_of(sub, i)) for i in range(sub.total_dim)]
         apart = np.array([[a != b for b in labels] for a in labels])
         assert np.all(pulse_matrix(op, layout).entries[apart] == 0.0)
 
@@ -408,8 +406,7 @@ def test_cbs_ground_control_leaves_modes(rng):
     mode_state = random_state(modes, rng)
     amps = np.zeros(layout.total_dim, dtype=complex)
     amps.reshape((4, 16), order="F")[0, :] = mode_state.amplitudes
-    from drqsim import StateVector
-    state = StateVector(layout, amps)
+    state = dense_state(layout, amps)
     out = apply_pulses(state, cbs(1.1, 0.4, "q", "m0", "m1", "anc"))
     assert np.max(np.abs(out.amplitudes - state.amplitudes)) <= 1e-10
 

@@ -34,7 +34,6 @@ from drqsim.pulses import (
     beamsplitter,
     carrier,
     native_xx,
-    pulse_generator,
     pulse_matrix,
     qphase,
     rsb,
@@ -47,6 +46,7 @@ from drqsim.verify import (
 )
 
 from conftest import gate, random_state
+from oracles import pulse_generator
 from test_sparse_run import (
     DEEP_REGISTER,
     REGISTERS,

@@ -158,6 +158,8 @@ def test_in_process_commands_leave_the_caches_bounded(capsys):
         assert main(argvs[k % len(argvs)]) == 0
     capsys.readouterr()
     assert fock._targets.cache_info().currsize <= 32
-    # Each command builds its own layouts, and only cache entries keep
-    # them alive afterwards: `_targets` held up to 256 of them.
+    # Each command builds its own layouts, and only memo keys keep them
+    # alive afterwards.  The memos key on layout values, so an equal
+    # layout of a later command hits the entry and is freed: what stays
+    # alive is the distinct layout values that the bounded memos hold.
     assert sum(id(o) not in known for o in _live_layouts()) <= 32

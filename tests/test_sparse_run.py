@@ -27,7 +27,7 @@ from drqsim.compiler import (
     preparation,
 )
 from drqsim.document import parse_circuit, serialize_circuit
-from drqsim.encoding import codeword_index, extract_logical_state
+from drqsim.encoding import extract_logical_state
 from drqsim.errors import CompileError
 from drqsim.fock import (
     annihilation_matrix,
@@ -46,6 +46,7 @@ from drqsim.verify import (
     sentinel_population,
 )
 
+from oracles import codeword_index
 from test_cli import BELL, GATE_CASES, UNITARY_GATES
 
 ROOT = Path(__file__).resolve().parent.parent

@@ -7,7 +7,6 @@ import pytest
 
 from drqsim import (
     StateError,
-    StateVector,
     basis_state,
     create_layout,
     equivalent_up_to_phase,
@@ -27,7 +26,7 @@ from drqsim.compiler import (
     preparation,
 )
 from drqsim.document import parse_circuit
-from drqsim.encoding import logical_basis_state, measure_dual_rail
+from drqsim.encoding import measure_dual_rail
 from drqsim.errors import HealthError, RegisterError
 from drqsim.fock import apply_matrix_columns, measure_qubit_z
 from drqsim.pulses import (
@@ -42,14 +41,19 @@ from drqsim.pulses import (
 from drqsim.verify import (
     check_gates,
     check_sentinel,
-    embed_logical_matrix,
-    expm_unitary,
     ideal_logical_gate,
     run_program,
     sentinel_population,
 )
 
 from conftest import gate, random_state
+from oracles import (
+    codeword_index,
+    dense_state,
+    embed_logical_matrix,
+    expm_unitary,
+    logical_basis_state,
+)
 from test_cli import GATE_CASES, UNITARY_GATES
 from test_sparse_run import REGISTERS, documents
 
@@ -162,7 +166,7 @@ def _restricted_by_column(program, register):
     """Reference: each codeword column evolved alone as a dense vector."""
     n, dim = register.n_logical, register.logical_dim
     layout = register.layout
-    indices = [encoding.codeword_index(
+    indices = [codeword_index(
         register, [(b >> (n - 1 - i)) & 1 for i in range(n)])
         for b in range(dim)]
     mats = [pulse_matrix(op, layout) for op in program.ops]
@@ -366,7 +370,7 @@ def test_qnd_on_dual_rail_superposition(qmm, rng):
     amps = np.zeros(qmm.total_dim, dtype=complex)
     amps[qmm.basis_index([0, 1, 0])] = alpha
     amps[qmm.basis_index([0, 0, 1])] = beta
-    state = StateVector(qmm, amps)
+    state = dense_state(qmm, amps)
     flag, post = qnd_parity_check(state, "q", "m0", "m1", rng_seed=1)
     assert flag == "odd"
     fid = (np.conj(alpha) * post.amplitudes[qmm.basis_index([1, 1, 0])]
@@ -399,7 +403,7 @@ def test_qnd_idempotent(qmm, rng):
     pairs = [(1, 1), (2, 0), (0, 0)]  # fixed even parity
     for (n, m), c in zip(pairs, coeffs):
         amps[qmm.basis_index([0, n, m])] = c
-    state = StateVector(qmm, amps)
+    state = dense_state(qmm, amps)
     flag1, post1 = qnd_parity_check(state, "q", "m0", "m1", rng_seed=2)
     # Reset the qubit (it ends in the ground state for even parity).
     flag2, post2 = qnd_parity_check(post1, "q", "m0", "m1", rng_seed=3)
@@ -462,7 +466,7 @@ def test_error_flips_parity_flag(qmm, rng):
     amps = np.zeros(qmm.total_dim, dtype=complex)
     amps[qmm.basis_index([0, 1, 0])] = alpha
     amps[qmm.basis_index([0, 0, 1])] = beta
-    healthy = StateVector(qmm, amps)
+    healthy = dense_state(qmm, amps)
     for mode in ("m0", "m1"):
         for kind in ("loss", "gain"):
             if kind == "loss" and healthy.population(mode, 1) == 0:
@@ -486,7 +490,7 @@ def test_sentinel_population_flags_top_level(qmm):
 
 def test_run_program_checks_norm(qmm):
     state = ground_state(qmm)
-    state = StateVector(qmm, 0.9 * state.amplitudes)
+    state = dense_state(qmm, 0.9 * state.amplitudes)
     with pytest.raises(HealthError):
         run_program(state, [carrier(0.3, 0.0, "q")])
 
@@ -505,7 +509,7 @@ def test_run_program_asserts_ancilla_ground(hybrid_system):
     state = logical_basis_state(register, [0, 0])
     with pytest.raises(HealthError,
                        match=rf"at pulse 0 \({first.kind}\)"):
-        run_program(StateVector(layout, 0.9 * state.amplitudes), prog)
+        run_program(dense_state(layout, 0.9 * state.amplitudes), prog)
 
 
 # --- sampling ----------------------------------------------------------------------
@@ -541,14 +545,14 @@ def test_sample_counts_seed_determinism(hybrid_system):
 
 
 def _sample_by_shot(state, register, measured_ids, shots, seed):
-    """Reference sampler: every shot is read out on its own state copy."""
+    """Reference sampler: every shot is read out on its own, from `state`."""
     entries = [register.entry(mid) for mid in measured_ids]
     if any(e.is_dual_rail for e in entries) and not register.ancilla_qubits:
         raise RegisterError("dual-rail readout needs an ancilla qubit")
     rng = np.random.default_rng(seed)
     counts = {}
     for _ in range(shots):
-        shot_state = state.copy()
+        shot_state = state
         bits = []
         for entry in entries:
             if entry.is_dual_rail:
