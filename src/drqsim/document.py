@@ -214,15 +214,21 @@ def parse_circuit(text: str) -> CircuitDocument:
                 raise DocumentError("syntax", lineno,
                                     f"unknown option {key!r}")
             token = rest.strip()
-            value = parse_number(token, lineno)
             integer = key != "tolerance"
-            if value < 0 or (integer and not value.is_integer()):
+            if integer and _INT_RE.match(token):
+                try:  # exactly, past float's range, as `--seed` reads it
+                    value = int(token)
+                except ValueError:  # past the digits that `int` reads
+                    raise DocumentError("number", lineno,
+                                        f"{key} has too many digits") from None
+            else:
+                value = parse_number(token, lineno)
+            if value < 0 or (integer and value != int(value)):
                 what = "integer" if integer else "number"
                 raise DocumentError("number", lineno,
                                     f"{key} must be a non-negative {what}")
             if integer:
-                # A plain decimal integer is read exactly, past float's 2**53.
-                value = int(token) if _INT_RE.match(token) else int(value)
+                value = int(value)
             if key == "shots" and value > MAX_SHOTS:
                 raise DocumentError("number", lineno,
                                     f"shots must be at most {MAX_SHOTS}")

@@ -25,6 +25,7 @@ from .fock import (
     QUBIT,
     HilbertLayout,
     StateVector,
+    level_table,
     measure_qubit_z,
     support_index,
 )
@@ -126,6 +127,14 @@ class LogicalRegister:
             indices = np.concatenate((indices, indices + delta))
         indices.flags.writeable = False
         return indices
+
+    @cached_property
+    def reset_table(self) -> tuple:
+        """`fock.level_table` of (subsystem, 0) for each pool ancilla and
+        the COM mode, built once."""
+        sids = self.ancilla_qubits + (
+            () if self.com_mode is None else (self.com_mode,))
+        return level_table(self.layout, [(sid, 0) for sid in sids])
 
     def claimed_subsystems(self) -> tuple[str, ...]:
         out: list[str] = []

@@ -9,15 +9,12 @@ A state is held on its support (the basis states with amplitude) and
 evolves through one sparse kernel, tested against the dense contraction
 `apply_matrix_columns` (which `perfbench/spans.py` also wraps);
 `exp_hermitian` is the Pade exponential that the tests pin every pulse
-to.  A deep circuit applies many pulses to a support that rarely
-changes, so the part of the kernel's work that depends only on the
-support and the targets (its plan) is memoized per (layout, targets,
-matrix shape, support) for a support of at most `MEMO_MAX_ROWS` rows
-whose plan has at most `MEMO_MAX_ROWS`**2 candidate rows; a larger
-support is planned on every call.
-`MEMO_MAX_ROWS` also bounds the pulse memo of `pulses`.  Layouts
-compare by value, so every memo is a function of values: equal layouts
-share entries, and a hit gives the same bits as a miss.
+to.  What the kernel precomputes depends only on the targets' dims and
+strides, so its memos key on those numbers, not on a layout: `_offsets`,
+and the plan of a small support (at most `MEMO_MAX_ROWS` rows and
+`MEMO_MAX_ROWS`**2 candidate rows), which a deep circuit meets again
+and again; a larger support is planned on every call.  `MEMO_MAX_ROWS`
+also bounds the pulse memo of `pulses`.
 """
 from __future__ import annotations
 
@@ -92,16 +89,12 @@ class Subsystem:
 class HilbertLayout:
     """Ordered registry of subsystems with mixed-radix index arithmetic.
 
-    Two layouts are equal when their ordered (sid, kind, dim) triples are,
-    so a memo keyed on a layout is keyed on its value.  The key and its
-    hash are computed once: a memo hit on the same object compares nothing
-    in Python.
+    A layout compares by identity, and the tables of its own indices
+    (`targets`, `sentinel_table`) live on it.
     """
 
     def __init__(self, subsystems: Sequence[Subsystem]):
         self.subsystems = tuple(subsystems)
-        self._key = tuple((s.sid, s.kind, s.dim) for s in self.subsystems)
-        self._hash = hash(self._key)
         self._pos = {s.sid: i for i, s in enumerate(self.subsystems)}
         self.dims = tuple(s.dim for s in self.subsystems)
         strides = [1]
@@ -109,12 +102,25 @@ class HilbertLayout:
             strides.append(strides[-1] * d)
         self.strides = tuple(strides)
         self.total_dim = math.prod(self.dims)
+        self._targets: dict[tuple[str, ...], tuple] = {}
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, HilbertLayout) and self._key == other._key
+    def targets(self, sids: tuple[str, ...]) -> tuple:
+        """(axes, dims, strides, block dim) of the targets in `sids` order,
+        checked to be distinct subsystems once per `sids` and then kept."""
+        if sids not in self._targets:
+            axes = tuple(map(self.axis, sids))
+            if len(set(sids)) != len(sids):
+                raise LayoutError(f"repeated subsystem in targets {sids}")
+            dims = tuple(self.dims[a] for a in axes)
+            self._targets[sids] = (axes, dims, tuple(
+                self.strides[a] for a in axes), math.prod(dims))
+        return self._targets[sids]
 
-    def __hash__(self) -> int:
-        return self._hash
+    @functools.cached_property
+    def sentinel_table(self) -> tuple:
+        """`level_table` of (mode, top level) for each mode with dim >= 4."""
+        return level_table(self, [(s.sid, s.dim - 1) for s in self.subsystems
+                                  if s.kind == MODE and s.dim >= 4])
 
     def axis(self, sid: str) -> int:
         try:
@@ -214,20 +220,21 @@ class StateVector:
         axis = self.layout.axis(sid)
         return self.index // self.layout.strides[axis] % self.layout.dims[axis]
 
-    def level_hits(self, pairs: Sequence[tuple[str, int]]) -> np.ndarray:
-        """(len(pairs), len(index)) mask: whether each support basis state
-        has each (subsystem, level) pair's subsystem at its level."""
-        strides, dims, wanted = _level_table(self.layout, tuple(pairs))
+    def level_hits(self, table: tuple) -> np.ndarray:
+        """(pairs, len(index)) mask of a `level_table`: whether each support
+        basis state has each pair's subsystem at its level."""
+        strides, dims, wanted = table
         return self.index // strides % dims == wanted
 
     def populations(self, pairs: Sequence[tuple[str, int]]) -> np.ndarray:
         """Total probability of finding each (subsystem, level) pair's
-        subsystem at its level, from one pass over the support."""
+        subsystem at its level."""
         weights = np.abs(self.values) ** 2
         # A masked sum per pair rounds exactly as the one-pair form always
         # has: readout draws branch on these sums, and a last-bit change
         # (0.5 against 0.5000000000000001) moves a seeded histogram.
-        return np.array([weights[row].sum() for row in self.level_hits(pairs)])
+        return np.array([weights[self.levels(sid) == level].sum()
+                         for sid, level in pairs])
 
     def population(self, sid: str, level: int) -> float:
         """Total probability of finding subsystem `sid` at `level`."""
@@ -239,17 +246,16 @@ class StateVector:
                             support_index(self.layout, indices))
 
 
-@functools.lru_cache(maxsize=32)
-def _level_table(layout: HilbertLayout, pairs: tuple) -> tuple:
+def level_table(layout: HilbertLayout,
+                pairs: Iterable[tuple[str, int]]) -> tuple:
     """(strides, dims, wanted) of the (subsystem, level) pairs, each a
-    read-only (len(pairs), 1) int64 column: the health checks ask for the
-    same pairs at every step exit."""
+    read-only (len(pairs), 1) int64 column, for `StateVector.level_hits`."""
     axes = [(layout.axis(sid), level) for sid, level in pairs]
     table = np.array([(layout.strides[a], layout.dims[a], level)
                       for a, level in axes], dtype=np.int64)
     columns = tuple(table.reshape(-1, 3).T[:, :, None])
     for arr in columns:
-        arr.flags.writeable = False  # shared by every caller of the cache
+        arr.flags.writeable = False  # kept and shared by its owner
     return columns
 
 
@@ -290,28 +296,25 @@ class OperatorMatrix:
         return float(np.max(np.abs(self.entries - self.entries.conj().T)))
 
 
-# One command meets at most 25 target sets (`verify --builtin`).
-@functools.lru_cache(maxsize=32)
-def _targets(layout: HilbertLayout, sids: tuple[str, ...],
-             shape: tuple[int, ...]) -> tuple:
-    """(axes, dims, strides, weights, offsets) of the targets, checked to be
-    distinct and to fit a matrix of `shape`.  Per target in `sids` order:
-    axis, dimension, layout stride and place value in the little-endian
-    sub-index; `offsets` is the full-space displacement of each sub-index.
-    """
-    axes = tuple(layout.axis(s) for s in sids)
-    if len(set(sids)) != len(sids):
-        raise LayoutError(f"repeated subsystem in targets {sids}")
-    block_dim = math.prod(layout.dims[a] for a in axes)
-    if shape != (block_dim, block_dim):
+def _geometry(layout: HilbertLayout, sids: tuple[str, ...],
+              shape: tuple[int, ...]) -> tuple:
+    """`layout.targets(sids)`, with a matrix of `shape` checked to fit."""
+    geometry = layout.targets(sids)
+    if shape != (geometry[3], geometry[3]):
         raise StateError(f"matrix shape {shape} does not match targets {sids}")
-    dims = np.array([layout.dims[a] for a in axes], dtype=np.int64)
-    strides = np.array([layout.strides[a] for a in axes], dtype=np.int64)
-    weights = np.cumprod(np.concatenate(([1], dims[:-1])))
-    offsets = (np.arange(block_dim)[:, None] // weights % dims) @ strides
-    for arr in (dims, strides, weights, offsets):
+    return geometry
+
+
+# `wide` meets 35 (dims, strides) keys and `deep` 32.
+@functools.lru_cache(maxsize=64)
+def _offsets(dims: tuple[int, ...], strides: tuple[int, ...]) -> tuple:
+    """(weights, offsets), read-only: each target's place value in the
+    little-endian sub-index, and each sub-index's full-space displacement."""
+    weights = np.cumprod((1,) + dims[:-1])
+    offsets = (np.arange(math.prod(dims))[:, None] // weights % dims) @ strides
+    for arr in (weights, offsets):
         arr.flags.writeable = False  # shared by every caller of the cache
-    return axes, dims, strides, weights, offsets
+    return weights, offsets
 
 
 def apply_matrix(state: StateVector, matrix: np.ndarray,
@@ -331,8 +334,7 @@ def apply_matrix_columns(columns: np.ndarray, layout: HilbertLayout,
                          sids: Sequence[str]) -> np.ndarray:
     """Apply a subsystem matrix to every column of a dense (total_dim[, k])
     array: the dense contraction the support kernel is tested against."""
-    axes = _targets(layout, tuple(sids), matrix.shape)[0]
-    block_dim = matrix.shape[0]
+    axes, _, _, block_dim = _geometry(layout, tuple(sids), matrix.shape)
     tensor = columns.reshape(layout.dims + columns.shape[1:], order="F")
     tensor = np.moveaxis(tensor, axes, range(len(axes)))
     shape = tensor.shape
@@ -396,15 +398,15 @@ def apply_matrix_support(index: np.ndarray, amplitudes: np.ndarray,
     if matrix.ndim > 3 or extra:
         raise StateError(f"a stack of shape {matrix.shape} does not split "
                          f"{width} columns into equal groups")
-    block_dim = shape[-1]
+    _, dims, strides, block_dim = _geometry(layout, sids, shape)
     # Only small plans enter the memo.  A support of n rows meets at most
     # n blocks, so its plan has at most n * block_dim candidate rows.
     if (len(index) <= MEMO_MAX_ROWS
             and len(index) * block_dim <= MEMO_MAX_ROWS ** 2):
-        target, group, rests, new_index = _memo_plan(layout, sids, shape,
+        target, group, rests, new_index = _memo_plan(dims, strides,
                                                      index.tobytes())
     else:
-        target, group, rests, offsets = _plan(index, layout, sids, shape)
+        target, group, rests, offsets = _plan(index, dims, strides)
         new_index = None
     if len(rests) * block_dim * width > MAX_STATE_DIM:
         raise StateError(
@@ -434,17 +436,17 @@ def apply_matrix_support(index: np.ndarray, amplitudes: np.ndarray,
     return new_index[keep], out
 
 
-def _plan(index: np.ndarray, layout: HilbertLayout, sids: tuple[str, ...],
-          shape: tuple[int, ...]) -> tuple:
+def _plan(index: np.ndarray, dims: tuple[int, ...],
+          strides: tuple[int, ...]) -> tuple:
     """The kernel's grouping of the support rows by the levels outside the
-    targets: (target, group, rests, offsets).
+    targets of these dims and strides: (target, group, rests, offsets).
 
     Row i has basis index rests[group[i]] + offsets[target[i]]: `target`
-    is its little-endian sub-index over `sids`, `rests` the sorted,
+    is its little-endian sub-index over the targets, `rests` the sorted,
     distinct basis indices with the targets at level 0, and `offsets`
     the targets' displacement of each sub-index.
     """
-    _, dims, strides, weights, offsets = _targets(layout, sids, shape)
+    weights, offsets = _offsets(dims, strides)
     target = (index[:, None] // strides % dims).dot(weights)
     rest = index - offsets[target]
     # np.unique's hash is some 50 times slower than a sort on 2**20 rows.
@@ -459,13 +461,13 @@ def _plan(index: np.ndarray, layout: HilbertLayout, sids: tuple[str, ...],
 
 # One command meets a few dozen plans (52 in a `deep` run).
 @functools.lru_cache(maxsize=32)
-def _memo_plan(layout: HilbertLayout, sids: tuple[str, ...],
-               shape: tuple[int, ...], support: bytes) -> tuple:
+def _memo_plan(dims: tuple[int, ...], strides: tuple[int, ...],
+               support: bytes) -> tuple:
     """`_plan` of a small support, given as its int64 index's bytes, with
     the basis index of each row of the output block in place of
     `offsets`; read-only."""
     target, group, rests, offsets = _plan(
-        np.frombuffer(support, dtype=np.int64), layout, sids, shape)
+        np.frombuffer(support, dtype=np.int64), dims, strides)
     plan = target, group, rests, (offsets[:, None] + rests).ravel()
     for arr in plan:
         arr.setflags(write=False)  # shared by every caller of the cache

@@ -107,6 +107,10 @@ class PhysicalOp:
             raise PulseError(f"{self.kind} needs two distinct modes")
         if self.kind == "native_xx" and len(set(self.targets)) != 2:
             raise PulseError("native_xx needs two distinct qubits")
+        # Their generators take no phase (the printed rsb at phi != 0 is
+        # not Hermitian-generated), so a phase would be dropped.
+        if self.kind in ("rsb", "qphase", "native_xx") and self.phi != 0.0:
+            raise PulseError(f"{self.kind} supports only phi = 0")
 
     def with_aux_flag(self) -> "PhysicalOp":
         return PhysicalOp(self.kind, self.theta, self.phi, self.targets, True)
@@ -116,12 +120,7 @@ def carrier(theta: float, phi: float, qubit_id: str) -> PhysicalOp:
     return PhysicalOp("carrier", theta, phi, (qubit_id,))
 
 
-def rsb(theta: float, qubit_id: str, mode_id: str,
-        phi: float = 0.0) -> PhysicalOp:
-    # The phi != 0 sideband as printed is not generated by a Hermitian
-    # operator; only the phi = 0 convention is meaningful here.
-    if phi != 0.0:
-        raise PulseError("rsb supports only phi = 0")
+def rsb(theta: float, qubit_id: str, mode_id: str) -> PhysicalOp:
     return PhysicalOp("rsb", theta, 0.0, (qubit_id, mode_id))
 
 

@@ -19,7 +19,6 @@ detects them without disturbing healthy states.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
@@ -229,18 +228,11 @@ def sentinel_population(state: StateVector) -> float:
     never populate it, so weight there means truncation influenced the
     run.
     """
-    hits = state.level_hits(_sentinel_pairs(state.layout))
+    hits = state.level_hits(state.layout.sentinel_table)
     # One reduction for all modes; it may round apart from the masked
     # sums of `StateVector.populations` in the last bit, which no health
     # bound can see (readout, which branches on exact sums, keeps them).
     return max([0.0, *(hits @ (np.abs(state.values) ** 2)).tolist()])
-
-
-@functools.lru_cache(maxsize=8)
-def _sentinel_pairs(layout: HilbertLayout) -> tuple[tuple[str, int], ...]:
-    """(mode, top level) of each mode with dim >= 4."""
-    return tuple((sub.sid, sub.dim - 1) for sub in layout.subsystems
-                 if sub.kind == "mode" and sub.dim >= 4)
 
 
 def check_sentinel(state: StateVector) -> None:
@@ -251,19 +243,11 @@ def check_sentinel(state: StateVector) -> None:
 
 def ancilla_reset_defect(state: StateVector,
                          register: LogicalRegister) -> float:
-    """Worst deviation of any pool ancilla / COM mode from its reference state."""
-    hits = state.level_hits(_reset_pairs(register.ancilla_qubits,
-                                         register.com_mode))
+    """Worst deviation of any pool ancilla / COM mode from its reference
+    state, for a state on the register's layout."""
+    hits = state.level_hits(register.reset_table)
     # One reduction, as in `sentinel_population`.
     return max([0.0, *(1.0 - hits @ (np.abs(state.values) ** 2)).tolist()])
-
-
-@functools.lru_cache(maxsize=8)
-def _reset_pairs(ancilla_qubits: tuple[str, ...],
-                 com_mode: str | None) -> tuple[tuple[str, int], ...]:
-    """(subsystem, 0) of each pool ancilla and of the COM mode."""
-    sids = ancilla_qubits if com_mode is None else (*ancilla_qubits, com_mode)
-    return tuple((sid, 0) for sid in sids)
 
 
 # ---------------------------------------------------------------------------

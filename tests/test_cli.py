@@ -446,6 +446,28 @@ def test_seed_and_shots_options_past_float_precision(bell_doc, tmp_path,
     assert serialize_circuit(parse_circuit(text)) == text
 
 
+def test_seed_option_past_float_range(bell_doc, tmp_path, capsys):
+    # float() of this seed overflows; the document reads it as an
+    # integer, as the flag does.
+    seed = "1" + "0" * 400
+    path = tmp_path / "huge_seed.drq"
+    path.write_text(BELL.replace("seed: 7", f"seed: {seed}"))
+    from_doc = run_cli(capsys, "run", str(path), "--shots", "5")
+    from_flag = run_cli(capsys, "run", bell_doc, "--seed", seed,
+                        "--shots", "5")
+    assert from_doc[0] == 0
+    assert from_doc == from_flag
+
+
+def test_seed_option_past_the_int_digit_limit_exit_code(tmp_path, capsys):
+    # Python's int reads at most 4300 digits, and `--seed` refuses more.
+    path = tmp_path / "digits.drq"
+    path.write_text(BELL.replace("seed: 7", "seed: " + "1" * 5000))
+    code, out, err = run_cli(capsys, "run", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: number (line 14): seed has too many digits\n"
+
+
 def test_huge_shots_flag_exit_code(bell_doc, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["run", bell_doc, "--shots", "100000000000000000000"])

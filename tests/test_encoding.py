@@ -133,16 +133,23 @@ def test_footprint_keeps_the_operands_pool_and_bus_in_layout_order():
                           levels_of(register.layout, int(big))))
         assert levels_of(local.layout, int(small)) == tuple(
             levels[sid] for sid in local.layout.ids)
-    # One subsystem set, whatever the operands' order: one layout value,
-    # so a second footprint hits the memos of the first.
-    assert register.footprint(["C1", "T"]).layout == local.layout
-    assert register.footprint(["C2", "T"]).layout != local.layout
+    # One subsystem set, whatever the operands' order: another layout
+    # object that places the targets alike, so the kernel's plan memo,
+    # keyed on their dims and strides, serves both footprints.
+    again = register.footprint(["C1", "T"]).layout
     sids = tuple(local.layout.ids[:2])
-    shape = (local.layout.dims[0] * local.layout.dims[1],) * 2
-    fock._targets(local.layout, sids, shape)
-    hits = fock._targets.cache_info().hits
-    fock._targets(register.footprint(["C1", "T"]).layout, sids, shape)
-    assert fock._targets.cache_info().hits == hits + 1
+    assert again.targets(sids)[1:3] == local.layout.targets(sids)[1:3]
+    index = np.sort(local.codeword_indices)
+    amps = np.full((len(index), 1), 0.5, dtype=complex)
+    block = local.layout.dims[0] * local.layout.dims[1]
+    matrix = np.linalg.qr(np.random.default_rng(1).normal(
+        size=(block, block)) + 0j)[0]
+    fock._memo_plan.cache_clear()
+    want = fock.apply_matrix_support(index, amps, local.layout, matrix, sids)
+    got = fock.apply_matrix_support(index, amps, again, matrix, sids)
+    info = fock._memo_plan.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
 def test_register_rejects_reuse():

@@ -19,8 +19,6 @@ from drqsim.fock import (
     MAX_STATE_DIM,
     MODE,
     QUBIT,
-    HilbertLayout,
-    Subsystem,
     SIGMA_X,
     apply_matrix,
     apply_matrix_columns,
@@ -56,37 +54,6 @@ def test_bad_dims_rejected():
         create_layout([("q", "qubit", 3)])
     with pytest.raises(LayoutError):
         create_layout([("m", "mode", 2)])
-
-
-@settings(derandomize=True, deadline=None, max_examples=80)
-@given(spec=st.lists(st.tuples(st.sampled_from("abcde"),
-                               st.sampled_from([QUBIT, MODE]),
-                               st.integers(2, 6)),
-                     min_size=1, max_size=5, unique_by=lambda t: t[0]),
-       data=st.data())
-def test_layouts_compare_by_value(spec, data):
-    def build(triples):
-        return HilbertLayout([Subsystem(*t) for t in triples])
-
-    one, other = build(spec), build(list(spec))
-    assert one is not other
-    assert one == other and hash(one) == hash(other)
-    # Any one change of a sid, kind, dim or the order is another layout.
-    changed, i = list(spec), data.draw(st.integers(0, len(spec) - 1))
-    sid, kind, dim = spec[i]
-    what = data.draw(st.sampled_from(
-        ["sid", "kind", "dim", "order"][:3 + (len(spec) > 1)]))
-    if what == "sid":
-        changed[i] = (sid + "x", kind, dim)
-    elif what == "kind":
-        changed[i] = (sid, MODE if kind == QUBIT else QUBIT, dim)
-    elif what == "dim":
-        changed[i] = (sid, kind, dim + 1)
-    else:
-        j = (i + data.draw(st.integers(1, len(spec) - 1))) % len(spec)
-        changed[i], changed[j] = changed[j], changed[i]
-    assert build(changed) != one
-    assert not build(changed) == one
 
 
 @pytest.mark.parametrize("dims", [
@@ -518,7 +485,7 @@ def test_plan_memo_arrays_are_read_only():
     apply_matrix_support(index, np.ones((3, 1), dtype=complex), layout,
                          creation_matrix(4), ("m",))
     start = _plan_memo_calls()
-    plan = fock._memo_plan(layout, ("m",), (4, 4), index.tobytes())
+    plan = fock._memo_plan((4,), (2,), index.tobytes())
     assert (_plan_memo_calls() - start).tolist() == [0, 1]
     for arr in plan:
         assert not arr.flags.writeable
@@ -551,10 +518,11 @@ def test_support_past_the_memo_bound_skips_the_memo(rows, sids, memoized):
 
 
 def test_equal_layouts_share_one_plan():
-    # Layouts compare by value, so a layout built from the same spec
-    # hits the plan of the first.
+    # The plan memo keys on the targets' dims and strides, so a layout
+    # built from the same spec hits the plan of the first.
     spec = [("q", "qubit", 2), ("m0", "mode", 4), ("m1", "mode", 4)]
     one, other = create_layout(spec), create_layout(spec)
+    assert one != other  # layouts compare by identity
     index = np.array([1, 6, 17], dtype=np.int64)
     amps = np.full((3, 1), 1 / np.sqrt(3), dtype=complex)
     matrix, sids = _unitary(np.random.default_rng(3), 16), ("m0", "m1")
@@ -564,3 +532,30 @@ def test_equal_layouts_share_one_plan():
     got = apply_matrix_support(index, amps, other, matrix, sids)
     assert (_plan_memo_calls() - start).tolist() == [1, 2]
     assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+def test_layouts_with_equal_target_geometry_share_offsets_and_plans():
+    # (m0, m1) and (y, z) have dims (4, 4) and strides (2, 8) in layouts
+    # of other subsystems, so the second layout's calls hit the first's
+    # entries, and every call gives the same bits.
+    one = create_layout([("q", QUBIT, 2), ("m0", MODE, 4), ("m1", MODE, 4)])
+    other = create_layout([("a", QUBIT, 2), ("y", MODE, 4), ("z", MODE, 4),
+                           ("w", MODE, 5)])
+    assert one.targets(("m0", "m1"))[1:3] == ((4, 4), (2, 8))
+    assert other.targets(("y", "z"))[1:3] == ((4, 4), (2, 8))
+    index = support_index(one, [1, 6, 17])
+    amps = np.full((3, 1), 1 / np.sqrt(3), dtype=complex)
+    matrix = _unitary(np.random.default_rng(5), 16)
+    fock._offsets.cache_clear()
+    fock._memo_plan.cache_clear()
+    want = apply_matrix_support(index, amps, one, matrix, ("m0", "m1"))
+    got = apply_matrix_support(index, amps, other, matrix, ("y", "z"))
+    assert _plan_memo_calls().tolist() == [1, 1]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fock, "MEMO_MAX_ROWS", 0)  # plans on every call
+        unmemoized = apply_matrix_support(index, amps, other, matrix,
+                                          ("y", "z"))
+    info = fock._offsets.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+    for out in (got, unmemoized):
+        assert [a.tobytes() for a in out] == [a.tobytes() for a in want]

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from drqsim import (
+    PhysicalOp,
     PulseError,
     PulseParams,
     apply_pulse,
@@ -100,9 +101,14 @@ def test_rsb_sqrt_scaling_on_higher_fock(qm_layout):
         abs(np.cos(np.pi * np.sqrt(2) / 2)), abs=1e-12)
 
 
-def test_rsb_rejects_nonzero_phase():
-    with pytest.raises(PulseError):
-        rsb(1.0, "q", "m0", phi=0.3)
+@pytest.mark.parametrize("kind,targets", [
+    ("rsb", ("q", "m0")), ("qphase", ("q",)), ("native_xx", ("q", "q2")),
+], ids=["rsb", "qphase", "native_xx"])
+def test_phase_free_kinds_reject_nonzero_phase(kind, targets):
+    # Their generators take no phase, so a phase would be dropped.
+    PhysicalOp(kind, 1.0, 0.0, targets)
+    with pytest.raises(PulseError, match=f"{kind} supports only phi = 0"):
+        PhysicalOp(kind, 1.0, 0.3, targets)
 
 
 def test_rsb_rejects_wrong_kinds(qm_layout):
