@@ -35,7 +35,7 @@ from .errors import (
     RegisterError,
     StateError,
 )
-from .fock import create_layout, ground_state
+from .fock import MODE, QUBIT, create_layout, ground_state
 from .pulses import apply_pulse, carrier
 from .suite import run_builtin_suite
 from .verify import (
@@ -59,8 +59,8 @@ def build_system(doc: CircuitDocument,
                  cutoff: int | None = None
                  ) -> tuple["object", LogicalRegister]:
     eff_cutoff = cutoff if cutoff is not None else doc.cutoff
-    spec = [(q, "qubit", 2) for q in doc.qubits]
-    spec += [(m, "mode", eff_cutoff) for m in doc.modes]
+    spec = [(q, QUBIT, 2) for q in doc.qubits]
+    spec += [(m, MODE, eff_cutoff) for m in doc.modes]
     layout = create_layout(spec)
     register = define_register(layout, doc.registers,
                                ancilla_qubits=doc.ancilla_qubits,
@@ -142,7 +142,7 @@ def cmd_run(doc: CircuitDocument, args) -> tuple[dict, int]:
                         "qndcheck before the end of the program disturbs the "
                         "modes; pass --allow-midcircuit for idealized studies")
                 entry = register.entry(rec.operands[0])
-                anc = register.ancilla_qubits[0]
+                anc = register.readout_ancilla
                 flag, state = qnd_parity_check(
                     state, anc, *entry.rails, rng_seed=seed + 17 * i)
                 if flag == "odd":
@@ -155,7 +155,7 @@ def cmd_run(doc: CircuitDocument, args) -> tuple[dict, int]:
                                     register=None if injected else register)
                 ledger += step.program.global_phase
         except (CompileError, HealthError, StateError) as exc:
-            raise type(exc)(f"gate {i} ({rec.render()}): {exc}") from exc
+            raise step.error(exc) from exc
 
     report_state = extract_logical_state(state, register)
     if not injected and report_state.leakage > LEAKAGE_GUARD_TOL:

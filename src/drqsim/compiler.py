@@ -27,7 +27,8 @@ Gate catalogue conventions (pinned by the oracle tests):
 `GATES` is the one table of document gate names: each row holds the
 arity, the lowering of a document record to pulses, and the ideal
 matrix.  `lower` walks a whole program of records through it for the
-compile, run and verify commands.  A lowering takes only the register
+compile, run and verify commands, which all name a failing step by
+`Step.error`.  A lowering takes only the register
 and the record's parameters and operands: each gate takes the pool
 ancillas it needs in register order, so equal records lower to equal
 pulses wherever they sit in the program.
@@ -666,16 +667,20 @@ class Step:
     kind: str
     program: CompiledProgram | None = None
 
+    def error(self, exc: Exception, cls: type | None = None) -> Exception:
+        """`exc` as a `cls` (its own class by default) that names this step:
+        `gate <index> (<rendered record>): <exc>`."""
+        return (cls or type(exc))(
+            f"gate {self.index} ({self.record.render()}): {exc}")
+
 
 def preparation(register: LogicalRegister) -> CompiledProgram:
     """Pulses loading every dual-rail register into |0> from the ground state."""
     prog = CompiledProgram()
-    dual = [e for e in register.entries if e.is_dual_rail]
-    if dual and not register.ancilla_qubits:
-        raise RegisterError("dual-rail preparation needs an ancilla qubit")
-    for entry in dual:
-        prog.add(*prepare_dual_rail_zero(register, entry.logical_id,
-                                         register.ancilla_qubits[0]))
+    for entry in register.entries:
+        if entry.is_dual_rail:
+            prog.add(*prepare_dual_rail_zero(register, entry.logical_id,
+                                             register.readout_ancilla))
     return prog
 
 
@@ -686,7 +691,7 @@ def lower(register: LogicalRegister, records: Sequence) -> list[Step]:
     its GATES row either lowers it to pulses or marks it a directive.
     A parity check needs a dual-rail target and a register with an
     ancilla.  Compile and register errors are raised as CompileError
-    naming the record: `gate {index} ({name}): ...`.
+    naming the step (`Step.error`): `gate {index} ({record}): ...`.
 
     Equal records lower to equal pulses, so each distinct record is
     lowered once and its steps share that one CompiledProgram.  The key
@@ -706,10 +711,9 @@ def lower(register: LogicalRegister, records: Sequence) -> list[Step]:
             elif spec.step == PARITY_CHECK:
                 if not register.entry(rec.operands[0]).is_dual_rail:
                     raise CompileError("qndcheck target must be dual-rail")
-                if not register.ancilla_qubits:
-                    raise RegisterError("qndcheck needs an ancilla qubit")
+                register.readout_ancilla  # raises without a pool qubit
         except (CompileError, RegisterError) as exc:
-            raise CompileError(f"gate {i} ({rec.name}): {exc}") from exc
+            raise step.error(exc, CompileError) from exc
         steps.append(step)
     return steps
 

@@ -32,7 +32,7 @@ import re
 from dataclasses import dataclass, field
 
 from .compiler import ERROR_INJECTION, GATES
-from .encoding import KIND_ARITY
+from .encoding import SUBSYSTEM_KINDS
 from .errors import DocumentError
 
 SECTIONS = ("system", "registers", "ancillas", "program", "options")
@@ -161,13 +161,13 @@ def parse_circuit(text: str) -> CircuitDocument:
                 raise DocumentError("syntax", lineno,
                                     "register entry: <id> <kind> <subsystems...>")
             lid, kind, *phys = tokens
-            if kind not in KIND_ARITY:
+            if kind not in SUBSYSTEM_KINDS:
                 raise DocumentError("validation", lineno,
                                     f"unknown register kind {kind!r}")
-            if len(phys) != KIND_ARITY[kind]:
+            if len(phys) != len(SUBSYSTEM_KINDS[kind]):
                 raise DocumentError(
                     "arity", lineno,
-                    f"{kind} takes {KIND_ARITY[kind]} subsystems, "
+                    f"{kind} takes {len(SUBSYSTEM_KINDS[kind])} subsystems, "
                     f"got {len(phys)}")
             if any(r[0] == lid for r in registers):
                 raise DocumentError("duplicate", lineno,

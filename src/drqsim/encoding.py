@@ -9,6 +9,10 @@ Each can be extended with an auxiliary mode (kinds `dual_rail_aux` and
 `internal_aux`) whose single-phonon level encodes the transient third
 basis state used by multi-controlled gates.  In the logical subspace the
 auxiliary mode sits in vacuum; any population there counts as leakage.
+`SUBSYSTEM_KINDS` gives each register kind's subsystem kinds, for the
+document parser and `define_register` alike.  The first pool ancilla
+(`LogicalRegister.readout_ancilla`) loads every dual-rail qubit, reads
+it out and flags its parity.
 """
 from __future__ import annotations
 
@@ -36,7 +40,13 @@ INTERNAL = "internal"
 DUAL_RAIL_AUX = "dual_rail_aux"
 INTERNAL_AUX = "internal_aux"
 
-KIND_ARITY = {DUAL_RAIL: 2, INTERNAL: 1, DUAL_RAIL_AUX: 3, INTERNAL_AUX: 2}
+# Register kind -> the kinds of its physical subsystems, in order.
+SUBSYSTEM_KINDS = {
+    DUAL_RAIL: (MODE, MODE),
+    INTERNAL: (QUBIT,),
+    DUAL_RAIL_AUX: (MODE, MODE, MODE),
+    INTERNAL_AUX: (QUBIT, MODE),
+}
 
 # Largest weight a pool ancilla or the COM mode may hold outside its
 # ground level and still count as reset.
@@ -67,11 +77,8 @@ class RegisterEntry:
 
     @property
     def aux_mode(self) -> str | None:
-        if self.kind == DUAL_RAIL_AUX:
-            return self.physical[2]
-        if self.kind == INTERNAL_AUX:
-            return self.physical[1]
-        return None
+        aux = self.kind in (DUAL_RAIL_AUX, INTERNAL_AUX)
+        return self.physical[-1] if aux else None
 
 
 @dataclass(frozen=True)
@@ -96,6 +103,15 @@ class LogicalRegister:
     @property
     def logical_dim(self) -> int:
         return 2 ** self.n_logical
+
+    @property
+    def readout_ancilla(self) -> str:
+        """The pool qubit that loads, reads out and flags the parity of
+        every dual-rail qubit: the first."""
+        if not self.ancilla_qubits:
+            raise RegisterError(
+                "dual-rail loading and readout needs an ancilla qubit")
+        return self.ancilla_qubits[0]
 
     @cached_property
     def codeword_indices(self) -> np.ndarray:
@@ -165,23 +181,17 @@ def define_register(layout: HilbertLayout,
     built: list[RegisterEntry] = []
     seen_logical: set[str] = set()
     for logical_id, kind, physical in entries:
-        if kind not in KIND_ARITY:
+        if kind not in SUBSYSTEM_KINDS:
             raise RegisterError(f"unknown register kind {kind!r}")
-        physical = tuple(physical)
-        if len(physical) != KIND_ARITY[kind]:
+        physical, wanted = tuple(physical), SUBSYSTEM_KINDS[kind]
+        if len(physical) != len(wanted):
             raise RegisterError(
-                f"{kind} entry {logical_id!r} takes {KIND_ARITY[kind]} "
+                f"{kind} entry {logical_id!r} takes {len(wanted)} "
                 f"subsystems, got {len(physical)}")
         if logical_id in seen_logical:
             raise RegisterError(f"duplicate logical id {logical_id!r}")
         seen_logical.add(logical_id)
-        want = {
-            DUAL_RAIL: (MODE, MODE),
-            DUAL_RAIL_AUX: (MODE, MODE, MODE),
-            INTERNAL: (QUBIT,),
-            INTERNAL_AUX: (QUBIT, MODE),
-        }[kind]
-        for sid, kindwant in zip(physical, want):
+        for sid, kindwant in zip(physical, wanted):
             if layout.kind_of(sid) != kindwant:
                 raise RegisterError(
                     f"{logical_id!r}: subsystem {sid!r} must be a {kindwant}")
@@ -190,9 +200,9 @@ def define_register(layout: HilbertLayout,
         built.append(RegisterEntry(logical_id, kind, physical))
 
     for q in ancilla_qubits:
-        if not layout.is_qubit(q):
+        if layout.kind_of(q) != QUBIT:
             raise RegisterError(f"ancilla {q!r} is not a qubit")
-    if com_mode is not None and not layout.is_mode(com_mode):
+    if com_mode is not None and layout.kind_of(com_mode) != MODE:
         raise RegisterError(f"COM mode {com_mode!r} is not a mode")
 
     register = LogicalRegister(layout, tuple(built), tuple(ancilla_qubits),
@@ -249,12 +259,9 @@ def prepare_dual_rail_zero(register: LogicalRegister, logical_id: str,
     the ancilla to the ground state.  The deterministic overall phase of
     -1 is returned for the program ledger rather than corrected.
     """
-    entry = register.entry(logical_id)
-    if not entry.is_dual_rail:
-        raise RegisterError(f"{logical_id!r} is not a dual-rail qubit")
+    d0, _ = register.entry(logical_id).rails
     if ancilla_qubit not in register.ancilla_qubits:
         raise RegisterError(f"{ancilla_qubit!r} is not in the ancilla pool")
-    d0, _ = entry.rails
     ops = [carrier(np.pi, 0.0, ancilla_qubit), rsb(np.pi, ancilla_qubit, d0)]
     return ops, PREPARE_PHASE
 
@@ -268,14 +275,11 @@ def map_dual_rail_readout(state: StateVector, register: LogicalRegister,
     excited branch does not affect outcomes).  Leaked rail states map
     partially, so the ancilla's z readout is the dual-rail readout.
     """
-    entry = register.entry(logical_id)
-    if not entry.is_dual_rail:
-        raise RegisterError(f"{logical_id!r} is not a dual-rail qubit")
+    _, d1 = register.entry(logical_id).rails
     if ancilla_qubit not in register.ancilla_qubits:
         raise RegisterError(f"{ancilla_qubit!r} is not in the ancilla pool")
     if state.population(ancilla_qubit, 0) < 1.0 - ANCILLA_TOL:
-        raise RegisterError(f"ancilla {ancilla_qubit!r} is not in the ground state")
-    _, d1 = entry.rails
+        raise StateError(f"ancilla {ancilla_qubit!r} is not in the ground state")
     return apply_pulse(state, rsb(np.pi, ancilla_qubit, d1))
 
 

@@ -90,7 +90,8 @@ class HilbertLayout:
     """Ordered registry of subsystems with mixed-radix index arithmetic.
 
     A layout compares by identity, and the tables of its own indices
-    (`targets`, `sentinel_table`) live on it.
+    (`targets`, `sentinel_table`) live on it; a pulse's target kinds
+    are checked against its `targets` entry.
     """
 
     def __init__(self, subsystems: Sequence[Subsystem]):
@@ -105,15 +106,17 @@ class HilbertLayout:
         self._targets: dict[tuple[str, ...], tuple] = {}
 
     def targets(self, sids: tuple[str, ...]) -> tuple:
-        """(axes, dims, strides, block dim) of the targets in `sids` order,
-        checked to be distinct subsystems once per `sids` and then kept."""
+        """(axes, dims, strides, block dim, kinds) of the targets in `sids`
+        order, checked to be distinct subsystems once per `sids` and then
+        kept."""
         if sids not in self._targets:
             axes = tuple(map(self.axis, sids))
             if len(set(sids)) != len(sids):
                 raise LayoutError(f"repeated subsystem in targets {sids}")
             dims = tuple(self.dims[a] for a in axes)
-            self._targets[sids] = (axes, dims, tuple(
-                self.strides[a] for a in axes), math.prod(dims))
+            self._targets[sids] = (
+                axes, dims, tuple(self.strides[a] for a in axes),
+                math.prod(dims), tuple(self.subsystems[a].kind for a in axes))
         return self._targets[sids]
 
     @functools.cached_property
@@ -133,12 +136,6 @@ class HilbertLayout:
 
     def kind_of(self, sid: str) -> str:
         return self.subsystems[self.axis(sid)].kind
-
-    def is_qubit(self, sid: str) -> bool:
-        return self.kind_of(sid) == QUBIT
-
-    def is_mode(self, sid: str) -> bool:
-        return self.kind_of(sid) == MODE
 
     @property
     def ids(self) -> tuple[str, ...]:
@@ -334,7 +331,7 @@ def apply_matrix_columns(columns: np.ndarray, layout: HilbertLayout,
                          sids: Sequence[str]) -> np.ndarray:
     """Apply a subsystem matrix to every column of a dense (total_dim[, k])
     array: the dense contraction the support kernel is tested against."""
-    axes, _, _, block_dim = _geometry(layout, tuple(sids), matrix.shape)
+    axes, _, _, block_dim, _ = _geometry(layout, tuple(sids), matrix.shape)
     tensor = columns.reshape(layout.dims + columns.shape[1:], order="F")
     tensor = np.moveaxis(tensor, axes, range(len(axes)))
     shape = tensor.shape
@@ -398,7 +395,7 @@ def apply_matrix_support(index: np.ndarray, amplitudes: np.ndarray,
     if matrix.ndim > 3 or extra:
         raise StateError(f"a stack of shape {matrix.shape} does not split "
                          f"{width} columns into equal groups")
-    _, dims, strides, block_dim = _geometry(layout, sids, shape)
+    _, dims, strides, block_dim, _ = _geometry(layout, sids, shape)
     # Only small plans enter the memo.  A support of n rows meets at most
     # n blocks, so its plan has at most n * block_dim candidate rows.
     if (len(index) <= MEMO_MAX_ROWS
@@ -537,7 +534,7 @@ class MeasurementResult(NamedTuple):
 
 def excited_probability(state: StateVector, qubit_id: str) -> float:
     """Born probability that a z readout of `qubit_id` finds it excited."""
-    if not state.layout.is_qubit(qubit_id):
+    if state.layout.kind_of(qubit_id) != QUBIT:
         raise StateError(f"{qubit_id!r} is not a qubit")
     w0, w1 = map(float, state.populations([(qubit_id, 0), (qubit_id, 1)]))
     if w0 < 1e-14 and w1 < 1e-14:

@@ -23,7 +23,8 @@ bound of the support kernel's plan memo too, importable here as
 `MEMO_MAX_ROWS`) is memoized on exactly that key in a 64-entry LRU: one
 beamsplitter angle on any rail pair of equal dims, on any layout, shares
 one entry.  A larger pulse is built on every call.  The targets are
-checked against the layout on every call.
+checked against the layout's cached entry (`HilbertLayout.targets`),
+which also gives their kinds and dims.
 `pulse_unitary` hands the memo's read-only matrix itself to the kernel
 (`apply_pulse` and `verify`'s evolution); `pulse_matrix` gives its
 caller a copy of its own.
@@ -167,22 +168,6 @@ def cbs_factors(theta: float, phi: float, qubit_id: str, mode1: str,
     ]
 
 
-def _check_kinds(op: PhysicalOp, layout: HilbertLayout) -> tuple[int, ...]:
-    """Check the target kinds and the matrix size; return the target dims."""
-    for sid, want in zip(op.targets, _PULSES[op.kind][0]):
-        got = layout.kind_of(sid)
-        if got != want:
-            raise PulseError(
-                f"{op.kind} target {sid!r} must be a {want}, got {got}")
-    dims = tuple(layout.dim_of(sid) for sid in op.targets)
-    block = math.prod(dims)
-    if block ** 2 > fock.MAX_STATE_DIM:
-        raise StateError(
-            f"{op.kind} pulse on {op.targets} needs a {block} x {block} "
-            f"matrix; the limit is {fock.MAX_STATE_DIM} entries")
-    return dims
-
-
 @functools.lru_cache(maxsize=256)
 def _eigenbasis(kind: str, phi: float, dims: tuple[int, ...]) -> tuple:
     """G's eigendecomposition, one connected block of its nonzeros at a
@@ -236,12 +221,22 @@ def pulse_unitary(op: PhysicalOp, layout: HilbertLayout) -> np.ndarray:
     """Unitary exp(i f theta G) of the pulse over its targets, taken block
     by block in G's cached eigenbasis: theta enters only as the phases
     exp(i f theta w), and every entry between two blocks is exactly 0.
-    The targets are checked on every call.  A pulse of at most
-    MEMO_MAX_ROWS rows is the memo's own read-only matrix, for callers
-    that only read it (the support kernel); a larger one is built on
-    every call."""
-    dims = _check_kinds(op, layout)
-    if math.prod(dims) > MEMO_MAX_ROWS:
+    The target kinds, dims and block size are read from the layout's
+    cached entry for the targets.  A pulse of at most MEMO_MAX_ROWS rows
+    is the memo's own read-only matrix, for callers that only read it
+    (the support kernel); a larger one is built on every call."""
+    _, dims, _, block, kinds = layout.targets(op.targets)
+    want = _PULSES[op.kind][0]
+    if kinds != want:
+        sid, got, need = next(bad for bad in zip(op.targets, kinds, want)
+                              if bad[1] != bad[2])
+        raise PulseError(
+            f"{op.kind} target {sid!r} must be a {need}, got {got}")
+    if block ** 2 > fock.MAX_STATE_DIM:
+        raise StateError(
+            f"{op.kind} pulse on {op.targets} needs a {block} x {block} "
+            f"matrix; the limit is {fock.MAX_STATE_DIM} entries")
+    if block > MEMO_MAX_ROWS:
         return _build(op.kind, op.theta, op.phi, dims)
     return _matrix(op.kind, op.theta, op.phi, dims)
 

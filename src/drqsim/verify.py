@@ -29,8 +29,10 @@ from .compiler import GATES, CompiledProgram, lower
 from .encoding import ANCILLA_TOL, LogicalRegister, map_dual_rail_readout
 from .errors import HealthError, RegisterError, StateError
 from .fock import (
-    HilbertLayout,
+    MODE,
     NORM_TOL,
+    QUBIT,
+    HilbertLayout,
     StateVector,
     apply_matrix_support,
     excited_probability,
@@ -280,7 +282,7 @@ def qnd_parity_check(state: StateVector, qubit: str, mode1: str, mode2: str,
     on other subsystems afterwards is the caller's responsibility to
     justify.
     """
-    if not state.layout.is_qubit(qubit):
+    if state.layout.kind_of(qubit) != QUBIT:
         raise StateError(f"{qubit!r} is not a qubit")
     if state.population(qubit, 0) < 1.0 - ANCILLA_TOL:
         raise StateError(f"parity qubit {qubit!r} must start in the ground state")
@@ -302,7 +304,7 @@ def inject_heating_error(state: StateVector, mode: str,
     sqrt(level)) or up (gain, times sqrt(level + 1)); no dense jump
     matrix is built, whatever the cutoff."""
     layout = state.layout
-    if not layout.is_mode(mode):
+    if layout.kind_of(mode) != MODE:
         raise StateError(f"{mode!r} is not a mode")
     dim, level = layout.dim_of(mode), state.levels(mode)
     stride = layout.strides[layout.axis(mode)]
@@ -408,8 +410,7 @@ def check_records(register: LogicalRegister, records: Sequence,
             reports.update(zip(group, check_gates(
                 register, list(group.values()), ideals, operands, tol)))
     except (RegisterError, StateError) as exc:
-        raise type(exc)(
-            f"gate {step.index} ({step.record.render()}): {exc}") from exc
+        raise step.error(exc) from exc
     return [replace(reports[step.record],
                     name=f"gate-{step.index}:{step.record.render()}")
             for step in steps]
@@ -424,7 +425,7 @@ def sample_counts(state: StateVector, register: LogicalRegister,
                   seed) -> dict[str, int]:
     """Born-rule sampling of logical qubits, deterministic for a seed.
 
-    Dual-rail reads borrow the first pool ancilla (reset between reads);
+    Dual-rail reads borrow `register.readout_ancilla` (reset between reads);
     internal reads are direct fluorescence measurements.  The shots are
     split down the readout tree: each register is mapped once per
     branch, a binomial draw divides the branch's shots between the two
@@ -434,8 +435,6 @@ def sample_counts(state: StateVector, register: LogicalRegister,
     is, holding one state per register at a time.
     """
     entries = [register.entry(mid) for mid in measured_ids]
-    if any(e.is_dual_rail for e in entries) and not register.ancilla_qubits:
-        raise RegisterError("dual-rail readout needs an ancilla qubit")
     rng = np.random.default_rng(seed)
     counts: dict[str, int] = {}
 
@@ -446,7 +445,7 @@ def sample_counts(state: StateVector, register: LogicalRegister,
             return
         entry = entries[depth]
         if entry.is_dual_rail:
-            qubit = register.ancilla_qubits[0]
+            qubit = register.readout_ancilla
             state = map_dual_rail_readout(state, register, entry.logical_id,
                                           qubit)
         else:

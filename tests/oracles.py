@@ -4,9 +4,9 @@ codewords built level by level, the Kronecker embedding of an ideal
 gate and a whole-program lowering."""
 import numpy as np
 
-from drqsim import pulses, verify
+from drqsim import fock, pulses, verify
 from drqsim.compiler import CompiledProgram, lower
-from drqsim.errors import CompileError, RegisterError
+from drqsim.errors import CompileError, RegisterError, StateError
 from drqsim.fock import (OperatorMatrix, StateVector, apply_matrix_columns,
                          basis_state, exp_hermitian)
 
@@ -23,8 +23,13 @@ def levels_of(layout, index: int) -> tuple[int, ...]:
 
 
 def pulse_generator(op, layout) -> tuple[OperatorMatrix, float]:
-    """Hermitian G and scale s of a pulse exp(i*s*G), for `exp_hermitian`."""
-    dims = pulses._check_kinds(op, layout)
+    """Hermitian G and scale s of a pulse exp(i*s*G), for `exp_hermitian`;
+    refused past `fock.MAX_STATE_DIM` entries, as `pulse_unitary` is."""
+    _, dims, _, block, _ = layout.targets(op.targets)
+    if block ** 2 > fock.MAX_STATE_DIM:
+        raise StateError(f"{op.kind} pulse on {op.targets} needs a {block} x "
+                         f"{block} matrix; the limit is {fock.MAX_STATE_DIM} "
+                         "entries")
     _, build, factor = pulses._PULSES[op.kind]
     return OperatorMatrix(op.targets, build(op.phi, *dims)), factor * op.theta
 
@@ -76,8 +81,7 @@ def compile_program(records, register) -> CompiledProgram:
     program = CompiledProgram()
     for step in lower(register, records):
         if step.program is None:
-            name = step.record.name
-            raise CompileError(f"gate {step.index} ({name}): {name} is a "
-                               "directive, not a unitary gate")
+            raise step.error(CompileError(
+                f"{step.record.name} is a directive, not a unitary gate"))
         program.extend(step.program)
     return program

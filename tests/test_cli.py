@@ -213,18 +213,46 @@ def test_run_with_injected_loss_reports_leakage(tmp_path, capsys):
     assert report["leakage"] > 0.9
 
 
-@pytest.mark.parametrize("jump, code, err", [
-    ("gain", 0, ""),
-    ("loss", 3, "numeric health failure: gate 1 (loss m0): loss on 'm0' "
-                "annihilates the state\n"),
-], ids=["gain", "loss"])
-def test_heating_jump_on_a_huge_mode(tmp_path, capsys, jump, code, err):
-    # A dense jump matrix at this cutoff would need 14.6 TiB.
+# A dense jump matrix at this cutoff would need 14.6 TiB.
+HUGE_MODE = ("system:\n  qubits: q0\n  modes: m0\n  cutoff: 1000000\n"
+             "registers:\n  Q internal q0\nprogram:\n  x Q\n  {} m0\n")
+# The phonon that `gain com` puts on the bus leaves the first pool
+# ancilla excited after the mcx ladder, so reading D out through it is a
+# health failure.
+BUS_GAIN = """\
+system:
+  qubits: c1 c2 t a0 a1 a2
+  modes: b2 d0 d1 com
+  cutoff: 4
+registers:
+  C1 internal c1
+  C2 internal_aux c2 b2
+  T internal t
+  D dual_rail d0 d1
+ancillas:
+  qubits: a0 a1 a2
+  com_mode: com
+program:
+  x C1
+  x C2
+  gain com
+  mcx C1 C2 T
+"""
+
+
+@pytest.mark.parametrize("text, shots, code, err", [
+    (HUGE_MODE.format("gain"), "0", 0, ""),
+    (HUGE_MODE.format("loss"), "0", 3,
+     "numeric health failure: gate 1 (loss m0): loss on 'm0' "
+     "annihilates the state\n"),
+    (BUS_GAIN, "10", 3,
+     "numeric health failure: ancilla 'a0' is not in the ground state\n"),
+], ids=["gain", "loss", "excited-readout-ancilla"])
+def test_heating_jump_on_a_huge_mode(tmp_path, capsys, text, shots, code,
+                                     err):
     path = tmp_path / "heat.drq"
-    path.write_text("system:\n  qubits: q0\n  modes: m0\n  cutoff: 1000000\n"
-                    "registers:\n  Q internal q0\n"
-                    f"program:\n  x Q\n  {jump} m0\n")
-    got, out, stderr = run_cli(capsys, "run", str(path), "--shots", "0")
+    path.write_text(text)
+    got, out, stderr = run_cli(capsys, "run", str(path), "--shots", shots)
     assert (got, stderr) == (code, err)
     if code == 0:
         assert json.loads(out)["leakage"] == 1.0
@@ -405,7 +433,7 @@ def test_compile_error_names_the_gate(case, tmp_path, capsys):
         code, out, err = run_cli(capsys, command, str(path))
         assert code == 2, command
         assert out == ""
-        assert err == f"error: gate 0 ({line.split()[0]}): {message}\n"
+        assert err == f"error: gate 0 ({line}): {message}\n"
 
 
 @pytest.mark.parametrize("flag,value", [("--seed", "-1"), ("--shots", "-5")])

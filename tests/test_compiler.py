@@ -645,7 +645,7 @@ def test_compile_program_refuses_directives(hybrid_system, directive):
     _, register = hybrid_system
     circuit = [gate("h", "D"), gate("cnot", "D", "Q"), directive]
     with pytest.raises(CompileError, match=(
-            rf"^gate 2 \({directive.name}\): {directive.name} is a "
+            rf"^gate 2 \({directive.render()}\): {directive.name} is a "
             "directive, not a unitary gate$")):
         compile_program(circuit, register)
 

@@ -21,7 +21,7 @@ from drqsim import (
 from drqsim.cli import build_system
 from drqsim.compiler import compile_gate
 from drqsim.document import parse_circuit
-from drqsim.encoding import KIND_ARITY
+from drqsim.encoding import SUBSYSTEM_KINDS
 from drqsim.verify import inject_heating_error, run_program
 
 from conftest import gate
@@ -70,12 +70,12 @@ def registers(draw):
     """Entries of every kind, in a drawn order, over a shuffled layout."""
     cutoff = draw(st.integers(3, 5))
     spec, entries = [("anc", "qubit", 2)], []
-    for i, kind in enumerate(draw(st.lists(st.sampled_from(sorted(KIND_ARITY)),
-                                           max_size=5))):
+    for i, kind in enumerate(draw(st.lists(
+            st.sampled_from(sorted(SUBSYSTEM_KINDS)), max_size=5))):
         # Each kind's subsystems: one qubit first for the internal kinds,
         # then modes.
         n_qubits = 1 if kind.startswith("internal") else 0
-        physical = [f"s{i}_{j}" for j in range(KIND_ARITY[kind])]
+        physical = [f"s{i}_{j}" for j in range(len(SUBSYSTEM_KINDS[kind]))]
         spec += [(sid, "qubit", 2) if j < n_qubits else (sid, "mode", cutoff)
                  for j, sid in enumerate(physical)]
         entries.append((f"L{i}", kind, physical))
@@ -221,7 +221,7 @@ def test_measure_superposition_statistics(hybrid_system):
 def test_measure_requires_ground_ancilla(hybrid_system):
     layout, register = hybrid_system
     state = basis_state(layout, {"anc": 1, "m0": 1})
-    with pytest.raises(RegisterError):
+    with pytest.raises(StateError):
         measure_dual_rail(state, register, "D", "anc", 0)
 
 

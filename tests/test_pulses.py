@@ -21,7 +21,7 @@ from drqsim import (
     zbs_angle_from_pulse,
 )
 from drqsim import fock
-from drqsim.errors import StateError
+from drqsim.errors import LayoutError, StateError
 from drqsim.fock import OperatorMatrix, apply_matrix
 from drqsim.pulses import (
     cbs_factors,
@@ -70,8 +70,16 @@ def test_carrier_half_pi(qm_layout):
 
 
 def test_carrier_rejects_mode_target(qm_layout):
-    with pytest.raises(PulseError):
-        apply_pulse(ground_state(qm_layout), carrier(1.0, 0.0, "m0"))
+    state = ground_state(qm_layout)
+    with pytest.raises(PulseError,
+                       match="^carrier target 'm0' must be a qubit, got mode$"):
+        apply_pulse(state, carrier(1.0, 0.0, "m0"))
+    # The first target of the wrong kind is named.
+    with pytest.raises(PulseError,
+                       match="^rsb target 'm0' must be a qubit, got mode$"):
+        apply_pulse(state, rsb(1.0, "m0", "q"))
+    with pytest.raises(LayoutError, match="^unknown subsystem id 'zz'$"):
+        apply_pulse(state, carrier(1.0, 0.0, "zz"))
 
 
 # --- red sideband ------------------------------------------------------------

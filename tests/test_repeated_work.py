@@ -23,6 +23,7 @@ from drqsim.document import parse_circuit
 from drqsim.encoding import define_register
 from drqsim.errors import CompileError
 from drqsim.fock import (
+    HilbertLayout,
     StateVector,
     apply_matrix,
     basis_state,
@@ -125,7 +126,7 @@ def test_first_failing_record_is_named():
     register = define_register(
         layout, [("Q", "internal", ("q",)), ("D", "dual_rail", ("m0", "m1"))])
     records = [gate("x", "Q"), gate("h", "D"), gate("x", "Q"), gate("h", "D")]
-    with pytest.raises(CompileError, match=r"^gate 1 \(h\): "):
+    with pytest.raises(CompileError, match=r"^gate 1 \(h D\): "):
         lower(register, records)
 
 
@@ -195,6 +196,27 @@ def test_pulses_past_the_row_cap_skip_the_memo():
     for _ in range(2):
         assert pulses.apply_pulse(state, op).values.tobytes() == want
     assert pulses._matrix.cache_info() == info
+
+
+@pytest.mark.parametrize("op", [
+    carrier(0.97, -1.2, "q"),
+    rsb(1.41, "q", "m0"),
+    zbs(-0.58, 0.9, "q", "m0", "m1"),
+], ids=lambda op: op.kind)
+def test_a_repeated_pulse_reads_its_targets_once(op):
+    # The layout's entry for the targets holds their kinds and dims, so
+    # only the first application reads the layout subsystem by subsystem.
+    layout = create_layout(SPEC)
+    state = random_state(layout, np.random.default_rng(3))
+    with mock.patch.object(HilbertLayout, "kind_of", autospec=True,
+                           side_effect=HilbertLayout.kind_of) as kind_of, \
+            mock.patch.object(HilbertLayout, "dim_of", autospec=True,
+                              side_effect=HilbertLayout.dim_of) as dim_of:
+        state = pulses.apply_pulse(state, op)
+        first = kind_of.call_count, dim_of.call_count
+        for _ in range(20):
+            state = pulses.apply_pulse(state, op)
+        assert (kind_of.call_count, dim_of.call_count) == first
 
 
 def test_one_angle_shares_an_entry_across_targets_and_layouts():
