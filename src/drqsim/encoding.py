@@ -24,7 +24,6 @@ import numpy as np
 
 from .errors import RegisterError, StateError
 from .fock import (
-    MAX_STATE_DIM,
     MODE,
     QUBIT,
     HilbertLayout,
@@ -76,6 +75,12 @@ class RegisterEntry:
         return self.physical[0]
 
     @property
+    def bit(self) -> str:
+        """The subsystem whose level is the entry's logical bit: a
+        dual-rail qubit's d1 rail, an internal qubit itself."""
+        return self.physical[1] if self.is_dual_rail else self.physical[0]
+
+    @property
     def aux_mode(self) -> str | None:
         aux = self.kind in (DUAL_RAIL_AUX, INTERNAL_AUX)
         return self.physical[-1] if aux else None
@@ -114,33 +119,27 @@ class LogicalRegister:
         return self.ancilla_qubits[0]
 
     @cached_property
+    def codeword_steps(self) -> tuple[int, tuple[int, ...]]:
+        """The all-zero codeword's basis index and each entry's step from it
+        when its bit is set (a phonon moved from d0 to d1, an internal
+        qubit excited), as Python ints."""
+        strides = dict(zip(self.layout.ids, self.layout.strides))
+        d0 = [strides[e.physical[0]] if e.is_dual_rail else 0
+              for e in self.entries]
+        return sum(d0), tuple(strides[e.bit] - s
+                              for e, s in zip(self.entries, d0))
+
+    @cached_property
     def codeword_indices(self) -> np.ndarray:
         """Basis indices of the 2**n codewords, in logical order (first
-        registered qubit most significant); read-only, built once.
-
-        A codeword's index is the all-zero codeword's plus one step per
-        set bit: flipping a dual-rail qubit moves its phonon from d0 to
-        d1, flipping an internal qubit excites it.  A register of more
-        codewords than `fock.MAX_STATE_DIM` is a StateError: its dense
-        codeword amplitudes would pass that limit."""
-        if self.logical_dim > MAX_STATE_DIM:
-            raise StateError(
-                f"{self.n_logical} logical qubits have {self.logical_dim} "
-                f"codewords; the limit is {MAX_STATE_DIM} dense amplitudes")
-        layout = self.layout
-        base, deltas = 0, []
-        for e in self.entries:
-            if e.is_dual_rail:
-                d0, d1 = (layout.strides[layout.axis(s)] for s in e.rails)
-                base += d0
-                deltas.append(d1 - d0)
-            else:
-                deltas.append(layout.strides[layout.axis(e.qubit)])
+        registered qubit most significant); read-only, built once, for
+        the restricted columns of `verify`."""
+        base, steps = self.codeword_steps
         # Doubling from the last registered qubit, the least significant,
         # to the first: each qubit appends the codewords with its bit set.
-        indices = support_index(layout, [base])
-        for delta in reversed(deltas):
-            indices = np.concatenate((indices, indices + delta))
+        indices = support_index(self.layout, [base])
+        for step in reversed(steps):
+            indices = np.concatenate((indices, indices + step))
         indices.flags.writeable = False
         return indices
 
@@ -219,31 +218,50 @@ PHASE_REFERENCE_RTOL = 1e-9
 
 @dataclass
 class LogicalStateReport:
-    """Projection of a physical state onto the codeword span.
-
-    `logical_amplitudes` is indexed lexicographically with the first
-    registered logical qubit as the most significant bit.  `global_phase`
-    is the phase of the first amplitude in that order whose magnitude is
-    within a relative PHASE_REFERENCE_RTOL of the largest, so a last-bit
-    change cannot move it between amplitudes of tied magnitude.
+    """Projection of a physical state onto the codeword span: the logical
+    index (first registered qubit most significant) and amplitude of each
+    codeword row, and `logical_amplitudes`, the dense 2**n vector, built
+    when first read.  `global_phase` is the phase of the first amplitude in
+    logical order whose magnitude is within a relative PHASE_REFERENCE_RTOL
+    of the largest, so a last-bit change cannot move it between amplitudes
+    of tied magnitude.
     """
 
-    logical_amplitudes: np.ndarray = field(repr=False)
+    logical_dim: int
+    codewords: np.ndarray = field(repr=False)
+    amplitudes: np.ndarray = field(repr=False)
     leakage: float = 0.0
     global_phase: float = 0.0
+
+    @cached_property
+    def logical_amplitudes(self) -> np.ndarray:
+        dense = np.zeros(self.logical_dim, dtype=complex)
+        dense[self.codewords] = self.amplitudes
+        return dense
 
 
 def extract_logical_state(state: StateVector,
                           register: LogicalRegister) -> LogicalStateReport:
-    amps = state.amplitude_at(register.codeword_indices)
+    """A support row is a codeword when each entry's bit level is 0 or 1
+    and its index is `base + bits @ steps`; leakage is the weight of the
+    other rows."""
+    base, steps = register.codeword_steps
+    strides, dims, _ = level_table(state.layout,
+                                   [(e.bit, 0) for e in register.entries])
+    bits = state.index // strides % dims  # (entries, rows)
+    valid = (bits <= 1).all(axis=0) & (
+        state.index == base + np.array(steps, dtype=np.int64) @ bits)
+    codewords = 2 ** np.arange(len(steps))[::-1] @ bits[:, valid]
+    amps = state.values[valid]
     weight = float(np.sum(np.abs(amps) ** 2))
-    leakage = max(0.0, 1.0 - weight)
     phase = 0.0
     if weight > 1e-15:
         mags = np.abs(amps)
         near_max = mags >= (1.0 - PHASE_REFERENCE_RTOL) * mags.max()
-        phase = float(np.angle(amps[int(np.argmax(near_max))]))
-    return LogicalStateReport(amps, leakage, phase)
+        first = np.argmin(np.where(near_max, codewords, register.logical_dim))
+        phase = float(np.angle(amps[first]))
+    return LogicalStateReport(register.logical_dim, codewords, amps,
+                              max(0.0, 1.0 - weight), phase)
 
 
 PREPARE_PHASE = np.pi  # carrier(pi) and rsb(pi) each contribute -i
@@ -266,33 +284,28 @@ def prepare_dual_rail_zero(register: LogicalRegister, logical_id: str,
     return ops, PREPARE_PHASE
 
 
-def map_dual_rail_readout(state: StateVector, register: LogicalRegister,
-                          logical_id: str, ancilla_qubit: str) -> StateVector:
-    """Map a dual-rail qubit onto a ground-state ancilla for readout.
-
-    A red-sideband pi-pulse between rail d1 and the ancilla maps
-    |0>_D -> ancilla ground, |1>_D -> ancilla excited (the -i phase on the
-    excited branch does not affect outcomes).  Leaked rail states map
-    partially, so the ancilla's z readout is the dual-rail readout.
+def measure_dual_rail(state: StateVector, register: LogicalRegister,
+                      logical_id: str, ancilla_qubit: str,
+                      rng_seed) -> tuple[int, StateVector]:
+    """Read one shot of a dual-rail qubit: an rsb(pi) from rail d1 maps
+    |0>_D to the ground ancilla and |1>_D to the excited one (leaked rail
+    states map partially), the ancilla is read out and, when excited,
+    flipped back to ground for reuse.  `verify.sample_counts` is tested
+    against it.
     """
     _, d1 = register.entry(logical_id).rails
     if ancilla_qubit not in register.ancilla_qubits:
         raise RegisterError(f"{ancilla_qubit!r} is not in the ancilla pool")
-    if state.population(ancilla_qubit, 0) < 1.0 - ANCILLA_TOL:
-        raise StateError(f"ancilla {ancilla_qubit!r} is not in the ground state")
-    return apply_pulse(state, rsb(np.pi, ancilla_qubit, d1))
-
-
-def measure_dual_rail(state: StateVector, register: LogicalRegister,
-                      logical_id: str, ancilla_qubit: str,
-                      rng_seed) -> tuple[int, StateVector]:
-    """Map the dual-rail state onto the ancilla and read it out.
-
-    The ancilla is flipped back to ground after an excited readout so it
-    can be reused.
-    """
-    mapped = map_dual_rail_readout(state, register, logical_id, ancilla_qubit)
+    require_ground(state, ancilla_qubit)
+    mapped = apply_pulse(state, rsb(np.pi, ancilla_qubit, d1))
     outcome, collapsed, _ = measure_qubit_z(mapped, ancilla_qubit, rng_seed)
     if outcome == 1:
         collapsed = apply_pulse(collapsed, carrier(np.pi, 0.0, ancilla_qubit))
     return outcome, collapsed
+
+
+def require_ground(state: StateVector, ancilla_qubit: str) -> None:
+    """A StateError unless the readout ancilla holds all but ANCILLA_TOL
+    of the weight in its ground level."""
+    if state.population(ancilla_qubit, 0) < 1.0 - ANCILLA_TOL:
+        raise StateError(f"ancilla {ancilla_qubit!r} is not in the ground state")

@@ -532,34 +532,23 @@ class MeasurementResult(NamedTuple):
     probabilities: tuple[float, float]
 
 
-def excited_probability(state: StateVector, qubit_id: str) -> float:
-    """Born probability that a z readout of `qubit_id` finds it excited."""
+def measure_qubit_z(state: StateVector, qubit_id: str,
+                    rng_seed) -> MeasurementResult:
+    """Projective z-basis measurement of one qubit (fluorescence readout).
+
+    Outcome 0 is the ground state, 1 the excited state, drawn with the
+    Born probabilities.  The collapsed state is the renormalized
+    projection.  `rng_seed` may be an int seed or a numpy Generator.
+    """
     if state.layout.kind_of(qubit_id) != QUBIT:
         raise StateError(f"{qubit_id!r} is not a qubit")
     w0, w1 = map(float, state.populations([(qubit_id, 0), (qubit_id, 1)]))
     if w0 < 1e-14 and w1 < 1e-14:
         raise StateError("both projection norms vanish; state is corrupt")
-    return w1 / (w0 + w1)
-
-
-def project_qubit(state: StateVector, qubit_id: str,
-                  outcome: int) -> StateVector:
-    """Renormalized projection of the state onto one level of a qubit."""
+    p1 = w1 / (w0 + w1)
+    outcome = int(np.random.default_rng(rng_seed).random() < p1)
     keep = state.levels(qubit_id) == outcome
     values = state.values[keep]
-    return StateVector(state.layout, index=state.index[keep],
-                       values=values / np.linalg.norm(values))
-
-
-def measure_qubit_z(state: StateVector, qubit_id: str,
-                    rng_seed) -> MeasurementResult:
-    """Projective z-basis measurement of one qubit (fluorescence readout).
-
-    Outcome 0 is the ground state, 1 the excited state.  The collapsed
-    state is the renormalized projection.  `rng_seed` may be an int seed
-    or a numpy Generator.
-    """
-    p1 = excited_probability(state, qubit_id)
-    outcome = int(np.random.default_rng(rng_seed).random() < p1)
-    return MeasurementResult(outcome, project_qubit(state, qubit_id, outcome),
-                             (1 - p1, p1))
+    collapsed = StateVector(state.layout, index=state.index[keep],
+                            values=values / np.linalg.norm(values))
+    return MeasurementResult(outcome, collapsed, (1 - p1, p1))

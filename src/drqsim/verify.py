@@ -26,7 +26,7 @@ import numpy as np
 
 from . import fock
 from .compiler import GATES, CompiledProgram, lower
-from .encoding import ANCILLA_TOL, LogicalRegister, map_dual_rail_readout
+from .encoding import ANCILLA_TOL, LogicalRegister, require_ground
 from .errors import HealthError, RegisterError, StateError
 from .fock import (
     MODE,
@@ -35,9 +35,7 @@ from .fock import (
     HilbertLayout,
     StateVector,
     apply_matrix_support,
-    excited_probability,
     measure_qubit_z,
-    project_qubit,
     support_index,
     support_rows,
 )
@@ -46,6 +44,7 @@ from .pulses import (
     apply_pulse,
     carrier,
     pulse_unitary,
+    rsb,
     zbs,
 )
 
@@ -425,42 +424,41 @@ def sample_counts(state: StateVector, register: LogicalRegister,
                   seed) -> dict[str, int]:
     """Born-rule sampling of logical qubits, deterministic for a seed.
 
-    Dual-rail reads borrow `register.readout_ancilla` (reset between reads);
-    internal reads are direct fluorescence measurements.  The shots are
-    split down the readout tree: each register is mapped once per
-    branch, a binomial draw divides the branch's shots between the two
-    outcomes, and each collapsed branch that got a shot is read on.  That
-    is the joint distribution of reading every shot out on its own, at a
-    cost of at most 2**k - 1 readouts for k registers, whatever `shots`
-    is, holding one state per register at a time.
+    Each read maps every support row to rows of its own: a dual-rail read
+    is an rsb(pi) from rail d1 onto the ground `register.readout_ancilla`,
+    its fluorescence read and carrier(pi) reset, an internal read the
+    qubit's fluorescence read.  So one multinomial draw splits the shots
+    over the rows, then per register a binomial draw splits each
+    sub-row's shots by its row's chance of reading 1: its bit, or for a
+    rail past level 1 the rsb(pi) matrix's excited share.  No state is
+    evolved and the int64 counts are exact up to `document.MAX_SHOTS`.
+    A readout ancilla with over ANCILLA_TOL of weight outside its ground
+    state is a StateError; rows within it are read as if it were ground.
     """
     entries = [register.entry(mid) for mid in measured_ids]
-    rng = np.random.default_rng(seed)
-    counts: dict[str, int] = {}
-
-    def descend(state: StateVector | None, depth: int, n: int,
-                key: str) -> None:
-        if depth == len(entries):
-            counts[key] = n
-            return
-        entry = entries[depth]
+    if shots and any(e.is_dual_rail for e in entries):
+        require_ground(state, register.readout_ancilla)
+    layout, rng = state.layout, np.random.default_rng(seed)
+    weights = np.abs(state.values) ** 2
+    n = rng.multinomial(shots, weights / weights.sum())
+    index, n = state.index[n > 0], n[n > 0]
+    keys = np.zeros(len(n), dtype="S1")  # each sub-row's outcomes so far
+    for entry in entries:
+        axis = layout.axis(entry.bit)
+        level = index // layout.strides[axis] % layout.dims[axis]
+        p1 = level
         if entry.is_dual_rail:
-            qubit = register.readout_ancilla
-            state = map_dual_rail_readout(state, register, entry.logical_id,
-                                          qubit)
-        else:
-            qubit = entry.qubit
-        n1 = int(rng.binomial(n, excited_probability(state, qubit)))
-        for outcome, n_out in ((0, n - n1), (1, n1)):
-            if n_out == 0:
-                continue
-            branch = None  # the last read needs no collapsed state
-            if depth + 1 < len(entries):
-                branch = project_qubit(state, qubit, outcome)
-                if outcome == 1 and entry.is_dual_rail:
-                    branch = apply_pulse(branch, carrier(np.pi, 0.0, qubit))
-            descend(branch, depth + 1, n_out, key + str(outcome))
-
-    if shots > 0:
-        descend(state, 0, shots, "")
+            # Each ground-ancilla column's weight on the excited ancilla.
+            w = np.abs(pulse_unitary(rsb(np.pi, register.readout_ancilla,
+                                         entry.bit), layout)[:, ::2]) ** 2
+            p1 = (w[1::2].sum(axis=0) / w.sum(axis=0))[level]
+        n1 = rng.binomial(n, p1)
+        n = np.concatenate((n - n1, n1))
+        live = n > 0
+        index, n = np.concatenate((index, index))[live], n[live]
+        keys = np.concatenate((np.char.add(keys, b"0"),
+                               np.char.add(keys, b"1")))[live]
+    counts: dict[str, int] = {}
+    for key, count in zip(keys.tolist(), n.tolist()):
+        counts[key.decode()] = counts.get(key.decode(), 0) + count
     return counts

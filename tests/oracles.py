@@ -1,10 +1,11 @@
 """The second routes that the tests check `drqsim`'s one path per job
 against: dense states, level tuples, each pulse's Pade exponential,
-codewords built level by level, the Kronecker embedding of an ideal
-gate and a whole-program lowering."""
+codewords built level by level, the logical state read through the
+codeword table, the Kronecker embedding of an ideal gate and a
+whole-program lowering."""
 import numpy as np
 
-from drqsim import fock, pulses, verify
+from drqsim import encoding, fock, pulses, verify
 from drqsim.compiler import CompiledProgram, lower
 from drqsim.errors import CompileError, RegisterError, StateError
 from drqsim.fock import (OperatorMatrix, StateVector, apply_matrix_columns,
@@ -74,6 +75,19 @@ def logical_basis_state(register, bits) -> StateVector:
 def codeword_index(register, bits) -> int:
     """Full-space basis index of the codeword |bits>."""
     return int(logical_basis_state(register, bits).index[0])
+
+
+def codeword_table_extraction(state, register):
+    """(logical amplitudes, leakage, phase) of `encoding.extract_logical_state`
+    looked up at all 2**n `codeword_indices`, in logical order."""
+    amps = state.amplitude_at(register.codeword_indices)
+    weight = float(np.sum(np.abs(amps) ** 2))
+    phase = 0.0
+    if weight > 1e-15:
+        mags = np.abs(amps)
+        near_max = mags >= (1.0 - encoding.PHASE_REFERENCE_RTOL) * mags.max()
+        phase = float(np.angle(amps[int(np.argmax(near_max))]))
+    return amps, max(0.0, 1.0 - weight), phase
 
 
 def compile_program(records, register) -> CompiledProgram:

@@ -613,20 +613,51 @@ program:
     assert all(c["equivalent"] for c in checks)
 
 
-def test_register_past_the_dense_limit_exit_code(tmp_path, capsys):
+def test_run_without_registers_reads_the_empty_string(tmp_path, capsys):
+    # No logical qubit: one codeword, the empty bit string, holds every
+    # shot and the whole amplitude.
+    path = tmp_path / "bare.drq"
+    path.write_text("system:\n  qubits: q0\nprogram:\n")
+    code, out, err = run_cli(capsys, "run", str(path), "--shots", "10")
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert report["histogram"] == {"": 10}
+    assert report["logical_amplitudes"] == [[1.0, 0.0]]
+
+
+def _ghz_document(path, header, register, others):
+    """`h` on `register`, then a `cnot` from it to each of `others`."""
+    path.write_text(header + "program:\n  h " + register + "\n" + "".join(
+        f"  cnot {register} {other}\n" for other in others))
+    return str(path)
+
+
+def _assert_ghz_counts(report, n, shots):
+    """Only the all-zero and all-one strings of n bits, each within 6
+    sigma of half the shots."""
+    hist = report["histogram"]
+    assert set(hist) == {"0" * n, "1" * n}
+    assert sum(hist.values()) == shots
+    for count in hist.values():
+        assert abs(count - shots / 2) <= 6 * np.sqrt(shots / 4)
+
+
+def test_register_past_the_dense_limit_runs(tmp_path, capsys):
     # 26 internal qubits have 2**26 codewords, past fock.MAX_STATE_DIM:
-    # `run` refuses their dense amplitudes before it allocates anything
-    # of that size.
+    # readout classifies the support rows and never builds them, and the
+    # report leaves out the amplitudes past 64 codewords.
     qubits = [f"q{i}" for i in range(26)]
-    path = tmp_path / "qubits26.drq"
-    path.write_text("system:\n  qubits: " + " ".join(qubits)
-                    + "\nregisters:\n"
-                    + "".join(f"  Q{i} internal {q}\n"
-                              for i, q in enumerate(qubits))
-                    + "program:\n  x Q0\n")
-    code, out, err = run_cli(capsys, "run", str(path), "--shots", "0")
-    assert code == 3 and out == ""
-    assert f"{2 ** 26} codewords; the limit is {fock.MAX_STATE_DIM}" in err
+    path = _ghz_document(
+        tmp_path / "qubits26.drq",
+        "system:\n  qubits: " + " ".join(qubits) + "\nregisters:\n"
+        + "".join(f"  Q{i} internal {q}\n" for i, q in enumerate(qubits)),
+        "Q0", [f"Q{i}" for i in range(1, 26)])
+    code, out, err = run_cli(capsys, "run", path, "--shots", "1000")
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert "logical_amplitudes" not in report
+    assert report["leakage"] <= 1e-9
+    _assert_ghz_counts(report, 26, 1000)
 
 
 def test_verify_past_int64_exit_code(tmp_path, capsys):

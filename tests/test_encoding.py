@@ -27,6 +27,7 @@ from drqsim.verify import inject_heating_error, run_program
 from conftest import gate
 from oracles import (
     codeword_index,
+    codeword_table_extraction,
     dense_state,
     levels_of,
     logical_basis_state,
@@ -66,10 +67,14 @@ def _codeword_loop(register):
 
 
 @st.composite
-def registers(draw):
-    """Entries of every kind, in a drawn order, over a shuffled layout."""
+def registers(draw, unclaimed=False):
+    """Entries of every kind, in a drawn order, over a shuffled layout;
+    with `unclaimed`, the layout also holds a mode `free` that no entry
+    claims."""
     cutoff = draw(st.integers(3, 5))
     spec, entries = [("anc", "qubit", 2)], []
+    if unclaimed:
+        spec.append(("free", "mode", cutoff))
     for i, kind in enumerate(draw(st.lists(
             st.sampled_from(sorted(SUBSYSTEM_KINDS)), max_size=5))):
         # Each kind's subsystems: one qubit first for the internal kinds,
@@ -172,6 +177,67 @@ def test_register_rejects_ancilla_overlap():
     with pytest.raises(RegisterError):
         define_register(layout, [("Q", "internal", ("q",))],
                         ancilla_qubits=("q",))
+
+
+@st.composite
+def leaky_states(draw):
+    """A state on a drawn register whose rows are codewords and, each
+    drawn or not, a codeword with one dual-rail rail at level 2, with an
+    aux mode occupied, with the unclaimed mode occupied, and with the
+    pool ancilla excited; magnitudes drawn or all tied."""
+    register = draw(registers(unclaimed=True))
+    layout, n = register.layout, register.n_logical
+    bits = st.lists(st.integers(0, 1), min_size=n, max_size=n)
+    rails = [sid for e in register.entries if e.is_dual_rail
+             for sid in e.rails]
+    auxes = [e.aux_mode for e in register.entries if e.aux_mode]
+    leaks = [(None, 0)] * draw(st.integers(1, 4))
+    for sids, level in ((rails, 2), (auxes, 1), (["free"], 1), (["anc"], 1)):
+        if sids and draw(st.booleans()):
+            leaks.append((draw(st.sampled_from(sids)), level))
+    rows = set()
+    for sid, level in leaks:
+        levels = list(levels_of(layout, codeword_index(register, draw(bits))))
+        if sid is not None:
+            levels[layout.axis(sid)] = level
+        rows.add(layout.basis_index(levels))
+    index = np.array(sorted(rows), dtype=np.int64)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    mags = (np.ones(len(index)) if draw(st.booleans())
+            else rng.uniform(0.1, 1.0, len(index)))
+    values = mags * np.exp(1j * rng.uniform(-np.pi, np.pi, len(index)))
+    return (fock.StateVector(layout, index=index,
+                             values=values / np.linalg.norm(values)),
+            register)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(case=leaky_states())
+def test_extract_matches_the_codeword_table(case):
+    state, register = case
+    amps, leakage, phase = codeword_table_extraction(state, register)
+    report = extract_logical_state(state, register)
+    assert np.array_equal(report.logical_amplitudes, amps)
+    assert abs(report.leakage - leakage) <= 1e-12
+    assert abs(report.global_phase - phase) <= 1e-12
+
+
+def test_extract_refuses_a_row_whose_levels_carry_into_a_codeword_index():
+    # Strides m0: 1, m2: 3, m1: 9, m3: 27.  The leaked row m0 = m1 = 2
+    # has index 20, which is also base + 2 * step(A) = 4 + 2 * 8: only its
+    # bit of 2 tells it from a codeword.
+    layout = create_layout([(m, "mode", 3) for m in ("m0", "m2", "m1", "m3")])
+    register = define_register(layout, [("A", "dual_rail", ("m0", "m1")),
+                                        ("B", "dual_rail", ("m2", "m3"))])
+    good = codeword_index(register, [1, 0])
+    leaked = layout.basis_index([2, 0, 2, 0])
+    assert register.codeword_steps == (4, (8, 24)) and leaked == 4 + 2 * 8
+    state = fock.StateVector(layout, index=np.array(sorted([good, leaked])),
+                             values=np.full(2, 1 / np.sqrt(2), dtype=complex))
+    report = extract_logical_state(state, register)
+    assert report.leakage == pytest.approx(0.5, abs=1e-12)
+    assert np.array_equal(report.logical_amplitudes,
+                          codeword_table_extraction(state, register)[0])
 
 
 def test_prepare_dual_rail_zero(hybrid_system):

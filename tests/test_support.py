@@ -7,18 +7,21 @@ These tests watch the support after every pulse through `run_program`'s
 `probe` hook.
 """
 import argparse
+import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from drqsim.cli import build_system, cmd_run
+from drqsim.cli import build_system, cmd_run, main
 from drqsim.compiler import PULSES, lower, preparation
 from drqsim.document import parse_circuit
 from drqsim.encoding import extract_logical_state
 from drqsim.fock import PRUNE_TOL, ground_state
 from drqsim.verify import LEAKAGE_GUARD_TOL, run_program
 
+from test_cli import _assert_ghz_counts, _ghz_document
 from test_sparse_run import REGISTERS, ROOT, _perfbench, documents
 
 
@@ -100,6 +103,24 @@ def hybrid_document(n, gates, seed):
                 [q, rng.choice([x for x in internal + dual if x != q])]))
         lines.append("  " + " ".join([name, *params, *map(str, operands)]))
     return "\n".join(lines) + "\n"
+
+
+def test_ghz_twelve_plus_twelve_reads_out_in_little_memory(tmp_path, capsys):
+    # A 24-qubit hybrid GHZ state holds two support rows.  Readout works
+    # on those rows, where a table of its 2**24 codewords took a
+    # tracemalloc peak of 657 MiB.
+    header = hybrid_document(12, 0, 1).removesuffix("program:\n")
+    others = [f"Q{i}" for i in range(1, 12)] + [f"D{i}" for i in range(12)]
+    path = _ghz_document(tmp_path / "ghz12.drq", header, "Q0", others)
+    tracemalloc.start()
+    try:
+        code = main(["run", path, "--shots", "1000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 16 * 2 ** 20
+    _assert_ghz_counts(json.loads(capsys.readouterr().out), 24, 1000)
 
 
 def test_six_plus_six_hybrid_register_runs_to_the_logical_model():
