@@ -362,15 +362,17 @@ def apply_matrix_support(index: np.ndarray, amplitudes: np.ndarray,
 
     `index` is a sorted, unique int64 array of basis indices and
     `amplitudes` the matching (len(index), width) array.  `matrix` is one
-    (d, d) matrix over `sids`, or an (R, d, d) stack of them: then the
-    columns split into R equal groups, the r-th group taken by the r-th
-    matrix.  Rows sharing the levels outside the targets form one block
-    of dimension d.  A group's slice of a row is kept when one of its
-    columns' magnitude exceeds `PRUNE_TOL` and zeroed otherwise, and a
-    row is kept when some group keeps it, so the support holds only
+    (d, d) matrix over `sids`, taking every column, or an (R, d, d) stack
+    of them for R columns: column r is taken by matrix r.  A target's
+    level is read as index // stride % dim, so an index may run past
+    `layout.total_dim`: multiples of it label copies of the layout.
+    Rows sharing the levels outside the targets form one block of
+    dimension d.  A row's entry in a stacked call is kept when its
+    magnitude exceeds `PRUNE_TOL` and zeroed otherwise, and a row is
+    kept when one of its entries exceeds it, so the support holds only
     states with weight.  The pruning is bounded:
 
-    - a pruned row or slice holds at most width * PRUNE_TOL**2 =
+    - a pruned row or entry holds at most width * PRUNE_TOL**2 =
       width * 1e-28 of weight, and one call, whose block holds at most
       MAX_STATE_DIM amplitudes, prunes less than 4e-21 in all;
     - the state is not renormalized, so the per-pulse norm check (1e-10)
@@ -379,22 +381,21 @@ def apply_matrix_support(index: np.ndarray, amplitudes: np.ndarray,
       leakage guard (1e-6), so the pruning cannot hide a breach of
       either.
 
-    With several groups, each group's product leaves out the blocks in
-    which all of its rows are zero.  A group's matrix product then has the
-    shape it has in a call on that group's nonzero rows alone, and BLAS
-    rounds each column by the shape of the product it is in, so every
-    group's columns come out bit for bit as they would from that call.
+    In a stacked call, each column's product leaves out the blocks in
+    which all of its rows are zero.  A column's matrix product then has
+    the shape it has in a call on that column's nonzero rows alone, and
+    BLAS rounds each column by the shape of the product it is in, so
+    every column comes out bit for bit as it would from that call.
 
     Returns the new sorted index and amplitudes.
     """
     index = support_index(layout, index)
     sids, shape = tuple(sids), matrix.shape[-2:]
-    n_groups = len(matrix) if matrix.ndim == 3 else 1
     width = amplitudes.shape[1]
-    k, extra = divmod(width, n_groups)
-    if matrix.ndim > 3 or extra:
+    if matrix.ndim > 3 or matrix.ndim == 3 and len(matrix) != width:
         raise StateError(f"a stack of shape {matrix.shape} does not split "
-                         f"{width} columns into equal groups")
+                         f"{width} columns into one per matrix")
+    stacked = matrix.ndim == 3 and width > 1
     _, dims, strides, block_dim, _ = _geometry(layout, sids, shape)
     # Only small plans enter the memo.  A support of n rows meets at most
     # n blocks, so its plan has at most n * block_dim candidate rows.
@@ -411,14 +412,13 @@ def apply_matrix_support(index: np.ndarray, amplitudes: np.ndarray,
             f"amplitudes exceeds the limit of {MAX_STATE_DIM}")
     block = np.zeros((block_dim, len(rests), width), dtype=complex)
     block[target, group] = amplitudes
-    if n_groups == 1:
+    if not stacked:
         block = matrix @ block.reshape(block_dim, -1)
     else:
-        # present[r, j]: group r has a nonzero row in block j.
-        present = np.zeros((n_groups, len(rests)), dtype=bool)
-        rows, groups = np.nonzero(
-            (amplitudes != 0).reshape(len(index), n_groups, k).any(axis=2))
-        present[groups, group[rows]] = True
+        # present[r, j]: column r has a nonzero row in block j.
+        present = np.zeros((width, len(rests)), dtype=bool)
+        rows, cols = np.nonzero(amplitudes)
+        present[cols, group[rows]] = True
         block = _group_products(matrix, block, present)
     block = block.reshape(-1, width)
     if new_index is None:  # built once the input block is freed
@@ -427,9 +427,8 @@ def apply_matrix_support(index: np.ndarray, amplitudes: np.ndarray,
     keep = (live.any(axis=1) if width > 1 else live.ravel()).nonzero()[0]
     keep = keep[new_index[keep].argsort()]
     out = block[keep]
-    if n_groups > 1:
-        slices = out.reshape(len(keep), n_groups, k)
-        slices[~(np.abs(slices) > PRUNE_TOL).any(axis=2)] = 0
+    if stacked:
+        out[~live[keep]] = 0
     return new_index[keep], out
 
 
@@ -473,27 +472,23 @@ def _memo_plan(dims: tuple[int, ...], strides: tuple[int, ...],
 
 def _group_products(stack: np.ndarray, block: np.ndarray,
                     present: np.ndarray) -> np.ndarray:
-    """Each group's columns of `block` ((d, n_rest, R * k), groups side by
-    side) times its matrix of the (R, d, d) `stack`, in the same layout.
-    Group r's product leaves out the blocks j where present[r, j] is
-    False, and is 0 there: groups of one pattern share one stacked call."""
-    n_groups, block_dim = stack.shape[:2]
-    k = block.shape[2] // n_groups
-    groups = block.reshape(block_dim, -1, n_groups, k).transpose(2, 0, 1, 3)
+    """Each column of `block` ((d, n_rest, R)) times its matrix of the
+    (R, d, d) `stack`, in the same layout.  Column r's product leaves out
+    the blocks j where present[r, j] is False, and is 0 there: columns of
+    one pattern share one stacked call."""
+    block_dim = stack.shape[1]
+    columns = block.transpose(2, 0, 1)
     if present.all():
-        out = stack @ groups.reshape(n_groups, block_dim, -1)
+        out = stack @ columns
     else:
-        out = np.zeros(groups.shape, dtype=complex)
+        out = np.zeros(columns.shape, dtype=complex)
         patterns, which = np.unique(present, axis=0, return_inverse=True)
         for p, pattern in enumerate(patterns):
             members = np.flatnonzero(which.ravel() == p)
             kept = np.flatnonzero(pattern)
-            part = groups[members][:, :, kept].reshape(len(members),
-                                                       block_dim, -1)
             out[members[:, None, None], np.arange(block_dim)[:, None],
-                kept] = (stack[members] @ part).reshape(
-                    len(members), block_dim, len(kept), k)
-    return out.reshape(groups.shape).transpose(1, 2, 0, 3)
+                kept] = stack[members] @ columns[members][:, :, kept]
+    return out.transpose(1, 2, 0)
 
 
 def support_rows(index: np.ndarray, rows: np.ndarray,

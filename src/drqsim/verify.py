@@ -1,8 +1,10 @@
 """Program unitaries, equivalence checks and health checks.
 
 `program_unitary` reconstructs a pulse program as a dense matrix by
-evolving basis columns through each generator's eigenbasis block by
-block; the tests pin it to `tests/oracles.expm_unitary`, the product of
+evolving its basis columns, held as one sparse state with column j's
+basis state b at row j * total_dim + b, through each generator's
+eigenbasis block by block; the matrix must fit in `fock.MAX_STATE_DIM`
+entries.  The tests pin it to `tests/oracles.expm_unitary`, the product of
 each pulse's Pade `exp_hermitian`.  The equivalence checker compares
 programs against ideal gates up to an overall phase, per document
 record in `check_records` for `verify <doc>` and the built-in suite
@@ -20,7 +22,7 @@ detects them without disturbing healthy states.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -48,8 +50,6 @@ from .pulses import (
     zbs,
 )
 
-MAX_RESTRICTED_DIM = 256
-MAX_FULL_DIM = 4096
 SENTINEL_TOL = 1e-12
 LEAKAGE_GUARD_TOL = 1e-6
 
@@ -79,13 +79,6 @@ def program_unitary(program, layout: HilbertLayout,
     return program_unitaries([program], layout, restrict)[0]
 
 
-def _full_dim(layout: HilbertLayout) -> int:
-    dim = layout.total_dim
-    if dim > MAX_FULL_DIM:
-        raise StateError(f"full dimension {dim} exceeds {MAX_FULL_DIM}")
-    return dim
-
-
 def _shared_targets(programs) -> tuple[tuple[str, ...], ...]:
     """Each pulse's targets, the same in every program, or a ValueError."""
     shapes = {tuple(op.targets for op in ops) for ops in programs}
@@ -101,25 +94,31 @@ def program_unitaries(programs: Sequence, layout: HilbertLayout,
     targets, pulse by pulse: R programs differing only in their angles.
 
     The programs' columns are evolved together, one stacked call of
-    `fock.apply_matrix_support` per pulse, each program's columns taken
-    by its own pulse's matrix and pruned on their own; each program's
-    unitary equals its `program_unitary` bit for bit.  A batch holds as
-    many programs as keep their columns over every state of the layout,
-    a bound on any block the kernel meets, within `fock.MAX_STATE_DIM`,
-    at least one.
+    `fock.apply_matrix_support` per pulse, each program's amplitudes
+    taken by its own pulse's matrix and pruned on their own; each
+    program's unitary equals its `program_unitary` bit for bit.  A batch
+    holds as many programs as keep their columns over every state of the
+    layout, a bound on any block the kernel meets, within
+    `fock.MAX_STATE_DIM`, at least one.  A dim x dim unitary of more
+    than `fock.MAX_STATE_DIM` entries, or dim x total_dim (column, state)
+    pairs past `fock.MAX_INDEX_DIM`, is a StateError.
     """
     programs = [_op_list(p) for p in programs]
     _shared_targets(programs)
     if restrict is None:
-        dim = _full_dim(layout)
-        columns = support_index(layout, range(dim))
+        dim = layout.total_dim
     else:
         layout, dim = restrict.layout, restrict.logical_dim
-        if dim > MAX_RESTRICTED_DIM:
-            raise StateError(
-                f"logical dimension {dim} exceeds {MAX_RESTRICTED_DIM}")
-        columns = restrict.codeword_indices
-    batch = max(1, fock.MAX_STATE_DIM // (layout.total_dim * len(columns)))
+    if dim * dim > fock.MAX_STATE_DIM:
+        raise StateError(f"a {dim} x {dim} unitary exceeds the limit of "
+                         f"{fock.MAX_STATE_DIM} entries")
+    columns = (support_index(layout, range(dim)) if restrict is None
+               else restrict.codeword_indices)
+    if dim * layout.total_dim > fock.MAX_INDEX_DIM:
+        raise StateError(
+            f"basis indices of {dim} columns x {layout.total_dim} states do "
+            f"not fit in int64 (the limit is {fock.MAX_INDEX_DIM} states)")
+    batch = max(1, fock.MAX_STATE_DIM // (layout.total_dim * dim))
     out = []
     for start in range(0, len(programs), batch):
         out += _evolve(programs[start:start + batch], layout, columns,
@@ -131,30 +130,33 @@ def _evolve(programs: list[list[PhysicalOp]], layout: HilbertLayout,
             columns: np.ndarray, leakage: bool) -> list[ProgramUnitary]:
     """Each program's matrix on the basis states `columns`, its columns
     in the order of `columns`, with the weight each column loses outside
-    them when `leakage` is set."""
+    them when `leakage` is set.
+
+    The columns evolve as one sparse state: column j's basis state b is
+    row j * total_dim + b, and program r's amplitudes are column r.  The
+    kernel reads a target's level as index // stride % dim, which the
+    label j * total_dim leaves alone, so each column holds only the
+    states it reaches.
+    """
     dim, n = len(columns), len(programs)
-    # All columns of all programs evolve together on the basis states
-    # they occupy; program r holds columns r*dim to (r+1)*dim.
-    order = np.argsort(columns)
-    index = columns[order]
-    amps = np.zeros((dim, n, dim), dtype=complex)
-    amps[np.arange(dim), :, order] = 1.0
-    amps = amps.reshape(dim, n * dim)
+    label = np.arange(dim, dtype=np.int64) * layout.total_dim
+    index, amps = label + columns, np.ones((dim, n), dtype=complex)
     for ops in zip(*programs):
         # One program hands the kernel its memo matrix, uncopied.
         mats = [pulse_unitary(op, layout) for op in ops]
         index, amps = apply_matrix_support(
             index, amps, layout, mats[0] if n == 1 else np.array(mats),
             ops[0].targets)
-    # rows[:, r]: program r's matrix.
-    rows = support_rows(index, amps, columns).reshape(dim, n, dim)
-    matrices = np.ascontiguousarray(rows.transpose(1, 0, 2))
+    # rows[i, j, r]: program r's entry (i, j).
+    rows = support_rows(index, amps, (columns[:, None] + label).ravel())
+    rows = rows.reshape(dim, dim, n)
+    matrices = np.ascontiguousarray(rows.transpose(2, 0, 1))
     if not leakage:
         return [ProgramUnitary(m) for m in matrices]
     # Summed along contiguous rows of the transposes, each column's weight
-    # rounds exactly as a one-column sum would.
+    # rounds exactly as a one-program sum would.
     lost = 1.0 - np.sum(np.abs(np.ascontiguousarray(
-        rows.transpose(1, 2, 0))) ** 2, axis=2)
+        rows.transpose(2, 1, 0))) ** 2, axis=2)
     return [ProgramUnitary(m, max(0.0, worst))
             for m, worst in zip(matrices, np.max(lost, axis=1).tolist())]
 
@@ -194,13 +196,11 @@ def equivalent_up_to_phase(a: np.ndarray, b: np.ndarray, tol: float,
 
 
 def run_program(state: StateVector, program,
-                probe: Callable[[StateVector], None] | None = None,
                 register: LogicalRegister | None = None) -> StateVector:
     """Apply a pulse program, checking the norm after every pulse.
 
     A norm drift past `NORM_TOL` names the index and kind of the pulse
-    that caused it.  `probe` is called after every pulse (population
-    tracking in tests).  With `register`, the program's exit state is
+    that caused it.  With `register`, the program's exit state is
     checked once: every pool ancilla and the COM mode must be back in
     its reference state, then the sentinel level empty.  Gates borrow
     them mid-sequence and must hand them back; each step starts where
@@ -211,8 +211,6 @@ def run_program(state: StateVector, program,
         if abs(state.norm() - 1.0) > NORM_TOL:
             raise HealthError(
                 f"norm drifted to {state.norm()} at pulse {k} ({op.kind})")
-        if probe is not None:
-            probe(state)
     if register is not None:
         defect = ancilla_reset_defect(state, register)
         if defect > ANCILLA_TOL:
@@ -283,8 +281,7 @@ def qnd_parity_check(state: StateVector, qubit: str, mode1: str, mode2: str,
     """
     if state.layout.kind_of(qubit) != QUBIT:
         raise StateError(f"{qubit!r} is not a qubit")
-    if state.population(qubit, 0) < 1.0 - ANCILLA_TOL:
-        raise StateError(f"parity qubit {qubit!r} must start in the ground state")
+    require_ground(state, qubit)
     for op in qnd_parity_sequence(qubit, mode1, mode2):
         state = apply_pulse(state, op)
     outcome, collapsed, _ = measure_qubit_z(state, qubit, rng_seed)
@@ -338,11 +335,13 @@ def ideal_logical_gate(name: str, params: Sequence[float],
 
 
 def _check_operand_count(operands: Sequence[str]) -> None:
-    if 2 ** len(operands) > MAX_RESTRICTED_DIM:
+    """A RegisterError for a gate whose 2**k x 2**k unitary holds more
+    than `fock.MAX_STATE_DIM` entries."""
+    if 4 ** len(operands) > fock.MAX_STATE_DIM:
+        most = (fock.MAX_STATE_DIM.bit_length() - 1) // 2
         raise RegisterError(
-            f"verify checks gates of at most "
-            f"{MAX_RESTRICTED_DIM.bit_length() - 1} operands (logical "
-            f"dimension {MAX_RESTRICTED_DIM}); this one has {len(operands)}")
+            f"verify checks gates of at most {most} operands (logical "
+            f"dimension {2 ** most}); this one has {len(operands)}")
 
 
 def check_gates(register: LogicalRegister, programs: Sequence,
@@ -362,9 +361,10 @@ def check_gates(register: LogicalRegister, programs: Sequence,
     codeword columns are compared with each ideal as it is, up to a
     global phase, with the restricted unitary's leakage reported.  The
     footprint register is built once for all the programs, which are
-    evolved together by `program_unitaries`.  A gate of more than
-    log2(MAX_RESTRICTED_DIM) operands is a RegisterError, and one whose
-    footprint's basis indices do not fit in int64 a StateError.
+    evolved together by `program_unitaries`.  A gate whose 2**k x 2**k
+    unitary holds more than `fock.MAX_STATE_DIM` entries (k > 12) is a
+    RegisterError, and one whose 2**k x footprint states do not fit in
+    int64 a StateError.
     """
     _check_operand_count(operands)
     local = register.footprint(operands)

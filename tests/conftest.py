@@ -1,8 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
-from drqsim import create_layout, define_register
+from drqsim import create_layout, define_register, verify
 from drqsim.document import GateRecord
+from drqsim.pulses import apply_pulse
 
 from oracles import dense_state
 
@@ -44,6 +47,16 @@ def random_state(layout, rng):
     amps = rng.normal(size=layout.total_dim) + 1j * rng.normal(size=layout.total_dim)
     amps /= np.linalg.norm(amps)
     return dense_state(layout, amps)
+
+
+def probing(probe):
+    """A patch of `verify.apply_pulse` that calls `probe` on the state
+    after every pulse, as `verify.run_program` applies them."""
+    def pulse(state, op):
+        state = apply_pulse(state, op)
+        probe(state)
+        return state
+    return mock.patch.object(verify, "apply_pulse", side_effect=pulse)
 
 
 def gate(name, *args):

@@ -44,7 +44,7 @@ from drqsim.verify import (
     sentinel_population,
 )
 
-from conftest import gate
+from conftest import gate, probing
 from oracles import compile_program, dense_state, logical_basis_state
 
 
@@ -254,7 +254,8 @@ def _check_mcx_truth_table(layout, register, prog, n_qubits):
                                    range(st.layout.dim_of(layout_com_axis))])
             probe_max[0] = max(probe_max[0], float(np.sum(dist[2:])))
 
-        out = run_program(state, prog, probe=probe)
+        with probing(probe):
+            out = run_program(state, prog)
         com_leak = max(com_leak, probe_max[0])
         want = list(bits)
         want[-1] ^= int(all(bits[:-1]))

@@ -732,9 +732,34 @@ program:
                               "int64")
 
 
+def test_verify_columns_past_int64_exit_code(tmp_path, capsys):
+    # One dual-rail qubit and 59 pool ancillas: the footprint of `h D`
+    # holds exactly 2^63 states, which fit in int64, but its 2 codeword
+    # columns make 2^64 (column, state) pairs, which do not.
+    ancillas = " ".join(f"a{i}" for i in range(59))
+    path = tmp_path / "pool59.drq"
+    path.write_text(f"""\
+system:
+  qubits: {ancillas}
+  modes: m0 m1
+  cutoff: 4
+registers:
+  D dual_rail m0 m1
+ancillas:
+  qubits: {ancillas}
+program:
+  h D
+""")
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert code == 3 and out == ""
+    assert err == (f"numeric health failure: gate 0 (h D): basis indices "
+                   f"of 2 columns x {2 ** 63} states do not fit in int64 "
+                   f"(the limit is {2 ** 63} states)\n")
+
+
 def test_nine_qubit_register_verifies(tmp_path, capsys):
-    # Each gate is checked on its own operands' codewords, so the register
-    # may be wider than the 8 qubits a single check evolves.
+    # Each gate is checked on its own operands' codewords, whatever the
+    # register's width.
     qubits = " ".join(f"q{i}" for i in range(9))
     registers = "".join(f"  Q{i} internal q{i}\n" for i in range(9))
     path = tmp_path / "nine.drq"
@@ -794,26 +819,27 @@ program:
 
 
 def test_verify_gate_operand_limit_exit_code(tmp_path, capsys, monkeypatch):
-    # Nine operands span 512 codewords, past MAX_RESTRICTED_DIM: the gate
-    # is refused as invalid input before any column is evolved, that of
-    # an earlier gate included, and named by its first step.
+    # Thirteen operands span 8192 codewords, whose unitary holds more than
+    # fock.MAX_STATE_DIM entries: the gate is refused as invalid input
+    # before any column is evolved, that of an earlier gate included, and
+    # named by its first step.
     def evolved(*args, **kwargs):
         raise AssertionError("program_unitaries called")
 
     monkeypatch.setattr(verify, "program_unitaries", evolved)
-    operands = " ".join(f"C{i}" for i in range(1, 9))
-    for first, text in [(0, _mcx_document(8)),
-                        (1, _mcx_document(8).replace(
+    operands = " ".join(f"C{i}" for i in range(1, 13))
+    for first, text in [(0, _mcx_document(12)),
+                        (1, _mcx_document(12).replace(
                             "program:\n", "program:\n  x T\n")
                          + f"  mcx {operands} T\n")]:
-        path = tmp_path / "mcx8.drq"
+        path = tmp_path / "mcx12.drq"
         path.write_text(text)
         code, out, err = run_cli(capsys, "verify", str(path))
         assert code == 2
         assert out == ""
         assert err == (f"error: gate {first} (mcx {operands} T): verify "
-                       "checks gates of at most 8 operands (logical "
-                       "dimension 256); this one has 9\n")
+                       "checks gates of at most 12 operands (logical "
+                       "dimension 4096); this one has 13\n")
 
 
 def test_verify_gate_at_operand_limit(tmp_path, capsys):
@@ -822,6 +848,21 @@ def test_verify_gate_at_operand_limit(tmp_path, capsys):
     code, out, err = run_cli(capsys, "verify", str(path))
     assert code == 0, err
     assert json.loads(out)["passed"] is True
+
+
+@pytest.mark.parametrize("controls", [8, 9])
+def test_verify_gate_past_eight_operands(tmp_path, capsys, controls):
+    # The codeword columns evolve as one sparse state, each holding only
+    # the states it reaches, so a gate of 9 or 10 operands verifies.
+    path = tmp_path / "mcx.drq"
+    path.write_text(_mcx_document(controls))
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["passed"] is True
+    assert [c["name"] for c in report["checks"]] == [
+        "gate-0:mcx " + " ".join(f"C{i}" for i in range(1, controls + 1))
+        + " T"]
 
 
 def _reject_constant(name):

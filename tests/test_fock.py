@@ -286,23 +286,23 @@ def test_apply_matrix_support_matches_dense(case):
 
 @st.composite
 def stacked_cases(draw):
-    """A support case with R groups of k columns, each group zero on some
+    """A support case with R columns, one per matrix, each zero on some
     rows and at the pruning tolerance's scale on others."""
-    layout, sids, index, k, seed = draw(support_cases())
+    layout, sids, index, _, seed = draw(support_cases())
     n_groups = draw(st.integers(1, 4))
     rows = st.lists(st.sampled_from(["zero", "tiny", "full"]),
                     min_size=len(index), max_size=len(index))
     kinds = draw(st.lists(rows, min_size=n_groups, max_size=n_groups))
-    return layout, sids, index, k, kinds, seed
+    return layout, sids, index, kinds, seed
 
 
 @settings(max_examples=80, deadline=None)
 @given(stacked_cases())
 def test_stacked_support_kernel_matches_separate_calls(case):
-    # Each group comes out bit for bit as a call on its own nonzero rows,
-    # though the groups meet different blocks and BLAS rounds a column by
+    # Each column comes out bit for bit as a call on its own nonzero rows,
+    # though the columns meet different blocks and BLAS rounds a column by
     # the shape of the product it is in.
-    layout, sids, index, k, kinds, seed = case
+    layout, sids, index, kinds, seed = case
     rng = np.random.default_rng(seed)
     block_dim = math.prod(layout.dim_of(s) for s in sids)
     n_groups = len(kinds)
@@ -312,16 +312,15 @@ def test_stacked_support_kernel_matches_separate_calls(case):
         for _ in range(n_groups)])
     index = np.array(index, dtype=np.int64)
     scale = {"zero": 0.0, "tiny": 1e-15, "full": 1.0}
-    amps = np.concatenate([
-        (rng.normal(size=(len(index), k)) + 1j * rng.normal(
-            size=(len(index), k))) * np.array([scale[r] for r in rows])[:, None]
-        for rows in kinds], axis=1)
+    amps = np.stack([
+        (rng.normal(size=len(index)) + 1j * rng.normal(size=len(index)))
+        * np.array([scale[r] for r in rows]) for rows in kinds], axis=1)
     got_index, got_amps = apply_matrix_support(index, amps, layout, stack,
                                                sids)
     assert np.all(np.diff(got_index) > 0)
     for r in range(n_groups):
-        cols = slice(r * k, (r + 1) * k)
-        # A lone group's rows are all its own: a stack of one is the 2-D
+        cols = slice(r, r + 1)
+        # A lone column's rows are all its own: a stack of one is the 2-D
         # call on the same rows.
         own = (np.flatnonzero(amps[:, cols].any(axis=1)) if n_groups > 1
                else np.arange(len(index)))
@@ -447,13 +446,13 @@ def _unitary(rng, dim):
 def test_plan_memo_hit_equals_miss(case, n_groups):
     # Each call is made twice, so the second finds the first's plan; a
     # plan past the memo's bound is planned on both calls.
-    layout, sids, index, k, seed = case
+    layout, sids, index, _, seed = case
     rng = np.random.default_rng(seed)
     block_dim = math.prod(layout.dim_of(s) for s in sids)
     stack = np.stack([_unitary(rng, block_dim) for _ in range(n_groups)])
     matrix = stack if n_groups > 1 else stack[0]
     index = np.array(index, dtype=np.int64)
-    width = n_groups * k
+    width = n_groups
     amps = rng.normal(size=(len(index), width)) + 1j * rng.normal(
         size=(len(index), width))
     fock._memo_plan.cache_clear()
@@ -472,7 +471,7 @@ def test_plan_memo_hit_equals_miss(case, n_groups):
     dense[index] = amps
     got_index, got_amps = hit
     for r in range(n_groups):
-        cols = slice(r * k, (r + 1) * k)
+        cols = slice(r, r + 1)
         want = apply_matrix_columns(dense[:, cols], layout, stack[r], sids)
         got = np.zeros_like(want)
         got[got_index] = got_amps[:, cols]

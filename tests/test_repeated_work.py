@@ -46,7 +46,7 @@ from drqsim.verify import (
     sentinel_population,
 )
 
-from conftest import gate, random_state
+from conftest import gate, probing, random_state
 from oracles import pulse_generator
 from test_sparse_run import (
     DEEP_REGISTER,
@@ -375,9 +375,10 @@ def test_health_numbers_equal_their_loop_forms(register, data):
                    - _ancilla_loop(state, reg)) <= 1e-15
         probed.append(state)
 
-    state = run_program(ground_state(layout), preparation(reg), probe=probe)
-    for step in lower(reg, doc.program):
-        state = run_program(state, step.program, probe=probe)
+    with probing(probe):
+        state = run_program(ground_state(layout), preparation(reg))
+        for step in lower(reg, doc.program):
+            state = run_program(state, step.program)
     assert probed
 
 

@@ -3,8 +3,8 @@
 `fock.apply_matrix_support` drops every row at or below `fock.PRUNE_TOL`
 in all its columns, so the rounding residues of pi-pulses and of
 destructive interference (about 1e-17) never fill a state's support.
-These tests watch the support after every pulse through `run_program`'s
-`probe` hook.
+These tests watch the support after every pulse through a wrap of
+`verify.apply_pulse` (`conftest.probing`).
 """
 import argparse
 import json
@@ -21,6 +21,7 @@ from drqsim.encoding import extract_logical_state
 from drqsim.fock import PRUNE_TOL, ground_state
 from drqsim.verify import LEAKAGE_GUARD_TOL, run_program
 
+from conftest import probing
 from test_cli import _assert_ghz_counts, _ghz_document
 from test_sparse_run import REGISTERS, ROOT, _perfbench, documents
 
@@ -31,12 +32,11 @@ def run_probed(text, probe):
     the register."""
     doc = parse_circuit(text)
     layout, register = build_system(doc)
-    state = run_program(ground_state(layout), preparation(register),
-                        probe=probe)
-    for step in lower(register, doc.program):
-        assert step.kind == PULSES
-        state = run_program(state, step.program, probe=probe,
-                            register=register)
+    with probing(probe):
+        state = run_program(ground_state(layout), preparation(register))
+        for step in lower(register, doc.program):
+            assert step.kind == PULSES
+            state = run_program(state, step.program, register=register)
     return state, register
 
 

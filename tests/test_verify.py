@@ -412,7 +412,8 @@ def test_qnd_idempotent(qmm, rng):
 
 def test_qnd_requires_ground_qubit(qmm):
     state = basis_state(qmm, {"q": 1})
-    with pytest.raises(StateError):
+    with pytest.raises(StateError,
+                       match="^ancilla 'q' is not in the ground state$"):
         qnd_parity_check(state, "q", "m0", "m1")
 
 
