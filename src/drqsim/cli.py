@@ -303,29 +303,43 @@ def _scalar(value) -> str:
                     "is not JSON serializable")
 
 
-def _dumps(obj, indent: str = "\n") -> str:
+def _dumps(obj) -> str:
     """The text of `json.dumps(obj, indent=2, sort_keys=True)`, byte for
     byte: the standard encoder ignores its C speedups when indenting.
     Dict keys must be strings.  Strings and floats, most of a report's
-    values, are written in place rather than through a recursive call."""
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        inner = indent + "  "
-        return "{" + inner + ("," + inner).join([
-            _escape(key) + ": " + (
-                _escape(v) if type(v) is str else
-                _float(v) if type(v) is float else _dumps(v, inner))
-            for key in sorted(obj) for v in (obj[key],)]) + indent + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        inner = indent + "  "
-        return "[" + inner + ("," + inner).join([
-            _escape(v) if type(v) is str else
-            _float(v) if type(v) is float else _dumps(v, inner)
-            for v in obj]) + indent + "]"
-    return _scalar(obj)
+    values, are written in place rather than through a recursive call.
+
+    A list that the report holds in several places, such as the pulse
+    listing that steps of equal records share, is written once per
+    indent and reused.  The memo lives for this call only and is keyed
+    on the list's id, which is safe because every object in `obj` stays
+    alive, unchanged, until the call returns."""
+    memo: dict[tuple[int, str], str] = {}
+
+    def write(obj, indent: str) -> str:
+        if isinstance(obj, dict):
+            if not obj:
+                return "{}"
+            inner = indent + "  "
+            return "{" + inner + ("," + inner).join([
+                _escape(key) + ": " + (
+                    _escape(v) if type(v) is str else
+                    _float(v) if type(v) is float else write(v, inner))
+                for key in sorted(obj) for v in (obj[key],)]) + indent + "}"
+        if isinstance(obj, (list, tuple)):
+            if not obj:
+                return "[]"
+            slot = (id(obj), indent)
+            if slot not in memo:
+                inner = indent + "  "
+                memo[slot] = "[" + inner + ("," + inner).join([
+                    _escape(v) if type(v) is str else
+                    _float(v) if type(v) is float else write(v, inner)
+                    for v in obj]) + indent + "]"
+            return memo[slot]
+        return _scalar(obj)
+
+    return write(obj, "\n")
 
 
 def _print_report(text: str) -> None:

@@ -40,6 +40,7 @@ physical pulses.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -70,9 +71,12 @@ S_GATE = np.diag([1, 1j]).astype(complex)
 
 
 def rotation_matrix(axis: str, theta: float) -> np.ndarray:
-    pauli = {"x": PAULI_X, "y": PAULI_Y, "z": PAULI_Z}[axis]
-    return (np.cos(theta / 2) * np.eye(2)
-            - 1j * np.sin(theta / 2) * pauli)
+    """R_axis(theta) = cos(theta/2) I - i sin(theta/2) sigma_axis."""
+    c, s = math.cos(theta / 2), math.sin(theta / 2)
+    rows = {"x": ((c, complex(0.0, -s)), (complex(0.0, -s), c)),
+            "y": ((c, -s), (s, c)),
+            "z": ((complex(c, -s), 0.0), (0.0, complex(c, s)))}[axis]
+    return np.array(rows, dtype=complex)
 
 
 @dataclass
@@ -143,33 +147,50 @@ def _ancillas(register: LogicalRegister, label: str,
 # Single-qubit lowering
 
 
-def _zyz_su2(w: np.ndarray) -> tuple[float, float, float]:
-    """Angles (beta, gamma, delta) with w = R_Z(beta) R_Y(gamma) R_Z(delta)."""
-    gamma = 2 * np.arctan2(abs(w[1, 0]), abs(w[0, 0]))
-    if abs(w[1, 0]) < 1e-12:
-        return float(-2 * np.angle(w[0, 0])), 0.0, 0.0
-    if abs(w[0, 0]) < 1e-12:
-        return float(2 * np.angle(w[1, 0])), float(gamma), 0.0
-    sum_bd = -2 * np.angle(w[0, 0])
-    dif_bd = 2 * np.angle(w[1, 0])
-    return (float((sum_bd + dif_bd) / 2), float(gamma),
-            float((sum_bd - dif_bd) / 2))
+def _abs2(z: complex) -> float:
+    """|z|^2, which overflows to inf where abs(z) would raise."""
+    return z.real * z.real + z.imag * z.imag
+
+
+def _phase(z: complex) -> float:
+    """cmath.phase of a finite z, without loading the cmath extension."""
+    return math.atan2(z.imag, z.real)
 
 
 def xy_decompose(u: np.ndarray) -> tuple[float, float, float, float]:
-    """U = e^{i alpha} R_X(theta1) R_Y(theta2) R_X(theta3) for U in U(2)."""
+    """U = e^{i alpha} R_X(theta1) R_Y(theta2) R_X(theta3) for U in U(2).
+
+    Closed form on the four entries [[a, b], [c, d]]: alpha is half the
+    phase of det U, and conjugating v = e^{-i alpha} U by the Hadamard
+    swaps the X and Y roles into the ZYZ angles of w = H v H, which need
+    only w's first column.  A matrix whose largest entry of U^H U - I
+    exceeds `SU2_TOL`, or is NaN, is refused.
+    """
     u = np.asarray(u, dtype=complex)
     if u.shape != (2, 2):
         raise CompileError("single-qubit gate needs a 2x2 matrix")
-    defect = float(np.max(np.abs(u.conj().T @ u - np.eye(2))))
-    if defect > SU2_TOL:
+    (a, b), (c, d) = u.tolist()
+    # The largest entry of U^H U - I.  A NaN or infinite entry makes the
+    # off-diagonal entry NaN or inf, and max() keeps a NaN only when it
+    # comes first.
+    defect = max(math.sqrt(_abs2(a.conjugate() * b + c.conjugate() * d)),
+                 abs(_abs2(a) + _abs2(c) - 1), abs(_abs2(b) + _abs2(d) - 1))
+    if not defect <= SU2_TOL:
         raise CompileError(f"matrix is not unitary (defect {defect:.3e})")
-    alpha = float(np.angle(np.linalg.det(u)) / 2)
-    v = np.exp(-1j * alpha) * u
-    # Conjugating by H swaps the X and Y roles into a standard ZYZ problem.
-    w = HADAMARD @ v @ HADAMARD
-    beta, gamma, delta = _zyz_su2(w)
-    return alpha, beta, -gamma, delta
+    alpha = _phase(a * d - b * c) / 2
+    half = complex(math.cos(alpha), -math.sin(alpha)) / 2
+    w00 = (a + b + c + d) * half
+    w10 = (a + b - c - d) * half
+    # w = R_Z(beta) R_Y(gamma) R_Z(delta), and theta2 = -gamma.
+    r00, r10 = abs(w00), abs(w10)
+    gamma = 2 * math.atan2(r10, r00)
+    if r10 < 1e-12:
+        return alpha, -2 * _phase(w00), 0.0, 0.0
+    if r00 < 1e-12:
+        return alpha, 2 * _phase(w10), -gamma, 0.0
+    sum_bd = -2 * _phase(w00)
+    dif_bd = 2 * _phase(w10)
+    return alpha, (sum_bd + dif_bd) / 2, -gamma, (sum_bd - dif_bd) / 2
 
 
 def _xy_angles(u: np.ndarray) -> tuple[float, list[tuple[str, float]]]:
@@ -202,15 +223,16 @@ def compile_su2(register: LogicalRegister, matrix: np.ndarray,
 
     A dual-rail target gets beamsplitters on its rails through a pool
     ancilla; an internal target gets carrier pulses, or free evolution
-    when the gate is diagonal.
+    when the gate is diagonal.  A matrix that `xy_decompose` refuses is
+    refused on either target.
     """
     entry = register.entry(target)
     u = np.asarray(matrix, dtype=complex)
+    alpha, rots = _xy_angles(u)
     prog = CompiledProgram()
     if entry.is_dual_rail:
         d0, d1 = entry.rails
         anc, = _ancillas(register, "su2")
-        alpha, rots = _xy_angles(u)
         prog.add([_rail_rotation(ax, th, d0, d1, anc)
                   for ax, th in rots], -alpha)
         if rots:
@@ -218,13 +240,15 @@ def compile_su2(register: LogicalRegister, matrix: np.ndarray,
         return prog
     if max(abs(u[0, 1]), abs(u[1, 0])) < 1e-14:
         # Diagonal gates map to free evolution instead of three pulses.
+        # Numpy scalars keep this branch's rounding: alpha of an R_Z is 0
+        # up to rounding, and its sign decides whether the report prints
+        # the phase as 0 or as 2 pi.
         theta = float(np.angle(u[1, 1] / u[0, 0]))
         alpha = float(np.angle(u[0, 0]) + theta / 2)
         if abs(theta) >= ANGLE_EPS:
             prog.add([qphase(-theta, entry.qubit)])
         prog.global_phase -= alpha
         return prog
-    alpha, rots = _xy_angles(u)
     # The pulses realize the SU(2) factor, so the physical action is
     # e^{-i alpha} times the requested matrix.
     prog.add([_internal_rotation(ax, th, entry.qubit) for ax, th in rots],
@@ -705,9 +729,9 @@ def lower(register: LogicalRegister, records: Sequence) -> list[Step]:
         try:
             if spec.lower is not None:
                 key = (rec, repr(rec.params))
-                if key not in programs:
-                    programs[key] = compile_gate(register, rec)
-                step.program = programs[key]
+                step.program = programs.get(key)
+                if step.program is None:
+                    step.program = programs[key] = compile_gate(register, rec)
             elif spec.step == PARITY_CHECK:
                 if not register.entry(rec.operands[0]).is_dual_rail:
                     raise CompileError("qndcheck target must be dual-rail")

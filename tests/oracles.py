@@ -1,12 +1,13 @@
 """The second routes that the tests check `drqsim`'s one path per job
 against: dense states, level tuples, each pulse's Pade exponential,
 codewords built level by level, the logical state read through the
-codeword table, the Kronecker embedding of an ideal gate and a
-whole-program lowering."""
+codeword table, the Kronecker embedding of an ideal gate, a
+whole-program lowering and the X-Y decomposition in numpy matrix
+algebra."""
 import numpy as np
 
 from drqsim import encoding, fock, pulses, verify
-from drqsim.compiler import CompiledProgram, lower
+from drqsim.compiler import HADAMARD, SU2_TOL, CompiledProgram, lower
 from drqsim.errors import CompileError, RegisterError, StateError
 from drqsim.fock import (OperatorMatrix, StateVector, apply_matrix_columns,
                          basis_state, exp_hermitian)
@@ -99,3 +100,32 @@ def compile_program(records, register) -> CompiledProgram:
                 f"{step.record.name} is a directive, not a unitary gate"))
         program.extend(step.program)
     return program
+
+
+def _zyz_su2(w: np.ndarray) -> tuple[float, float, float]:
+    """Angles (beta, gamma, delta) with w = R_Z(beta) R_Y(gamma) R_Z(delta)."""
+    gamma = 2 * np.arctan2(abs(w[1, 0]), abs(w[0, 0]))
+    if abs(w[1, 0]) < 1e-12:
+        return float(-2 * np.angle(w[0, 0])), 0.0, 0.0
+    if abs(w[0, 0]) < 1e-12:
+        return float(2 * np.angle(w[1, 0])), float(gamma), 0.0
+    sum_bd = -2 * np.angle(w[0, 0])
+    dif_bd = 2 * np.angle(w[1, 0])
+    return (float((sum_bd + dif_bd) / 2), float(gamma),
+            float((sum_bd - dif_bd) / 2))
+
+
+def numpy_xy_decompose(u) -> tuple[float, float, float, float]:
+    """`compiler.xy_decompose` through 2x2 matrix products: the unitarity
+    defect of U^H U - I, alpha from `np.linalg.det`, and the ZYZ angles
+    of the whole H (e^{-i alpha} U) H."""
+    u = np.asarray(u, dtype=complex)
+    if u.shape != (2, 2):
+        raise CompileError("single-qubit gate needs a 2x2 matrix")
+    defect = float(np.max(np.abs(u.conj().T @ u - np.eye(2))))
+    if not defect <= SU2_TOL:
+        raise CompileError(f"matrix is not unitary (defect {defect:.3e})")
+    alpha = float(np.angle(np.linalg.det(u)) / 2)
+    w = HADAMARD @ (np.exp(-1j * alpha) * u) @ HADAMARD
+    beta, gamma, delta = _zyz_su2(w)
+    return alpha, beta, -gamma, delta

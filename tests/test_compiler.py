@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.stats import unitary_group
@@ -27,7 +29,8 @@ from drqsim.verify import (
 )
 
 from conftest import gate, random_state
-from oracles import compile_program, dense_state, logical_basis_state
+from oracles import (compile_program, dense_state, logical_basis_state,
+                     numpy_xy_decompose)
 
 
 def rot(axis, theta):
@@ -36,18 +39,83 @@ def rot(axis, theta):
 
 # --- X-Y decomposition ---------------------------------------------------------
 
+def _rebuilt(alpha, t1, t2, t3):
+    return np.exp(1j * alpha) * rot("x", t1) @ rot("y", t2) @ rot("x", t3)
+
+
 def test_xy_decompose_reconstructs(rng):
     for _ in range(50):
         u = unitary_group.rvs(2, random_state=rng)
-        alpha, t1, t2, t3 = xy_decompose(u)
-        rebuilt = (np.exp(1j * alpha)
-                   * rot("x", t1) @ rot("y", t2) @ rot("x", t3))
-        assert np.max(np.abs(rebuilt - u)) <= 1e-12
+        assert np.max(np.abs(_rebuilt(*xy_decompose(u)) - u)) <= 1e-12
+
+
+def _straddling(which: str, scale: float, k: complex) -> np.ndarray:
+    """k H w H for w = R_Y(gamma) R_Z(pi) = -i [[c, s], [s, -c]] with |w10|
+    (which == "w10") or |w00| at `scale` * 1e-12.  Its ZYZ angles change
+    with the branch taken, and written with exact zeros they come out
+    the same on both routes."""
+    small = scale * 1e-12
+    big = math.sqrt(1 - small * small)
+    c, s = (big, small) if which == "w10" else (small, big)
+    w = np.array([[-1j * c, -1j * s], [-1j * s, 1j * c]])
+    return k * (comp.HADAMARD @ w @ comp.HADAMARD)
+
+
+def _oracle_cases():
+    rng = np.random.default_rng(28)
+    cases = {f"haar{i}": unitary_group.rvs(2, random_state=rng)
+             for i in range(40)}
+    cases.update({name: row.ideal((), 1) for name, row in comp.GATES.items()
+                  if row.ideal is not None and row.max_operands == 1
+                  and row.n_params == 0})
+    cases.update({f"r{axis}({t:.4g})": rot(axis, t) for axis in "xyz"
+                  for t in (0.0, np.pi, -np.pi, 2 * np.pi)})
+    cases.update({f"{which}={scale}e-12*{k}": _straddling(which, scale, k)
+                  for which in ("w10", "w00") for scale in (0.999, 1.001)
+                  for k in (1, 1j)})
+    return cases
+
+
+ORACLE_CASES = _oracle_cases()
+
+
+@pytest.mark.parametrize("name", ORACLE_CASES)
+def test_xy_decompose_matches_numpy_oracle(name):
+    u = ORACLE_CASES[name]
+    got, want = xy_decompose(u), numpy_xy_decompose(u)
+    for g, w in zip(got, want):
+        assert abs(math.remainder(g - w, 2 * math.pi)) <= 1e-12
+    assert np.max(np.abs(_rebuilt(*got) - _rebuilt(*want))) <= 1e-12
+
+
+def test_straddling_inputs_sit_on_both_sides_of_the_threshold():
+    for which, index in (("w10", (1, 0)), ("w00", (0, 0))):
+        for scale in (0.999, 1.001):
+            v = _straddling(which, scale, 1)
+            w = comp.HADAMARD @ v @ comp.HADAMARD
+            assert (abs(w[index]) < 1e-12) == (scale < 1)
 
 
 def test_xy_decompose_rejects_non_unitary():
-    with pytest.raises(CompileError):
-        xy_decompose(np.array([[1, 0], [0, 2.0]]))
+    for u in (np.diag([1, 2.0]), np.zeros((2, 2)), np.ones((2, 2)),
+              2 * comp.HADAMARD):
+        with pytest.raises(CompileError, match="matrix is not unitary"):
+            xy_decompose(u)
+
+
+# NaN and infinite parts, and a finite entry whose modulus overflows.
+BAD_ENTRIES = [math.nan, math.inf, -math.inf, complex(0, math.nan),
+               complex(math.inf, math.nan), complex(1.5e308, 1.5e308)]
+
+
+@pytest.mark.parametrize("base", ["x", "h"])
+@pytest.mark.parametrize("position", range(4))
+@pytest.mark.parametrize("value", BAD_ENTRIES, ids=repr)
+def test_xy_decompose_rejects_nonfinite_entries(value, position, base):
+    u = np.array(comp.GATES[base].ideal((), 1))
+    u.flat[position] = value
+    with pytest.raises(CompileError, match="matrix is not unitary"):
+        xy_decompose(u)
 
 
 # --- single-qubit gates --------------------------------------------------------
@@ -56,6 +124,28 @@ def test_su2_identity_elides_all_pulses(hybrid_system):
     _, register = hybrid_system
     prog = compile_su2(register, np.eye(2), "D")
     assert prog.ops == []
+
+
+@pytest.mark.parametrize("target", ["Q", "D"])
+def test_su2_refuses_non_unitary_on_either_target(hybrid_system, target):
+    _, register = hybrid_system
+    with pytest.raises(CompileError, match=r"matrix is not unitary "
+                       r"\(defect 3\.000e\+00\)"):
+        compile_su2(register, np.diag([1, 2]), target)
+    with pytest.raises(CompileError, match="matrix is not unitary"):
+        compile_su2(register, np.zeros((2, 2)), target)
+
+
+@pytest.mark.parametrize("target", ["Q", "D"])
+@pytest.mark.parametrize("position", range(4))
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_su2_refuses_nonfinite_on_either_target(hybrid_system, target,
+                                                position, value):
+    _, register = hybrid_system
+    for u in (np.eye(2, dtype=complex), np.array(comp.PAULI_X)):
+        u.flat[position] = value
+        with pytest.raises(CompileError, match="matrix is not unitary"):
+            compile_su2(register, u, target)
 
 
 def test_su2_x_is_single_beamsplitter(hybrid_system):

@@ -74,8 +74,27 @@ def test_dumps_writes_what_json_dumps_writes(tree):
 @settings(derandomize=True, deadline=None, max_examples=100)
 @given(tree=_trees)
 def test_dumps_of_shared_subtrees(tree):
-    shared = {"b": tree, "a": [tree, (tree, {"x": tree})]}
-    assert cli._dumps(shared) == json.dumps(shared, indent=2, sort_keys=True)
+    listing = [tree, {"x": tree}]
+    children = [tree, [tree], {"y": tree}]
+    cases = [
+        # the same subtree at several depths
+        {"b": tree, "a": [tree, (tree, {"x": tree})]},
+        # one list shared many times at the same depth, as steps of
+        # equal records share one pulse listing
+        {"steps": [{"pulses": listing, "step": i} for i in range(6)]},
+        [listing] * 5,
+        # a tuple and a list holding the same children
+        [tuple(children), children, {"t": tuple(children), "l": children}],
+    ]
+    for shared in cases:
+        assert cli._dumps(shared) == json.dumps(shared, indent=2,
+                                                sort_keys=True)
+    # A list changed between two calls is written as it is now.
+    listing.append(len(listing))
+    children[1] = (tree,)
+    for shared in cases:
+        assert cli._dumps(shared) == json.dumps(shared, indent=2,
+                                                sort_keys=True)
 
 
 @pytest.mark.parametrize("value", [
