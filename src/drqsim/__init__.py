@@ -27,7 +27,6 @@ from .errors import (
 )
 from .fock import (
     HilbertLayout,
-    OperatorMatrix,
     StateVector,
     basis_state,
     create_layout,

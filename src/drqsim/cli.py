@@ -15,13 +15,12 @@ import os
 import sys
 from json.encoder import encode_basestring_ascii as _escape
 
-import numpy as np
-
 from .compiler import (
     ERROR_INJECTION,
     PARITY_CHECK,
     CompiledProgram,
     lower,
+    mod_2pi,
     preparation,
 )
 from .document import MAX_SHOTS, CircuitDocument, parse_circuit
@@ -36,7 +35,6 @@ from .errors import (
     StateError,
 )
 from .fock import MODE, QUBIT, create_layout, ground_state
-from .pulses import apply_pulse, carrier
 from .suite import run_builtin_suite
 from .verify import (
     LEAKAGE_GUARD_TOL,
@@ -142,12 +140,9 @@ def cmd_run(doc: CircuitDocument, args) -> tuple[dict, int]:
                         "qndcheck before the end of the program disturbs the "
                         "modes; pass --allow-midcircuit for idealized studies")
                 entry = register.entry(rec.operands[0])
-                anc = register.readout_ancilla
                 flag, state = qnd_parity_check(
-                    state, anc, *entry.rails, rng_seed=seed + 17 * i)
-                if flag == "odd":
-                    # Pump the readout qubit back to ground for reuse.
-                    state = apply_pulse(state, carrier(np.pi, 0.0, anc))
+                    state, register.readout_ancilla, *entry.rails,
+                    rng_seed=seed + 17 * i)
                 parity_flags.append({"step": i, "target": rec.operands[0],
                                      "parity": flag})
             else:
@@ -168,7 +163,7 @@ def cmd_run(doc: CircuitDocument, args) -> tuple[dict, int]:
         "seed": seed,
         "shots": shots,
         "leakage": report_state.leakage,
-        "global_phase": float(np.mod(ledger, 2 * np.pi)),
+        "global_phase": mod_2pi(ledger),
     }
     if parity_flags:
         report["parity_checks"] = parity_flags

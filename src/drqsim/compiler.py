@@ -79,6 +79,13 @@ def rotation_matrix(axis: str, theta: float) -> np.ndarray:
     return np.array(rows, dtype=complex)
 
 
+def mod_2pi(phase: float) -> float:
+    """A phase in [0, 2 pi), as the reports print it.  `np.mod` rounds a
+    phase just below 0 up to 2 pi itself, which is 0."""
+    wrapped = float(np.mod(phase, 2 * _PI))
+    return 0.0 if wrapped == 2 * _PI else wrapped
+
+
 @dataclass
 class AncillaUse:
     gate: str
@@ -114,7 +121,7 @@ class CompiledProgram:
 
     @property
     def phase_mod_2pi(self) -> float:
-        return float(np.mod(self.global_phase, 2 * _PI))
+        return mod_2pi(self.global_phase)
 
     def rsb_unitary_count(self) -> int:
         """Sideband-type unitaries: plain rsb pulses plus aux-mode pairs.

@@ -12,7 +12,7 @@ auxiliary mode sits in vacuum; any population there counts as leakage.
 `SUBSYSTEM_KINDS` gives each register kind's subsystem kinds, for the
 document parser and `define_register` alike.  The first pool ancilla
 (`LogicalRegister.readout_ancilla`) loads every dual-rail qubit, reads
-it out and flags its parity.
+it out and flags its parity, and `read_and_reset` pumps it back to ground.
 """
 from __future__ import annotations
 
@@ -32,7 +32,7 @@ from .fock import (
     measure_qubit_z,
     support_index,
 )
-from .pulses import PhysicalOp, apply_pulse, carrier, rsb
+from .pulses import PhysicalOp, apply_pulses, carrier, rsb
 
 DUAL_RAIL = "dual_rail"
 INTERNAL = "internal"
@@ -284,24 +284,31 @@ def prepare_dual_rail_zero(register: LogicalRegister, logical_id: str,
     return ops, PREPARE_PHASE
 
 
+def read_and_reset(state: StateVector, qubit: str,
+                   rng_seed) -> tuple[int, StateVector]:
+    """Fluorescence read of a qubit, then a carrier(pi) back to ground if
+    it reads excited: the outcome and the collapsed state, the qubit in
+    ground for reuse.  A dual-rail readout and a parity check end here."""
+    outcome, collapsed, _ = measure_qubit_z(state, qubit, rng_seed)
+    if outcome == 1:
+        collapsed = apply_pulses(collapsed, [carrier(np.pi, 0.0, qubit)])
+    return outcome, collapsed
+
+
 def measure_dual_rail(state: StateVector, register: LogicalRegister,
                       logical_id: str, ancilla_qubit: str,
                       rng_seed) -> tuple[int, StateVector]:
     """Read one shot of a dual-rail qubit: an rsb(pi) from rail d1 maps
     |0>_D to the ground ancilla and |1>_D to the excited one (leaked rail
-    states map partially), the ancilla is read out and, when excited,
-    flipped back to ground for reuse.  `verify.sample_counts` is tested
-    against it.
+    states map partially), and `read_and_reset` reads the ancilla and
+    leaves it in ground.  `verify.sample_counts` is tested against it.
     """
     _, d1 = register.entry(logical_id).rails
     if ancilla_qubit not in register.ancilla_qubits:
         raise RegisterError(f"{ancilla_qubit!r} is not in the ancilla pool")
     require_ground(state, ancilla_qubit)
-    mapped = apply_pulse(state, rsb(np.pi, ancilla_qubit, d1))
-    outcome, collapsed, _ = measure_qubit_z(mapped, ancilla_qubit, rng_seed)
-    if outcome == 1:
-        collapsed = apply_pulse(collapsed, carrier(np.pi, 0.0, ancilla_qubit))
-    return outcome, collapsed
+    mapped = apply_pulses(state, [rsb(np.pi, ancilla_qubit, d1)])
+    return read_and_reset(mapped, ancilla_qubit, rng_seed)
 
 
 def require_ground(state: StateVector, ancilla_qubit: str) -> None:

@@ -9,7 +9,9 @@ A state is held on its support (the basis states with amplitude) and
 evolves through one sparse kernel, tested against the dense contraction
 `apply_matrix_columns` (which `perfbench/spans.py` also wraps);
 `exp_hermitian` is the Pade exponential that the tests pin every pulse
-to.  What the kernel precomputes depends only on the targets' dims and
+to.  An operator is a plain square array over the subsystems its caller
+names, little-endian like the layout: the first listed varies fastest.
+What the kernel precomputes depends only on the targets' dims and
 strides, so its memos key on those numbers, not on a layout: `_offsets`,
 and the plan of a small support (at most `MEMO_MAX_ROWS` rows and
 `MEMO_MAX_ROWS`**2 candidate rows), which a deep circuit meets again
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -271,28 +273,6 @@ def ground_state(layout: HilbertLayout) -> StateVector:
     return basis_state(layout, {})
 
 
-@dataclass
-class OperatorMatrix:
-    """Dense operator over an ordered subset of subsystems.
-
-    The matrix index is little-endian over `subsystem_ids`: the first
-    listed subsystem varies fastest.
-    """
-
-    subsystem_ids: tuple[str, ...]
-    entries: np.ndarray = field(repr=False)
-
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-    def unitarity_defect(self) -> float:
-        eye = np.eye(self.dim())
-        return float(np.max(np.abs(self.entries.conj().T @ self.entries - eye)))
-
-    def hermiticity_defect(self) -> float:
-        return float(np.max(np.abs(self.entries - self.entries.conj().T)))
-
-
 def _geometry(layout: HilbertLayout, sids: tuple[str, ...],
               shape: tuple[int, ...]) -> tuple:
     """`layout.targets(sids)`, with a matrix of `shape` checked to fit."""
@@ -503,22 +483,22 @@ def support_rows(index: np.ndarray, rows: np.ndarray,
     return out
 
 
-def exp_hermitian(gen: OperatorMatrix, scale: float) -> OperatorMatrix:
-    """exp(i * scale * gen) for Hermitian gen.
+def exp_hermitian(generator: np.ndarray, scale: float) -> np.ndarray:
+    """exp(i * scale * generator) for a Hermitian generator.
 
     This is the oracle every exponential-form pulse is checked against.
     The core is scipy's scaling-and-squaring Pade expm, imported here
     because scipy.linalg is slow to import and only this oracle needs it.
     """
     from scipy.linalg import expm
-    defect = gen.hermiticity_defect()
+    defect = float(np.max(np.abs(generator - generator.conj().T)))
     if defect > HERMITICITY_TOL:
         raise StateError(f"generator is not Hermitian (defect {defect:.3e})")
-    result = OperatorMatrix(gen.subsystem_ids, expm(1j * scale * gen.entries))
-    u_defect = result.unitarity_defect()
-    if u_defect > UNITARITY_TOL:
-        raise StateError(f"exponential lost unitarity (defect {u_defect:.3e})")
-    return result
+    u = expm(1j * scale * generator)
+    defect = float(np.max(np.abs(u.conj().T @ u - np.eye(len(u)))))
+    if defect > UNITARITY_TOL:
+        raise StateError(f"exponential lost unitarity (defect {defect:.3e})")
+    return u
 
 
 class MeasurementResult(NamedTuple):

@@ -27,7 +27,8 @@ checked against the layout's cached entry (`HilbertLayout.targets`),
 which also gives their kinds and dims.
 `pulse_unitary` hands the memo's read-only matrix itself to the kernel
 (`apply_pulse` and `verify`'s evolution); `pulse_matrix` gives its
-caller a copy of its own.
+caller a copy of its own.  `apply_pulses`, the one loop that applies
+pulses to a state, checks the norm after every pulse.
 
 Sign conventions worth noting: with the (ground, excited) basis ordering,
 sigma_z is diag(-1, +1), so the red sideband couples |g, m+1> <-> |e, m>
@@ -44,17 +45,17 @@ from typing import Sequence
 import numpy as np
 
 from . import fock
-from .errors import PulseError, StateError
+from .errors import HealthError, PulseError, StateError
 from .fock import (
     MEMO_MAX_ROWS,
     MODE,
+    NORM_TOL,
     QUBIT,
     SIGMA_MINUS,
     SIGMA_PLUS,
     SIGMA_X,
     SIGMA_Z,
     HilbertLayout,
-    OperatorMatrix,
     StateVector,
     annihilation_matrix,
     apply_matrix,
@@ -241,19 +242,26 @@ def pulse_unitary(op: PhysicalOp, layout: HilbertLayout) -> np.ndarray:
     return _matrix(op.kind, op.theta, op.phi, dims)
 
 
-def pulse_matrix(op: PhysicalOp, layout: HilbertLayout) -> OperatorMatrix:
-    """`pulse_unitary` as the caller's own copy."""
-    return OperatorMatrix(op.targets, pulse_unitary(op, layout).copy())
+def pulse_matrix(op: PhysicalOp, layout: HilbertLayout) -> np.ndarray:
+    """`pulse_unitary` as the caller's own copy, over `op.targets`."""
+    return pulse_unitary(op, layout).copy()
 
 
 def apply_pulse(state: StateVector, op: PhysicalOp) -> StateVector:
-    """Apply one pulse: its `pulse_unitary` goes to the kernel."""
+    """Apply one pulse: its `pulse_unitary` goes to the kernel.  The
+    package calls it only from `apply_pulses`."""
     return apply_matrix(state, pulse_unitary(op, state.layout), op.targets)
 
 
 def apply_pulses(state: StateVector, ops: Sequence[PhysicalOp]) -> StateVector:
-    for op in ops:
+    """Apply the pulses in order.  A norm drift past `NORM_TOL` after a
+    pulse is a HealthError naming its index in `ops` and its kind."""
+    for k, op in enumerate(ops):
         state = apply_pulse(state, op)
+        norm = state.norm()
+        if abs(norm - 1.0) > NORM_TOL:
+            raise HealthError(
+                f"norm drifted to {norm} at pulse {k} ({op.kind})")
     return state
 
 

@@ -28,22 +28,25 @@ import numpy as np
 
 from . import fock
 from .compiler import GATES, CompiledProgram, lower
-from .encoding import ANCILLA_TOL, LogicalRegister, require_ground
+from .encoding import (
+    ANCILLA_TOL,
+    LogicalRegister,
+    read_and_reset,
+    require_ground,
+)
 from .errors import HealthError, RegisterError, StateError
 from .fock import (
     MODE,
-    NORM_TOL,
     QUBIT,
     HilbertLayout,
     StateVector,
     apply_matrix_support,
-    measure_qubit_z,
     support_index,
     support_rows,
 )
 from .pulses import (
     PhysicalOp,
-    apply_pulse,
+    apply_pulses,
     carrier,
     pulse_unitary,
     rsb,
@@ -197,20 +200,16 @@ def equivalent_up_to_phase(a: np.ndarray, b: np.ndarray, tol: float,
 
 def run_program(state: StateVector, program,
                 register: LogicalRegister | None = None) -> StateVector:
-    """Apply a pulse program, checking the norm after every pulse.
+    """Apply a pulse program through `pulses.apply_pulses`, which checks
+    the norm after every pulse.
 
-    A norm drift past `NORM_TOL` names the index and kind of the pulse
-    that caused it.  With `register`, the program's exit state is
-    checked once: every pool ancilla and the COM mode must be back in
-    its reference state, then the sentinel level empty.  Gates borrow
-    them mid-sequence and must hand them back; each step starts where
-    the one before ended, so there is no entry check.
+    With `register`, the program's exit state is checked once: every
+    pool ancilla and the COM mode must be back in its reference state,
+    then the sentinel level empty.  Gates borrow them mid-sequence and
+    must hand them back; each step starts where the one before ended, so
+    there is no entry check.
     """
-    for k, op in enumerate(_op_list(program)):
-        state = apply_pulse(state, op)
-        if abs(state.norm() - 1.0) > NORM_TOL:
-            raise HealthError(
-                f"norm drifted to {state.norm()} at pulse {k} ({op.kind})")
+    state = apply_pulses(state, _op_list(program))
     if register is not None:
         defect = ancilla_reset_defect(state, register)
         if defect > ANCILLA_TOL:
@@ -270,7 +269,8 @@ def qnd_parity_sequence(qubit: str, mode1: str, mode2: str) -> list[PhysicalOp]:
 
 def qnd_parity_check(state: StateVector, qubit: str, mode1: str, mode2: str,
                      rng_seed=0) -> tuple[str, StateVector]:
-    """Run the parity circuit and read the flag off the qubit.
+    """Run the parity circuit, then read the flag qubit and reset it to
+    ground (`encoding.read_and_reset`).
 
     Returns ("even" | "odd", post-measurement state).  For fixed-parity
     mode states the readout is deterministic and non-demolition; for
@@ -282,10 +282,9 @@ def qnd_parity_check(state: StateVector, qubit: str, mode1: str, mode2: str,
     if state.layout.kind_of(qubit) != QUBIT:
         raise StateError(f"{qubit!r} is not a qubit")
     require_ground(state, qubit)
-    for op in qnd_parity_sequence(qubit, mode1, mode2):
-        state = apply_pulse(state, op)
-    outcome, collapsed, _ = measure_qubit_z(state, qubit, rng_seed)
-    return ("odd" if outcome == 1 else "even"), collapsed
+    state = apply_pulses(state, qnd_parity_sequence(qubit, mode1, mode2))
+    outcome, state = read_and_reset(state, qubit, rng_seed)
+    return ("odd" if outcome == 1 else "even"), state
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from drqsim import create_layout, define_register, verify
+from drqsim import create_layout, define_register, pulses
 from drqsim.document import GateRecord
 from drqsim.pulses import apply_pulse
 
@@ -50,13 +50,14 @@ def random_state(layout, rng):
 
 
 def probing(probe):
-    """A patch of `verify.apply_pulse` that calls `probe` on the state
-    after every pulse, as `verify.run_program` applies them."""
+    """A patch of `pulses.apply_pulse`, the one place every pulse applied
+    to a state passes through, that calls `probe` on the state after
+    every pulse."""
     def pulse(state, op):
         state = apply_pulse(state, op)
         probe(state)
         return state
-    return mock.patch.object(verify, "apply_pulse", side_effect=pulse)
+    return mock.patch.object(pulses, "apply_pulse", side_effect=pulse)
 
 
 def gate(name, *args):

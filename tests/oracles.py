@@ -9,8 +9,8 @@ import numpy as np
 from drqsim import encoding, fock, pulses, verify
 from drqsim.compiler import HADAMARD, SU2_TOL, CompiledProgram, lower
 from drqsim.errors import CompileError, RegisterError, StateError
-from drqsim.fock import (OperatorMatrix, StateVector, apply_matrix_columns,
-                         basis_state, exp_hermitian)
+from drqsim.fock import (StateVector, apply_matrix_columns, basis_state,
+                         exp_hermitian)
 
 
 def dense_state(layout, amps) -> StateVector:
@@ -24,16 +24,17 @@ def levels_of(layout, index: int) -> tuple[int, ...]:
     return tuple(map(int, np.unravel_index(index, layout.dims, order="F")))
 
 
-def pulse_generator(op, layout) -> tuple[OperatorMatrix, float]:
-    """Hermitian G and scale s of a pulse exp(i*s*G), for `exp_hermitian`;
-    refused past `fock.MAX_STATE_DIM` entries, as `pulse_unitary` is."""
+def pulse_generator(op, layout) -> tuple[np.ndarray, float]:
+    """Hermitian G over `op.targets` and scale s of a pulse exp(i*s*G),
+    for `exp_hermitian`; refused past `fock.MAX_STATE_DIM` entries, as
+    `pulse_unitary` is."""
     _, dims, _, block, _ = layout.targets(op.targets)
     if block ** 2 > fock.MAX_STATE_DIM:
         raise StateError(f"{op.kind} pulse on {op.targets} needs a {block} x "
                          f"{block} matrix; the limit is {fock.MAX_STATE_DIM} "
                          "entries")
     _, build, factor = pulses._PULSES[op.kind]
-    return OperatorMatrix(op.targets, build(op.phi, *dims)), factor * op.theta
+    return build(op.phi, *dims), factor * op.theta
 
 
 def expm_unitary(program, layout) -> verify.ProgramUnitary:
@@ -43,7 +44,7 @@ def expm_unitary(program, layout) -> verify.ProgramUnitary:
     full = np.eye(layout.total_dim, dtype=complex)
     for op in verify._op_list(program):
         small = exp_hermitian(*pulse_generator(op, layout))
-        full = apply_matrix_columns(full, layout, small.entries, op.targets)
+        full = apply_matrix_columns(full, layout, small, op.targets)
     return verify.ProgramUnitary(full)
 
 

@@ -34,7 +34,6 @@ from drqsim.compiler import (
     compile_rzz,
     compile_su2,
 )
-from drqsim.fock import OperatorMatrix
 from drqsim.pulses import apply_pulses, cbs_factors
 from drqsim.suite import cbs_generator
 from drqsim.verify import (
@@ -68,8 +67,8 @@ def test_criterion_01_cbs_decomposition():
         phi = rng.uniform(-np.pi, np.pi)
         seq = cbs_factors(theta, phi, "q", "m0", "m1")
         built = program_unitary(seq, layout).matrix
-        gen = OperatorMatrix(("q", "m0", "m1"), cbs_generator(phi, 4))
-        direct = exp_hermitian(gen, theta).entries
+        gen = cbs_generator(phi, 4)
+        direct = exp_hermitian(gen, theta)
         assert np.max(np.abs(built - direct)) <= 1e-10
     elapsed = time.monotonic() - start
     assert elapsed < 1.0
@@ -366,8 +365,8 @@ def test_criterion_09_qnd_parity():
         flag, post = qnd_parity_check(dense_state(layout, amps),
                                       "q", "m0", "m1", rng_seed=rng)
         assert flag == ("odd" if parity else "even")
-        lvl = parity
-        fid = sum(np.conj(c) * post.amplitudes[layout.basis_index([lvl, n, m])]
+        # Non-demolition: the modes are untouched, the flag back in ground.
+        fid = sum(np.conj(c) * post.amplitudes[layout.basis_index([0, n, m])]
                   for (n, m), c in zip(pairs, coeffs))
         assert abs(abs(fid) - 1.0) <= 1e-10
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from drqsim import cli, fock, verify
+from drqsim import cli, fock, pulses, verify
 from drqsim.cli import main
 from drqsim.compiler import GATES
 from drqsim.document import parse_circuit, serialize_circuit
@@ -910,6 +910,41 @@ def test_health_failure_names_gate(bell_doc, capsys, monkeypatch):
     assert code == 3
     assert err.startswith("numeric health failure: gate 0 (h D): "
                           "sentinel Fock level populated")
+
+
+def test_parity_check_norm_drift_names_the_gate(tmp_path, capsys,
+                                                monkeypatch):
+    # The parity circuit's pulses pass the same norm check as a gate's:
+    # its first carrier, on the readout ancilla q1, scaled by 1.001.
+    path = tmp_path / "drift.drq"
+    path.write_text(BELL.replace("  cnot D Q\n", "  cnot D Q\n  qndcheck D\n"))
+    first = verify.qnd_parity_sequence("q1", "m0", "m1")[0]
+    unscaled = pulses.pulse_unitary
+    monkeypatch.setattr(pulses, "pulse_unitary", lambda op, layout: (
+        1.001 if op == first else 1.0) * unscaled(op, layout))
+    code, out, err = run_cli(capsys, "run", str(path))
+    assert code == 3 and out == ""
+    assert re.fullmatch(r"numeric health failure: gate 2 \(qndcheck D\): "
+                        r"norm drifted to 1\.00\d* at pulse 0 \(carrier\)\n",
+                        err), err
+
+
+def test_run_prints_a_zero_phase_as_zero(tmp_path, capsys, monkeypatch):
+    # np.mod(-1e-17, 2 pi) is 2 pi itself; the report's ledger goes
+    # through `compiler.mod_2pi`, as every compiled phase does.
+    path = tmp_path / "parity.drq"
+    path.write_text(BELL.replace("  h D\n  cnot D Q\n", "  qndcheck D\n"))
+    loaded = cli.preparation
+
+    def preparation(register):
+        program = loaded(register)
+        program.global_phase = -1e-17
+        return program
+
+    monkeypatch.setattr(cli, "preparation", preparation)
+    code, out, _ = run_cli(capsys, "run", str(path), "--shots", "0")
+    assert code == 0
+    assert json.loads(out)["global_phase"] == 0.0
 
 
 @pytest.mark.parametrize("command", ["run", "verify"])

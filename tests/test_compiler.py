@@ -754,3 +754,15 @@ def test_compiled_gates_keep_codeword_span(hybrid_system, rng):
     out = run_program(dense_state(layout, amps), prog)
     assert extract_logical_state(out, register).leakage <= 1e-9
     assert ancilla_reset_defect(out, register) <= 1e-9
+
+
+@pytest.mark.parametrize("phase,wrapped", [
+    (-1e-17, 0.0),   # np.mod gives 2 pi itself
+    (0.0, 0.0),
+    (-1e-15, float(np.mod(-1e-15, 2 * np.pi))),
+    (2 * np.pi, 0.0),
+    (7.0, 7.0 - 2 * np.pi),
+])
+def test_phase_mod_2pi_stays_below_2pi(phase, wrapped):
+    assert comp.mod_2pi(phase) == wrapped
+    assert CompiledProgram(global_phase=phase).phase_mod_2pi == wrapped

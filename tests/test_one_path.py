@@ -41,3 +41,53 @@ def test_every_function_in_src_has_a_caller_in_src():
     assert KEEPERS <= set(defined)
     assert sorted(f"{defined[name]}:{name}"
                   for name in set(defined) - loaded) == []
+
+
+def _sites(match) -> set[str]:
+    """`file:function` of each node in `src/drqsim` that `match` accepts,
+    named by its innermost enclosing function (`<module>` outside any)."""
+    sites = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {}
+        # ast.walk visits an outer function before the ones inside it.
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                owner.update((id(node), fn.name) for node in ast.walk(fn))
+        sites.update(f"{path.name}:{owner.get(id(node), '<module>')}"
+                     for node in ast.walk(tree) if match(node))
+    return sites
+
+
+def _loads(name):
+    def match(node):
+        loaded = getattr(node, "id", getattr(node, "attr", None))
+        return (isinstance(node, (ast.Name, ast.Attribute))
+                and type(node.ctx) is ast.Load and loaded == name)
+    return match
+
+
+def _carrier_pi(node) -> bool:
+    """A `carrier(pi, ...)` call, pi spelled `np.pi` or `_PI`."""
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "carrier" and node.args):
+        return False
+    theta = node.args[0]
+    return (isinstance(theta, ast.Attribute) and theta.attr == "pi"
+            or isinstance(theta, ast.Name) and theta.id == "_PI")
+
+
+def test_pulses_reach_a_state_only_through_apply_pulses():
+    # `apply_pulses` checks the norm after every pulse, so no pulse
+    # applied to a state can skip that check.
+    assert _sites(_loads("apply_pulse")) == {"pulses.py:apply_pulses"}
+
+
+def test_read_and_reset_owns_the_readout_and_its_reset():
+    # Every fluorescence read and every carrier(pi) back to ground is in
+    # `read_and_reset`; the other carrier(pi) excites the ground ancilla
+    # that loads a phonon.
+    assert _sites(_loads("measure_qubit_z")) == {
+        "encoding.py:read_and_reset"}
+    assert _sites(_carrier_pi) == {"encoding.py:prepare_dual_rail_zero",
+                                   "encoding.py:read_and_reset"}

@@ -22,7 +22,7 @@ from drqsim import (
 )
 from drqsim import fock
 from drqsim.errors import LayoutError, StateError
-from drqsim.fock import OperatorMatrix, apply_matrix
+from drqsim.fock import apply_matrix
 from drqsim.pulses import (
     cbs_factors,
     native_xx,
@@ -61,7 +61,7 @@ def test_carrier_half_pi(qm_layout):
     # Pinned against the matrix-exponential oracle.
     op = carrier(np.pi / 2, 0.0, "q")
     gen, scale = pulse_generator(op, qm_layout)
-    oracle = exp_hermitian(gen, scale).entries
+    oracle = exp_hermitian(gen, scale)
     state = apply_pulse(ground_state(qm_layout), op)
     assert amp(state, [0, 0, 0]) == pytest.approx(oracle[0, 0], abs=1e-12)
     assert amp(state, [1, 0, 0]) == pytest.approx(oracle[1, 0], abs=1e-12)
@@ -148,13 +148,13 @@ def test_beamsplitter_single_phonon_block_convention(qm_layout, rng):
         theta = rng.uniform(-np.pi, np.pi)
         phi = rng.uniform(-np.pi, np.pi)
         mat = pulse_matrix(beamsplitter(theta, phi, "m0", "m1"),
-                           qm_layout).entries
+                           qm_layout)
         i10 = 1          # little-endian over (m0, m1), dim 4 each
         i01 = 4
         block = np.array([[mat[i10, i10], mat[i10, i01]],
                           [mat[i01, i10], mat[i01, i01]]])
-        gen = OperatorMatrix(("x",), X * np.cos(phi) - Y * np.sin(phi))
-        want = exp_hermitian(gen, theta).entries
+        gen = X * np.cos(phi) - Y * np.sin(phi)
+        want = exp_hermitian(gen, theta)
         assert np.max(np.abs(block - want)) <= 1e-10
 
 
@@ -162,7 +162,7 @@ def test_beamsplitter_y_rotation_pinning(qm_layout):
     # B(theta/2, +pi/2) is the logical y-rotation on the dual-rail qubit.
     theta = 0.618
     mat = pulse_matrix(beamsplitter(theta / 2, np.pi / 2, "m0", "m1"),
-                       qm_layout).entries
+                       qm_layout)
     i10, i01 = 1, 4
     block = np.array([[mat[i10, i10], mat[i10, i01]],
                       [mat[i01, i10], mat[i01, i01]]])
@@ -182,7 +182,7 @@ def test_beamsplitter_creation_operator_transform(qm_layout, rng):
     from drqsim.fock import annihilation_matrix, creation_matrix, kron_le
     d = 4
     theta, phi = 0.87, -1.2
-    bmat = pulse_matrix(beamsplitter(theta, phi, "m0", "m1"), qm_layout).entries
+    bmat = pulse_matrix(beamsplitter(theta, phi, "m0", "m1"), qm_layout)
     ad1 = kron_le([creation_matrix(d), np.eye(d)])
     ad2 = kron_le([np.eye(d), creation_matrix(d)])
     lhs = bmat @ ad1 @ bmat.conj().T
@@ -197,7 +197,7 @@ def test_rsb_creation_operator_transform(qm_layout):
     from drqsim.fock import SIGMA_PLUS, creation_matrix, kron_le
     theta = 1.07
     d = 4
-    umat = pulse_matrix(rsb(theta, "q", "m0"), qm_layout).entries
+    umat = pulse_matrix(rsb(theta, "q", "m0"), qm_layout)
     ad = kron_le([np.eye(2), creation_matrix(d)])
     sp = kron_le([SIGMA_PLUS, np.eye(d)])
     lhs = umat @ ad @ umat.conj().T
@@ -243,13 +243,13 @@ def test_zbs_block_identity(qm_layout, rng):
         theta = rng.uniform(-np.pi, np.pi)
         phi = rng.uniform(-np.pi, np.pi)
         full = pulse_matrix(zbs(theta, phi, "q", "m0", "m1"),
-                            qm_layout).entries
+                            qm_layout)
         down = full[0::2, 0::2]
         up = full[1::2, 1::2]
         bsm = pulse_matrix(beamsplitter(theta, phi, "m0", "m1"),
-                           qm_layout).entries
+                           qm_layout)
         bsp = pulse_matrix(beamsplitter(-theta, phi, "m0", "m1"),
-                           qm_layout).entries
+                           qm_layout)
         assert np.max(np.abs(down - bsm)) <= 1e-10
         assert np.max(np.abs(up - bsp)) <= 1e-10
         assert np.max(np.abs(full[0::2, 1::2])) == 0.0
@@ -312,9 +312,9 @@ def test_analytic_path_matches_exponential(make_op, rng):
     layout = create_layout([("q", "qubit", 2), ("q2", "qubit", 2),
                             ("m0", "mode", 4), ("m1", "mode", 4)])
     op = make_op()
-    analytic = pulse_matrix(op, layout).entries
+    analytic = pulse_matrix(op, layout)
     gen, scale = pulse_generator(op, layout)
-    oracle = exp_hermitian(gen, scale).entries
+    oracle = exp_hermitian(gen, scale)
     assert np.max(np.abs(analytic - oracle)) <= 1e-10
     state = random_state(layout, rng)
     via_pulse = apply_pulse(state, op)
@@ -326,8 +326,8 @@ def test_analytic_path_matches_exponential(make_op, rng):
         layout = create_layout([("q", "qubit", 2), ("q2", "qubit", 2),
                                 ("m0", "mode", d1), ("m1", "mode", d2)])
         op = make_op(rng.uniform(-7, 7), rng.uniform(-np.pi, np.pi))
-        oracle = exp_hermitian(*pulse_generator(op, layout)).entries
-        assert np.max(np.abs(pulse_matrix(op, layout).entries
+        oracle = exp_hermitian(*pulse_generator(op, layout))
+        assert np.max(np.abs(pulse_matrix(op, layout)
                              - oracle)) <= 1e-10
 
 
@@ -356,17 +356,17 @@ def test_pulse_matrix_exactly_zero_between_conserved_numbers(make_op,
                              for s in op.targets])
         labels = [conserved(*levels_of(sub, i)) for i in range(sub.total_dim)]
         apart = np.array([[a != b for b in labels] for a in labels])
-        assert np.all(pulse_matrix(op, layout).entries[apart] == 0.0)
+        assert np.all(pulse_matrix(op, layout)[apart] == 0.0)
 
 
 def test_pulse_matrix_cache_is_safe(qm_layout):
     # One (kind, phi, dims) eigenbasis serves every angle, and a caller
     # writing into a returned matrix does not reach the cache.
-    pulse_matrix(zbs(0.4, 0.3, "q", "m0", "m1"), qm_layout).entries[:] = 7.0
+    pulse_matrix(zbs(0.4, 0.3, "q", "m0", "m1"), qm_layout)[:] = 7.0
     for theta in (0.4, -1.9):
         op = zbs(theta, 0.3, "q", "m0", "m1")
-        oracle = exp_hermitian(*pulse_generator(op, qm_layout)).entries
-        assert np.max(np.abs(pulse_matrix(op, qm_layout).entries
+        oracle = exp_hermitian(*pulse_generator(op, qm_layout))
+        assert np.max(np.abs(pulse_matrix(op, qm_layout)
                              - oracle)) <= 1e-10
 
 
@@ -445,8 +445,8 @@ def test_cbs_two_factor_matches_direct_exponential(rng):
         phi = rng.uniform(-np.pi, np.pi)
         seq = cbs_factors(theta, phi, "q", "m0", "m1")
         built = program_unitary(seq, layout).matrix
-        gen = OperatorMatrix(("q", "m0", "m1"), cbs_generator(phi, 4))
-        assert np.max(np.abs(built - exp_hermitian(gen, theta).entries)) <= 1e-10
+        gen = cbs_generator(phi, 4)
+        assert np.max(np.abs(built - exp_hermitian(gen, theta))) <= 1e-10
 
 
 def test_cbs_rejects_ancilla_collision():
@@ -531,7 +531,7 @@ def test_zbs_generator_matches_pulse_hamiltonian(qm_layout):
     h_zbs = coupling * kron_le([SIGMA_Z,
                                 np.exp(1j * phi) * kron_le([ad, a])
                                 + np.exp(-1j * phi) * kron_le([a, ad])])
-    assert np.max(np.abs((-scale) * gen.entries - h_zbs * p.t)) <= 1e-9
+    assert np.max(np.abs((-scale) * gen - h_zbs * p.t)) <= 1e-9
 
 
 # --- pulse matrix size bound -------------------------------------------------

@@ -144,8 +144,8 @@ def _misses_hits():
 def test_equal_pulses_build_once_per_layout():
     layout = create_layout(SPEC)
     start = _misses_hits()
-    first = pulse_matrix(zbs(0.7, 0.3, "q", "m0", "m1"), layout).entries
-    again = pulse_matrix(zbs(0.7, 0.3, "q", "m0", "m1"), layout).entries
+    first = pulse_matrix(zbs(0.7, 0.3, "q", "m0", "m1"), layout)
+    again = pulse_matrix(zbs(0.7, 0.3, "q", "m0", "m1"), layout)
     assert (_misses_hits() - start).tolist() == [1, 1]
     assert again is not first and again.tobytes() == first.tobytes()
     # Layouts compare by value, so a layout built from the same spec
@@ -166,12 +166,12 @@ def test_cached_pulse_matrix_is_a_fresh_build(op):
     layout = create_layout(SPEC)
     pulse_matrix(op, layout)
     start = _misses_hits()
-    cached = pulse_matrix(op, layout).entries
+    cached = pulse_matrix(op, layout)
     assert (_misses_hits() - start).tolist() == [0, 1]
     dims = tuple(layout.dim_of(sid) for sid in op.targets)
     fresh = pulses._matrix.__wrapped__(op.kind, op.theta, op.phi, dims)
     assert cached.tobytes() == fresh.tobytes()
-    oracle = exp_hermitian(*pulse_generator(op, layout)).entries
+    oracle = exp_hermitian(*pulse_generator(op, layout))
     assert np.max(np.abs(cached - oracle)) <= 1e-10
 
 
@@ -183,11 +183,11 @@ def test_pulses_past_the_row_cap_skip_the_memo():
     op = zbs(0.7, 0.3, "q", "m0", "m1")
     assert 72 > pulses.MEMO_MAX_ROWS
     start = _misses_hits()
-    first = pulse_matrix(op, layout).entries
-    again = pulse_matrix(op, layout).entries
+    first = pulse_matrix(op, layout)
+    again = pulse_matrix(op, layout)
     assert (_misses_hits() - start).tolist() == [0, 0]
     assert again is not first and again.tobytes() == first.tobytes()
-    oracle = exp_hermitian(*pulse_generator(op, layout)).entries
+    oracle = exp_hermitian(*pulse_generator(op, layout))
     assert np.max(np.abs(first - oracle)) <= 1e-10
     # `apply_pulse` does not touch the memo either.
     state = basis_state(layout, {"q": 1, "m0": 3})
@@ -228,11 +228,11 @@ def test_one_angle_shares_an_entry_across_targets_and_layouts():
                                ("m1", "mode", 3)])
     op = zbs(0.4321, -1.234, "q", "m0", "m1")
     start = _misses_hits()
-    first = pulse_matrix(op, layout).entries
+    first = pulse_matrix(op, layout)
     assert (_misses_hits() - start).tolist() == [1, 0]
     for other, on in [(zbs(0.4321, -1.234, "q2", "m2", "m3"), layout),
                       (op, footprint), (op.with_aux_flag(), layout)]:
-        assert pulse_matrix(other, on).entries.tobytes() == first.tobytes()
+        assert pulse_matrix(other, on).tobytes() == first.tobytes()
     assert (_misses_hits() - start).tolist() == [1, 3]
 
 
@@ -261,7 +261,7 @@ def test_memo_hit_hands_the_kernel_the_memo_matrix(monkeypatch):
     with pytest.raises(ValueError):
         memo[0, 0] = 0
     # `pulse_matrix` still hands its caller a writable copy.
-    own = pulse_matrix(op, layout).entries
+    own = pulse_matrix(op, layout)
     assert own is not memo and own.flags.writeable
     assert own.tobytes() == memo.tobytes()
     fresh = apply_matrix(state, own, op.targets)

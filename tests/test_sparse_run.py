@@ -35,7 +35,7 @@ from drqsim.fock import (
     creation_matrix,
     ground_state,
 )
-from drqsim.pulses import apply_pulse, carrier, pulse_matrix
+from drqsim.pulses import carrier, pulse_matrix
 from drqsim.verify import (
     LEAKAGE_GUARD_TOL,
     ancilla_reset_defect,
@@ -81,9 +81,8 @@ def _dense_health(dense, register):
 
 def _dense_pulses(dense, layout, ops):
     for op in ops:
-        mat = pulse_matrix(op, layout)
-        dense = apply_matrix_columns(dense, layout, mat.entries,
-                                     mat.subsystem_ids)
+        dense = apply_matrix_columns(dense, layout, pulse_matrix(op, layout),
+                                     op.targets)
     return dense
 
 
@@ -138,8 +137,7 @@ def replay(text, seed=0):
             sl[layout.axis(anc)] = 1 - outcome
             tensor[tuple(sl)] = 0.0  # a view of dense
             dense /= np.linalg.norm(dense)
-            if outcome:
-                state = apply_pulse(state, carrier(np.pi, 0.0, anc))
+            if outcome:  # `qnd_parity_check` resets the sparse side
                 dense = _dense_pulses(dense, layout,
                                       [carrier(np.pi, 0.0, anc)])
         else:
@@ -205,6 +203,9 @@ DOCUMENTS = {
     **{f"bell-{kind}-{rail}": (lambda kind=kind, rail=rail:
                                _heated_bell(kind, rail))
        for kind in ("gain", "loss") for rail in ("m0", "m1")},
+    # Healthy, so the flag reads odd and the flag qubit is reset.
+    "bell-qndcheck": lambda: BELL.replace("  cnot D Q\n",
+                                          "  cnot D Q\n  qndcheck D\n"),
 }
 
 

@@ -4,7 +4,7 @@
 in all its columns, so the rounding residues of pi-pulses and of
 destructive interference (about 1e-17) never fill a state's support.
 These tests watch the support after every pulse through a wrap of
-`verify.apply_pulse` (`conftest.probing`).
+`pulses.apply_pulse` (`conftest.probing`).
 """
 import argparse
 import json
