@@ -5,12 +5,12 @@ and optionally written to a file, in the bytes of `json.dumps(report,
 indent=2, sort_keys=True)`.  Exit codes: 0 success, 1 verification
 failure, 2 parse/validation error (an unreadable document or report file
 included), 3 numeric-health failure (including an array too large to
-allocate).
+allocate).  The `--seed`, `--shots` and `--tol` flags are read as the
+document's options are, by `document.read_option`.
 """
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from json.encoder import encode_basestring_ascii as _escape
@@ -23,7 +23,7 @@ from .compiler import (
     mod_2pi,
     preparation,
 )
-from .document import MAX_SHOTS, CircuitDocument, parse_circuit
+from .document import OPTIONS, CircuitDocument, parse_circuit, read_option
 from .encoding import LogicalRegister, define_register, extract_logical_state
 from .errors import (
     CompileError,
@@ -117,10 +117,8 @@ def cmd_compile(doc: CircuitDocument, args) -> tuple[dict, int]:
 
 def cmd_run(doc: CircuitDocument, args) -> tuple[dict, int]:
     layout, register = build_system(doc, args.cutoff)
-    seed = int(args.seed if args.seed is not None
-               else doc.options.get("seed", 0))
-    shots = int(args.shots if args.shots is not None
-                else doc.options.get("shots", 0))
+    seed = _option(args.seed, doc, "seed")
+    shots = _option(args.shots, doc, "shots")
     prep = preparation(register)
     steps = lower(register, doc.program)
 
@@ -181,11 +179,9 @@ def cmd_run(doc: CircuitDocument, args) -> tuple[dict, int]:
 
 
 def cmd_verify(doc: CircuitDocument | None, args) -> tuple[dict, int]:
-    tol = float(args.tol) if args.tol is not None else 1e-9
+    tol = _option(args.tol, doc, "tolerance")
     if doc is not None:
         _, register = build_system(doc, args.cutoff)
-        if "tolerance" in doc.options and args.tol is None:
-            tol = doc.options["tolerance"]
     checks = []
     if args.builtin or doc is None:
         for result in run_builtin_suite():
@@ -207,26 +203,21 @@ def cmd_verify(doc: CircuitDocument | None, args) -> tuple[dict, int]:
     return report, EXIT_OK if passed else EXIT_VERIFY_FAILED
 
 
-def _count(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"{text!r} must be non-negative")
-    return value
+def _option(flag, doc: CircuitDocument | None, key: str):
+    """The flag, else the document's option `key`, else its default."""
+    if flag is not None:
+        return flag
+    return (doc.options if doc else {}).get(key, OPTIONS[key])
 
 
-def _shots(text: str) -> int:
-    value = _count(text)
-    if value > MAX_SHOTS:
-        raise argparse.ArgumentTypeError(f"{text!r} exceeds {MAX_SHOTS}")
-    return value
-
-
-def _tolerance(text: str) -> float:
-    value = float(text)
-    if not 0 <= value < math.inf:
-        raise argparse.ArgumentTypeError(
-            f"{text!r} must be non-negative and finite")
-    return value
+def _flag(key: str):
+    """The argparse type of option `key`'s flag, read by `read_option`."""
+    def read(text: str):
+        try:
+            return read_option(key, text)
+        except DocumentError as exc:
+            raise argparse.ArgumentTypeError(exc.message) from None
+    return read
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -247,8 +238,8 @@ def make_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="simulate a circuit document")
     p_run.add_argument("document")
-    p_run.add_argument("--seed", type=_count, default=None)
-    p_run.add_argument("--shots", type=_shots, default=None)
+    p_run.add_argument("--seed", type=_flag("seed"), default=None)
+    p_run.add_argument("--shots", type=_flag("shots"), default=None)
     p_run.add_argument("--allow-midcircuit", action="store_true",
                        help="allow qndcheck before the end of the program")
     common(p_run)
@@ -257,7 +248,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("document", nargs="?", default=None)
     p_verify.add_argument("--builtin", action="store_true",
                           help="run the built-in identity suite")
-    p_verify.add_argument("--tol", type=_tolerance, default=None)
+    p_verify.add_argument("--tol", type=_flag("tolerance"), default=None)
     common(p_verify)
     return parser
 

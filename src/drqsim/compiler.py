@@ -48,6 +48,7 @@ import numpy as np
 
 from .encoding import LogicalRegister, RegisterEntry, prepare_dual_rail_zero
 from .errors import CompileError, RegisterError
+from .fock import UNITARITY_TOL
 from .pulses import (
     PhysicalOp,
     carrier,
@@ -59,7 +60,6 @@ from .pulses import (
 )
 
 ANGLE_EPS = 1e-12
-SU2_TOL = 1e-10
 
 _PI = np.pi
 
@@ -171,7 +171,7 @@ def xy_decompose(u: np.ndarray) -> tuple[float, float, float, float]:
     phase of det U, and conjugating v = e^{-i alpha} U by the Hadamard
     swaps the X and Y roles into the ZYZ angles of w = H v H, which need
     only w's first column.  A matrix whose largest entry of U^H U - I
-    exceeds `SU2_TOL`, or is NaN, is refused.
+    exceeds `fock.UNITARITY_TOL`, or is NaN, is refused.
     """
     u = np.asarray(u, dtype=complex)
     if u.shape != (2, 2):
@@ -182,7 +182,7 @@ def xy_decompose(u: np.ndarray) -> tuple[float, float, float, float]:
     # comes first.
     defect = max(math.sqrt(_abs2(a.conjugate() * b + c.conjugate() * d)),
                  abs(_abs2(a) + _abs2(c) - 1), abs(_abs2(b) + _abs2(d) - 1))
-    if not defect <= SU2_TOL:
+    if not defect <= UNITARITY_TOL:
         raise CompileError(f"matrix is not unitary (defect {defect:.3e})")
     alpha = _phase(a * d - b * c) / 2
     half = complex(math.cos(alpha), -math.sin(alpha)) / 2
@@ -710,8 +710,7 @@ def preparation(register: LogicalRegister) -> CompiledProgram:
     prog = CompiledProgram()
     for entry in register.entries:
         if entry.is_dual_rail:
-            prog.add(*prepare_dual_rail_zero(register, entry.logical_id,
-                                             register.readout_ancilla))
+            prog.add(*prepare_dual_rail_zero(register, entry.logical_id))
     return prog
 
 

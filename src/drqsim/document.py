@@ -23,7 +23,8 @@ A document is plain UTF-8 text with five sections:
 
 Angles are decimal numbers, optionally written as multiples of pi
 ("pi*0.5", "-pi*0.25", bare "pi").  Every parse failure carries a stable
-diagnostic code and the offending line number.
+diagnostic code and the offending line number.  `read_option` reads the
+run options of `OPTIONS`, in the `options:` section and as flags alike.
 """
 from __future__ import annotations
 
@@ -37,6 +38,8 @@ from .errors import DocumentError
 
 SECTIONS = ("system", "registers", "ancillas", "program", "options")
 MAX_SHOTS = 2 ** 63 - 1  # the sampler draws int64 binomial counts
+# Each run option's default; an int default makes it an integer option.
+OPTIONS = {"seed": 0, "shots": 0, "tolerance": 1e-9}
 _INT_RE = re.compile(r"^[+-]?\d+$")
 _NUMBER_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 _PI_RE = re.compile(r"^([+-]?)pi(\*([+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?))?$")
@@ -90,7 +93,7 @@ def format_number(value: float) -> str:
     """Text that `parse_number` reads back as exactly `value`: a multiple
     of pi where that form round-trips, the shortest decimal otherwise."""
     if value == 0:
-        return "0"
+        return "-0" if math.copysign(1.0, value) < 0 else "0"
     ratio = value / math.pi
     rounded = round(ratio, 12)
     if abs(ratio - rounded) < 1e-15 and abs(rounded) >= 1e-6:
@@ -99,6 +102,32 @@ def format_number(value: float) -> str:
         if parse_number(text, 0) == value:
             return text
     return repr(value)
+
+
+def read_option(key: str, token: str, line: int = 0) -> int | float:
+    """Run option `key`'s value written as `token`, in the `options:`
+    section or as the option's command-line flag."""
+    if key not in OPTIONS:
+        raise DocumentError("syntax", line, f"unknown option {key!r}")
+    integer = isinstance(OPTIONS[key], int)
+    if integer and _INT_RE.match(token):
+        try:  # exactly, past float's range
+            value = int(token)
+        except ValueError:  # past the digits that `int` reads
+            raise DocumentError("number", line,
+                                f"{key} has too many digits") from None
+    else:
+        value = parse_number(token, line)
+    if value < 0 or (integer and value != int(value)):
+        what = "integer" if integer else "number"
+        raise DocumentError("number", line,
+                            f"{key} must be a non-negative {what}")
+    if integer:
+        value = int(value)
+    if key == "shots" and value > MAX_SHOTS:
+        raise DocumentError("number", line,
+                            f"shots must be at most {MAX_SHOTS}")
+    return value
 
 
 def _looks_numeric(token: str) -> bool:
@@ -169,6 +198,9 @@ def parse_circuit(text: str) -> CircuitDocument:
                     "arity", lineno,
                     f"{kind} takes {len(SUBSYSTEM_KINDS[kind])} subsystems, "
                     f"got {len(phys)}")
+            if _looks_numeric(lid):
+                raise DocumentError("validation", lineno,
+                                    f"logical id {lid!r} reads as a number")
             if any(r[0] == lid for r in registers):
                 raise DocumentError("duplicate", lineno,
                                     f"logical id {lid!r} already defined")
@@ -210,29 +242,7 @@ def parse_circuit(text: str) -> CircuitDocument:
                                     f"{name}: repeated operand")
             program.append(GateRecord(name, params, operands, lineno))
         elif section == "options":
-            if key not in ("seed", "shots", "tolerance"):
-                raise DocumentError("syntax", lineno,
-                                    f"unknown option {key!r}")
-            token = rest.strip()
-            integer = key != "tolerance"
-            if integer and _INT_RE.match(token):
-                try:  # exactly, past float's range, as `--seed` reads it
-                    value = int(token)
-                except ValueError:  # past the digits that `int` reads
-                    raise DocumentError("number", lineno,
-                                        f"{key} has too many digits") from None
-            else:
-                value = parse_number(token, lineno)
-            if value < 0 or (integer and value != int(value)):
-                what = "integer" if integer else "number"
-                raise DocumentError("number", lineno,
-                                    f"{key} must be a non-negative {what}")
-            if integer:
-                value = int(value)
-            if key == "shots" and value > MAX_SHOTS:
-                raise DocumentError("number", lineno,
-                                    f"shots must be at most {MAX_SHOTS}")
-            options[key] = value
+            options[key] = read_option(key, rest.strip(), lineno)
 
     doc.registers = tuple(registers)
     doc.program = tuple(program)
@@ -299,7 +309,7 @@ def serialize_circuit(doc: CircuitDocument) -> str:
         lines.append("options:")
         for key in sorted(doc.options):
             value = doc.options[key]
-            if key in ("seed", "shots") and value == int(value):
+            if isinstance(OPTIONS[key], int) and value == int(value):
                 lines.append(f"  {key}: {int(value)}")
             else:
                 lines.append(f"  {key}: {format_number(value)}")

@@ -267,8 +267,8 @@ def extract_logical_state(state: StateVector,
 PREPARE_PHASE = np.pi  # carrier(pi) and rsb(pi) each contribute -i
 
 
-def prepare_dual_rail_zero(register: LogicalRegister, logical_id: str,
-                           ancilla_qubit: str) -> tuple[list[PhysicalOp], float]:
+def prepare_dual_rail_zero(register: LogicalRegister,
+                           logical_id: str) -> tuple[list[PhysicalOp], float]:
     """Pulse sequence loading one phonon into the first rail.
 
     Starting from the global ground state this prepares the dual-rail
@@ -278,9 +278,8 @@ def prepare_dual_rail_zero(register: LogicalRegister, logical_id: str,
     -1 is returned for the program ledger rather than corrected.
     """
     d0, _ = register.entry(logical_id).rails
-    if ancilla_qubit not in register.ancilla_qubits:
-        raise RegisterError(f"{ancilla_qubit!r} is not in the ancilla pool")
-    ops = [carrier(np.pi, 0.0, ancilla_qubit), rsb(np.pi, ancilla_qubit, d0)]
+    ancilla = register.readout_ancilla
+    ops = [carrier(np.pi, 0.0, ancilla), rsb(np.pi, ancilla, d0)]
     return ops, PREPARE_PHASE
 
 
@@ -289,26 +288,24 @@ def read_and_reset(state: StateVector, qubit: str,
     """Fluorescence read of a qubit, then a carrier(pi) back to ground if
     it reads excited: the outcome and the collapsed state, the qubit in
     ground for reuse.  A dual-rail readout and a parity check end here."""
-    outcome, collapsed, _ = measure_qubit_z(state, qubit, rng_seed)
+    outcome, collapsed = measure_qubit_z(state, qubit, rng_seed)
     if outcome == 1:
         collapsed = apply_pulses(collapsed, [carrier(np.pi, 0.0, qubit)])
     return outcome, collapsed
 
 
 def measure_dual_rail(state: StateVector, register: LogicalRegister,
-                      logical_id: str, ancilla_qubit: str,
-                      rng_seed) -> tuple[int, StateVector]:
+                      logical_id: str, rng_seed) -> tuple[int, StateVector]:
     """Read one shot of a dual-rail qubit: an rsb(pi) from rail d1 maps
     |0>_D to the ground ancilla and |1>_D to the excited one (leaked rail
     states map partially), and `read_and_reset` reads the ancilla and
     leaves it in ground.  `verify.sample_counts` is tested against it.
     """
     _, d1 = register.entry(logical_id).rails
-    if ancilla_qubit not in register.ancilla_qubits:
-        raise RegisterError(f"{ancilla_qubit!r} is not in the ancilla pool")
-    require_ground(state, ancilla_qubit)
-    mapped = apply_pulses(state, [rsb(np.pi, ancilla_qubit, d1)])
-    return read_and_reset(mapped, ancilla_qubit, rng_seed)
+    ancilla = register.readout_ancilla
+    require_ground(state, ancilla)
+    mapped = apply_pulses(state, [rsb(np.pi, ancilla, d1)])
+    return read_and_reset(mapped, ancilla, rng_seed)
 
 
 def require_ground(state: StateVector, ancilla_qubit: str) -> None:

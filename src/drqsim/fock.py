@@ -23,7 +23,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -501,14 +501,8 @@ def exp_hermitian(generator: np.ndarray, scale: float) -> np.ndarray:
     return u
 
 
-class MeasurementResult(NamedTuple):
-    outcome: int
-    collapsed: StateVector
-    probabilities: tuple[float, float]
-
-
 def measure_qubit_z(state: StateVector, qubit_id: str,
-                    rng_seed) -> MeasurementResult:
+                    rng_seed) -> tuple[int, StateVector]:
     """Projective z-basis measurement of one qubit (fluorescence readout).
 
     Outcome 0 is the ground state, 1 the excited state, drawn with the
@@ -526,4 +520,4 @@ def measure_qubit_z(state: StateVector, qubit_id: str,
     values = state.values[keep]
     collapsed = StateVector(state.layout, index=state.index[keep],
                             values=values / np.linalg.norm(values))
-    return MeasurementResult(outcome, collapsed, (1 - p1, p1))
+    return outcome, collapsed

@@ -7,7 +7,7 @@ algebra."""
 import numpy as np
 
 from drqsim import encoding, fock, pulses, verify
-from drqsim.compiler import HADAMARD, SU2_TOL, CompiledProgram, lower
+from drqsim.compiler import HADAMARD, CompiledProgram, lower
 from drqsim.errors import CompileError, RegisterError, StateError
 from drqsim.fock import (StateVector, apply_matrix_columns, basis_state,
                          exp_hermitian)
@@ -124,7 +124,7 @@ def numpy_xy_decompose(u) -> tuple[float, float, float, float]:
     if u.shape != (2, 2):
         raise CompileError("single-qubit gate needs a 2x2 matrix")
     defect = float(np.max(np.abs(u.conj().T @ u - np.eye(2))))
-    if not defect <= SU2_TOL:
+    if not defect <= fock.UNITARITY_TOL:
         raise CompileError(f"matrix is not unitary (defect {defect:.3e})")
     alpha = float(np.angle(np.linalg.det(u)) / 2)
     w = HADAMARD @ (np.exp(-1j * alpha) * u) @ HADAMARD

@@ -467,10 +467,10 @@ def test_criterion_11_ancilla_hygiene():
 
     # Preparation and measurement restore their ancilla.
     state = ground_state(layout)
-    ops, _ = prepare_dual_rail_zero(register, "D", "anc")
+    ops, _ = prepare_dual_rail_zero(register, "D")
     state = run_program(state, ops)
     worst_reset = max(worst_reset, ancilla_reset_defect(state, register))
-    _, collapsed = measure_dual_rail(state, register, "D", "anc", 4)
+    _, collapsed = measure_dual_rail(state, register, "D", 4)
     worst_reset = max(worst_reset, ancilla_reset_defect(collapsed, register))
 
     assert worst_reset <= 1e-9

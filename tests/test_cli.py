@@ -47,7 +47,11 @@ def bell_doc(tmp_path):
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    """Exit code, stdout and stderr of `main`, argparse's exit included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -523,6 +527,69 @@ def test_repeated_operand_exit_code(tmp_path, capsys):
         assert "duplicate" in err
 
 
+@pytest.mark.parametrize("line,text,message", [
+    (8, "D dual_rail q0 q1", "'D': subsystem 'q0' must be a mode"),
+    (8, "D dual_rail m0 m0", "'D' reuses a subsystem"),
+    (8, "D dual_rail m0",
+     "arity (line 8): dual_rail takes 2 subsystems, got 1"),
+    (13, "rx", "arity (line 13): rx takes 1 parameter(s)"),
+    (13, "rx 0.1 0.2 D", "arity (line 13): rx: too many numeric parameters"),
+    (4, "qubits: q0 q0", "duplicate (line 4): repeated qubit id"),
+    (11, "com_mode: m9",
+     "reference (line 0): com_mode 'm9' is not a declared mode"),
+    (13, "loss q0", "reference (line 13): loss target 'q0' is not a mode"),
+], ids=["rail-kind", "rail-reuse", "rail-arity", "param-missing",
+        "param-extra", "qubit-repeat", "com-undeclared", "loss-qubit"])
+def test_bell_line_diagnostic(tmp_path, capsys, line, text, message):
+    with open("circuits/bell.drq", encoding="utf-8") as fh:
+        lines = fh.read().splitlines(keepends=True)
+    lines[line - 1] = f"  {text}\n"
+    path = tmp_path / "bad.drq"
+    path.write_text("".join(lines))
+    for command in ("compile", "run", "verify"):
+        assert run_cli(capsys, command, str(path)) == (
+            2, "", f"error: {message}\n"), command
+
+
+def test_document_without_subsystems_exit_code(tmp_path, capsys):
+    path = tmp_path / "empty.drq"
+    path.write_text("program:\n")
+    for command in ("compile", "run", "verify"):
+        assert run_cli(capsys, command, str(path)) == (
+            2, "", "error: layout needs at least one subsystem\n"), command
+
+
+def test_verify_needs_a_document_or_builtin(capsys):
+    code, out, err = run_cli(capsys, "verify")
+    assert (code, out) == (2, "")
+    assert err.endswith(
+        "drqsim: error: verify needs a document or --builtin\n")
+
+
+NEGATIVE_ZERO = """\
+system:
+  qubits: q0
+  modes: m0 m1 m2 m3
+registers:
+  D1 dual_rail m0 m1
+  D2 dual_rail m2 m3
+ancillas:
+  qubits: q0
+program:
+  rzz -0 D1 D2
+"""
+
+
+def test_negative_zero_angle_survives_serialization(tmp_path, capsys):
+    original = tmp_path / "original.drq"
+    original.write_text(NEGATIVE_ZERO)
+    written = tmp_path / "written.drq"
+    written.write_text(serialize_circuit(parse_circuit(NEGATIVE_ZERO)))
+    code, out, _ = run_cli(capsys, "compile", str(original))
+    assert code == 0 and '"theta": -0.0' in out
+    assert run_cli(capsys, "compile", str(written)) == (code, out, "")
+
+
 NO_ANCILLA = """\
 system:
   qubits: q0
@@ -580,6 +647,33 @@ def test_bad_tol_flag_exit_code(bell_doc, capsys, value):
         main(["verify", bell_doc, f"--tol={value}"])
     assert exc.value.code == 2
     assert "--tol" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,key,flag,value,want", [
+    ("run", "seed", "--seed", "1e3", 0),
+    ("run", "seed", "--seed", "5_000", 2),
+    ("run", "seed", "--seed", "-1", 2),
+    ("run", "seed", "--seed", "2.5", 2),
+    ("run", "shots", "--shots", "1e2", 0),
+    ("verify", "tolerance", "--tol", "pi*1e-9", 0),
+    ("verify", "tolerance", "--tol", "nan", 2),
+])
+def test_flag_reads_like_its_option(tmp_path, capsys, command, key, flag,
+                                    value, want):
+    bare = BELL.replace("  seed: 7\n  shots: 10000\n", "")
+    without = tmp_path / "bare.drq"
+    without.write_text(bare)
+    with_option = tmp_path / "option.drq"
+    with_option.write_text(bare + f"  {key}: {value}\n")
+    code, out, err = run_cli(capsys, command, str(with_option))
+    flag_code, flag_out, flag_err = run_cli(capsys, command, str(without),
+                                            f"{flag}={value}")
+    assert (flag_code, flag_out) == (code, out)
+    assert code == want
+    if code:
+        # The option's message, without its code and line.
+        message = err.split("): ", 1)[1]
+        assert flag_err.endswith(f"argument {flag}: {message}")
 
 
 def test_oversized_state_exit_code(tmp_path, capsys):

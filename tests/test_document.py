@@ -102,6 +102,16 @@ def test_repeated_key_diagnostic(section, first, second):
     assert err.value.line == BELL.split("\n").index(f"{section}:") + 3
 
 
+def test_numeric_logical_id_refused_at_its_register_line():
+    # `x pi` would read the id as the gate's parameter.
+    text = BELL.replace("Q internal q0", "pi internal q0")
+    with pytest.raises(DocumentError) as err:
+        parse_circuit(text)
+    line = BELL.split("\n").index("  Q internal q0") + 1
+    assert str(err.value) == (f"validation (line {line}): "
+                              "logical id 'pi' reads as a number")
+
+
 def test_integer_options_read_exactly():
     doc = parse_circuit(BELL.replace("seed: 7", "seed: 12345678901234567891")
                         .replace("shots: 10000", "shots: 1e3"))

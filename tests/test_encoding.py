@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import itertools
 
 import numpy as np
@@ -242,7 +243,7 @@ def test_extract_refuses_a_row_whose_levels_carry_into_a_codeword_index():
 
 def test_prepare_dual_rail_zero(hybrid_system):
     layout, register = hybrid_system
-    ops, phase = prepare_dual_rail_zero(register, "D", "anc")
+    ops, phase = prepare_dual_rail_zero(register, "D")
     state = apply_pulses(ground_state(layout), ops)
     idx = layout.basis_index([0, 0, 1, 0])  # q, anc, m0=1, m1=0
     assert abs(state.amplitudes[idx]) == pytest.approx(1.0, abs=1e-10)
@@ -253,7 +254,7 @@ def test_prepare_dual_rail_zero(hybrid_system):
 
 def test_prepare_twice_populates_second_fock_level(hybrid_system):
     layout, register = hybrid_system
-    ops, _ = prepare_dual_rail_zero(register, "D", "anc")
+    ops, _ = prepare_dual_rail_zero(register, "D")
     state = apply_pulses(apply_pulses(ground_state(layout), ops), ops)
     assert state.population("m0", 2) > 0.1
 
@@ -261,7 +262,7 @@ def test_prepare_twice_populates_second_fock_level(hybrid_system):
 def test_measure_one_deterministic(hybrid_system):
     layout, register = hybrid_system
     state = logical_basis_state(register, [0, 1])  # Q=0, D=1
-    bit, collapsed = measure_dual_rail(state, register, "D", "anc", 5)
+    bit, collapsed = measure_dual_rail(state, register, "D", 5)
     assert bit == 1
     assert collapsed.population("anc", 0) == pytest.approx(1.0, abs=1e-10)
 
@@ -269,7 +270,7 @@ def test_measure_one_deterministic(hybrid_system):
 def test_measure_zero_deterministic(hybrid_system):
     layout, register = hybrid_system
     state = logical_basis_state(register, [0, 0])
-    bit, _ = measure_dual_rail(state, register, "D", "anc", 5)
+    bit, _ = measure_dual_rail(state, register, "D", 5)
     assert bit == 0
 
 
@@ -279,7 +280,7 @@ def test_measure_superposition_statistics(hybrid_system):
             + logical_basis_state(register, [0, 1]).amplitudes) / np.sqrt(2)
     state = dense_state(layout, plus)
     rng = np.random.default_rng(99)
-    ones = sum(measure_dual_rail(state, register, "D", "anc", rng)[0]
+    ones = sum(measure_dual_rail(state, register, "D", rng)[0]
                for _ in range(10000))
     assert abs(ones - 5000) <= 3 * np.sqrt(10000 * 0.25)
 
@@ -288,7 +289,31 @@ def test_measure_requires_ground_ancilla(hybrid_system):
     layout, register = hybrid_system
     state = basis_state(layout, {"anc": 1, "m0": 1})
     with pytest.raises(StateError):
-        measure_dual_rail(state, register, "D", "anc", 0)
+        measure_dual_rail(state, register, "D", 0)
+
+
+@pytest.mark.parametrize("function", [prepare_dual_rail_zero,
+                                      measure_dual_rail])
+def test_encoding_takes_the_ancilla_from_its_register(function):
+    assert not any("ancilla" in name for name in
+                   inspect.signature(function).parameters)
+
+
+def test_first_pool_ancilla_loads_and_reads():
+    layout = create_layout([("a", "qubit", 2), ("b", "qubit", 2),
+                            ("m0", "mode", 4), ("m1", "mode", 4)])
+    register = define_register(layout, [("D", "dual_rail", ("m0", "m1"))],
+                               ancilla_qubits=("a", "b"))
+    ops, _ = prepare_dual_rail_zero(register, "D")
+    assert [op.targets for op in ops] == [("a",), ("a", "m0")]
+    # An excited `b` is left alone; an excited `a` is refused.
+    state = basis_state(layout, {"b": 1, "m1": 1})
+    bit, collapsed = measure_dual_rail(state, register, "D", 0)
+    assert bit == 1
+    assert collapsed.population("b", 1) == pytest.approx(1.0, abs=1e-10)
+    with pytest.raises(StateError, match="ancilla 'a'"):
+        measure_dual_rail(basis_state(layout, {"a": 1, "m1": 1}),
+                          register, "D", 0)
 
 
 def test_measure_leaves_disjoint_dual_rail(dual_pair_system):
@@ -297,7 +322,7 @@ def test_measure_leaves_disjoint_dual_rail(dual_pair_system):
     b = logical_basis_state(register, [1, 0]).amplitudes
     state = dense_state(layout, (a + 1j * b) / np.sqrt(2))
     before = extract_logical_state(state, register).logical_amplitudes
-    bit, collapsed = measure_dual_rail(state, register, "D2", "anc", 3)
+    bit, collapsed = measure_dual_rail(state, register, "D2", 3)
     assert bit == 0
     after = extract_logical_state(collapsed, register).logical_amplitudes
     # D1 amplitudes unchanged (D2 collapsed onto |0>).
@@ -369,12 +394,12 @@ def test_prep_gate_measure_round_trip(hybrid_system):
     # Prepare |0>_D, apply a compiled Hadamard, measure: the empirical
     # one-frequency must match |<1|H|0>|^2 = 1/2.
     layout, register = hybrid_system
-    ops, _ = prepare_dual_rail_zero(register, "D", "anc")
+    ops, _ = prepare_dual_rail_zero(register, "D")
     state = apply_pulses(ground_state(layout), ops)
     prog = compile_gate(register, gate("h", "D"))
     state = run_program(state, prog)
     rng = np.random.default_rng(7)
     shots = 10000
-    ones = sum(measure_dual_rail(state, register, "D", "anc", rng)[0]
+    ones = sum(measure_dual_rail(state, register, "D", rng)[0]
                for _ in range(shots))
     assert abs(ones - shots / 2) <= 3 * np.sqrt(shots * 0.25)

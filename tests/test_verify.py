@@ -556,10 +556,9 @@ def _sample_by_shot(state, register, measured_ids, shots, seed):
         for entry in entries:
             if entry.is_dual_rail:
                 bit, shot_state = measure_dual_rail(
-                    shot_state, register, entry.logical_id,
-                    register.ancilla_qubits[0], rng)
+                    shot_state, register, entry.logical_id, rng)
             else:
-                bit, shot_state, _ = measure_qubit_z(
+                bit, shot_state = measure_qubit_z(
                     shot_state, entry.qubit, rng)
             bits.append(str(bit))
         key = "".join(bits)
