@@ -186,9 +186,8 @@ def cmd_verify(doc: CircuitDocument | None, args) -> tuple[dict, int]:
     if args.builtin or doc is None:
         for result in run_builtin_suite():
             # Each built-in check has its own bound; the report's holds too.
-            result.equivalent = (result.equivalent
-                                 and result.max_entry_error <= tol)
-            checks.append(result.to_dict())
+            held = result.equivalent and result.max_entry_error <= tol
+            checks.append(result._replace(equivalent=held).to_dict())
     if doc is not None:
         checks += [report.to_dict()
                    for report in check_records(register, doc.program, tol)]

@@ -41,8 +41,7 @@ physical pulses.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -86,14 +85,12 @@ def mod_2pi(phase: float) -> float:
     return 0.0 if wrapped == 2 * _PI else wrapped
 
 
-@dataclass
-class AncillaUse:
+class AncillaUse(NamedTuple):
     gate: str
     qubits: tuple[str, ...] = ()
     modes: tuple[str, ...] = ()
 
 
-@dataclass
 class CompiledProgram:
     """Ordered pulse list with ancilla manifest and phase ledger.
 
@@ -101,9 +98,12 @@ class CompiledProgram:
     logical subspace equals e^{i phi} times the intended gate.
     """
 
-    ops: list[PhysicalOp] = field(default_factory=list)
-    ancilla_manifest: list[AncillaUse] = field(default_factory=list)
-    global_phase: float = 0.0
+    def __init__(self, ops: Sequence[PhysicalOp] = (),
+                 ancilla_manifest: Sequence[AncillaUse] = (),
+                 global_phase: float = 0.0):
+        self.ops = list(ops)
+        self.ancilla_manifest = list(ancilla_manifest)
+        self.global_phase = global_phase
 
     def add(self, ops: Sequence[PhysicalOp], phase: float = 0.0) -> None:
         self.ops.extend(ops)
@@ -201,13 +201,23 @@ def xy_decompose(u: np.ndarray) -> tuple[float, float, float, float]:
 
 
 def _xy_angles(u: np.ndarray) -> tuple[float, list[tuple[str, float]]]:
-    """X-Y rotation list in application order, with tiny angles elided."""
+    """X-Y rotation list in application order, with tiny angles elided.
+
+    A full turn R(+-2 pi) = -I is elided too, its pi added to alpha: it
+    acts on the logical subspace as a phase, which the ledger carries.
+    """
     alpha, th1, th2, th3 = xy_decompose(u)
     if abs(th2) < ANGLE_EPS:
         rots = [("x", th1 + th3)]
     else:
         rots = [("x", th3), ("y", th2), ("x", th1)]
-    return alpha, [(ax, th) for ax, th in rots if abs(th) >= ANGLE_EPS]
+    kept = []
+    for ax, th in rots:
+        if abs(abs(th) - 2 * _PI) < ANGLE_EPS:
+            alpha += _PI
+        elif abs(th) >= ANGLE_EPS:
+            kept.append((ax, th))
+    return alpha, kept
 
 
 def _internal_rotation(axis: str, theta: float, q: str) -> PhysicalOp:
@@ -591,8 +601,7 @@ Lowering = Callable[[LogicalRegister, Sequence[float], Sequence[str]],
                     CompiledProgram]
 
 
-@dataclass(frozen=True)
-class GateSpec:
+class GateSpec(NamedTuple):
     """One row of the gate table.
 
     `lower` maps (register, params, operands) to the record's
@@ -689,8 +698,7 @@ def compile_gate(register: LogicalRegister, record) -> CompiledProgram:
     return GATES[record.name].lower(register, record.params, record.operands)
 
 
-@dataclass
-class Step:
+class Step(NamedTuple):
     """One lowered program record; `program` is None for directives."""
 
     index: int
@@ -731,19 +739,19 @@ def lower(register: LogicalRegister, records: Sequence) -> list[Step]:
     programs: dict = {}
     for i, rec in enumerate(records):
         spec = GATES[rec.name]
-        step = Step(i, rec, spec.step)
+        program = None
         try:
             if spec.lower is not None:
                 key = (rec, repr(rec.params))
-                step.program = programs.get(key)
-                if step.program is None:
-                    step.program = programs[key] = compile_gate(register, rec)
+                program = programs.get(key)
+                if program is None:
+                    program = programs[key] = compile_gate(register, rec)
             elif spec.step == PARITY_CHECK:
                 if not register.entry(rec.operands[0]).is_dual_rail:
                     raise CompileError("qndcheck target must be dual-rail")
                 register.readout_ancilla  # raises without a pool qubit
         except (CompileError, RegisterError) as exc:
-            raise step.error(exc, CompileError) from exc
-        steps.append(step)
+            raise Step(i, rec, spec.step).error(exc, CompileError) from exc
+        steps.append(Step(i, rec, spec.step, program))
     return steps
 

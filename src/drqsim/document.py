@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .compiler import ERROR_INJECTION, GATES
 from .encoding import SUBSYSTEM_KINDS
@@ -45,12 +45,24 @@ _NUMBER_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 _PI_RE = re.compile(r"^([+-]?)pi(\*([+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?))?$")
 
 
-@dataclass(frozen=True)
-class GateRecord:
+class GateRecord(NamedTuple):
+    """One program line.  `line` is for diagnostics only: equality and
+    hash ignore it, so equal gates on different lines are one record."""
+
     name: str
     params: tuple[float, ...]
     operands: tuple[str, ...]
-    line: int = field(default=0, compare=False)  # diagnostics only
+    line: int = 0
+
+    def __eq__(self, other):
+        if not isinstance(other, GateRecord):
+            return NotImplemented
+        return self[:3] == other[:3]
+
+    __ne__ = object.__ne__  # tuple's own would compare `line` too
+
+    def __hash__(self):
+        return hash(self[:3])
 
     def render(self) -> str:
         parts = [self.name]
@@ -59,16 +71,15 @@ class GateRecord:
         return " ".join(parts)
 
 
-@dataclass
-class CircuitDocument:
-    qubits: tuple[str, ...] = ()
-    modes: tuple[str, ...] = ()
-    cutoff: int = 4
-    registers: tuple[tuple[str, str, tuple[str, ...]], ...] = ()
-    ancilla_qubits: tuple[str, ...] = ()
-    com_mode: str | None = None
-    program: tuple[GateRecord, ...] = ()
-    options: dict[str, float | int] = field(default_factory=dict)
+class CircuitDocument(NamedTuple):
+    qubits: tuple[str, ...]
+    modes: tuple[str, ...]
+    cutoff: int
+    registers: tuple[tuple[str, str, tuple[str, ...]], ...]
+    ancilla_qubits: tuple[str, ...]
+    com_mode: str | None
+    program: tuple[GateRecord, ...]
+    options: dict[str, float | int]
 
     def logical_ids(self) -> tuple[str, ...]:
         return tuple(r[0] for r in self.registers)
@@ -135,7 +146,8 @@ def _looks_numeric(token: str) -> bool:
 
 
 def parse_circuit(text: str) -> CircuitDocument:
-    doc = CircuitDocument()
+    qubits = modes = ancilla_qubits = ()
+    cutoff, com_mode = 4, None
     registers: list[tuple[str, str, tuple[str, ...]]] = []
     program: list[GateRecord] = []
     options: dict[str, float | int] = {}
@@ -170,14 +182,14 @@ def parse_circuit(text: str) -> CircuitDocument:
 
         if section == "system":
             if key == "qubits":
-                doc.qubits = _unique(values, lineno, "qubit")
+                qubits = _subsystem_ids(values, lineno, "qubit")
             elif key == "modes":
-                doc.modes = _unique(values, lineno, "mode")
+                modes = _subsystem_ids(values, lineno, "mode")
             elif key == "cutoff":
                 if len(values) != 1:
                     raise DocumentError("syntax", lineno, "cutoff takes one value")
                 try:
-                    doc.cutoff = int(values[0])
+                    cutoff = int(values[0])
                 except ValueError:
                     raise DocumentError("number", lineno,
                                         f"bad cutoff {values[0]!r}") from None
@@ -207,12 +219,12 @@ def parse_circuit(text: str) -> CircuitDocument:
             registers.append((lid, kind, tuple(phys)))
         elif section == "ancillas":
             if key == "qubits":
-                doc.ancilla_qubits = _unique(values, lineno, "ancilla")
+                ancilla_qubits = _unique(values, lineno, "ancilla")
             elif key == "com_mode":
                 if len(values) != 1:
                     raise DocumentError("syntax", lineno,
                                         "com_mode takes one mode id")
-                doc.com_mode = values[0]
+                com_mode = values[0]
             else:
                 raise DocumentError("syntax", lineno,
                                     f"unknown ancillas key {key!r}")
@@ -244,9 +256,8 @@ def parse_circuit(text: str) -> CircuitDocument:
         elif section == "options":
             options[key] = read_option(key, rest.strip(), lineno)
 
-    doc.registers = tuple(registers)
-    doc.program = tuple(program)
-    doc.options = options
+    doc = CircuitDocument(qubits, modes, cutoff, tuple(registers),
+                          ancilla_qubits, com_mode, tuple(program), options)
     _validate_references(doc)
     return doc
 
@@ -255,6 +266,18 @@ def _unique(values: list[str], lineno: int, what: str) -> tuple[str, ...]:
     if len(set(values)) != len(values):
         raise DocumentError("duplicate", lineno, f"repeated {what} id")
     return tuple(values)
+
+
+def _subsystem_ids(values: list[str], lineno: int,
+                   what: str) -> tuple[str, ...]:
+    """The ids of a `system:` line.  An id that reads as a number is
+    refused, as a logical id is: `loss` and `gain` name a mode as their
+    operand, which the program parser would take for a parameter."""
+    for sid in values:
+        if _looks_numeric(sid):
+            raise DocumentError("validation", lineno,
+                                f"{what} id {sid!r} reads as a number")
+    return _unique(values, lineno, what)
 
 
 def _validate_references(doc: CircuitDocument) -> None:

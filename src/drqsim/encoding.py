@@ -16,9 +16,8 @@ it out and flags its parity, and `read_and_reset` pumps it back to ground.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -52,8 +51,7 @@ SUBSYSTEM_KINDS = {
 ANCILLA_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class RegisterEntry:
+class RegisterEntry(NamedTuple):
     logical_id: str
     kind: str
     physical: tuple[str, ...]
@@ -86,14 +84,16 @@ class RegisterEntry:
         return self.physical[-1] if aux else None
 
 
-@dataclass(frozen=True)
 class LogicalRegister:
-    """Immutable map from logical qubits to physical subsystems."""
+    """Map from logical qubits to physical subsystems, never changed
+    after it is built: its tables are cached on first read."""
 
-    layout: HilbertLayout
-    entries: tuple[RegisterEntry, ...]
-    ancilla_qubits: tuple[str, ...] = ()
-    com_mode: str | None = None
+    def __init__(self, layout: HilbertLayout,
+                 entries: tuple[RegisterEntry, ...],
+                 ancilla_qubits: tuple[str, ...] = (),
+                 com_mode: str | None = None):
+        self.layout, self.entries = layout, entries
+        self.ancilla_qubits, self.com_mode = ancilla_qubits, com_mode
 
     def entry(self, logical_id: str) -> RegisterEntry:
         for e in self.entries:
@@ -164,12 +164,13 @@ class LogicalRegister:
         """The register of `logical_ids` (first most significant), the
         pool ancillas and the COM mode on a layout of only their
         subsystems, in layout order: all that a gate on them may touch."""
-        local = LogicalRegister(self.layout,
-                                tuple(map(self.entry, logical_ids)),
-                                self.ancilla_qubits, self.com_mode)
-        sids = set(local.claimed_subsystems())
-        return replace(local, layout=HilbertLayout(
-            [s for s in self.layout.subsystems if s.sid in sids]))
+        entries = tuple(map(self.entry, logical_ids))
+        sids = set(LogicalRegister(self.layout, entries, self.ancilla_qubits,
+                                   self.com_mode).claimed_subsystems())
+        return LogicalRegister(
+            HilbertLayout([s for s in self.layout.subsystems
+                           if s.sid in sids]),
+            entries, self.ancilla_qubits, self.com_mode)
 
 
 def define_register(layout: HilbertLayout,
@@ -216,7 +217,6 @@ def define_register(layout: HilbertLayout,
 PHASE_REFERENCE_RTOL = 1e-9
 
 
-@dataclass
 class LogicalStateReport:
     """Projection of a physical state onto the codeword span: the logical
     index (first registered qubit most significant) and amplitude of each
@@ -227,11 +227,12 @@ class LogicalStateReport:
     of tied magnitude.
     """
 
-    logical_dim: int
-    codewords: np.ndarray = field(repr=False)
-    amplitudes: np.ndarray = field(repr=False)
-    leakage: float = 0.0
-    global_phase: float = 0.0
+    def __init__(self, logical_dim: int, codewords: np.ndarray,
+                 amplitudes: np.ndarray, leakage: float = 0.0,
+                 global_phase: float = 0.0):
+        self.logical_dim, self.codewords = logical_dim, codewords
+        self.amplitudes, self.leakage = amplitudes, leakage
+        self.global_phase = global_phase
 
     @cached_property
     def logical_amplitudes(self) -> np.ndarray:

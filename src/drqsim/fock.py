@@ -22,8 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -81,8 +80,7 @@ def kron_le(mats: Sequence[np.ndarray]) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class Subsystem:
+class Subsystem(NamedTuple):
     sid: str
     kind: str
     dim: int

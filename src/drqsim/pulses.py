@@ -39,8 +39,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -88,34 +87,44 @@ _PULSES = {
 }
 
 
-@dataclass(frozen=True)
-class PhysicalOp:
-    """One pulse primitive with angle parameters and subsystem targets."""
-
+class _PhysicalOpFields(NamedTuple):
     kind: str
     theta: float
     phi: float
     targets: tuple[str, ...]
     aux_flag: bool = False
 
-    def __post_init__(self):
-        if self.kind not in _PULSES:
-            raise PulseError(f"unknown pulse kind {self.kind!r}")
-        arity = len(_PULSES[self.kind][0])
-        if len(self.targets) != arity:
-            raise PulseError(f"{self.kind} takes {arity} targets, "
-                             f"got {len(self.targets)}")
-        if self.kind in ("bs", "zbs") and len(set(self.targets[-2:])) != 2:
-            raise PulseError(f"{self.kind} needs two distinct modes")
-        if self.kind == "native_xx" and len(set(self.targets)) != 2:
+
+class PhysicalOp(_PhysicalOpFields):
+    """One pulse primitive with angle parameters and subsystem targets,
+    checked when it is built or copied with `_replace`."""
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str, theta: float, phi: float,
+                targets: tuple[str, ...], aux_flag: bool = False):
+        if kind not in _PULSES:
+            raise PulseError(f"unknown pulse kind {kind!r}")
+        arity = len(_PULSES[kind][0])
+        if len(targets) != arity:
+            raise PulseError(f"{kind} takes {arity} targets, "
+                             f"got {len(targets)}")
+        if kind in ("bs", "zbs") and len(set(targets[-2:])) != 2:
+            raise PulseError(f"{kind} needs two distinct modes")
+        if kind == "native_xx" and len(set(targets)) != 2:
             raise PulseError("native_xx needs two distinct qubits")
         # Their generators take no phase (the printed rsb at phi != 0 is
         # not Hermitian-generated), so a phase would be dropped.
-        if self.kind in ("rsb", "qphase", "native_xx") and self.phi != 0.0:
-            raise PulseError(f"{self.kind} supports only phi = 0")
+        if kind in ("rsb", "qphase", "native_xx") and phi != 0.0:
+            raise PulseError(f"{kind} supports only phi = 0")
+        return tuple.__new__(cls, (kind, theta, phi, targets, aux_flag))
+
+    # `_replace` builds its copy through `_make`, which would skip the
+    # checks in `__new__`.
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def with_aux_flag(self) -> "PhysicalOp":
-        return PhysicalOp(self.kind, self.theta, self.phi, self.targets, True)
+        return self._replace(aux_flag=True)
 
 
 def carrier(theta: float, phi: float, qubit_id: str) -> PhysicalOp:
@@ -265,16 +274,7 @@ def apply_pulses(state: StateVector, ops: Sequence[PhysicalOp]) -> StateVector:
     return state
 
 
-@dataclass(frozen=True)
-class PulseParams:
-    """Raman-beam parameters behind one ZBS pulse.
-
-    eta1/eta2 are Lamb-Dicke parameters, omega1/omega2 sideband Rabi
-    frequencies (rad/s), delta_bs the beamsplitter detuning (rad/s), t the
-    pulse duration (s), omega_q the qubit splitting, nu1/nu2 the mode
-    frequencies, phi1/phi2 the sideband phases.
-    """
-
+class _PulseParamsFields(NamedTuple):
     eta1: float
     eta2: float
     omega1: float
@@ -287,9 +287,26 @@ class PulseParams:
     phi1: float = 0.0
     phi2: float = 0.0
 
-    def __post_init__(self):
-        if self.t < 0:
+
+class PulseParams(_PulseParamsFields):
+    """Raman-beam parameters behind one ZBS pulse, checked as a
+    `PhysicalOp` is.
+
+    eta1/eta2 are Lamb-Dicke parameters, omega1/omega2 sideband Rabi
+    frequencies (rad/s), delta_bs the beamsplitter detuning (rad/s), t the
+    pulse duration (s), omega_q the qubit splitting, nu1/nu2 the mode
+    frequencies, phi1/phi2 the sideband phases.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        params = super().__new__(cls, *args, **kwargs)
+        if params.t < 0:
             raise PulseError("pulse duration must be non-negative")
+        return params
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # as PhysicalOp's
 
 
 def zbs_angle_from_pulse(p: PulseParams) -> tuple[float, float]:

@@ -13,8 +13,6 @@ well.
 """
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
 from . import compiler as comp
@@ -157,7 +155,7 @@ def check_cswap() -> EquivalenceReport:
         ancilla_qubits=("anc",))
     report, = check_records(
         register, [GateRecord("cswap", (), ("Q", "D1", "D2"))], 1e-9)
-    return replace(report, name="cswap")
+    return report._replace(name="cswap")
 
 
 def haar_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -222,7 +220,7 @@ def check_kcnot() -> EquivalenceReport:
         ancilla_qubits=("anc",), com_mode="com")
     report, = check_records(
         register, [GateRecord("kcnot", (), ("C1", "C2", "T"))], 1e-9)
-    return replace(report, name="kcnot-toffoli")
+    return report._replace(name="kcnot-toffoli")
 
 
 def run_builtin_suite() -> list[EquivalenceReport]:

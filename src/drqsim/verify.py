@@ -21,8 +21,7 @@ detects them without disturbing healthy states.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -63,9 +62,8 @@ def _op_list(program) -> list[PhysicalOp]:
     return list(program)
 
 
-@dataclass
-class ProgramUnitary:
-    matrix: np.ndarray = field(repr=False)
+class ProgramUnitary(NamedTuple):
+    matrix: np.ndarray
     leakage_max: float = 0.0
 
 
@@ -164,8 +162,7 @@ def _evolve(programs: list[list[PhysicalOp]], layout: HilbertLayout,
             for m, worst in zip(matrices, np.max(lost, axis=1).tolist())]
 
 
-@dataclass
-class EquivalenceReport:
+class EquivalenceReport(NamedTuple):
     """One check of `verify`'s report: a gate step or a built-in check."""
 
     equivalent: bool
@@ -409,8 +406,8 @@ def check_records(register: LogicalRegister, records: Sequence,
                 register, list(group.values()), ideals, operands, tol)))
     except (RegisterError, StateError) as exc:
         raise step.error(exc) from exc
-    return [replace(reports[step.record],
-                    name=f"gate-{step.index}:{step.record.render()}")
+    return [reports[step.record]._replace(
+                name=f"gate-{step.index}:{step.record.render()}")
             for step in steps]
 
 

@@ -39,14 +39,14 @@ def test_setup_probe_entry_point():
     assert callable(cli.build_system)
 
 
-def _scipy_modules_after(code):
-    """The scipy modules a fresh interpreter has loaded after `code`."""
+def _modules_after(code, package="scipy"):
+    """The modules of `package` a fresh interpreter has loaded after `code`."""
     src = str(SPANS.parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
     out = subprocess.run(
         [sys.executable, "-c", code + "\nprint(sorted("
-         "m for m in sys.modules if m.partition('.')[0] == 'scipy'))"],
+         f"m for m in sys.modules if m.partition('.')[0] == {package!r}))"],
         env=env, capture_output=True, text=True, check=True).stdout
     return ast.literal_eval(out.splitlines()[-1])
 
@@ -54,13 +54,32 @@ def _scipy_modules_after(code):
 def test_cli_import_leaves_scipy_unloaded():
     # Every command pays the import in setup_s; only the few oracles that
     # need scipy import it, inside the function.
-    assert _scipy_modules_after("import sys, drqsim.cli") == []
+    assert _modules_after("import sys, drqsim.cli") == []
+
+
+def test_cli_import_leaves_dataclasses_unloaded():
+    # drqsim's records are NamedTuples and plain classes.  A `@dataclass`
+    # generates its methods' source and execs it at every import, which
+    # cost 8-12 ms of setup_s for 14 records.
+    assert _modules_after("import sys, drqsim.cli", "dataclasses") == []
+
+
+def test_src_imports_no_dataclasses():
+    imported = set()
+    for path in sorted((SPANS.parent.parent / "src" / "drqsim").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update((path.name, a.name) for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                imported.add((path.name, node.module))
+    assert sorted(f"{f}:{m}" for f, m in imported
+                  if m.partition(".")[0] == "dataclasses") == []
 
 
 def test_verify_builtin_leaves_scipy_stats_unloaded():
     # scipy.stats alone costs ~40 MB and ~0.8 s; the su2 check draws its
     # Haar unitaries with numpy.  scipy.linalg stays, for the expm oracle.
-    loaded = _scipy_modules_after(
+    loaded = _modules_after(
         "import contextlib, io, sys\nfrom drqsim.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    assert main(['verify', '--builtin']) == 0")

@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import io
 import json
 import os
@@ -551,6 +550,22 @@ def test_bell_line_diagnostic(tmp_path, capsys, line, text, message):
             2, "", f"error: {message}\n"), command
 
 
+@pytest.mark.parametrize("old,new,message", [
+    ("m0", "1", "validation (line 3): mode id '1' reads as a number"),
+    ("q1", "pi*2", "validation (line 2): qubit id 'pi*2' reads as a number"),
+])
+def test_numeric_subsystem_id_refused_at_its_system_line(
+        tmp_path, capsys, old, new, message):
+    # A program operand that reads as a number is taken for a parameter,
+    # so `loss 1` could never name a mode `1`: the id itself is refused.
+    path = tmp_path / "numeric.drq"
+    path.write_text(BELL.replace(old, new).replace(
+        "  cnot D Q\n", f"  cnot D Q\n  loss {new}\n"))
+    for command in ("compile", "run", "verify"):
+        assert run_cli(capsys, command, str(path)) == (
+            2, "", f"error: {message}\n"), command
+
+
 def test_document_without_subsystems_exit_code(tmp_path, capsys):
     path = tmp_path / "empty.drq"
     path.write_text("program:\n")
@@ -982,7 +997,7 @@ def test_stray_pulse_fails_the_check(stray_pulse, tmp_path, capsys,
         prog.add([STRAY_PULSES[stray_pulse]])
         return prog
 
-    monkeypatch.setitem(GATES, "x", dataclasses.replace(spec, lower=stray))
+    monkeypatch.setitem(GATES, "x", spec._replace(lower=stray))
     path = tmp_path / "stray.drq"
     path.write_text(HYBRID_SYSTEM + "program:\n  h Q\n  x D1\n")
     _, register = cli.build_system(parse_circuit(path.read_text()))

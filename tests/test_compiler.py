@@ -22,6 +22,7 @@ from drqsim.compiler import (
 )
 from drqsim.verify import (
     ancilla_reset_defect,
+    check_records,
     equivalent_up_to_phase,
     ideal_logical_gate,
     program_unitary,
@@ -156,6 +157,29 @@ def test_su2_x_is_single_beamsplitter(hybrid_system):
     assert op.kind == "zbs"
     assert op.theta == pytest.approx(np.pi / 2)
     assert op.phi == pytest.approx(np.pi)
+
+
+@pytest.mark.parametrize("record,pulses", [
+    (gate("y", "Q"), 1), (gate("y", "D"), 1),
+    (gate("rx", 2 * np.pi, "Q"), 0), (gate("rx", 2 * np.pi, "D"), 0),
+    (gate("ry", -2 * np.pi, "D"), 0),
+], ids=["y-Q", "y-D", "rx2pi-Q", "rx2pi-D", "ry-2pi-D"])
+def test_full_turns_fold_into_the_ledger(hybrid_system, record, pulses):
+    # Y is e^{i pi/2} R_X(+-2 pi) R_Y(-pi).  A full turn is -I on the
+    # logical subspace, a phase that the ledger carries, not a pulse.
+    layout, register = hybrid_system
+    prog = compile_gate(register, record)
+    assert len(prog.ops) == pulses
+    (report,) = check_records(register, [record], 1e-10)
+    assert report.equivalent
+    got = program_unitary(prog, layout, restrict=register)
+    u = ideal_logical_gate(record.name, record.params, 1)
+    ideal = (np.kron(u, np.eye(2)) if record.operands == ("Q",)
+             else np.kron(np.eye(2), u))
+    rep = equivalent_up_to_phase(got.matrix, ideal, 1e-10)
+    # physical = e^{i ledger} * ideal, so the inferred phase is -ledger.
+    assert np.exp(1j * rep.inferred_phase) == pytest.approx(
+        np.exp(-1j * prog.global_phase), abs=1e-10)
 
 
 def test_su2_dual_random_targets(hybrid_system, rng):

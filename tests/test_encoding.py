@@ -1,4 +1,3 @@
-import dataclasses
 import inspect
 import itertools
 
@@ -15,6 +14,7 @@ from drqsim import (
     create_layout,
     define_register,
     extract_logical_state,
+    LogicalRegister,
     ground_state,
     measure_dual_rail,
     prepare_dual_rail_zero,
@@ -133,7 +133,8 @@ def test_footprint_keeps_the_operands_pool_and_bus_in_layout_order():
     assert local.layout.subsystems == tuple(
         s for s in register.layout.subsystems if s.sid in want)
     # Each codeword keeps its levels on the footprint's subsystems.
-    full = dataclasses.replace(register, entries=local.entries)
+    full = LogicalRegister(register.layout, local.entries,
+                           register.ancilla_qubits, register.com_mode)
     for big, small in zip(full.codeword_indices, local.codeword_indices):
         levels = dict(zip(register.layout.ids,
                           levels_of(register.layout, int(big))))

@@ -72,8 +72,7 @@ def _lower_afresh(register, records):
     steps = []
     for i, rec in enumerate(records):
         (step,) = lower(register, [rec])
-        step.index = i
-        steps.append(step)
+        steps.append(step._replace(index=i))
     return steps
 
 

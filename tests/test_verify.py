@@ -1,4 +1,3 @@
-import dataclasses
 from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
@@ -6,6 +5,7 @@ import numpy as np
 import pytest
 
 from drqsim import (
+    LogicalRegister,
     StateError,
     basis_state,
     create_layout,
@@ -245,8 +245,9 @@ def _pinned(register, program, ideal, operands, tol, report):
 def _pinned_footprint(register, program, operands):
     """The program on the register's footprint of `operands`, held to its
     operands' sub-register evolved on the whole register's layout."""
-    local = dataclasses.replace(
-        register, entries=tuple(register.entry(op) for op in operands))
+    local = LogicalRegister(
+        register.layout, tuple(register.entry(op) for op in operands),
+        register.ancilla_qubits, register.com_mode)
     want = program_unitary(program, register.layout, restrict=local)
     footprint = register.footprint(operands)
     got = program_unitary(program, footprint.layout, restrict=footprint)
@@ -317,8 +318,8 @@ BUILTIN_ROWS = {"rzz": "rzz-truth-table", "cnot": "hybrid-cnot",
 @pytest.mark.parametrize("name", BUILTIN_ROWS)
 def test_builtin_suite_checks_the_gate_rows(monkeypatch, name):
     # A row that lowers to no pulses fails its own entry and no other.
-    monkeypatch.setitem(compiler.GATES, name, dataclasses.replace(
-        compiler.GATES[name], lower=lambda r, p, ops: CompiledProgram()))
+    monkeypatch.setitem(compiler.GATES, name, compiler.GATES[name]._replace(
+        lower=lambda r, p, ops: CompiledProgram()))
     results = {r.name: r.equivalent for r in suite.run_builtin_suite()}
     assert BUILTIN_ROWS[name] in results
     assert results == {entry: entry != BUILTIN_ROWS[name]

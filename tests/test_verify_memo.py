@@ -11,7 +11,6 @@ well-formed document must pass.
 import argparse
 import json
 import math
-from dataclasses import replace
 from unittest import mock
 
 from hypothesis import given, settings, strategies as st
@@ -41,8 +40,8 @@ def _fresh_checks(doc, tol=1e-9):
         ideal = ideal_logical_gate(rec.name, rec.params, len(rec.operands))
         (report,) = check_gates(register, [step.program], [ideal],
                                 rec.operands, tol)
-        checks.append(replace(
-            report, name=f"gate-{step.index}:{rec.render()}").to_dict())
+        checks.append(report._replace(
+            name=f"gate-{step.index}:{rec.render()}").to_dict())
     return checks
 
 
