@@ -345,7 +345,7 @@ def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         doc = None
-        if getattr(args, "document", None):
+        if args.document is not None:  # "" is a path, and fails to open
             try:
                 with open(args.document, encoding="utf-8") as fh:
                     text = fh.read()
@@ -362,7 +362,7 @@ def main(argv=None) -> int:
             report, code = cmd_verify(doc, args)
         text = _dumps(report)
         _print_report(text)
-        if args.report:
+        if args.report is not None:
             try:
                 with open(args.report, "w", encoding="utf-8") as fh:
                     fh.write(text + "\n")

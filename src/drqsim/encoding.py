@@ -27,7 +27,6 @@ from .fock import (
     QUBIT,
     HilbertLayout,
     StateVector,
-    level_table,
     measure_qubit_z,
     support_index,
 )
@@ -143,14 +142,6 @@ class LogicalRegister:
         indices.flags.writeable = False
         return indices
 
-    @cached_property
-    def reset_table(self) -> tuple:
-        """`fock.level_table` of (subsystem, 0) for each pool ancilla and
-        the COM mode, built once."""
-        sids = self.ancilla_qubits + (
-            () if self.com_mode is None else (self.com_mode,))
-        return level_table(self.layout, [(sid, 0) for sid in sids])
-
     def claimed_subsystems(self) -> tuple[str, ...]:
         out: list[str] = []
         for e in self.entries:
@@ -247,9 +238,8 @@ def extract_logical_state(state: StateVector,
     and its index is `base + bits @ steps`; leakage is the weight of the
     other rows."""
     base, steps = register.codeword_steps
-    strides, dims, _ = level_table(state.layout,
-                                   [(e.bit, 0) for e in register.entries])
-    bits = state.index // strides % dims  # (entries, rows)
+    bits = state.layout.levels(  # (entries, rows)
+        state.index, tuple(e.bit for e in register.entries))
     valid = (bits <= 1).all(axis=0) & (
         state.index == base + np.array(steps, dtype=np.int64) @ bits)
     codewords = 2 ** np.arange(len(steps))[::-1] @ bits[:, valid]

@@ -89,9 +89,10 @@ class Subsystem(NamedTuple):
 class HilbertLayout:
     """Ordered registry of subsystems with mixed-radix index arithmetic.
 
-    A layout compares by identity, and the tables of its own indices
-    (`targets`, `sentinel_table`) live on it; a pulse's target kinds
-    are checked against its `targets` entry.
+    A layout compares by identity, and what it derives from its own
+    subsystems (`targets`, `sentinels`) lives on it; a pulse's
+    target kinds are checked against its `targets` entry, and `levels`
+    decodes a basis index with the strides and dims kept there.
     """
 
     def __init__(self, subsystems: Sequence[Subsystem]):
@@ -106,24 +107,46 @@ class HilbertLayout:
         self._targets: dict[tuple[str, ...], tuple] = {}
 
     def targets(self, sids: tuple[str, ...]) -> tuple:
-        """(axes, dims, strides, block dim, kinds) of the targets in `sids`
-        order, checked to be distinct subsystems once per `sids` and then
-        kept."""
-        if sids not in self._targets:
+        """(axes, dims, strides, block dim, kinds, columns) of the targets
+        in `sids` order, checked to be distinct subsystems once per `sids`
+        and then kept.  `columns` is None until `levels` first decodes
+        the targets, then their strides and dims as two read-only
+        (len(sids), 1) int64 columns."""
+        entry = self._targets.get(sids)
+        if entry is None:
             axes = tuple(map(self.axis, sids))
             if len(set(sids)) != len(sids):
                 raise LayoutError(f"repeated subsystem in targets {sids}")
             dims = tuple(self.dims[a] for a in axes)
-            self._targets[sids] = (
+            entry = self._targets[sids] = (
                 axes, dims, tuple(self.strides[a] for a in axes),
-                math.prod(dims), tuple(self.subsystems[a].kind for a in axes))
-        return self._targets[sids]
+                math.prod(dims), tuple(self.subsystems[a].kind for a in axes),
+                None)
+        return entry
+
+    def levels(self, index: np.ndarray, sids: tuple[str, ...]) -> np.ndarray:
+        """(len(sids), len(index)) levels of the subsystems `sids` in each
+        basis index of the int64 `index`.  An index may run past
+        `total_dim`: multiples of it label copies of the layout."""
+        entry = self.targets(sids)
+        if entry[5] is None:
+            # Built on first use: a pulse's targets are never decoded, and
+            # `verify` meets many of them on layouts it builds per gate.
+            table = np.array((entry[2], entry[1]), dtype=np.int64)[..., None]
+            table.flags.writeable = False  # kept and shared by its owner
+            entry = self._targets[sids] = entry[:5] + (tuple(table),)
+        strides, dims = entry[5]
+        return index // strides % dims
 
     @functools.cached_property
-    def sentinel_table(self) -> tuple:
-        """`level_table` of (mode, top level) for each mode with dim >= 4."""
-        return level_table(self, [(s.sid, s.dim - 1) for s in self.subsystems
-                                  if s.kind == MODE and s.dim >= 4])
+    def sentinels(self) -> tuple:
+        """(ids, tops) of the modes with dim >= 4, whose top level is a
+        sentinel: their ids and a read-only column of their top levels,
+        to compare with their `levels`."""
+        modes = [s for s in self.subsystems if s.kind == MODE and s.dim >= 4]
+        tops = np.array([s.dim - 1 for s in modes], dtype=np.int64)[:, None]
+        tops.flags.writeable = False  # kept and shared by its owner
+        return tuple(s.sid for s in modes), tops
 
     def axis(self, sid: str) -> int:
         try:
@@ -214,22 +237,16 @@ class StateVector:
 
     def levels(self, sid: str) -> np.ndarray:
         """Level of subsystem `sid` in each support basis state."""
-        axis = self.layout.axis(sid)
-        return self.index // self.layout.strides[axis] % self.layout.dims[axis]
-
-    def level_hits(self, table: tuple) -> np.ndarray:
-        """(pairs, len(index)) mask of a `level_table`: whether each support
-        basis state has each pair's subsystem at its level."""
-        strides, dims, wanted = table
-        return self.index // strides % dims == wanted
+        return self.layout.levels(self.index, (sid,))[0]
 
     def populations(self, pairs: Sequence[tuple[str, int]]) -> np.ndarray:
         """Total probability of finding each (subsystem, level) pair's
         subsystem at its level."""
         weights = np.abs(self.values) ** 2
         # A masked sum per pair rounds exactly as the one-pair form always
-        # has: readout draws branch on these sums, and a last-bit change
-        # (0.5 against 0.5000000000000001) moves a seeded histogram.
+        # has: `measure_qubit_z` draws its outcome from these sums, for the
+        # parity check and the one-shot readout, and a last-bit change
+        # (0.5 against 0.5000000000000001) can flip a seeded draw.
         return np.array([weights[self.levels(sid) == level].sum()
                          for sid, level in pairs])
 
@@ -241,19 +258,6 @@ class StateVector:
         """Amplitudes at the given basis indices, zero off the support."""
         return support_rows(self.index, self.values,
                             support_index(self.layout, indices))
-
-
-def level_table(layout: HilbertLayout,
-                pairs: Iterable[tuple[str, int]]) -> tuple:
-    """(strides, dims, wanted) of the (subsystem, level) pairs, each a
-    read-only (len(pairs), 1) int64 column, for `StateVector.level_hits`."""
-    axes = [(layout.axis(sid), level) for sid, level in pairs]
-    table = np.array([(layout.strides[a], layout.dims[a], level)
-                      for a, level in axes], dtype=np.int64)
-    columns = tuple(table.reshape(-1, 3).T[:, :, None])
-    for arr in columns:
-        arr.flags.writeable = False  # kept and shared by its owner
-    return columns
 
 
 def basis_state(layout: HilbertLayout, levels: dict[str, int]) -> StateVector:
@@ -286,7 +290,9 @@ def _offsets(dims: tuple[int, ...], strides: tuple[int, ...]) -> tuple:
     """(weights, offsets), read-only: each target's place value in the
     little-endian sub-index, and each sub-index's full-space displacement."""
     weights = np.cumprod((1,) + dims[:-1])
-    offsets = (np.arange(math.prod(dims))[:, None] // weights % dims) @ strides
+    offsets = np.zeros(1, dtype=np.int64)
+    for dim, stride in zip(dims, strides):  # the first target varies fastest
+        offsets = (np.arange(dim)[:, None] * stride + offsets).ravel()
     for arr in (weights, offsets):
         arr.flags.writeable = False  # shared by every caller of the cache
     return weights, offsets
@@ -309,7 +315,7 @@ def apply_matrix_columns(columns: np.ndarray, layout: HilbertLayout,
                          sids: Sequence[str]) -> np.ndarray:
     """Apply a subsystem matrix to every column of a dense (total_dim[, k])
     array: the dense contraction the support kernel is tested against."""
-    axes, _, _, block_dim, _ = _geometry(layout, tuple(sids), matrix.shape)
+    axes, _, _, block_dim, _, _ = _geometry(layout, tuple(sids), matrix.shape)
     tensor = columns.reshape(layout.dims + columns.shape[1:], order="F")
     tensor = np.moveaxis(tensor, axes, range(len(axes)))
     shape = tensor.shape
@@ -374,7 +380,7 @@ def apply_matrix_support(index: np.ndarray, amplitudes: np.ndarray,
         raise StateError(f"a stack of shape {matrix.shape} does not split "
                          f"{width} columns into one per matrix")
     stacked = matrix.ndim == 3 and width > 1
-    _, dims, strides, block_dim, _ = _geometry(layout, sids, shape)
+    _, dims, strides, block_dim, _, _ = _geometry(layout, sids, shape)
     # Only small plans enter the memo.  A support of n rows meets at most
     # n blocks, so its plan has at most n * block_dim candidate rows.
     if (len(index) <= MEMO_MAX_ROWS

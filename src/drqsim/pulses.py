@@ -235,7 +235,7 @@ def pulse_unitary(op: PhysicalOp, layout: HilbertLayout) -> np.ndarray:
     cached entry for the targets.  A pulse of at most MEMO_MAX_ROWS rows
     is the memo's own read-only matrix, for callers that only read it
     (the support kernel); a larger one is built on every call."""
-    _, dims, _, block, kinds = layout.targets(op.targets)
+    _, dims, _, block, kinds, _ = layout.targets(op.targets)
     want = _PULSES[op.kind][0]
     if kinds != want:
         sid, got, need = next(bad for bad in zip(op.targets, kinds, want)

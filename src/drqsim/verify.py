@@ -223,7 +223,8 @@ def sentinel_population(state: StateVector) -> float:
     never populate it, so weight there means truncation influenced the
     run.
     """
-    hits = state.level_hits(state.layout.sentinel_table)
+    modes, tops = state.layout.sentinels
+    hits = state.layout.levels(state.index, modes) == tops
     # One reduction for all modes; it may round apart from the masked
     # sums of `StateVector.populations` in the last bit, which no health
     # bound can see (readout, which branches on exact sums, keeps them).
@@ -240,7 +241,9 @@ def ancilla_reset_defect(state: StateVector,
                          register: LogicalRegister) -> float:
     """Worst deviation of any pool ancilla / COM mode from its reference
     state, for a state on the register's layout."""
-    hits = state.level_hits(register.reset_table)
+    sids = register.ancilla_qubits + (
+        () if register.com_mode is None else (register.com_mode,))
+    hits = state.layout.levels(state.index, sids) == 0
     # One reduction, as in `sentinel_population`.
     return max([0.0, *(1.0 - hits @ (np.abs(state.values) ** 2)).tolist()])
 
@@ -440,8 +443,7 @@ def sample_counts(state: StateVector, register: LogicalRegister,
     index, n = state.index[n > 0], n[n > 0]
     keys = np.zeros(len(n), dtype="S1")  # each sub-row's outcomes so far
     for entry in entries:
-        axis = layout.axis(entry.bit)
-        level = index // layout.strides[axis] % layout.dims[axis]
+        level = layout.levels(index, (entry.bit,))[0]
         p1 = level
         if entry.is_dual_rail:
             # Each ground-ancilla column's weight on the excited ancilla.

@@ -28,7 +28,7 @@ def pulse_generator(op, layout) -> tuple[np.ndarray, float]:
     """Hermitian G over `op.targets` and scale s of a pulse exp(i*s*G),
     for `exp_hermitian`; refused past `fock.MAX_STATE_DIM` entries, as
     `pulse_unitary` is."""
-    _, dims, _, block, _ = layout.targets(op.targets)
+    _, dims, _, block, _, _ = layout.targets(op.targets)
     if block ** 2 > fock.MAX_STATE_DIM:
         raise StateError(f"{op.kind} pulse on {op.targets} needs a {block} x "
                          f"{block} matrix; the limit is {fock.MAX_STATE_DIM} "

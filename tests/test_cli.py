@@ -1094,6 +1094,17 @@ def test_report_write_failure_exit_code(bell_doc, tmp_path, capsys):
     assert err.startswith(f"error: {target}: ") and "No such file" in err
 
 
+@pytest.mark.parametrize("command,report", [
+    ("compile", False), ("run", False), ("verify", False), ("compile", True),
+], ids=["compile", "run", "verify", "report"])
+def test_empty_path_exit_code(bell_doc, capsys, command, report):
+    # An empty path is a path: it fails to open, as a missing file does.
+    argv = [command, bell_doc, "--report", ""] if report else [command, ""]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (2, "error: : No such file or directory\n")
+    assert json.loads(out)["command"] == command if report else out == ""
+
+
 @pytest.mark.parametrize("argv,want", [
     (["compile"], 0),
     # An absurd tolerance fails the check: the exit code stays 1.

@@ -65,6 +65,20 @@ def test_index_round_trip(dims):
     assert layout.total_dim <= 4096
     for idx in range(layout.total_dim):
         assert layout.basis_index(levels_of(layout, idx)) == idx
+    # `levels` decodes every index in one call, over all ids or a shuffled
+    # subset, and reads index + j * total_dim (a column label of
+    # `verify._evolve`) as index.
+    index = np.arange(layout.total_dim)
+    want = np.array([levels_of(layout, idx) for idx in index]).T
+    ids = list(layout.ids)
+    np.random.default_rng(len(ids)).shuffle(ids)
+    for sids in (layout.ids, tuple(ids[:-1])):
+        rows = [layout.axis(sid) for sid in sids]
+        for j in range(3):
+            got = layout.levels(index + j * layout.total_dim, sids)
+            assert got.shape == (len(sids), layout.total_dim)
+            assert np.array_equal(got, want[rows])
+        assert not any(c.flags.writeable for c in layout.targets(sids)[5])
 
 
 def test_ground_state_is_all_zeros():

@@ -91,3 +91,16 @@ def test_read_and_reset_owns_the_readout_and_its_reset():
         "encoding.py:read_and_reset"}
     assert _sites(_carrier_pi) == {"encoding.py:prepare_dual_rail_zero",
                                    "encoding.py:read_and_reset"}
+
+
+def _digit(node) -> bool:
+    """`a // b % c`: one level read from a mixed-radix basis index."""
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod)
+            and isinstance(node.left, ast.BinOp)
+            and isinstance(node.left.op, ast.FloorDiv))
+
+
+def test_the_basis_index_has_one_decoder():
+    # Every level read goes through `HilbertLayout.levels`, the one place
+    # that knows the index's format, except the support kernel's own plan.
+    assert _sites(_digit) == {"fock.py:levels", "fock.py:_plan"}
