@@ -7,7 +7,11 @@ are hard-truncated, so the creation operator annihilates the top Fock
 level; downstream checks assert that the sentinel level stays empty.
 A state is held on its support (the basis states with amplitude) and
 evolves through one sparse kernel, tested against the dense contraction
-`apply_matrix_columns` (which `perfbench/spans.py` also wraps);
+`apply_matrix_columns` (which `perfbench/spans.py` also wraps).  A
+batch is a `StateVector` of (rows, R) values, R columns on one support,
+whose `norm` is that of all R columns together.  The kernel's one
+caller is `pulses.apply_pulse`; `apply_matrix` only wraps it for the
+tests and the benchmark's tracer;
 `exp_hermitian` is the Pade exponential that the tests pin every pulse
 to.  An operator is a plain square array over the subsystems its caller
 names, little-endian like the layout: the first listed varies fastest.
@@ -208,7 +212,9 @@ def create_layout(spec: Iterable[tuple[str, str, int]]) -> HilbertLayout:
 class StateVector:
     """Normalized state on its support: a sorted, unique int64 `index` of
     basis states and their `values`; every other amplitude is zero.
-    `amplitudes` builds the dense total_dim vector on request.
+    `amplitudes` builds the dense total_dim vector on request.  A batch
+    holds (rows, R) `values`, one column per program, on an index that
+    may run past total_dim (`HilbertLayout.levels`).
     """
 
     def __init__(self, layout: HilbertLayout, *, index: np.ndarray,
@@ -230,10 +236,16 @@ class StateVector:
         return dense
 
     def norm(self) -> float:
-        # numpy's own 2-norm of a 1-D complex vector, bit for bit, without
-        # `np.linalg.norm`'s dispatch: heating renormalizes by it.
-        re, im = self.values.real, self.values.imag
-        return math.sqrt(re.dot(re) + im.dot(im))
+        """The 2-norm of `values`: of every column together, in a batch."""
+        if self.values.ndim == 1:
+            # numpy's own 2-norm of a 1-D complex vector, bit for bit,
+            # without `np.linalg.norm`'s dispatch: heating renormalizes
+            # by it.
+            re, im = self.values.real, self.values.imag
+            return math.sqrt(re.dot(re) + im.dot(im))
+        # A batch's norm is only checked: one BLAS pass over its entries,
+        # where a dot of the strided `.real` view takes several.
+        return math.sqrt(np.vdot(self.values, self.values).real)
 
     def levels(self, sid: str) -> np.ndarray:
         """Level of subsystem `sid` in each support basis state."""
@@ -300,11 +312,10 @@ def _offsets(dims: tuple[int, ...], strides: tuple[int, ...]) -> tuple:
 
 def apply_matrix(state: StateVector, matrix: np.ndarray,
                  sids: Sequence[str]) -> StateVector:
-    """Apply a matrix over the listed subsystems (no unitarity check).
-
-    The pulse engine's one evolution step: the support kernel with one
-    column.
-    """
+    """Apply a matrix over the listed subsystems (no unitarity check):
+    the support kernel with one column, for the tests and the
+    benchmark's tracer; pulses reach the kernel through
+    `pulses.apply_pulse`."""
     index, values = apply_matrix_support(state.index, state.values[:, None],
                                          state.layout, matrix, sids)
     return StateVector(state.layout, index=index, values=values[:, 0])

@@ -25,10 +25,13 @@ beamsplitter angle on any rail pair of equal dims, on any layout, shares
 one entry.  A larger pulse is built on every call.  The targets are
 checked against the layout's cached entry (`HilbertLayout.targets`),
 which also gives their kinds and dims.
-`pulse_unitary` hands the memo's read-only matrix itself to the kernel
-(`apply_pulse` and `verify`'s evolution); `pulse_matrix` gives its
-caller a copy of its own.  `apply_pulses`, the one loop that applies
-pulses to a state, checks the norm after every pulse.
+`pulse_unitary` hands the memo's read-only matrix itself to the kernel,
+whose one caller is `apply_pulse`; `pulse_matrix` gives its caller a
+copy of its own.  `apply_pulses` is the one loop that applies pulses,
+for `run` and `verify` alike, and it checks the norm after every pulse.
+It walks one program over a state, or R programs whose pulses share
+their targets over a batch (a `StateVector` of (rows, R) values), one
+(R, d, d) stack of their matrices per pulse position.
 
 Sign conventions worth noting: with the (ground, excited) basis ordering,
 sigma_z is diag(-1, +1), so the red sideband couples |g, m+1> <-> |e, m>
@@ -57,7 +60,7 @@ from .fock import (
     HilbertLayout,
     StateVector,
     annihilation_matrix,
-    apply_matrix,
+    apply_matrix_support,
     creation_matrix,
     kron_le,
 )
@@ -256,18 +259,44 @@ def pulse_matrix(op: PhysicalOp, layout: HilbertLayout) -> np.ndarray:
     return pulse_unitary(op, layout).copy()
 
 
-def apply_pulse(state: StateVector, op: PhysicalOp) -> StateVector:
-    """Apply one pulse: its `pulse_unitary` goes to the kernel.  The
-    package calls it only from `apply_pulses`."""
-    return apply_matrix(state, pulse_unitary(op, state.layout), op.targets)
+def apply_pulse(state: StateVector, op: PhysicalOp,
+                *others: PhysicalOp) -> StateVector:
+    """Apply one pulse: its `pulse_unitary` goes to the kernel.  On a
+    batch, `op` takes every column, or with `others` on its targets,
+    column 0, and `others[r - 1]` column r.  The package calls it only
+    from `apply_pulses`."""
+    layout, batch = state.layout, state.values.ndim == 2
+    matrix = pulse_unitary(op, layout)  # a memo hit goes uncopied
+    if others:
+        matrix = np.array([matrix, *(pulse_unitary(o, layout)
+                                     for o in others)])
+    index, values = apply_matrix_support(
+        state.index, state.values if batch else state.values[:, None],
+        layout, matrix, op.targets)
+    return StateVector(layout, index=index,
+                       values=values if batch else values[:, 0])
 
 
-def apply_pulses(state: StateVector, ops: Sequence[PhysicalOp]) -> StateVector:
-    """Apply the pulses in order.  A norm drift past `NORM_TOL` after a
-    pulse is a HealthError naming its index in `ops` and its kind."""
+def apply_pulses(state: StateVector, ops: Sequence[PhysicalOp],
+                 *others: Sequence[PhysicalOp]) -> StateVector:
+    """Apply the pulses in order: one program's to a state or, with
+    `others`, program r's to column r of a batch (`ops` is program 0),
+    whose programs' pulses share their targets, position by position.
+
+    A norm drift past `NORM_TOL` after a pulse is a HealthError naming
+    its position and its kind in `ops`.  A state's norm is checked
+    against 1.  A batch must enter as `verify` builds it, one basis
+    state per row with amplitude 1 in every column, so its norm is
+    checked, as a share of sqrt(rows x R), against 1 too.
+    """
+    unit = 1.0 if state.values.ndim == 1 else math.sqrt(state.values.size)
+    # Each position's pulses of `others`.  One program's pulse goes on
+    # alone: a star-call per pulse costs a small state's walk 2-3 %.
+    rest = list(zip(*others))
     for k, op in enumerate(ops):
-        state = apply_pulse(state, op)
-        norm = state.norm()
+        state = (apply_pulse(state, op, *rest[k]) if rest
+                 else apply_pulse(state, op))
+        norm = state.norm() / unit
         if abs(norm - 1.0) > NORM_TOL:
             raise HealthError(
                 f"norm drifted to {norm} at pulse {k} ({op.kind})")

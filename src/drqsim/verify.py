@@ -1,11 +1,13 @@
 """Program unitaries, equivalence checks and health checks.
 
 `program_unitary` reconstructs a pulse program as a dense matrix by
-evolving its basis columns, held as one sparse state with column j's
+evolving its basis columns, held as one sparse batch with column j's
 basis state b at row j * total_dim + b, through each generator's
 eigenbasis block by block; the matrix must fit in `fock.MAX_STATE_DIM`
-entries.  The tests pin it to `tests/oracles.expm_unitary`, the product of
-each pulse's Pade `exp_hermitian`.  The equivalence checker compares
+entries.  The batch walks the program through `pulses.apply_pulses`,
+the loop `run` uses too, so the norm is checked after every pulse.  The
+tests pin it to `tests/oracles.expm_unitary`, the product of each
+pulse's Pade `exp_hermitian`.  The equivalence checker compares
 programs against ideal gates up to an overall phase, per document
 record in `check_records` for `verify <doc>` and the built-in suite
 alike, each gate evolved on its own footprint's layout, and the tests
@@ -14,10 +16,11 @@ compare the footprint with the whole register through
 distinct records by operands and by each pulse's targets (a gate at
 other angles keeps its targets), and each group's programs are evolved
 together, one stacked kernel call per pulse, by `check_gates` and
-`program_unitaries`; every report equals its one-program report, and
-`program_unitary` is `program_unitaries` of one program.  Heating
-errors are injected as discrete phonon jumps, and the parity circuit
-detects them without disturbing healthy states.
+`program_unitaries`; every report equals its one-program report, a
+norm breach names the group's first step, and `program_unitary` is
+`program_unitaries` of one program.  Heating errors are injected as
+discrete phonon jumps, and the parity circuit detects them without
+disturbing healthy states.
 """
 from __future__ import annotations
 
@@ -39,7 +42,6 @@ from .fock import (
     QUBIT,
     HilbertLayout,
     StateVector,
-    apply_matrix_support,
     support_index,
     support_rows,
 )
@@ -94,14 +96,19 @@ def program_unitaries(programs: Sequence, layout: HilbertLayout,
     """`program_unitary` of several programs whose pulses share their
     targets, pulse by pulse: R programs differing only in their angles.
 
-    The programs' columns are evolved together, one stacked call of
-    `fock.apply_matrix_support` per pulse, each program's amplitudes
-    taken by its own pulse's matrix and pruned on their own; each
-    program's unitary equals its `program_unitary` bit for bit.  A batch
-    holds as many programs as keep their columns over every state of the
-    layout, a bound on any block the kernel meets, within
-    `fock.MAX_STATE_DIM`, at least one.  A dim x dim unitary of more
-    than `fock.MAX_STATE_DIM` entries, or dim x total_dim (column, state)
+    The programs' columns evolve together as one batch through
+    `pulses.apply_pulses`, which checks its norm after every pulse:
+    column j's basis state b is row j * total_dim + b, and program r's
+    amplitudes are column r.  The kernel reads a target's level as
+    index // stride % dim, which the label j * total_dim leaves alone,
+    so each column holds only the states it reaches.  Each pulse is one
+    stacked kernel call, each program's amplitudes taken by its own
+    pulse's matrix and pruned on their own, so each program's unitary
+    equals its `program_unitary` bit for bit.  A batch holds as many
+    programs as keep their columns over every state of the layout, a
+    bound on any block the kernel meets, within `fock.MAX_STATE_DIM`,
+    at least one.  A dim x dim unitary of more than
+    `fock.MAX_STATE_DIM` entries, or dim x total_dim (column, state)
     pairs past `fock.MAX_INDEX_DIM`, is a StateError.
     """
     programs = [_op_list(p) for p in programs]
@@ -120,46 +127,29 @@ def program_unitaries(programs: Sequence, layout: HilbertLayout,
             f"basis indices of {dim} columns x {layout.total_dim} states do "
             f"not fit in int64 (the limit is {fock.MAX_INDEX_DIM} states)")
     batch = max(1, fock.MAX_STATE_DIM // (layout.total_dim * dim))
+    label = np.arange(dim, dtype=np.int64) * layout.total_dim
+    entries = (columns[:, None] + label).ravel()  # entry (i, j)'s row
     out = []
     for start in range(0, len(programs), batch):
-        out += _evolve(programs[start:start + batch], layout, columns,
-                       leakage=restrict is not None)
+        chunk = programs[start:start + batch]
+        n = len(chunk)
+        state = apply_pulses(StateVector(
+            layout, index=label + columns,
+            values=np.ones((dim, n), dtype=complex)), *chunk)
+        # rows[i, j, r]: program r's entry (i, j).
+        rows = support_rows(state.index, state.values, entries)
+        rows = rows.reshape(dim, dim, n)
+        matrices = np.ascontiguousarray(rows.transpose(2, 0, 1))
+        if restrict is None:
+            out += [ProgramUnitary(m) for m in matrices]
+            continue
+        # Summed along contiguous rows of the transposes, each column's
+        # weight rounds exactly as a one-program sum would.
+        lost = 1.0 - np.sum(np.abs(np.ascontiguousarray(
+            rows.transpose(2, 1, 0))) ** 2, axis=2)
+        out += [ProgramUnitary(m, max(0.0, worst))
+                for m, worst in zip(matrices, np.max(lost, axis=1).tolist())]
     return out
-
-
-def _evolve(programs: list[list[PhysicalOp]], layout: HilbertLayout,
-            columns: np.ndarray, leakage: bool) -> list[ProgramUnitary]:
-    """Each program's matrix on the basis states `columns`, its columns
-    in the order of `columns`, with the weight each column loses outside
-    them when `leakage` is set.
-
-    The columns evolve as one sparse state: column j's basis state b is
-    row j * total_dim + b, and program r's amplitudes are column r.  The
-    kernel reads a target's level as index // stride % dim, which the
-    label j * total_dim leaves alone, so each column holds only the
-    states it reaches.
-    """
-    dim, n = len(columns), len(programs)
-    label = np.arange(dim, dtype=np.int64) * layout.total_dim
-    index, amps = label + columns, np.ones((dim, n), dtype=complex)
-    for ops in zip(*programs):
-        # One program hands the kernel its memo matrix, uncopied.
-        mats = [pulse_unitary(op, layout) for op in ops]
-        index, amps = apply_matrix_support(
-            index, amps, layout, mats[0] if n == 1 else np.array(mats),
-            ops[0].targets)
-    # rows[i, j, r]: program r's entry (i, j).
-    rows = support_rows(index, amps, (columns[:, None] + label).ravel())
-    rows = rows.reshape(dim, dim, n)
-    matrices = np.ascontiguousarray(rows.transpose(2, 0, 1))
-    if not leakage:
-        return [ProgramUnitary(m) for m in matrices]
-    # Summed along contiguous rows of the transposes, each column's weight
-    # rounds exactly as a one-program sum would.
-    lost = 1.0 - np.sum(np.abs(np.ascontiguousarray(
-        rows.transpose(2, 1, 0))) ** 2, axis=2)
-    return [ProgramUnitary(m, max(0.0, worst))
-            for m, worst in zip(matrices, np.max(lost, axis=1).tolist())]
 
 
 class EquivalenceReport(NamedTuple):
@@ -388,8 +378,8 @@ def check_records(register: LogicalRegister, records: Sequence,
     `check_gates` call; each report equals the record's own one-program
     `check_gates` report.  A gate of too many operands is a RegisterError
     naming its first step, raised before anything is evolved; a
-    StateError raised while a group is checked names the group's first
-    step.
+    StateError, or a HealthError of the norm check, raised while a group
+    is checked names the group's first step.
     """
     steps = [step for step in lower(register, records)
              if step.program is not None]
@@ -407,7 +397,7 @@ def check_records(register: LogicalRegister, records: Sequence,
                       for rec in group]
             reports.update(zip(group, check_gates(
                 register, list(group.values()), ideals, operands, tol)))
-    except (RegisterError, StateError) as exc:
+    except (HealthError, RegisterError, StateError) as exc:
         raise step.error(exc) from exc
     return [reports[step.record]._replace(
                 name=f"gate-{step.index}:{step.record.render()}")

@@ -50,11 +50,11 @@ def random_state(layout, rng):
 
 
 def probing(probe):
-    """A patch of `pulses.apply_pulse`, the one place every pulse applied
-    to a state passes through, that calls `probe` on the state after
+    """A patch of `pulses.apply_pulse`, the one place every pulse passes
+    through, that calls `probe` on the state, or `verify`'s batch, after
     every pulse."""
-    def pulse(state, op):
-        state = apply_pulse(state, op)
+    def pulse(state, op, *others):
+        state = apply_pulse(state, op, *others)
         probe(state)
         return state
     return mock.patch.object(pulses, "apply_pulse", side_effect=pulse)

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from drqsim import cli, fock, pulses, verify
 from drqsim.cli import main
-from drqsim.compiler import GATES
+from drqsim.compiler import GATES, lower
 from drqsim.document import parse_circuit, serialize_circuit
 from drqsim.errors import DocumentError
 from drqsim.pulses import beamsplitter, carrier
@@ -816,9 +816,9 @@ def test_verify_footprint_past_int64_exit_code(tmp_path, capsys,
     # int64, and nothing is evolved.  The error names the first step
     # checked; `verify` does not check a heating jump.
     def evolved(*args, **kwargs):
-        raise AssertionError("_evolve called")
+        raise AssertionError("apply_pulses called")
 
-    monkeypatch.setattr(verify, "_evolve", evolved)
+    monkeypatch.setattr(verify, "apply_pulses", evolved)
     ancillas = " ".join(f"a{i}" for i in range(63))
     path = tmp_path / "pool63.drq"
     for program, named in [(["h D"], "gate 0 (h D)"),
@@ -1036,6 +1036,36 @@ def test_parity_check_norm_drift_names_the_gate(tmp_path, capsys,
     assert re.fullmatch(r"numeric health failure: gate 2 \(qndcheck D\): "
                         r"norm drifted to 1\.00\d* at pulse 0 \(carrier\)\n",
                         err), err
+
+
+@pytest.mark.parametrize("lines,named,norm", [
+    (["rx pi*0.3 D", "rx pi*0.7 D", "cnot D Q"], "rx pi*0.3 D",
+     np.sqrt((1 + 1.001 ** 2) / 2)),
+    (["rx pi*0.7 D", "cnot D Q"], "rx pi*0.7 D", 1.001),
+])
+def test_verify_norm_drift_names_the_gate(tmp_path, capsys, monkeypatch,
+                                          lines, named, norm):
+    # `verify` walks a group's codeword columns through the loop `run`
+    # uses, so a pulse matrix that is not unitary stops it after that
+    # pulse, named by the group's first step: rx pi*0.7's one zbs, scaled
+    # by 1.001, in a batch of its own or beside rx pi*0.3's, whose
+    # columns share the batch's norm.
+    path = tmp_path / "drift.drq"
+    path.write_text(BELL.replace("  h D\n  cnot D Q\n", "".join(
+        f"  {line}\n" for line in lines)))
+    doc = parse_circuit(path.read_text())
+    scaled, = next(step.program.ops for step in lower(
+        cli.build_system(doc)[1], doc.program)
+        if step.record.render() == "rx pi*0.7 D")
+    unscaled = pulses.pulse_unitary
+    monkeypatch.setattr(pulses, "pulse_unitary", lambda op, layout: (
+        1.001 if op == scaled else 1.0) * unscaled(op, layout))
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert code == 3 and out == ""
+    drift = re.fullmatch(
+        rf"numeric health failure: gate 0 \({re.escape(named)}\): "
+        r"norm drifted to (\S+) at pulse 0 \(zbs\)\n", err)
+    assert drift and abs(float(drift[1]) - norm) <= 1e-12, err
 
 
 def test_run_prints_a_zero_phase_as_zero(tmp_path, capsys, monkeypatch):

@@ -67,7 +67,7 @@ def test_index_round_trip(dims):
         assert layout.basis_index(levels_of(layout, idx)) == idx
     # `levels` decodes every index in one call, over all ids or a shuffled
     # subset, and reads index + j * total_dim (a column label of
-    # `verify._evolve`) as index.
+    # `verify.program_unitaries`) as index.
     index = np.arange(layout.total_dim)
     want = np.array([levels_of(layout, idx) for idx in index]).T
     ids = list(layout.ids)

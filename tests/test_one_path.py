@@ -83,6 +83,13 @@ def test_pulses_reach_a_state_only_through_apply_pulses():
     assert _sites(_loads("apply_pulse")) == {"pulses.py:apply_pulses"}
 
 
+def test_pulses_reach_the_kernel_only_through_apply_pulse():
+    # `run` and `verify` walk their pulses through one loop; `fock`'s own
+    # `apply_matrix` is left for the tests and the benchmark's tracer.
+    assert _sites(_loads("apply_matrix_support")) == {
+        "pulses.py:apply_pulse", "fock.py:apply_matrix"}
+
+
 def test_read_and_reset_owns_the_readout_and_its_reset():
     # Every fluorescence read and every carrier(pi) back to ground is in
     # `read_and_reset`; the other carrier(pi) excites the ground ancilla

@@ -21,8 +21,8 @@ from drqsim import (
     zbs_angle_from_pulse,
 )
 from drqsim import fock
-from drqsim.errors import LayoutError, StateError
-from drqsim.fock import apply_matrix
+from drqsim.errors import HealthError, LayoutError, StateError
+from drqsim.fock import StateVector, apply_matrix
 from drqsim.pulses import (
     cbs_factors,
     native_xx,
@@ -235,6 +235,39 @@ def test_zbs_inverse_pair(qm_layout, rng):
     out = apply_pulses(state, [zbs(0.9, 0.2, "q", "m0", "m1"),
                                zbs(-0.9, 0.2, "q", "m0", "m1")])
     assert np.max(np.abs(out.amplitudes - state.amplitudes)) <= 1e-10
+
+
+@pytest.mark.parametrize("width", [None, 3])
+@pytest.mark.parametrize("scale,passes", [(1 + 0.5e-10, True),
+                                          (1 + 2e-10, False)])
+def test_norm_check_is_absolute_against_one(qm_layout, width, scale, passes):
+    # After every pulse the norm is compared with 1 to NORM_TOL (1e-10):
+    # a state's, or a batch's as a share of sqrt(rows x R).  So a state
+    # or batch that enters 0.5e-10 off passes three pulses, and one 2e-10
+    # off fails at the first: the check is neither relative to the entry
+    # norm nor summed over pulses.
+    assert fock.NORM_TOL == 1e-10
+    programs = [[carrier(0.3 + r, 0.1, "q"), rsb(0.7 * r, "q", "m0"),
+                 zbs(0.2 * r, 0.4, "q", "m0", "m1")] for r in range(3)]
+    if width is None:
+        state = basis_state(qm_layout, {"q": 1, "m0": 2})
+        state.values = state.values * scale
+        programs = programs[:1]
+    else:
+        # Four basis states, one per row, labelled as `verify` labels its
+        # codeword columns.
+        rows = np.array([0, 5, 14, 27], dtype=np.int64)
+        state = StateVector(
+            qm_layout, index=rows + np.arange(4) * qm_layout.total_dim,
+            values=np.full((4, width), scale, dtype=complex))
+    if passes:
+        out = apply_pulses(state, *programs)
+        assert abs(out.norm() ** 2 / state.values.size - scale ** 2) <= 1e-14
+    else:
+        with pytest.raises(HealthError,
+                           match=r"norm drifted to 1\.000000000[12]\d* at "
+                                 r"pulse 0 \(carrier\)"):
+            apply_pulses(state, *programs)
 
 
 def test_zbs_block_identity(qm_layout, rng):

@@ -26,6 +26,7 @@ from drqsim.fock import (
     HilbertLayout,
     StateVector,
     apply_matrix,
+    apply_matrix_support,
     basis_state,
     create_layout,
     exp_hermitian,
@@ -243,9 +244,9 @@ def test_memo_hit_hands_the_kernel_the_memo_matrix(monkeypatch):
     memo = pulses._matrix(op.kind, op.theta, op.phi, (2, 4, 3))
     seen = []
 
-    def kernel(state, matrix, sids):
+    def kernel(index, amplitudes, layout, matrix, sids):
         seen.append(matrix)
-        return apply_matrix(state, matrix, sids)
+        return apply_matrix_support(index, amplitudes, layout, matrix, sids)
 
     def forbidden(*args):
         raise AssertionError("called on a memo hit")
@@ -254,7 +255,7 @@ def test_memo_hit_hands_the_kernel_the_memo_matrix(monkeypatch):
         # The target check runs on every call; nothing is built.
         for name in ("pulse_matrix", "_build"):
             m.setattr(pulses, name, forbidden)
-        m.setattr(pulses, "apply_matrix", kernel)
+        m.setattr(pulses, "apply_matrix_support", kernel)
         out = pulses.apply_pulse(state, op)
     assert len(seen) == 1 and seen[0] is memo
     with pytest.raises(ValueError):

@@ -1,6 +1,6 @@
 """Sparse `run` pinned to the dense oracle.
 
-`run` evolves states on their support through `fock.apply_matrix`.
+`run` evolves states on their support through `pulses.apply_pulses`.
 Here every document is replayed step by step twice: through the
 production functions `cli.cmd_run` uses, and on a dense total_dim vector
 through `fock.apply_matrix_columns`.  After every step the states and

@@ -645,7 +645,7 @@ def test_sample_counts_applies_no_pulse_and_counts_exactly(
     cases = [(*_heated_bell(hybrid_system, "m1", "gain"), ["Q", "D"]),
              _toffoli_superposition()]
     monkeypatch.setattr(pulses, "apply_pulse", refuse)
-    monkeypatch.setattr(verify, "apply_matrix_support", refuse)
+    monkeypatch.setattr(pulses, "apply_matrix_support", refuse)
     for state, register, ids in cases:
         counts = sample_counts(state, register, ids, shots, seed=5)
         assert all(type(c) is int and c > 0 for c in counts.values())

@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
-from drqsim import cli, fock, verify
+from drqsim import cli, fock, pulses, verify
 from drqsim.compiler import lower
 from drqsim.document import parse_circuit, serialize_circuit
 from drqsim.pulses import carrier
@@ -118,15 +118,16 @@ def _verify_in_chunks(text, limit):
     """`_verify` with MAX_STATE_DIM at `limit`, and each evolution's
     (programs, most programs whose columns over every state of the
     evolution's layout fit in `limit`)."""
-    evolve, chunks = verify._evolve, []
+    evolve, chunks = verify.apply_pulses, []
 
-    def spy(programs, layout, columns, leakage):
+    def spy(batch, *programs):
+        # A batch enters with one row per codeword column.
         chunks.append((len(programs), max(
-            1, limit // (layout.total_dim * len(columns)))))
-        return evolve(programs, layout, columns, leakage)
+            1, limit // (batch.layout.total_dim * len(batch.index)))))
+        return evolve(batch, *programs)
 
     with mock.patch.object(fock, "MAX_STATE_DIM", limit), \
-            mock.patch.object(verify, "_evolve", spy):
+            mock.patch.object(verify, "apply_pulses", spy):
         report, batches, _ = _verify(text)
     return report, batches, chunks
 
@@ -202,7 +203,7 @@ def test_group_with_pruned_residues_matches_per_record_checks():
         return fock.apply_matrix_support(index, amplitudes, layout, matrix,
                                          sids)
 
-    with mock.patch.object(verify, "apply_matrix_support", kernel):
+    with mock.patch.object(pulses, "apply_matrix_support", kernel):
         batched = check_gates(register, programs, [ideal] * 5, ["Q"], 1e-9)
     # The records' supports part after the flip.
     assert len({rows.tobytes() for rows in seen[2]}) == 3
