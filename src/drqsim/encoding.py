@@ -290,8 +290,8 @@ def measure_dual_rail(state: StateVector, register: LogicalRegister,
     """Read one shot of a dual-rail qubit: an rsb(pi) from rail d1 maps
     |0>_D to the ground ancilla and |1>_D to the excited one (leaked rail
     states map partially), and `read_and_reset` reads the ancilla and
-    leaves it in ground.  `verify.sample_counts` is tested against it.
-    """
+    leaves it in ground.  `verify.outcome_distribution` gives the read's
+    exact chances, tested against its branches (`tests/oracles`)."""
     _, d1 = register.entry(logical_id).rails
     ancilla = register.readout_ancilla
     require_ground(state, ancilla)

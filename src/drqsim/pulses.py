@@ -285,11 +285,13 @@ def apply_pulses(state: StateVector, ops: Sequence[PhysicalOp],
 
     A norm drift past `NORM_TOL` after a pulse is a HealthError naming
     its position and its kind in `ops`.  A state's norm is checked
-    against 1.  A batch must enter as `verify` builds it, one basis
-    state per row with amplitude 1 in every column, so its norm is
-    checked, as a share of sqrt(rows x R), against 1 too.
+    against 1.  A batch holds one unit vector per program and label
+    (index // total_dim), as `verify` builds it, so its norm is checked,
+    as a share of sqrt(labels x R), against 1 too, evolved or not.
     """
-    unit = 1.0 if state.values.ndim == 1 else math.sqrt(state.values.size)
+    unit = 1.0 if state.values.ndim == 1 else math.sqrt(  # labels x R
+        np.unique(state.index // state.layout.total_dim).size
+        * state.values.shape[1])
     # Each position's pulses of `others`.  One program's pulse goes on
     # alone: a star-call per pulse costs a small state's walk 2-3 %.
     rest = list(zip(*others))

@@ -408,45 +408,43 @@ def check_records(register: LogicalRegister, records: Sequence,
 # Shot sampling
 
 
-def sample_counts(state: StateVector, register: LogicalRegister,
-                  measured_ids: Sequence[str], shots: int,
-                  seed) -> dict[str, int]:
-    """Born-rule sampling of logical qubits, deterministic for a seed.
-
-    Each read maps every support row to rows of its own: a dual-rail read
-    is an rsb(pi) from rail d1 onto the ground `register.readout_ancilla`,
-    its fluorescence read and carrier(pi) reset, an internal read the
-    qubit's fluorescence read.  So one multinomial draw splits the shots
-    over the rows, then per register a binomial draw splits each
-    sub-row's shots by its row's chance of reading 1: its bit, or for a
-    rail past level 1 the rsb(pi) matrix's excited share.  No state is
-    evolved and the int64 counts are exact up to `document.MAX_SHOTS`.
-    A readout ancilla with over ANCILLA_TOL of weight outside its ground
-    state is a StateError; rows within it are read as if it were ground.
-    """
-    entries = [register.entry(mid) for mid in measured_ids]
-    if shots and any(e.is_dual_rail for e in entries):
+def outcome_distribution(state: StateVector, register: LogicalRegister,
+                         measured_ids: Sequence[str]
+                         ) -> tuple[np.ndarray, np.ndarray]:
+    """Exact chances of the outcomes of reading `measured_ids`: int64 codes
+    (first id most significant) in increasing order, and probabilities, in
+    rows x reads.  A row reads 1 with its bit's chance, or on a rail past
+    level 1 with the excited share of an rsb(pi) onto the ground
+    `register.readout_ancilla`.  A dual-rail read is a StateError if that
+    ancilla holds over ANCILLA_TOL outside ground, else read as ground."""
+    if any(register.entry(mid).is_dual_rail for mid in measured_ids):
         require_ground(state, register.readout_ancilla)
-    layout, rng = state.layout, np.random.default_rng(seed)
-    weights = np.abs(state.values) ** 2
-    n = rng.multinomial(shots, weights / weights.sum())
-    index, n = state.index[n > 0], n[n > 0]
-    keys = np.zeros(len(n), dtype="S1")  # each sub-row's outcomes so far
-    for entry in entries:
-        level = layout.levels(index, (entry.bit,))[0]
-        p1 = level
+    layout, index = state.layout, state.index
+    probs = np.abs(state.values) ** 2
+    codes = np.zeros(len(index), dtype=np.int64)
+    for entry in map(register.entry, measured_ids):
+        p1 = layout.levels(index, (entry.bit,))[0]
         if entry.is_dual_rail:
             # Each ground-ancilla column's weight on the excited ancilla.
             w = np.abs(pulse_unitary(rsb(np.pi, register.readout_ancilla,
                                          entry.bit), layout)[:, ::2]) ** 2
-            p1 = (w[1::2].sum(axis=0) / w.sum(axis=0))[level]
-        n1 = rng.binomial(n, p1)
-        n = np.concatenate((n - n1, n1))
-        live = n > 0
-        index, n = np.concatenate((index, index))[live], n[live]
-        keys = np.concatenate((np.char.add(keys, b"0"),
-                               np.char.add(keys, b"1")))[live]
-    counts: dict[str, int] = {}
-    for key, count in zip(keys.tolist(), n.tolist()):
-        counts[key.decode()] = counts.get(key.decode(), 0) + count
-    return counts
+            p1 = (w[1::2].sum(axis=0) / w.sum(axis=0))[p1]
+        zero, one = p1 < 1, p1 > 0  # a fractional chance splits the row
+        index = np.concatenate((index[zero], index[one]))
+        codes = np.concatenate((2 * codes[zero], 2 * codes[one] + 1))
+        probs = np.concatenate(((probs * (1 - p1))[zero], (probs * p1)[one]))
+    codes, inverse = np.unique(codes, return_inverse=True)
+    probs = np.bincount(inverse.ravel(), weights=probs)
+    return codes, probs / probs.sum()  # each at most 1, as `multinomial` asks
+
+
+def sample_counts(state: StateVector, register: LogicalRegister,
+                  measured_ids: Sequence[str], shots: int,
+                  seed) -> dict[str, int]:
+    """Born-rule sampling of logical qubits, deterministic for a seed: one
+    multinomial draw over `outcome_distribution`, in exact int64 counts up
+    to `document.MAX_SHOTS`; a drawn code's leading 1 keeps its zeros."""
+    codes, probs = outcome_distribution(state, register, measured_ids)
+    n = np.random.default_rng(seed).multinomial(shots, probs)
+    return {format(code | 1 << len(measured_ids), "b")[1:]: count
+            for code, count in zip(codes[n > 0].tolist(), n[n > 0].tolist())}

@@ -1,9 +1,9 @@
 """The second routes that the tests check `drqsim`'s one path per job
 against: dense states, level tuples, each pulse's Pade exponential,
 codewords built level by level, the logical state read through the
-codeword table, the Kronecker embedding of an ideal gate, a
-whole-program lowering and the X-Y decomposition in numpy matrix
-algebra."""
+codeword table, the readout's branches taken one by one, the Kronecker
+embedding of an ideal gate, a whole-program lowering and the X-Y
+decomposition in numpy matrix algebra."""
 import numpy as np
 
 from drqsim import encoding, fock, pulses, verify
@@ -90,6 +90,38 @@ def codeword_table_extraction(state, register):
         near_max = mags >= (1.0 - encoding.PHASE_REFERENCE_RTOL) * mags.max()
         phase = float(np.angle(amps[int(np.argmax(near_max))]))
     return amps, max(0.0, 1.0 - weight), phase
+
+
+def readout_distribution(state, register, measured_ids) -> dict[str, float]:
+    """The chance of each outcome string of reading `measured_ids` in
+    order, taken branch by branch: a dual-rail read is `apply_pulses` of
+    rsb(pi) from rail d1 onto the readout ancilla, the ancilla's
+    projections onto ground and excited, and the excited branch's
+    carrier(pi) reset; an internal read is the qubit's projections.
+    Each branch is kept normalized beside its chance, so the pulses' norm
+    check applies to it as to any state."""
+    branches = {"": (1.0, state)}
+    for entry in map(register.entry, measured_ids):
+        read = register.readout_ancilla if entry.is_dual_rail else entry.bit
+        grown = {}
+        for key, (chance, branch) in branches.items():
+            if entry.is_dual_rail:
+                branch = pulses.apply_pulses(
+                    branch, [pulses.rsb(np.pi, read, entry.bit)])
+            for bit in (0, 1):
+                keep = branch.levels(read) == bit
+                part = StateVector(branch.layout, index=branch.index[keep],
+                                   values=branch.values[keep])
+                weight = part.norm() ** 2
+                if weight == 0.0:
+                    continue
+                part.values = part.values / np.sqrt(weight)
+                if bit and entry.is_dual_rail:
+                    part = pulses.apply_pulses(
+                        part, [pulses.carrier(np.pi, 0.0, read)])
+                grown[key + str(bit)] = (chance * weight, part)
+        branches = grown
+    return {key: chance for key, (chance, _) in branches.items()}
 
 
 def compile_program(records, register) -> CompiledProgram:

@@ -751,22 +751,40 @@ def _assert_ghz_counts(report, n, shots):
         assert abs(count - shots / 2) <= 6 * np.sqrt(shots / 4)
 
 
+def _internal_ghz(tmp_path, n):
+    """The GHZ document of n internal qubits, Q0 first."""
+    qubits = [f"q{i}" for i in range(n)]
+    return _ghz_document(
+        tmp_path / f"qubits{n}.drq",
+        "system:\n  qubits: " + " ".join(qubits) + "\nregisters:\n"
+        + "".join(f"  Q{i} internal {q}\n" for i, q in enumerate(qubits)),
+        "Q0", [f"Q{i}" for i in range(1, n)])
+
+
 def test_register_past_the_dense_limit_runs(tmp_path, capsys):
     # 26 internal qubits have 2**26 codewords, past fock.MAX_STATE_DIM:
     # readout classifies the support rows and never builds them, and the
     # report leaves out the amplitudes past 64 codewords.
-    qubits = [f"q{i}" for i in range(26)]
-    path = _ghz_document(
-        tmp_path / "qubits26.drq",
-        "system:\n  qubits: " + " ".join(qubits) + "\nregisters:\n"
-        + "".join(f"  Q{i} internal {q}\n" for i, q in enumerate(qubits)),
-        "Q0", [f"Q{i}" for i in range(1, 26)])
+    path = _internal_ghz(tmp_path, 26)
     code, out, err = run_cli(capsys, "run", path, "--shots", "1000")
     assert code == 0 and err == ""
     report = json.loads(out)
     assert "logical_amplitudes" not in report
     assert report["leakage"] <= 1e-9
     _assert_ghz_counts(report, 26, 1000)
+
+
+def test_widest_register_reads_its_two_strings(tmp_path, capsys):
+    # 63 internal qubits hold 2**63 basis states, the most that `run`
+    # takes: its outcome codes reach 2**63 - 1, the int64 maximum, and
+    # the GHZ state reads only its two 63-bit strings.  64 qubits exit 3.
+    path = _internal_ghz(tmp_path, 63)
+    code, out, err = run_cli(capsys, "run", path, "--shots", "1000")
+    assert code == 0 and err == ""
+    _assert_ghz_counts(json.loads(out), 63, 1000)
+    path = _internal_ghz(tmp_path, 64)
+    code, out, err = run_cli(capsys, "run", path, "--shots", "1000")
+    assert code == 3 and out == "" and "do not fit in int64" in err
 
 
 def test_verify_past_int64_exit_code(tmp_path, capsys):

@@ -100,6 +100,14 @@ def test_read_and_reset_owns_the_readout_and_its_reset():
                                    "encoding.py:read_and_reset"}
 
 
+def test_sample_counts_is_one_draw():
+    # Histograms are one multinomial draw over the exact outcome
+    # distribution: no draw per register, no byte-string keys.
+    assert _sites(_loads("multinomial")) == {"verify.py:sample_counts"}
+    assert _sites(_loads("binomial")) == set()
+    assert _sites(_loads("char")) == set()
+
+
 def _digit(node) -> bool:
     """`a // b % c`: one level read from a mixed-radix basis index."""
     return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod)

@@ -20,7 +20,7 @@ from drqsim import (
     zbs,
     zbs_angle_from_pulse,
 )
-from drqsim import fock
+from drqsim import fock, pulses
 from drqsim.errors import HealthError, LayoutError, StateError
 from drqsim.fock import StateVector, apply_matrix
 from drqsim.pulses import (
@@ -268,6 +268,49 @@ def test_norm_check_is_absolute_against_one(qm_layout, width, scale, passes):
                            match=r"norm drifted to 1\.000000000[12]\d* at "
                                  r"pulse 0 \(carrier\)"):
             apply_pulses(state, *programs)
+
+
+ZBS_PAIR = ([zbs(0.3, 0.1, "q", "m0", "m1")],
+            [zbs(0.9, -0.2, "q", "m0", "m1")])
+
+
+def _labelled_batch(layout):
+    """Four basis states labelled as `verify` labels its codeword
+    columns, in two programs' columns."""
+    rows = np.array([1, 5, 14, 27], dtype=np.int64)
+    return StateVector(layout, index=rows + np.arange(4) * layout.total_dim,
+                       values=np.ones((4, 2), dtype=complex))
+
+
+def test_norm_check_holds_on_an_evolved_batch(qm_layout):
+    # After a zbs the batch holds more rows than labels, still one unit
+    # vector per label and program.  Its reference norm counts labels,
+    # so a walk goes on from where another left it: a unitary pulse
+    # passes and lands where one walk of both pulses does.
+    start = apply_pulses(_labelled_batch(qm_layout), *ZBS_PAIR)
+    assert len(start.index) > 4
+    out = apply_pulses(start, [carrier(0.4, 0.0, "q")],
+                       [carrier(1.1, 0.3, "q")])
+    whole = apply_pulses(_labelled_batch(qm_layout),
+                         ZBS_PAIR[0] + [carrier(0.4, 0.0, "q")],
+                         ZBS_PAIR[1] + [carrier(1.1, 0.3, "q")])
+    assert np.array_equal(out.index, whole.index)
+    assert np.array_equal(out.values, whole.values)
+
+
+def test_norm_check_names_a_non_unitary_pulse_of_an_evolved_batch(
+        qm_layout, monkeypatch):
+    # Program 1's rsb, scaled by 1.001, breaks an evolved batch's norm at
+    # its position, named by program 0's pulse there.
+    scaled = rsb(0.8, "q", "m0")
+    unscaled = pulses.pulse_unitary
+    monkeypatch.setattr(pulses, "pulse_unitary", lambda op, layout: (
+        1.001 if op == scaled else 1.0) * unscaled(op, layout))
+    start = apply_pulses(_labelled_batch(qm_layout), *ZBS_PAIR)
+    with pytest.raises(HealthError, match=r"norm drifted to 1\.000\d* at "
+                                          r"pulse 1 \(rsb\)"):
+        apply_pulses(start, [carrier(0.4, 0.0, "q"), rsb(0.5, "q", "m0")],
+                     [carrier(0.2, 0.0, "q"), scaled])
 
 
 def test_zbs_block_identity(qm_layout, rng):

@@ -19,7 +19,8 @@ from drqsim.compiler import PULSES, lower, preparation
 from drqsim.document import parse_circuit
 from drqsim.encoding import extract_logical_state
 from drqsim.fock import PRUNE_TOL, ground_state
-from drqsim.verify import LEAKAGE_GUARD_TOL, run_program
+from drqsim.verify import (LEAKAGE_GUARD_TOL, outcome_distribution,
+                           run_program)
 
 from conftest import probing
 from test_cli import _assert_ghz_counts, _ghz_document
@@ -133,6 +134,12 @@ def test_six_plus_six_hybrid_register_runs_to_the_logical_model():
     assert logical.leakage <= LEAKAGE_GUARD_TOL
     want = ref.logical_model(ref.read_circuit(text))
     assert ref.phase_error(logical.logical_amplitudes, want) <= 1e-8
+    # Reading every logical qubit gives outcome k with chance |a_k|^2.
+    codes, probs = outcome_distribution(
+        state, register, [e.logical_id for e in register.entries])
+    chances = np.zeros(register.logical_dim)
+    chances[codes] = probs
+    assert np.max(np.abs(chances - np.abs(want) ** 2)) <= 1e-10
     args = argparse.Namespace(cutoff=None, seed=0, shots=0,
                               allow_midcircuit=False)
     report, code = cmd_run(parse_circuit(text), args)

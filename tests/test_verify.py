@@ -26,9 +26,8 @@ from drqsim.compiler import (
     preparation,
 )
 from drqsim.document import MAX_SHOTS, parse_circuit
-from drqsim.encoding import measure_dual_rail
-from drqsim.errors import HealthError, RegisterError
-from drqsim.fock import apply_matrix_columns, measure_qubit_z
+from drqsim.errors import HealthError
+from drqsim.fock import apply_matrix_columns
 from drqsim.pulses import (
     beamsplitter,
     carrier,
@@ -41,6 +40,7 @@ from drqsim.verify import (
     check_gates,
     check_sentinel,
     ideal_logical_gate,
+    outcome_distribution,
     run_program,
     sentinel_population,
 )
@@ -52,6 +52,7 @@ from oracles import (
     embed_logical_matrix,
     expm_unitary,
     logical_basis_state,
+    readout_distribution,
 )
 from test_cli import GATE_CASES, UNITARY_GATES
 from test_sparse_run import REGISTERS, documents
@@ -544,29 +545,6 @@ def test_sample_counts_seed_determinism(hybrid_system):
     assert one == two
 
 
-def _sample_by_shot(state, register, measured_ids, shots, seed):
-    """Reference sampler: every shot is read out on its own, from `state`."""
-    entries = [register.entry(mid) for mid in measured_ids]
-    if any(e.is_dual_rail for e in entries) and not register.ancilla_qubits:
-        raise RegisterError("dual-rail readout needs an ancilla qubit")
-    rng = np.random.default_rng(seed)
-    counts = {}
-    for _ in range(shots):
-        shot_state = state
-        bits = []
-        for entry in entries:
-            if entry.is_dual_rail:
-                bit, shot_state = measure_dual_rail(
-                    shot_state, register, entry.logical_id, rng)
-            else:
-                bit, shot_state = measure_qubit_z(
-                    shot_state, entry.qubit, rng)
-            bits.append(str(bit))
-        key = "".join(bits)
-        counts[key] = counts.get(key, 0) + 1
-    return counts
-
-
 def _heated_bell(hybrid_system, mode, kind):
     layout, register = hybrid_system
     state = logical_basis_state(register, [0, 0])
@@ -588,35 +566,7 @@ def _toffoli_superposition():
     return state, register, list(doc.logical_ids())
 
 
-def _total_variation(a, b):
-    na, nb = sum(a.values()), sum(b.values())
-    return 0.5 * sum(abs(a.get(k, 0) / na - b.get(k, 0) / nb)
-                     for k in set(a) | set(b))
-
-
-@pytest.mark.parametrize("mode", ["m0", "m1"])
-@pytest.mark.parametrize("kind", ["gain", "loss"])
-def test_sample_counts_matches_per_shot_reference_after_heating(
-        hybrid_system, mode, kind):
-    # A gain leaves rails with 0 or 2 phonons, whose readout mapping is
-    # partial; a loss leaves vacuum.  Both samplers must agree.
-    state, register = _heated_bell(hybrid_system, mode, kind)
-    got = sample_counts(state, register, ["Q", "D"], 20000, seed=21)
-    want = _sample_by_shot(state, register, ["Q", "D"], 20000, seed=22)
-    assert sum(got.values()) == 20000
-    assert _total_variation(got, want) <= 0.02
-
-
-def test_sample_counts_matches_per_shot_reference_toffoli():
-    state, register, ids = _toffoli_superposition()
-    got = sample_counts(state, register, ids, 20000, seed=23)
-    want = _sample_by_shot(state, register, ids, 20000, seed=24)
-    assert set(got) == {"010", "111"}
-    assert _total_variation(got, want) <= 0.02
-
-
-def test_sample_counts_matches_per_shot_reference_two_leaked_reads(
-        dual_pair_system):
+def _two_leaked_reads(dual_pair_system):
     # A gain on both d1 rails leaves each read's rail at level 1 or 2, so
     # both dual-rail reads map partially and the second one reads rows
     # that the first left in either branch.
@@ -626,11 +576,56 @@ def test_sample_counts_matches_per_shot_reference_two_leaked_reads(
         state = run_program(state, compile_gate(register, gate("h", target)))
     for rail in ("m1", "m3"):
         state = inject_heating_error(state, rail, "gain")
-    got = sample_counts(state, register, ["D1", "D2"], 20000, seed=25)
-    want = _sample_by_shot(state, register, ["D1", "D2"], 20000, seed=26)
+    return state, register
+
+
+def _exact_readout(state, register, ids):
+    """`outcome_distribution` as {bit string: chance}, checked against
+    the oracle's branches to 1e-10: the distribution `sample_counts`
+    draws from, against each shot's own read taken exactly."""
+    codes, probs = outcome_distribution(state, register, ids)
+    assert np.all(np.diff(codes) > 0) and abs(probs.sum() - 1) <= 1e-12
+    got = {format(code, f"0{len(ids)}b"): p
+           for code, p in zip(codes.tolist(), probs.tolist())}
+    want = readout_distribution(state, register, ids)
+    assert max(abs(got.get(k, 0.0) - want.get(k, 0.0))
+               for k in set(got) | set(want)) <= 1e-10
+    return got
+
+
+@pytest.mark.parametrize("mode", ["m0", "m1"])
+@pytest.mark.parametrize("kind", ["gain", "loss"])
+def test_sample_counts_matches_per_shot_reference_after_heating(
+        hybrid_system, mode, kind):
+    # A gain leaves rails with 0 or 2 phonons, whose readout mapping is
+    # partial; a loss leaves vacuum.
+    state, register = _heated_bell(hybrid_system, mode, kind)
+    _exact_readout(state, register, ["Q", "D"])
+
+
+def test_sample_counts_matches_per_shot_reference_toffoli():
+    state, register, ids = _toffoli_superposition()
+    got = _exact_readout(state, register, ids)
+    assert set(got) == {"010", "111"}
+
+
+def test_sample_counts_matches_per_shot_reference_two_leaked_reads(
+        dual_pair_system):
+    state, register = _two_leaked_reads(dual_pair_system)
+    got = _exact_readout(state, register, ["D1", "D2"])
     assert len(got) == 4
-    assert sum(got.values()) == 20000
-    assert _total_variation(got, want) <= 0.02
+
+
+def test_sample_counts_draws_within_six_sigma(dual_pair_system):
+    # One seeded draw over the two-leaked-reads distribution: every
+    # outcome's count within 6 binomial sigmas of its expectation.
+    state, register = _two_leaked_reads(dual_pair_system)
+    probs = _exact_readout(state, register, ["D1", "D2"])
+    shots = 20000
+    counts = sample_counts(state, register, ["D1", "D2"], shots, seed=25)
+    assert set(counts) == set(probs) and sum(counts.values()) == shots
+    for key, p in probs.items():
+        assert abs(counts[key] - shots * p) <= 6 * np.sqrt(shots * p * (1 - p))
 
 
 @pytest.mark.parametrize("shots", [10, 10 ** 6, MAX_SHOTS])
