@@ -640,7 +640,9 @@ def _controlled_ideal(n: int, n_targets: int,
     rows = [(col >> n_targets << n_targets) | image(col % (1 << n_targets))
             if col >> n_targets == controls else col
             for col in range(2 ** n)]
-    return np.eye(2 ** n, dtype=complex)[:, rows]
+    out = np.zeros((2 ** n, 2 ** n), dtype=complex)
+    out[rows, np.arange(2 ** n)] = 1
+    return out
 
 
 def _controlled_x_ideal(params: Sequence[float], n: int) -> np.ndarray:

@@ -37,7 +37,7 @@ from .encoding import SUBSYSTEM_KINDS
 from .errors import DocumentError
 
 SECTIONS = ("system", "registers", "ancillas", "program", "options")
-MAX_SHOTS = 2 ** 63 - 1  # the sampler draws int64 binomial counts
+MAX_SHOTS = 2 ** 63 - 1  # the sampler's one multinomial draw is int64
 # Each run option's default; an int default makes it an integer option.
 OPTIONS = {"seed": 0, "shots": 0, "tolerance": 1e-9}
 _INT_RE = re.compile(r"^[+-]?\d+$")

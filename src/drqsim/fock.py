@@ -7,11 +7,12 @@ are hard-truncated, so the creation operator annihilates the top Fock
 level; downstream checks assert that the sentinel level stays empty.
 A state is held on its support (the basis states with amplitude) and
 evolves through one sparse kernel, tested against the dense contraction
-`apply_matrix_columns` (which `perfbench/spans.py` also wraps).  A
-batch is a `StateVector` of (rows, R) values, R columns on one support,
-whose `norm` is that of all R columns together.  The kernel's one
-caller is `pulses.apply_pulse`; `apply_matrix` only wraps it for the
-tests and the benchmark's tracer;
+`apply_matrix_columns` (which `perfbench/spans.py` also wraps).  Every
+state holds one amplitude per row.  A batch is a `StateVector` whose
+index runs past total_dim: index // total_dim labels a copy of the
+layout, one per column of the batch, and its `norm` is that of all
+labels together.  The kernel's one caller is `pulses.apply_pulse`;
+`apply_matrix` only wraps it for the tests and the benchmark's tracer;
 `exp_hermitian` is the Pade exponential that the tests pin every pulse
 to.  An operator is a plain square array over the subsystems its caller
 names, little-endian like the layout: the first listed varies fastest.
@@ -38,9 +39,9 @@ MODE = "mode"
 UNITARITY_TOL = 1e-10
 HERMITICITY_TOL = 1e-12
 NORM_TOL = 1e-10
-# The support kernel drops a row whose magnitude is at or below this in
-# every column: the rounding residue of pi-pulses and of destructive
-# interference (about 1e-17), which holds no weight.
+# The support kernel drops a row whose magnitude is at or below this: the
+# rounding residue of pi-pulses and of destructive interference (about
+# 1e-17), which holds no weight.
 PRUNE_TOL = 1e-14
 # Largest dense array: 2**25 complex amplitudes take 512 MiB.  It bounds
 # the dense `amplitudes` of a state, a support block and a pulse matrix.
@@ -212,9 +213,10 @@ def create_layout(spec: Iterable[tuple[str, str, int]]) -> HilbertLayout:
 class StateVector:
     """Normalized state on its support: a sorted, unique int64 `index` of
     basis states and their `values`; every other amplitude is zero.
-    `amplitudes` builds the dense total_dim vector on request.  A batch
-    holds (rows, R) `values`, one column per program, on an index that
-    may run past total_dim (`HilbertLayout.levels`).
+    `amplitudes` builds the dense total_dim vector on request.  `values`
+    is 1-D, one amplitude per row, in a batch too: there the index runs
+    past total_dim, and index // total_dim labels the copy of the layout
+    a row is in (`HilbertLayout.levels`).
     """
 
     def __init__(self, layout: HilbertLayout, *, index: np.ndarray,
@@ -236,16 +238,11 @@ class StateVector:
         return dense
 
     def norm(self) -> float:
-        """The 2-norm of `values`: of every column together, in a batch."""
-        if self.values.ndim == 1:
-            # numpy's own 2-norm of a 1-D complex vector, bit for bit,
-            # without `np.linalg.norm`'s dispatch: heating renormalizes
-            # by it.
-            re, im = self.values.real, self.values.imag
-            return math.sqrt(re.dot(re) + im.dot(im))
-        # A batch's norm is only checked: one BLAS pass over its entries,
-        # where a dot of the strided `.real` view takes several.
-        return math.sqrt(np.vdot(self.values, self.values).real)
+        """The 2-norm of `values`: of every label together, in a batch."""
+        # numpy's own 2-norm of a 1-D complex vector, bit for bit, without
+        # `np.linalg.norm`'s dispatch: heating renormalizes by it.
+        re, im = self.values.real, self.values.imag
+        return math.sqrt(re.dot(re) + im.dot(im))
 
     def levels(self, sid: str) -> np.ndarray:
         """Level of subsystem `sid` in each support basis state."""
@@ -313,12 +310,11 @@ def _offsets(dims: tuple[int, ...], strides: tuple[int, ...]) -> tuple:
 def apply_matrix(state: StateVector, matrix: np.ndarray,
                  sids: Sequence[str]) -> StateVector:
     """Apply a matrix over the listed subsystems (no unitarity check):
-    the support kernel with one column, for the tests and the
-    benchmark's tracer; pulses reach the kernel through
-    `pulses.apply_pulse`."""
-    index, values = apply_matrix_support(state.index, state.values[:, None],
+    the support kernel, for the tests and the benchmark's tracer; pulses
+    reach the kernel through `pulses.apply_pulse`."""
+    index, values = apply_matrix_support(state.index, state.values,
                                          state.layout, matrix, sids)
-    return StateVector(state.layout, index=index, values=values[:, 0])
+    return StateVector(state.layout, index=index, values=values)
 
 
 def apply_matrix_columns(columns: np.ndarray, layout: HilbertLayout,
@@ -352,45 +348,43 @@ def support_index(layout: HilbertLayout, indices: Sequence[int]) -> np.ndarray:
 def apply_matrix_support(index: np.ndarray, amplitudes: np.ndarray,
                          layout: HilbertLayout, matrix: np.ndarray,
                          sids: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-    """Apply a subsystem matrix, or a stack of them, to columns held on a
-    sparse support.
+    """Apply a subsystem matrix, or a stack of them, to amplitudes held on
+    a sparse support.
 
     `index` is a sorted, unique int64 array of basis indices and
-    `amplitudes` the matching (len(index), width) array.  `matrix` is one
-    (d, d) matrix over `sids`, taking every column, or an (R, d, d) stack
-    of them for R columns: column r is taken by matrix r.  A target's
-    level is read as index // stride % dim, so an index may run past
-    `layout.total_dim`: multiples of it label copies of the layout.
-    Rows sharing the levels outside the targets form one block of
-    dimension d.  A row's entry in a stacked call is kept when its
-    magnitude exceeds `PRUNE_TOL` and zeroed otherwise, and a row is
-    kept when one of its entries exceeds it, so the support holds only
-    states with weight.  The pruning is bounded:
+    `amplitudes` the matching 1-D array, one amplitude per row.  A
+    target's level is read as index // stride % dim, so an index may run
+    past `layout.total_dim`: its label index // total_dim names a copy of
+    the layout.  `matrix` is one (d, d) matrix over `sids`, taking every
+    row, or an (R, d, d) stack: matrix r takes the rows whose label is
+    r mod R.  Rows sharing the levels outside the targets, and so their
+    label, form one block of dimension d.  A row is kept when its
+    magnitude exceeds `PRUNE_TOL`, so the support holds only states with
+    weight.  The pruning is bounded:
 
-    - a pruned row or entry holds at most width * PRUNE_TOL**2 =
-      width * 1e-28 of weight, and one call, whose block holds at most
-      MAX_STATE_DIM amplitudes, prunes less than 4e-21 in all;
+    - a pruned row holds at most PRUNE_TOL**2 = 1e-28 of weight, and one
+      call, whose block holds at most MAX_STATE_DIM amplitudes, prunes
+      less than 4e-21 in all;
     - the state is not renormalized, so the per-pulse norm check (1e-10)
       still bounds the total pruned weight;
     - that is far below the sentinel bound (1e-12 population) and the
       leakage guard (1e-6), so the pruning cannot hide a breach of
       either.
 
-    In a stacked call, each column's product leaves out the blocks in
-    which all of its rows are zero.  A column's matrix product then has
-    the shape it has in a call on that column's nonzero rows alone, and
-    BLAS rounds each column by the shape of the product it is in, so
-    every column comes out bit for bit as it would from that call.
+    In a stacked call, matrix r multiplies the blocks of its label class
+    in one product, of the shape a call on that class's rows alone
+    makes.  BLAS rounds a product by its shape, so every class comes out
+    bit for bit as it would from that call.
 
     Returns the new sorted index and amplitudes.
     """
     index = support_index(layout, index)
+    if amplitudes.ndim != 1 or matrix.ndim > 3:
+        raise StateError(
+            f"the kernel takes one amplitude per row and a matrix or a "
+            f"stack of them, not amplitudes of shape {amplitudes.shape} "
+            f"and a matrix of shape {matrix.shape}")
     sids, shape = tuple(sids), matrix.shape[-2:]
-    width = amplitudes.shape[1]
-    if matrix.ndim > 3 or matrix.ndim == 3 and len(matrix) != width:
-        raise StateError(f"a stack of shape {matrix.shape} does not split "
-                         f"{width} columns into one per matrix")
-    stacked = matrix.ndim == 3 and width > 1
     _, dims, strides, block_dim, _, _ = _geometry(layout, sids, shape)
     # Only small plans enter the memo.  A support of n rows meets at most
     # n blocks, so its plan has at most n * block_dim candidate rows.
@@ -401,30 +395,33 @@ def apply_matrix_support(index: np.ndarray, amplitudes: np.ndarray,
     else:
         target, group, rests, offsets = _plan(index, dims, strides)
         new_index = None
-    if len(rests) * block_dim * width > MAX_STATE_DIM:
+    if len(rests) * block_dim > MAX_STATE_DIM:
         raise StateError(
-            f"support block of {len(rests)} x {block_dim} x {width} "
-            f"amplitudes exceeds the limit of {MAX_STATE_DIM}")
-    block = np.zeros((block_dim, len(rests), width), dtype=complex)
+            f"support block of {len(rests)} x {block_dim} amplitudes "
+            f"exceeds the limit of {MAX_STATE_DIM}")
+    block = np.zeros((block_dim, len(rests)), dtype=complex)
     block[target, group] = amplitudes
-    if not stacked:
-        block = matrix @ block.reshape(block_dim, -1)
+    if matrix.ndim == 2:
+        block = matrix @ block
     else:
-        # present[r, j]: column r has a nonzero row in block j.
-        present = np.zeros((width, len(rests)), dtype=bool)
-        rows, cols = np.nonzero(amplitudes)
-        present[cols, group[rows]] = True
-        block = _group_products(matrix, block, present)
-    block = block.reshape(-1, width)
+        labels = rests // layout.total_dim  # its rows' label is its rest's
+        classes = labels % len(matrix)
+        counts = np.bincount(classes, minlength=len(matrix))
+        if (counts == counts[0]).all():
+            # order[r]: class r's blocks in order, one (d, n) product each.
+            order = classes.argsort(kind="stable").reshape(len(matrix), -1)
+            parts = matrix @ block[:, order].transpose(1, 0, 2)
+            block[:, order] = parts.transpose(1, 0, 2)
+        else:
+            for r, part in enumerate(matrix):
+                mine = classes == r
+                block[:, mine] = part @ block[:, mine]
+    block = block.ravel()
     if new_index is None:  # built once the input block is freed
         new_index = (offsets[:, None] + rests).ravel()
-    live = np.abs(block) > PRUNE_TOL
-    keep = (live.any(axis=1) if width > 1 else live.ravel()).nonzero()[0]
+    keep = (np.abs(block) > PRUNE_TOL).nonzero()[0]
     keep = keep[new_index[keep].argsort()]
-    out = block[keep]
-    if stacked:
-        out[~live[keep]] = 0
-    return new_index[keep], out
+    return new_index[keep], block[keep]
 
 
 def _plan(index: np.ndarray, dims: tuple[int, ...],
@@ -463,27 +460,6 @@ def _memo_plan(dims: tuple[int, ...], strides: tuple[int, ...],
     for arr in plan:
         arr.setflags(write=False)  # shared by every caller of the cache
     return plan
-
-
-def _group_products(stack: np.ndarray, block: np.ndarray,
-                    present: np.ndarray) -> np.ndarray:
-    """Each column of `block` ((d, n_rest, R)) times its matrix of the
-    (R, d, d) `stack`, in the same layout.  Column r's product leaves out
-    the blocks j where present[r, j] is False, and is 0 there: columns of
-    one pattern share one stacked call."""
-    block_dim = stack.shape[1]
-    columns = block.transpose(2, 0, 1)
-    if present.all():
-        out = stack @ columns
-    else:
-        out = np.zeros(columns.shape, dtype=complex)
-        patterns, which = np.unique(present, axis=0, return_inverse=True)
-        for p, pattern in enumerate(patterns):
-            members = np.flatnonzero(which.ravel() == p)
-            kept = np.flatnonzero(pattern)
-            out[members[:, None, None], np.arange(block_dim)[:, None],
-                kept] = stack[members] @ columns[members][:, :, kept]
-    return out.transpose(1, 2, 0)
 
 
 def support_rows(index: np.ndarray, rows: np.ndarray,

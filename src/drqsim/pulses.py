@@ -30,8 +30,9 @@ whose one caller is `apply_pulse`; `pulse_matrix` gives its caller a
 copy of its own.  `apply_pulses` is the one loop that applies pulses,
 for `run` and `verify` alike, and it checks the norm after every pulse.
 It walks one program over a state, or R programs whose pulses share
-their targets over a batch (a `StateVector` of (rows, R) values), one
-(R, d, d) stack of their matrices per pulse position.
+their targets over a batch (a `StateVector` whose labels index //
+total_dim are program r's where they are r mod R), one (R, d, d) stack
+of their matrices per pulse position.
 
 Sign conventions worth noting: with the (ground, excited) basis ordering,
 sigma_z is diag(-1, +1), so the red sideband couples |g, m+1> <-> |e, m>
@@ -262,36 +263,37 @@ def pulse_matrix(op: PhysicalOp, layout: HilbertLayout) -> np.ndarray:
 def apply_pulse(state: StateVector, op: PhysicalOp,
                 *others: PhysicalOp) -> StateVector:
     """Apply one pulse: its `pulse_unitary` goes to the kernel.  On a
-    batch, `op` takes every column, or with `others` on its targets,
-    column 0, and `others[r - 1]` column r.  The package calls it only
-    from `apply_pulses`."""
-    layout, batch = state.layout, state.values.ndim == 2
+    batch of labels index // total_dim, `op` takes every label, or with
+    `others` on its targets, the labels that are 0 mod R = 1 +
+    len(others), and `others[r - 1]` those that are r mod R.  The
+    package calls it only from `apply_pulses`."""
+    layout = state.layout
     matrix = pulse_unitary(op, layout)  # a memo hit goes uncopied
     if others:
         matrix = np.array([matrix, *(pulse_unitary(o, layout)
                                      for o in others)])
-    index, values = apply_matrix_support(
-        state.index, state.values if batch else state.values[:, None],
-        layout, matrix, op.targets)
-    return StateVector(layout, index=index,
-                       values=values if batch else values[:, 0])
+    index, values = apply_matrix_support(state.index, state.values, layout,
+                                         matrix, op.targets)
+    return StateVector(layout, index=index, values=values)
 
 
 def apply_pulses(state: StateVector, ops: Sequence[PhysicalOp],
                  *others: Sequence[PhysicalOp]) -> StateVector:
     """Apply the pulses in order: one program's to a state or, with
-    `others`, program r's to column r of a batch (`ops` is program 0),
-    whose programs' pulses share their targets, position by position.
+    `others`, program r's to the labels index // total_dim of a batch
+    that are r mod R (`ops` is program 0), whose programs' pulses share
+    their targets, position by position.
 
     A norm drift past `NORM_TOL` after a pulse is a HealthError naming
     its position and its kind in `ops`.  A state's norm is checked
-    against 1.  A batch holds one unit vector per program and label
-    (index // total_dim), as `verify` builds it, so its norm is checked,
-    as a share of sqrt(labels x R), against 1 too, evolved or not.
+    against 1.  A batch holds one unit vector per label, as `verify`
+    builds it, so its norm is checked, as a share of sqrt(labels),
+    against 1 too, evolved or not.
     """
-    unit = 1.0 if state.values.ndim == 1 else math.sqrt(  # labels x R
-        np.unique(state.index // state.layout.total_dim).size
-        * state.values.shape[1])
+    total = state.layout.total_dim
+    # Only a batch runs past total_dim; a state's walk skips the unique.
+    unit = (math.sqrt(np.unique(state.index // total).size)
+            if state.index[-1] >= total else 1.0)
     # Each position's pulses of `others`.  One program's pulse goes on
     # alone: a star-call per pulse costs a small state's walk 2-3 %.
     rest = list(zip(*others))

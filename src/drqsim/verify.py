@@ -2,25 +2,25 @@
 
 `program_unitary` reconstructs a pulse program as a dense matrix by
 evolving its basis columns, held as one sparse batch with column j's
-basis state b at row j * total_dim + b, through each generator's
-eigenbasis block by block; the matrix must fit in `fock.MAX_STATE_DIM`
-entries.  The batch walks the program through `pulses.apply_pulses`,
-the loop `run` uses too, so the norm is checked after every pulse.  The
-tests pin it to `tests/oracles.expm_unitary`, the product of each
-pulse's Pade `exp_hermitian`.  The equivalence checker compares
-programs against ideal gates up to an overall phase, per document
-record in `check_records` for `verify <doc>` and the built-in suite
-alike, each gate evolved on its own footprint's layout, and the tests
-compare the footprint with the whole register through
+basis state b at row j * total_dim + b (label j), through each
+generator's eigenbasis block by block; the matrix must fit in
+`fock.MAX_STATE_DIM` entries.  The batch walks the program through
+`pulses.apply_pulses`, the loop `run` uses too, so the norm is checked
+after every pulse.  The tests pin it to `tests/oracles.expm_unitary`,
+the product of each pulse's Pade `exp_hermitian`.  The equivalence
+checker compares programs against ideal gates up to an overall phase,
+per document record in `check_records` for `verify <doc>` and the
+built-in suite alike, each gate evolved on its own footprint's layout,
+and the tests compare the footprint with the whole register through
 `tests/oracles.embed_logical_matrix`.  `check_records` groups the
 distinct records by operands and by each pulse's targets (a gate at
 other angles keeps its targets), and each group's programs are evolved
-together, one stacked kernel call per pulse, by `check_gates` and
-`program_unitaries`; every report equals its one-program report, a
-norm breach names the group's first step, and `program_unitary` is
-`program_unitaries` of one program.  Heating errors are injected as
-discrete phonon jumps, and the parity circuit detects them without
-disturbing healthy states.
+together, as more labels of one batch, one stacked kernel call per
+pulse, by `check_gates` and `program_unitaries`; every report equals
+its one-program report, a norm breach names the group's first step,
+and `program_unitary` is `program_unitaries` of one program.  Heating
+errors are injected as discrete phonon jumps, and the parity circuit
+detects them without disturbing healthy states.
 """
 from __future__ import annotations
 
@@ -98,18 +98,18 @@ def program_unitaries(programs: Sequence, layout: HilbertLayout,
 
     The programs' columns evolve together as one batch through
     `pulses.apply_pulses`, which checks its norm after every pulse:
-    column j's basis state b is row j * total_dim + b, and program r's
-    amplitudes are column r.  The kernel reads a target's level as
-    index // stride % dim, which the label j * total_dim leaves alone,
-    so each column holds only the states it reaches.  Each pulse is one
-    stacked kernel call, each program's amplitudes taken by its own
-    pulse's matrix and pruned on their own, so each program's unitary
-    equals its `program_unitary` bit for bit.  A batch holds as many
-    programs as keep their columns over every state of the layout, a
-    bound on any block the kernel meets, within `fock.MAX_STATE_DIM`,
-    at least one.  A dim x dim unitary of more than
-    `fock.MAX_STATE_DIM` entries, or dim x total_dim (column, state)
-    pairs past `fock.MAX_INDEX_DIM`, is a StateError.
+    program r's column j is label j * R + r, so its basis state b is row
+    (j * R + r) * total_dim + b.  The kernel reads a target's level as
+    index // stride % dim, which the label leaves alone, so each label
+    holds only the states it reaches.  Each pulse is one stacked kernel
+    call, program r's matrix taking the labels that are r mod R, each
+    class multiplied and pruned as a call on its rows alone would, so
+    each program's unitary equals its `program_unitary` bit for bit.  A
+    batch holds as many programs as keep their columns over every state
+    of the layout, a bound on any block the kernel meets, within
+    `fock.MAX_STATE_DIM`, at least one.  A dim x dim unitary of more
+    than `fock.MAX_STATE_DIM` entries, or a batch's dim x R x total_dim
+    (column, state) pairs past `fock.MAX_INDEX_DIM`, is a StateError.
     """
     programs = [_op_list(p) for p in programs]
     _shared_targets(programs)
@@ -122,22 +122,24 @@ def program_unitaries(programs: Sequence, layout: HilbertLayout,
                          f"{fock.MAX_STATE_DIM} entries")
     columns = (support_index(layout, range(dim)) if restrict is None
                else restrict.codeword_indices)
-    if dim * layout.total_dim > fock.MAX_INDEX_DIM:
-        raise StateError(
-            f"basis indices of {dim} columns x {layout.total_dim} states do "
-            f"not fit in int64 (the limit is {fock.MAX_INDEX_DIM} states)")
-    batch = max(1, fock.MAX_STATE_DIM // (layout.total_dim * dim))
-    label = np.arange(dim, dtype=np.int64) * layout.total_dim
-    entries = (columns[:, None] + label).ravel()  # entry (i, j)'s row
+    total = layout.total_dim
+    batch = max(1, fock.MAX_STATE_DIM // (total * dim))
     out = []
     for start in range(0, len(programs), batch):
         chunk = programs[start:start + batch]
         n = len(chunk)
+        if dim * n * total > fock.MAX_INDEX_DIM:
+            raise StateError(
+                f"basis indices of {dim * n} columns x {total} states do "
+                f"not fit in int64 (the limit is {fock.MAX_INDEX_DIM} states)")
+        # label[j, r] * total_dim: program r's column j.
+        label = np.arange(dim * n, dtype=np.int64).reshape(dim, n) * total
         state = apply_pulses(StateVector(
-            layout, index=label + columns,
-            values=np.ones((dim, n), dtype=complex)), *chunk)
+            layout, index=(columns[:, None] + label).ravel(),
+            values=np.ones(dim * n, dtype=complex)), *chunk)
         # rows[i, j, r]: program r's entry (i, j).
-        rows = support_rows(state.index, state.values, entries)
+        rows = support_rows(state.index, state.values,
+                            (columns[:, None, None] + label).ravel())
         rows = rows.reshape(dim, dim, n)
         matrices = np.ascontiguousarray(rows.transpose(2, 0, 1))
         if restrict is None:

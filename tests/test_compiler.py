@@ -713,6 +713,31 @@ def test_three_controlled_swap():
     _truth_table_check(layout, register, prog, 5, rule)
 
 
+def _eye_gather_ideal(name, n):
+    """The controlled ideals as they were first built: the columns
+    `rows` of a 2**n identity."""
+    n_targets = {"cswap": n - 1, "mcswap": 2}.get(name, 1)
+    half = n_targets // 2
+    image = ((lambda t: t ^ 1) if name in ("cnot", "kcnot", "mcx")
+             else lambda t: (t % (1 << half)) << half | t >> half)
+    controls = (1 << (n - n_targets)) - 1
+    rows = [(col >> n_targets << n_targets) | image(col % (1 << n_targets))
+            if col >> n_targets == controls else col
+            for col in range(2 ** n)]
+    return np.eye(2 ** n, dtype=complex)[:, rows]
+
+
+@pytest.mark.parametrize("name", ["cnot", "kcnot", "mcx", "cswap",
+                                  "mcswap"])
+def test_controlled_ideals_match_the_identity_gather(name):
+    spec = comp.GATES[name]
+    counts = range(spec.min_operands, (spec.max_operands or 8) + 1)
+    for n in counts:
+        got = ideal_logical_gate(name, [], n)
+        assert got.tobytes() == _eye_gather_ideal(name, n).tobytes(), n
+        assert got.shape == (2 ** n,) * 2 and got.dtype == complex
+
+
 # --- whole-circuit compilation --------------------------------------------------------
 
 def test_compile_empty_program(hybrid_system):

@@ -147,7 +147,7 @@ def test_footprint_keeps_the_operands_pool_and_bus_in_layout_order():
     sids = tuple(local.layout.ids[:2])
     assert again.targets(sids)[1:3] == local.layout.targets(sids)[1:3]
     index = np.sort(local.codeword_indices)
-    amps = np.full((len(index), 1), 0.5, dtype=complex)
+    amps = np.full(len(index), 0.5, dtype=complex)
     block = local.layout.dims[0] * local.layout.dims[1]
     matrix = np.linalg.qr(np.random.default_rng(1).normal(
         size=(block, block)) + 0j)[0]

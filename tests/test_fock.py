@@ -251,7 +251,7 @@ def test_norm_is_numpys_norm_bit_for_bit(seed, n, step):
 
 @st.composite
 def support_cases(draw):
-    """A layout of at most 4096 dims, 1-3 targets, a support and k columns."""
+    """A layout of at most 4096 dims, 1-3 targets, a support and k labels."""
     dims = draw(st.lists(st.sampled_from([2, 3, 4, 5]), min_size=1,
                          max_size=6).filter(lambda d: math.prod(d) <= 4096))
     layout = create_layout([(f"q{i}", "qubit", 2) if d == 2
@@ -265,120 +265,136 @@ def support_cases(draw):
     return layout, sids, sorted(index), k, draw(st.integers(0, 2 ** 32 - 1))
 
 
+def _labelled(layout, index, k):
+    """`index` in each of k labels, label c at c * total_dim: the sorted
+    support of a batch of k copies of the layout."""
+    return (np.arange(k)[:, None] * layout.total_dim
+            + np.array(index, dtype=np.int64)).ravel()
+
+
+def _dense_labels(layout, index, amps, k):
+    """The (total_dim, k) dense columns of a support in k labels."""
+    labels, states = np.divmod(index, layout.total_dim)
+    dense = np.zeros((layout.total_dim, k), dtype=complex)
+    dense[states, labels] = amps
+    return dense
+
+
 @settings(max_examples=60, deadline=None)
 @given(support_cases())
 def test_apply_matrix_support_matches_dense(case):
+    # A (d, d) matrix takes every row, in every label.
     layout, sids, index, k, seed = case
     rng = np.random.default_rng(seed)
     block_dim = math.prod(layout.dim_of(s) for s in sids)
     unitary, _ = np.linalg.qr(rng.normal(size=(block_dim, block_dim))
                               + 1j * rng.normal(size=(block_dim, block_dim)))
-    amps = rng.normal(size=(len(index), k)) + 1j * rng.normal(size=(len(index), k))
-    dense = np.zeros((layout.total_dim, k), dtype=complex)
-    dense[index] = amps
-    want = apply_matrix_columns(dense, layout, unitary, sids)
+    index = _labelled(layout, index, k)
+    amps = rng.normal(size=len(index)) + 1j * rng.normal(size=len(index))
+    want = apply_matrix_columns(_dense_labels(layout, index, amps, k), layout,
+                                unitary, sids)
 
-    got_index, got_amps = apply_matrix_support(
-        np.array(index, dtype=np.int64), amps, layout, unitary, sids)
-    assert got_index.dtype == np.int64
+    got_index, got_amps = apply_matrix_support(index, amps, layout, unitary,
+                                               sids)
+    assert got_index.dtype == np.int64 and got_amps.ndim == 1
     assert np.all(np.diff(got_index) > 0)
-    assert got_index[0] >= 0 and got_index[-1] < layout.total_dim
-    assert np.max(np.abs(want[got_index] - got_amps)) <= 1e-12
-    want[got_index] = 0
+    assert got_index[0] >= 0 and got_index[-1] < k * layout.total_dim
+    labels, states = np.divmod(got_index, layout.total_dim)
+    assert np.max(np.abs(want[states, labels] - got_amps)) <= 1e-12
+    want[states, labels] = 0
     assert np.max(np.abs(want)) <= 1e-12
 
 
 @st.composite
 def stacked_cases(draw):
-    """A support case with R columns, one per matrix, each zero on some
-    rows and at the pruning tolerance's scale on others."""
+    """A support case over L labels in R classes (label mod R), each
+    label missing some rows and holding others at the pruning
+    tolerance's scale, so classes meet equal or unequal block counts."""
     layout, sids, index, _, seed = draw(support_cases())
-    n_groups = draw(st.integers(1, 4))
+    n_classes = draw(st.integers(1, 4))
+    n_labels = draw(st.integers(n_classes, 2 * n_classes))
     rows = st.lists(st.sampled_from(["zero", "tiny", "full"]),
                     min_size=len(index), max_size=len(index))
-    kinds = draw(st.lists(rows, min_size=n_groups, max_size=n_groups))
-    return layout, sids, index, kinds, seed
+    kinds = draw(st.lists(rows, min_size=n_labels, max_size=n_labels))
+    return layout, sids, index, n_classes, kinds, seed
 
 
 @settings(max_examples=80, deadline=None)
 @given(stacked_cases())
 def test_stacked_support_kernel_matches_separate_calls(case):
-    # Each column comes out bit for bit as a call on its own nonzero rows,
-    # though the columns meet different blocks and BLAS rounds a column by
-    # the shape of the product it is in.
-    layout, sids, index, kinds, seed = case
+    # Each label class comes out bit for bit as a call on its own rows,
+    # though the classes meet different blocks and BLAS rounds a product
+    # by its shape.
+    layout, sids, index, n_classes, kinds, seed = case
     rng = np.random.default_rng(seed)
     block_dim = math.prod(layout.dim_of(s) for s in sids)
-    n_groups = len(kinds)
-    stack = np.stack([np.linalg.qr(
-        rng.normal(size=(block_dim, block_dim))
-        + 1j * rng.normal(size=(block_dim, block_dim)))[0]
-        for _ in range(n_groups)])
-    index = np.array(index, dtype=np.int64)
+    stack = np.stack([_unitary(rng, block_dim) for _ in range(n_classes)])
     scale = {"zero": 0.0, "tiny": 1e-15, "full": 1.0}
-    amps = np.stack([
-        (rng.normal(size=len(index)) + 1j * rng.normal(size=len(index)))
-        * np.array([scale[r] for r in rows]) for rows in kinds], axis=1)
+    weights = np.array([scale[k] for rows in kinds for k in rows])
+    index = _labelled(layout, index, len(kinds))[weights > 0]
+    amps = (rng.normal(size=len(index)) + 1j * rng.normal(size=len(index))
+            ) * weights[weights > 0]
     got_index, got_amps = apply_matrix_support(index, amps, layout, stack,
                                                sids)
     assert np.all(np.diff(got_index) > 0)
-    for r in range(n_groups):
-        cols = slice(r, r + 1)
-        # A lone column's rows are all its own: a stack of one is the 2-D
-        # call on the same rows.
-        own = (np.flatnonzero(amps[:, cols].any(axis=1)) if n_groups > 1
-               else np.arange(len(index)))
+    got_class = got_index // layout.total_dim % n_classes
+    for r in range(n_classes):
+        own = index // layout.total_dim % n_classes == r
         want_index, want_amps = apply_matrix_support(
-            index[own], amps[own, cols], layout, stack[r], sids)
-        live = got_amps[:, cols].any(axis=1)
-        assert got_index[live].tobytes() == want_index.tobytes()
-        assert got_amps[live, cols].tobytes() == want_amps.tobytes()
+            index[own], amps[own], layout, stack[r], sids)
+        assert got_index[got_class == r].tobytes() == want_index.tobytes()
+        assert got_amps[got_class == r].tobytes() == want_amps.tobytes()
 
 
 def test_apply_matrix_support_prunes_rows_at_or_below_tolerance():
-    # a^dag on one cutoff-3 mode, three columns, one row per rest group
-    # (q, r): rows at 1e-15 and 1e-300 go, and so does the exact zero
-    # a^dag leaves on |2>; a row at 2e-14 in one column of three stays.
+    # a^dag on one cutoff-3 mode, one row per rest group (q, r): rows at
+    # 1e-15 and 1e-300 go, and so does the exact zero a^dag leaves on
+    # |2>; a row at 2e-14 stays.
     layout = create_layout([("q", "qubit", 2), ("r", "qubit", 2),
                             ("m", "mode", 3)])
-    rows = {(0, 0, 0): [1e-15, 0, 0], (1, 0, 0): [0, 0, 2e-14],
-            (0, 1, 0): [0, 1e-300, 0], (1, 1, 1): [1, 0, 0],
-            (1, 1, 2): [0, 1, 0]}
+    rows = {(0, 0, 0): 1e-15, (1, 0, 0): 2e-14, (0, 1, 0): 1e-300,
+            (1, 1, 1): 1, (1, 1, 2): 1}
     index = np.array([layout.basis_index(levels) for levels in rows])
     amps = np.array(list(rows.values()), dtype=complex)
     got_index, got_amps = apply_matrix_support(
         index, amps, layout, creation_matrix(3), ("m",))
     assert got_index.tolist() == [layout.basis_index([1, 0, 1]),
                                   layout.basis_index([1, 1, 2])]
-    assert got_amps.tolist() == [[0, 0, 2e-14], [np.sqrt(2), 0, 0]]
+    assert got_amps.tolist() == [2e-14, np.sqrt(2)]
     # "At or below": a row of exactly PRUNE_TOL goes.
     got_index, _ = apply_matrix_support(
-        np.array([0, 1]), np.array([[fock.PRUNE_TOL], [1]], dtype=complex),
+        np.array([0, 1]), np.array([fock.PRUNE_TOL, 1], dtype=complex),
         layout, np.eye(2), ("q",))
     assert got_index.tolist() == [1]
 
 
 def test_apply_matrix_support_checks_targets_and_shape():
     layout = create_layout([("q", "qubit", 2), ("m", "mode", 3)])
-    index, amps = np.array([0]), np.ones((1, 1), dtype=complex)
+    index, amps = np.array([0]), np.ones(1, dtype=complex)
     with pytest.raises(LayoutError):
         apply_matrix_support(index, amps, layout, np.eye(4), ("q", "q"))
     with pytest.raises(StateError, match="does not match targets"):
         apply_matrix_support(index, amps, layout, np.eye(2), ("m",))
-    with pytest.raises(StateError, match="does not split 3 columns"):
-        apply_matrix_support(index, np.ones((1, 3), dtype=complex), layout,
-                             np.stack([np.eye(2)] * 2), ("q",))
+    # One amplitude per row: a (rows, k) array is refused, as is a
+    # matrix that is neither one matrix nor a stack of them.
+    with pytest.raises(StateError, match=r"one amplitude per row .* "
+                       r"amplitudes of shape \(1, 1\)"):
+        apply_matrix_support(index, np.ones((1, 1), dtype=complex), layout,
+                             np.eye(2), ("q",))
+    with pytest.raises(StateError, match=r"matrix of shape \(1, 1, 2, 2\)"):
+        apply_matrix_support(index, amps, layout, np.eye(2)[None, None],
+                             ("q",))
 
 
 @pytest.mark.parametrize("limit", [100, 299])
 def test_apply_matrix_support_refuses_large_block(monkeypatch, limit):
-    # 10 rest groups x a 10-dim block x 3 columns = 300 amplitudes.
+    # 3 labels x 10 rest groups x a 10-dim block = 300 amplitudes.
     layout = create_layout([("m0", "mode", 10), ("m1", "mode", 10)])
-    index = np.arange(0, 100, 10)
+    index = _labelled(layout, range(0, 100, 10), 3)
     monkeypatch.setattr(fock, "MAX_STATE_DIM", limit)
-    with pytest.raises(StateError, match="10 x 10 x 3 amplitudes exceeds "
+    with pytest.raises(StateError, match="30 x 10 amplitudes exceeds "
                        f"the limit of {limit}"):
-        apply_matrix_support(index, np.ones((10, 3), dtype=complex), layout,
+        apply_matrix_support(index, np.ones(30, dtype=complex), layout,
                              np.eye(10), ("m0",))
 
 
@@ -388,7 +404,7 @@ def test_support_index_refuses_past_int64():
                        "fit in int64"):
         support_index(layout, [0])
     with pytest.raises(StateError, match="do not fit in int64"):
-        apply_matrix_support(np.array([0]), np.ones((1, 1), dtype=complex),
+        apply_matrix_support(np.array([0]), np.ones(1, dtype=complex),
                              layout, np.eye(100), ("m18", "m19"))
     fits = create_layout([("q", "qubit", 2)]
                          + [(f"m{i}", "mode", 4) for i in range(31)])
@@ -449,16 +465,15 @@ def _unitary(rng, dim):
 @given(support_cases(), st.integers(1, 3))
 def test_plan_memo_hit_equals_miss(case, n_groups):
     # Each call is made twice, so the second finds the first's plan; a
-    # plan past the memo's bound is planned on both calls.
+    # plan past the memo's bound is planned on both calls.  Label r is
+    # taken by matrix r of a stack.
     layout, sids, index, _, seed = case
     rng = np.random.default_rng(seed)
     block_dim = math.prod(layout.dim_of(s) for s in sids)
     stack = np.stack([_unitary(rng, block_dim) for _ in range(n_groups)])
     matrix = stack if n_groups > 1 else stack[0]
-    index = np.array(index, dtype=np.int64)
-    width = n_groups
-    amps = rng.normal(size=(len(index), width)) + 1j * rng.normal(
-        size=(len(index), width))
+    index = _labelled(layout, index, n_groups)
+    amps = rng.normal(size=len(index)) + 1j * rng.normal(size=len(index))
     fock._memo_plan.cache_clear()
     miss = apply_matrix_support(index, amps, layout, matrix, sids)
     start = _plan_memo_calls()
@@ -471,21 +486,17 @@ def test_plan_memo_hit_equals_miss(case, n_groups):
         unmemoized = apply_matrix_support(index, amps, layout, matrix, sids)
     for got in (hit, unmemoized):
         assert [a.tobytes() for a in got] == [a.tobytes() for a in miss]
-    dense = np.zeros((layout.total_dim, width), dtype=complex)
-    dense[index] = amps
-    got_index, got_amps = hit
+    dense = _dense_labels(layout, index, amps, n_groups)
+    got = _dense_labels(layout, *hit, n_groups)
     for r in range(n_groups):
-        cols = slice(r, r + 1)
-        want = apply_matrix_columns(dense[:, cols], layout, stack[r], sids)
-        got = np.zeros_like(want)
-        got[got_index] = got_amps[:, cols]
-        assert np.max(np.abs(got - want)) <= 1e-12
+        want = apply_matrix_columns(dense[:, r], layout, stack[r], sids)
+        assert np.max(np.abs(got[:, r] - want)) <= 1e-12
 
 
 def test_plan_memo_arrays_are_read_only():
     layout = create_layout([("q", "qubit", 2), ("m", "mode", 4)])
     index = support_index(layout, [0, 3, 5])
-    apply_matrix_support(index, np.ones((3, 1), dtype=complex), layout,
+    apply_matrix_support(index, np.ones(3, dtype=complex), layout,
                          creation_matrix(4), ("m",))
     start = _plan_memo_calls()
     plan = fock._memo_plan((4,), (2,), index.tobytes())
@@ -508,7 +519,7 @@ def test_support_past_the_memo_bound_skips_the_memo(rows, sids, memoized):
     block_dim = math.prod(layout.dim_of(s) for s in sids)
     matrix = _unitary(np.random.default_rng(rows), block_dim)
     index = support_index(layout, range(0, 7 * rows, 7))
-    amps = np.ones((rows, 1), dtype=complex) / np.sqrt(rows)
+    amps = np.ones(rows, dtype=complex) / np.sqrt(rows)
     start = fock._memo_plan.cache_info()
     first = apply_matrix_support(index, amps, layout, matrix, sids)
     again = apply_matrix_support(index, amps, layout, matrix, sids)
@@ -527,7 +538,7 @@ def test_equal_layouts_share_one_plan():
     one, other = create_layout(spec), create_layout(spec)
     assert one != other  # layouts compare by identity
     index = np.array([1, 6, 17], dtype=np.int64)
-    amps = np.full((3, 1), 1 / np.sqrt(3), dtype=complex)
+    amps = np.full(3, 1 / np.sqrt(3), dtype=complex)
     matrix, sids = _unitary(np.random.default_rng(3), 16), ("m0", "m1")
     start = _plan_memo_calls()
     want = apply_matrix_support(index, amps, one, matrix, sids)
@@ -547,7 +558,7 @@ def test_layouts_with_equal_target_geometry_share_offsets_and_plans():
     assert one.targets(("m0", "m1"))[1:3] == ((4, 4), (2, 8))
     assert other.targets(("y", "z"))[1:3] == ((4, 4), (2, 8))
     index = support_index(one, [1, 6, 17])
-    amps = np.full((3, 1), 1 / np.sqrt(3), dtype=complex)
+    amps = np.full(3, 1 / np.sqrt(3), dtype=complex)
     matrix = _unitary(np.random.default_rng(5), 16)
     fock._offsets.cache_clear()
     fock._memo_plan.cache_clear()

@@ -119,3 +119,17 @@ def test_the_basis_index_has_one_decoder():
     # Every level read goes through `HilbertLayout.levels`, the one place
     # that knows the index's format, except the support kernel's own plan.
     assert _sites(_digit) == {"fock.py:levels", "fock.py:_plan"}
+
+
+def _two_axis_values(node) -> bool:
+    """`x.values[a, b]`: a `.values` attribute subscripted with a tuple."""
+    return (isinstance(node, ast.Subscript)
+            and isinstance(node.value, ast.Attribute)
+            and node.value.attr == "values"
+            and isinstance(node.slice, ast.Tuple))
+
+
+def test_states_hold_one_amplitude_per_row():
+    # A batch of programs is more labels of one column, not more columns,
+    # so no code reads or adds a second axis of a state's values.
+    assert _sites(_two_axis_values) == set()

@@ -237,15 +237,25 @@ def test_zbs_inverse_pair(qm_layout, rng):
     assert np.max(np.abs(out.amplitudes - state.amplitudes)) <= 1e-10
 
 
+def _labelled_batch(layout, rows=(1, 5, 14, 27), programs=2, scale=1.0):
+    """One basis state per codeword column, labelled as `verify` labels
+    them: program r's column j is label j * programs + r."""
+    labels = np.arange(len(rows) * programs).reshape(len(rows), programs)
+    index = np.array(rows, dtype=np.int64)[:, None] + (
+        labels * layout.total_dim)
+    return StateVector(layout, index=index.ravel(),
+                       values=np.full(index.size, scale, dtype=complex))
+
+
 @pytest.mark.parametrize("width", [None, 3])
 @pytest.mark.parametrize("scale,passes", [(1 + 0.5e-10, True),
                                           (1 + 2e-10, False)])
 def test_norm_check_is_absolute_against_one(qm_layout, width, scale, passes):
     # After every pulse the norm is compared with 1 to NORM_TOL (1e-10):
-    # a state's, or a batch's as a share of sqrt(rows x R).  So a state
-    # or batch that enters 0.5e-10 off passes three pulses, and one 2e-10
+    # a state's, or a batch's as a share of sqrt(labels).  So a state or
+    # batch that enters 0.5e-10 off passes three pulses, and one 2e-10
     # off fails at the first: the check is neither relative to the entry
-    # norm nor summed over pulses.
+    # norm nor summed over pulses.  `width` counts the batch's programs.
     assert fock.NORM_TOL == 1e-10
     programs = [[carrier(0.3 + r, 0.1, "q"), rsb(0.7 * r, "q", "m0"),
                  zbs(0.2 * r, 0.4, "q", "m0", "m1")] for r in range(3)]
@@ -254,12 +264,7 @@ def test_norm_check_is_absolute_against_one(qm_layout, width, scale, passes):
         state.values = state.values * scale
         programs = programs[:1]
     else:
-        # Four basis states, one per row, labelled as `verify` labels its
-        # codeword columns.
-        rows = np.array([0, 5, 14, 27], dtype=np.int64)
-        state = StateVector(
-            qm_layout, index=rows + np.arange(4) * qm_layout.total_dim,
-            values=np.full((4, width), scale, dtype=complex))
+        state = _labelled_batch(qm_layout, [0, 5, 14, 27], width, scale)
     if passes:
         out = apply_pulses(state, *programs)
         assert abs(out.norm() ** 2 / state.values.size - scale ** 2) <= 1e-14
@@ -274,21 +279,13 @@ ZBS_PAIR = ([zbs(0.3, 0.1, "q", "m0", "m1")],
             [zbs(0.9, -0.2, "q", "m0", "m1")])
 
 
-def _labelled_batch(layout):
-    """Four basis states labelled as `verify` labels its codeword
-    columns, in two programs' columns."""
-    rows = np.array([1, 5, 14, 27], dtype=np.int64)
-    return StateVector(layout, index=rows + np.arange(4) * layout.total_dim,
-                       values=np.ones((4, 2), dtype=complex))
-
-
 def test_norm_check_holds_on_an_evolved_batch(qm_layout):
     # After a zbs the batch holds more rows than labels, still one unit
-    # vector per label and program.  Its reference norm counts labels,
-    # so a walk goes on from where another left it: a unitary pulse
-    # passes and lands where one walk of both pulses does.
+    # vector per label.  Its reference norm counts labels, so a walk goes
+    # on from where another left it: a unitary pulse passes and lands
+    # where one walk of both pulses does.
     start = apply_pulses(_labelled_batch(qm_layout), *ZBS_PAIR)
-    assert len(start.index) > 4
+    assert len(start.index) > 8
     out = apply_pulses(start, [carrier(0.4, 0.0, "q")],
                        [carrier(1.1, 0.3, "q")])
     whole = apply_pulses(_labelled_batch(qm_layout),

@@ -121,9 +121,10 @@ def _verify_in_chunks(text, limit):
     evolve, chunks = verify.apply_pulses, []
 
     def spy(batch, *programs):
-        # A batch enters with one row per codeword column.
+        # A batch enters with one row per codeword column and program.
+        columns = len(batch.index) // len(programs)
         chunks.append((len(programs), max(
-            1, limit // (batch.layout.total_dim * len(batch.index)))))
+            1, limit // (batch.layout.total_dim * columns))))
         return evolve(batch, *programs)
 
     with mock.patch.object(fock, "MAX_STATE_DIM", limit), \
@@ -197,9 +198,11 @@ def test_group_with_pruned_residues_matches_per_record_checks():
     seen = []
 
     def kernel(index, amplitudes, layout, matrix, sids):
-        k = amplitudes.shape[1] // len(matrix)
-        seen.append((amplitudes != 0).reshape(len(index), len(matrix), k)
-                    .any(axis=2).T)
+        # Each record's support as its own batch would label it: program
+        # r's column j is label j * 5 + r here and label j alone.
+        column, r = np.divmod(index // layout.total_dim, len(matrix))
+        own = column * layout.total_dim + index % layout.total_dim
+        seen.append([own[r == p] for p in range(len(matrix))])
         return fock.apply_matrix_support(index, amplitudes, layout, matrix,
                                          sids)
 
