@@ -36,17 +36,14 @@ from .fock import (
 )
 from .pulses import (
     PhysicalOp,
-    PulseParams,
     apply_pulse,
     apply_pulses,
     beamsplitter,
     carrier,
     cbs,
     qphase,
-    raman_detunings,
     rsb,
     zbs,
-    zbs_angle_from_pulse,
 )
 from .verify import (
     EquivalenceReport,

@@ -53,12 +53,9 @@ EXIT_VALIDATION = 2
 EXIT_HEALTH = 3
 
 
-def build_system(doc: CircuitDocument,
-                 cutoff: int | None = None
-                 ) -> tuple["object", LogicalRegister]:
-    eff_cutoff = cutoff if cutoff is not None else doc.cutoff
+def build_system(doc: CircuitDocument) -> tuple["object", LogicalRegister]:
     spec = [(q, QUBIT, 2) for q in doc.qubits]
-    spec += [(m, MODE, eff_cutoff) for m in doc.modes]
+    spec += [(m, MODE, doc.cutoff) for m in doc.modes]
     layout = create_layout(spec)
     register = define_register(layout, doc.registers,
                                ancilla_qubits=doc.ancilla_qubits,
@@ -79,7 +76,7 @@ def _op_entry(op) -> dict:
 
 
 def cmd_compile(doc: CircuitDocument, args) -> tuple[dict, int]:
-    layout, register = build_system(doc, args.cutoff)
+    layout, register = build_system(doc)
     prep = preparation(register)
     steps = lower(register, doc.program)
     program = CompiledProgram()
@@ -116,7 +113,7 @@ def cmd_compile(doc: CircuitDocument, args) -> tuple[dict, int]:
 
 
 def cmd_run(doc: CircuitDocument, args) -> tuple[dict, int]:
-    layout, register = build_system(doc, args.cutoff)
+    layout, register = build_system(doc)
     seed = _option(args.seed, doc, "seed")
     shots = _option(args.shots, doc, "shots")
     prep = preparation(register)
@@ -181,7 +178,7 @@ def cmd_run(doc: CircuitDocument, args) -> tuple[dict, int]:
 def cmd_verify(doc: CircuitDocument | None, args) -> tuple[dict, int]:
     tol = _option(args.tol, doc, "tolerance")
     if doc is not None:
-        _, register = build_system(doc, args.cutoff)
+        _, register = build_system(doc)
     checks = []
     if args.builtin or doc is None:
         for result in run_builtin_suite():
@@ -226,8 +223,6 @@ def make_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--cutoff", type=int, default=None,
-                       help="override the per-mode Fock cutoff")
         p.add_argument("--report", default=None,
                        help="also write the JSON report to this path")
 

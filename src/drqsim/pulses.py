@@ -306,61 +306,3 @@ def apply_pulses(state: StateVector, ops: Sequence[PhysicalOp],
                 f"norm drifted to {norm} at pulse {k} ({op.kind})")
     return state
 
-
-class _PulseParamsFields(NamedTuple):
-    eta1: float
-    eta2: float
-    omega1: float
-    omega2: float
-    delta_bs: float
-    t: float
-    omega_q: float = 0.0
-    nu1: float = 0.0
-    nu2: float = 0.0
-    phi1: float = 0.0
-    phi2: float = 0.0
-
-
-class PulseParams(_PulseParamsFields):
-    """Raman-beam parameters behind one ZBS pulse, checked as a
-    `PhysicalOp` is.
-
-    eta1/eta2 are Lamb-Dicke parameters, omega1/omega2 sideband Rabi
-    frequencies (rad/s), delta_bs the beamsplitter detuning (rad/s), t the
-    pulse duration (s), omega_q the qubit splitting, nu1/nu2 the mode
-    frequencies, phi1/phi2 the sideband phases.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        params = super().__new__(cls, *args, **kwargs)
-        if params.t < 0:
-            raise PulseError("pulse duration must be non-negative")
-        return params
-
-    _make = classmethod(lambda cls, fields: cls(*fields))  # as PhysicalOp's
-
-
-def zbs_angle_from_pulse(p: PulseParams) -> tuple[float, float]:
-    """ZBS angle theta = eta1 eta2 omega1 omega2 t / (4 delta_bs), phi = phi1 - phi2."""
-    if p.delta_bs == 0:
-        raise PulseError("beamsplitter detuning must be nonzero")
-    theta = p.eta1 * p.eta2 * p.omega1 * p.omega2 * p.t / (4 * p.delta_bs)
-    return theta, p.phi1 - p.phi2
-
-
-def zbs_duration_for_angle(p: PulseParams, theta: float) -> float:
-    """Invert the angle formula for the pulse duration."""
-    if p.delta_bs == 0:
-        raise PulseError("beamsplitter detuning must be nonzero")
-    coeff = p.eta1 * p.eta2 * p.omega1 * p.omega2 / (4 * p.delta_bs)
-    if coeff == 0:
-        raise PulseError("zero coupling; angle unreachable")
-    return theta / coeff
-
-
-def raman_detunings(p: PulseParams) -> tuple[float, float]:
-    """Beat-note differences delta_j = delta_bs + omega_q - nu_j."""
-    return (p.delta_bs + p.omega_q - p.nu1,
-            p.delta_bs + p.omega_q - p.nu2)

@@ -16,12 +16,9 @@ from test_bench_contract import _traced
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "drqsim"
 
-# The paper's pulse arithmetic and sideband count, which the acceptance
-# tests reproduce, and the document format's only writer (the sixth
-# keeper, `pulses.PulseParams`, is a class).
-KEEPERS = {"raman_detunings", "zbs_angle_from_pulse",
-           "zbs_duration_for_angle", "rsb_unitary_count",
-           "serialize_circuit"}
+# The paper's sideband count, which the acceptance tests reproduce, and
+# the document format's only writer.
+KEEPERS = {"rsb_unitary_count", "serialize_circuit"}
 
 
 def test_every_function_in_src_has_a_caller_in_src():

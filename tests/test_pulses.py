@@ -4,7 +4,6 @@ import pytest
 from drqsim import (
     PhysicalOp,
     PulseError,
-    PulseParams,
     apply_pulse,
     apply_pulses,
     basis_state,
@@ -15,20 +14,13 @@ from drqsim import (
     exp_hermitian,
     ground_state,
     qphase,
-    raman_detunings,
     rsb,
     zbs,
-    zbs_angle_from_pulse,
 )
 from drqsim import fock, pulses
 from drqsim.errors import HealthError, LayoutError, StateError
 from drqsim.fock import StateVector, apply_matrix
-from drqsim.pulses import (
-    cbs_factors,
-    native_xx,
-    pulse_matrix,
-    zbs_duration_for_angle,
-)
+from drqsim.pulses import cbs_factors, native_xx, pulse_matrix
 
 from conftest import random_state
 from oracles import dense_state, levels_of, pulse_generator
@@ -527,84 +519,19 @@ def test_cbs_rejects_ancilla_collision():
         cbs(1.0, 0.0, "q", "m0", "m1", "q")
 
 
-# --- pulse parameter arithmetic ----------------------------------------------
-
-def _params(**kw):
-    base = dict(eta1=0.1, eta2=0.1, omega1=2 * np.pi * 1e5,
-                omega2=2 * np.pi * 1e5, delta_bs=2 * np.pi * 1e4, t=1e-4)
-    base.update(kw)
-    return PulseParams(**base)
-
-
-def test_zbs_angle_zero_duration():
-    theta, _ = zbs_angle_from_pulse(_params(t=0.0))
-    assert theta == 0.0
-
-
-def test_zbs_angle_linearity():
-    t1, _ = zbs_angle_from_pulse(_params(t=1e-4))
-    t2, _ = zbs_angle_from_pulse(_params(t=2e-4))
-    assert t2 == pytest.approx(2 * t1, rel=1e-12)
-    d2, _ = zbs_angle_from_pulse(_params(delta_bs=2 * 2 * np.pi * 1e4))
-    assert d2 == pytest.approx(t1 / 2, rel=1e-12)
-
-
-def test_zbs_angle_round_trip():
-    p = _params()
-    t = zbs_duration_for_angle(p, np.pi / 2)
-    p2 = _params(t=t)
-    theta, _ = zbs_angle_from_pulse(p2)
-    assert theta == pytest.approx(np.pi / 2, rel=1e-12)
-
-
-def test_zbs_angle_rejects_zero_detuning():
-    with pytest.raises(PulseError):
-        zbs_angle_from_pulse(_params(delta_bs=0.0))
-
-
-def test_zbs_phase_difference():
-    _, phi = zbs_angle_from_pulse(_params(phi1=0.9, phi2=0.2))
-    assert phi == pytest.approx(0.7)
-
-
-def test_raman_detuning_cancellation():
-    p = _params(delta_bs=0.0 + 1.0, omega_q=5.0, nu1=6.0, nu2=2.0)
-    d1, d2 = raman_detunings(p)
-    assert d1 == pytest.approx(0.0)
-    assert d2 == pytest.approx(4.0)
-
-
-def test_raman_detuning_difference_rule(rng):
-    for _ in range(5):
-        vals = rng.normal(size=4)
-        p = _params(delta_bs=vals[0] if vals[0] != 0 else 1.0,
-                    omega_q=vals[1], nu1=vals[2], nu2=vals[3])
-        d1, d2 = raman_detunings(p)
-        assert d1 - d2 == pytest.approx(p.nu2 - p.nu1, abs=1e-12)
-
-
-def test_raman_detuning_zeros():
-    # delta_bs = 0 is rejected by the angle formula but not by the
-    # detuning arithmetic, so the all-zero case is well defined.
-    p = PulseParams(eta1=0, eta2=0, omega1=0, omega2=0, delta_bs=0.0, t=0)
-    d1, d2 = raman_detunings(p)
-    assert (d1, d2) == (0.0, 0.0)
-
-
 def test_zbs_generator_matches_pulse_hamiltonian(qm_layout):
-    # theta * (zbs generator) must equal H_zbs * t entrywise, with theta
-    # from the pulse-parameter formula.
+    # theta * (zbs generator) must equal H_zbs * t entrywise, with the
+    # angle theta = coupling * t that a pulse of duration t reaches.
     from drqsim.fock import SIGMA_Z, annihilation_matrix, creation_matrix, kron_le
-    p = _params(phi1=0.4, phi2=-0.1)
-    theta, phi = zbs_angle_from_pulse(p)
+    coupling, t, phi = 1.5e4, 1e-4, 0.5
+    theta = coupling * t
     gen, scale = pulse_generator(zbs(theta, phi, "q", "m0", "m1"), qm_layout)
     # scale is -theta, so the effective Hamiltonian is theta * G / t * t
-    coupling = p.eta1 * p.eta2 * p.omega1 * p.omega2 / (4 * p.delta_bs)
     a, ad = annihilation_matrix(4), creation_matrix(4)
     h_zbs = coupling * kron_le([SIGMA_Z,
                                 np.exp(1j * phi) * kron_le([ad, a])
                                 + np.exp(-1j * phi) * kron_le([a, ad])])
-    assert np.max(np.abs((-scale) * gen - h_zbs * p.t)) <= 1e-9
+    assert np.max(np.abs((-scale) * gen - h_zbs * t)) <= 1e-9
 
 
 # --- pulse matrix size bound -------------------------------------------------

@@ -2,8 +2,7 @@
 
 A record refuses assignment, and `_replace` returns a new record of the
 same type.  `GateRecord` leaves its diagnostic `line` out of equality
-and hash, and `PhysicalOp` and `PulseParams` check their fields whether
-built or copied.
+and hash, and `PhysicalOp` checks its fields whether built or copied.
 """
 from unittest import mock
 
@@ -16,7 +15,7 @@ from drqsim.compiler import GATES, AncillaUse, Step, lower
 from drqsim.document import GateRecord, parse_circuit
 from drqsim.encoding import RegisterEntry
 from drqsim.fock import Subsystem
-from drqsim.pulses import PhysicalOp, PulseParams, carrier, rsb, zbs
+from drqsim.pulses import PhysicalOp, carrier, rsb, zbs
 from drqsim.verify import EquivalenceReport, ProgramUnitary
 
 from test_cli import BELL
@@ -24,7 +23,6 @@ from test_cli import BELL
 RECORDS = {
     "Subsystem": Subsystem("q", "qubit", 2),
     "PhysicalOp": carrier(np.pi, 0.0, "q"),
-    "PulseParams": PulseParams(0.1, 0.1, 1.0, 1.0, 10.0, 1e-3),
     "GateRecord": GateRecord("h", (), ("D",), 3),
     "CircuitDocument": parse_circuit(BELL),
     "RegisterEntry": RegisterEntry("D", "dual_rail", ("m0", "m1")),
@@ -98,12 +96,3 @@ def test_physical_op_checks_its_fields_when_built_or_copied(change):
         PhysicalOp(**{**op._asdict(), **bad})
     with pytest.raises(PulseError):
         op._replace(**bad)
-
-
-def test_pulse_params_check_duration_when_built_or_copied():
-    params = RECORDS["PulseParams"]
-    with pytest.raises(PulseError, match="non-negative"):
-        PulseParams(*params[:5], -1.0)
-    with pytest.raises(PulseError, match="non-negative"):
-        params._replace(t=-1.0)
-    assert params._replace(t=2.0).t == 2.0

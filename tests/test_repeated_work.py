@@ -57,7 +57,7 @@ from test_sparse_run import (
 )
 from test_verify_memo import repeating_documents
 
-ARGS = argparse.Namespace(cutoff=None, seed=5, shots=200,
+ARGS = argparse.Namespace(seed=5, shots=200,
                           allow_midcircuit=False, builtin=False, tol=None)
 
 
@@ -400,8 +400,8 @@ def test_run_checks_each_unitary_step_once(monkeypatch):
              for name in ("ancilla_reset_defect", "check_sentinel")}
     for name, spy in spies.items():
         monkeypatch.setattr(verify, name, spy)
-    _, code = cli.cmd_run(doc, argparse.Namespace(
-        cutoff=None, seed=3, shots=0, allow_midcircuit=False))
+    _, code = cli.cmd_run(
+        doc, argparse.Namespace(seed=3, shots=0, allow_midcircuit=False))
     assert code == 0
     assert len(steps) == 161 and all(s.kind == PULSES for s in steps)
     assert [spy.call_count for spy in spies.values()] == [161, 161]

@@ -147,8 +147,7 @@ def replay(text, seed=0):
         _compare(state, dense, register)
     leakage = _dense_health(dense, register)[2]
     assert injected or leakage <= LEAKAGE_GUARD_TOL
-    args = argparse.Namespace(cutoff=None, seed=seed, shots=0,
-                              allow_midcircuit=False)
+    args = argparse.Namespace(seed=seed, shots=0, allow_midcircuit=False)
     report, code = cmd_run(doc, args)
     assert code == 0
     assert abs(report["leakage"] - leakage) <= TOL
@@ -331,10 +330,9 @@ def test_generated_documents_match_the_reference(register, data):
     text = data.draw(documents(register))
     doc = parse_circuit(text)
     assert parse_circuit(serialize_circuit(doc)) == doc
-    compiled, code = cmd_compile(doc, argparse.Namespace(cutoff=None))
+    compiled, code = cmd_compile(doc, argparse.Namespace())
     assert code == 0
-    args = argparse.Namespace(cutoff=None, seed=0, shots=0,
-                              allow_midcircuit=False)
+    args = argparse.Namespace(seed=0, shots=0, allow_midcircuit=False)
     report, code = cmd_run(doc, args)
     assert code == 0
     circ = ref.read_circuit(text)

@@ -140,8 +140,7 @@ def test_six_plus_six_hybrid_register_runs_to_the_logical_model():
     chances = np.zeros(register.logical_dim)
     chances[codes] = probs
     assert np.max(np.abs(chances - np.abs(want) ** 2)) <= 1e-10
-    args = argparse.Namespace(cutoff=None, seed=0, shots=0,
-                              allow_midcircuit=False)
+    args = argparse.Namespace(seed=0, shots=0, allow_midcircuit=False)
     report, code = cmd_run(parse_circuit(text), args)
     assert code == 0
     assert report["leakage"] == logical.leakage

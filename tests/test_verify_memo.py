@@ -26,7 +26,7 @@ from drqsim.verify import check_gates, ideal_logical_gate
 
 from test_sparse_run import DEEP_REGISTER, REGISTERS, _deep_circuit, documents
 
-ARGS = argparse.Namespace(builtin=False, tol=None, cutoff=None)
+ARGS = argparse.Namespace(builtin=False, tol=None)
 
 
 def _fresh_checks(doc, tol=1e-9):
